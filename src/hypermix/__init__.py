@@ -13,11 +13,11 @@ from .envs import (LazyCoordinationGrid, OneStepMatrixGame, TwoStepGame,
                    brute_force_optimal, make_env)
 from .hypergraph import (Hypergraph, build_hypergraph, hgcn_layer,
                          hgcn_transform, onehot_hypergraph)
-from .mixers import MIXER_KINDS, hgcn_mix, igm_check, mix_batch, state_module, vdn_mix
+from .mixers import MIXER_KINDS, igm_check, mix_batch, state_module, vdn_mix
 from .nn import LayerSpec, ParameterStore, init_params, rmsprop_step
 from .rng import Rng
 from .training import (Episode, ReplayBuffer, Schedule, collect_episode,
-                       epsilon, evaluate_policy, run_training, td_targets,
-                       train_step, update_target)
+                       evaluate_policy, run_training, td_targets, train_step,
+                       update_target)
 
 __version__ = "0.1.0"

@@ -3,9 +3,9 @@
 Every value is a 2-D row-major float64 numpy array. Applying a primitive to
 traced variables computes the forward value eagerly and appends a record to
 the owning :class:`Tape`; :func:`gradient` then walks the records in strict
-reverse order to accumulate exact gradients for every traced input. Plain
-numpy arrays (or variables without a tape) act as constants and receive no
-gradient.
+reverse order to accumulate exact gradients for every traced input, and
+drops the records once done. Plain numpy arrays (or variables without a
+tape) act as constants: backward computes no gradient for them.
 
 Subgradient conventions at kinks: relu'(0) = 0, abs'(0) = 0, elu uses
 alpha = 1. Safe reciprocals return exactly 0 at or below ``SAFE_EPS`` so
@@ -41,7 +41,7 @@ def as_matrix(x) -> np.ndarray:
 class Var:
     """A (possibly traced) matrix value; ``grad`` is filled by gradient()."""
 
-    __slots__ = ("value", "tape", "grad")
+    __slots__ = ("value", "tape", "grad", "__weakref__")
 
     def __init__(self, value, tape: "Tape | None" = None):
         self.value = as_matrix(value)
@@ -58,13 +58,13 @@ class Var:
 
 
 class _Record:
-    __slots__ = ("name", "inputs", "out", "fwd", "bwd")
+    # bwd(g, need) returns one gradient per input, None where need is False
+    __slots__ = ("name", "inputs", "out", "bwd")
 
-    def __init__(self, name, inputs, out, fwd, bwd):
+    def __init__(self, name, inputs, out, bwd):
         self.name = name
         self.inputs = inputs
         self.out = out
-        self.fwd = fwd
         self.bwd = bwd
 
 
@@ -78,15 +78,6 @@ class Tape:
     def var(self, value) -> Var:
         """Create a traced leaf variable on this tape."""
         return Var(value, self)
-
-    def replay(self) -> None:
-        """Recompute every recorded value, in order, from current leaf values.
-
-        Replaying immediately after the forward pass reproduces all recorded
-        values bit-exactly (the primitives are deterministic numpy calls).
-        """
-        for r in self.records:
-            r.out.value = r.fwd(*[v.value for v in r.inputs])
 
     def __len__(self) -> int:
         return len(self.records)
@@ -108,11 +99,11 @@ def _tape_of(name: str, *vs: Var) -> "Tape | None":
     return tape
 
 
-def _emit(name, inputs, out_value, fwd, bwd) -> Var:
+def _emit(name, inputs, out_value, bwd) -> Var:
     tape = _tape_of(name, *inputs)
     out = Var(out_value, tape)
     if tape is not None:
-        tape.records.append(_Record(name, inputs, out, fwd, bwd))
+        tape.records.append(_Record(name, inputs, out, bwd))
     return out
 
 
@@ -151,21 +142,19 @@ def matmul(a, b, transpose_a: bool = False, transpose_b: bool = False) -> Var:
             f" (transpose_a={transpose_a}, transpose_b={transpose_b})"
         )
 
-    def fwd(av, bv):
-        return (av.T if transpose_a else av) @ (bv.T if transpose_b else bv)
-
-    def bwd(g, av, bv):
-        rhs = bv.T if transpose_b else bv
-        lhs = av.T if transpose_a else av
-        ga = g @ rhs.T
-        if transpose_a:
-            ga = ga.T
-        gb = lhs.T @ g
-        if transpose_b:
-            gb = gb.T
+    def bwd(g, need):
+        ga = gb = None
+        if need[0]:
+            ga = g @ rhs.T
+            if transpose_a:
+                ga = ga.T
+        if need[1]:
+            gb = lhs.T @ g
+            if transpose_b:
+                gb = gb.T
         return ga, gb
 
-    return _emit("matmul", (a, b), lhs @ rhs, fwd, bwd)
+    return _emit("matmul", (a, b), lhs @ rhs, bwd)
 
 
 def add(a, b) -> Var:
@@ -173,13 +162,13 @@ def add(a, b) -> Var:
     a, b = _as_var(a), _as_var(b)
     _check_broadcast("add", a.value, b.value)
 
-    def fwd(av, bv):
-        return av + bv
+    a_shape, b_shape = a.value.shape, b.value.shape
 
-    def bwd(g, av, bv):
-        return _unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)
+    def bwd(g, need):
+        return (_unbroadcast(g, a_shape) if need[0] else None,
+                _unbroadcast(g, b_shape) if need[1] else None)
 
-    return _emit("add", (a, b), a.value + b.value, fwd, bwd)
+    return _emit("add", (a, b), a.value + b.value, bwd)
 
 
 def mul(a, b) -> Var:
@@ -187,13 +176,13 @@ def mul(a, b) -> Var:
     a, b = _as_var(a), _as_var(b)
     _check_broadcast("mul", a.value, b.value)
 
-    def fwd(av, bv):
-        return av * bv
+    av, bv = a.value, b.value
 
-    def bwd(g, av, bv):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
+    def bwd(g, need):
+        return (_unbroadcast(g * bv, av.shape) if need[0] else None,
+                _unbroadcast(g * av, bv.shape) if need[1] else None)
 
-    return _emit("mul", (a, b), a.value * b.value, fwd, bwd)
+    return _emit("mul", (a, b), av * bv, bwd)
 
 
 def sub(a, b) -> Var:
@@ -203,101 +192,81 @@ def sub(a, b) -> Var:
 
 def relu(x) -> Var:
     x = _as_var(x)
+    xv = x.value
 
-    def fwd(xv):
-        return np.maximum(xv, 0.0)
-
-    def bwd(g, xv):
+    def bwd(g, need):
         return (g * (xv > 0.0),)
 
-    return _emit("relu", (x,), np.maximum(x.value, 0.0), fwd, bwd)
+    return _emit("relu", (x,), np.maximum(xv, 0.0), bwd)
 
 
 def elu(x) -> Var:
     """Exponential linear unit with alpha = 1."""
     x = _as_var(x)
+    xv = x.value
 
-    def fwd(xv):
-        return np.where(xv > 0.0, xv, np.expm1(np.minimum(xv, 0.0)))
-
-    def bwd(g, xv):
+    def bwd(g, need):
         return (g * np.where(xv > 0.0, 1.0, np.exp(np.minimum(xv, 0.0))),)
 
-    return _emit("elu", (x,), fwd(x.value), fwd, bwd)
+    return _emit("elu", (x,),
+                 np.where(xv > 0.0, xv, np.expm1(np.minimum(xv, 0.0))), bwd)
 
 
 def absval(x) -> Var:
     x = _as_var(x)
+    xv = x.value
 
-    def fwd(xv):
-        return np.abs(xv)
-
-    def bwd(g, xv):
+    def bwd(g, need):
         return (g * np.sign(xv),)
 
-    return _emit("abs", (x,), np.abs(x.value), fwd, bwd)
+    return _emit("abs", (x,), np.abs(xv), bwd)
 
 
 def safe_rsqrt(x) -> Var:
     """1/sqrt(x) where x > SAFE_EPS, exactly 0 elsewhere (diagonal pseudo-inverse)."""
     x = _as_var(x)
+    mask = x.value > SAFE_EPS
+    safe = np.where(mask, x.value, 1.0)
 
-    def fwd(xv):
-        mask = xv > SAFE_EPS
-        safe = np.where(mask, xv, 1.0)
-        return np.where(mask, 1.0 / np.sqrt(safe), 0.0)
+    def bwd(g, need):
+        return (g * np.where(mask, -0.5 / (np.sqrt(safe) * safe), 0.0),)
 
-    def bwd(g, xv):
-        mask = xv > SAFE_EPS
-        safe = np.where(mask, xv, 1.0)
-        d = np.where(mask, -0.5 / (np.sqrt(safe) * safe), 0.0)
-        return (g * d,)
-
-    return _emit("safe_rsqrt", (x,), fwd(x.value), fwd, bwd)
+    return _emit("safe_rsqrt", (x,),
+                 np.where(mask, 1.0 / np.sqrt(safe), 0.0), bwd)
 
 
 def safe_recip(x) -> Var:
     """1/x where x > SAFE_EPS, exactly 0 elsewhere (diagonal pseudo-inverse)."""
     x = _as_var(x)
+    mask = x.value > SAFE_EPS
+    safe = np.where(mask, x.value, 1.0)
 
-    def fwd(xv):
-        mask = xv > SAFE_EPS
-        safe = np.where(mask, xv, 1.0)
-        return np.where(mask, 1.0 / safe, 0.0)
+    def bwd(g, need):
+        return (g * np.where(mask, -1.0 / (safe * safe), 0.0),)
 
-    def bwd(g, xv):
-        mask = xv > SAFE_EPS
-        safe = np.where(mask, xv, 1.0)
-        d = np.where(mask, -1.0 / (safe * safe), 0.0)
-        return (g * d,)
-
-    return _emit("safe_recip", (x,), fwd(x.value), fwd, bwd)
+    return _emit("safe_recip", (x,), np.where(mask, 1.0 / safe, 0.0), bwd)
 
 
 def reduce_sum(x) -> Var:
     """Sum of all entries, as a 1x1 matrix."""
     x = _as_var(x)
+    shape = x.value.shape
 
-    def fwd(xv):
-        return np.array([[xv.sum()]])
+    def bwd(g, need):
+        return (np.full(shape, g[0, 0]),)
 
-    def bwd(g, xv):
-        return (np.full(xv.shape, g[0, 0]),)
-
-    return _emit("sum", (x,), fwd(x.value), fwd, bwd)
+    return _emit("sum", (x,), np.array([[x.value.sum()]]), bwd)
 
 
 def reduce_mean(x) -> Var:
     """Mean of all entries, as a 1x1 matrix."""
     x = _as_var(x)
+    shape, size = x.value.shape, x.value.size
 
-    def fwd(xv):
-        return np.array([[xv.mean()]])
+    def bwd(g, need):
+        return (np.full(shape, g[0, 0] / size),)
 
-    def bwd(g, xv):
-        return (np.full(xv.shape, g[0, 0] / xv.size),)
-
-    return _emit("mean", (x,), fwd(x.value), fwd, bwd)
+    return _emit("mean", (x,), np.array([[x.value.mean()]]), bwd)
 
 
 def concat_cols(*xs) -> Var:
@@ -311,16 +280,80 @@ def concat_cols(*xs) -> Var:
             raise DimensionError(
                 f"concat_cols: row counts differ, {v.value.shape[0]} != {rows}"
             )
-    widths = [v.value.shape[1] for v in vs]
-    bounds = np.cumsum([0] + widths)
+    bounds = np.cumsum([0] + [v.value.shape[1] for v in vs])
 
-    def fwd(*values):
-        return np.concatenate(values, axis=1)
+    def bwd(g, need):
+        return tuple(g[:, bounds[i]:bounds[i + 1]] if need[i] else None
+                     for i in range(len(vs)))
 
-    def bwd(g, *values):
-        return tuple(g[:, bounds[i]:bounds[i + 1]] for i in range(len(values)))
+    return _emit("concat_cols", vs,
+                 np.concatenate([v.value for v in vs], axis=1), bwd)
 
-    return _emit("concat_cols", vs, fwd(*[v.value for v in vs]), fwd, bwd)
+
+def concat_rows(*xs) -> Var:
+    """Stack matrices along rows; all must share the column count."""
+    vs = tuple(_as_var(x) for x in xs)
+    if not vs:
+        raise DimensionError("concat_rows: needs at least one operand")
+    cols = vs[0].value.shape[1]
+    for v in vs:
+        if v.value.shape[1] != cols:
+            raise DimensionError(
+                f"concat_rows: column counts differ, {v.value.shape[1]} != {cols}"
+            )
+    bounds = np.cumsum([0] + [v.value.shape[0] for v in vs])
+
+    def bwd(g, need):
+        return tuple(g[bounds[i]:bounds[i + 1]] if need[i] else None
+                     for i in range(len(vs)))
+
+    return _emit("concat_rows", vs,
+                 np.concatenate([v.value for v in vs], axis=0), bwd)
+
+
+def reshape(x, rows: int, cols: int) -> Var:
+    """Row-major reshape; returns ``x`` itself when the shape already matches."""
+    x = _as_var(x)
+    shape = x.value.shape
+    if shape == (rows, cols):
+        return x
+    if rows * cols != x.value.size:
+        raise DimensionError(f"reshape: cannot view {shape} as {(rows, cols)}")
+
+    def bwd(g, need):
+        return (g.reshape(shape),)
+
+    return _emit("reshape", (x,), x.value.reshape(rows, cols), bwd)
+
+
+def block_sum(x, n: int) -> Var:
+    """Sum each block of ``n`` consecutive rows: (R x c) -> (R/n x c)."""
+    x = _as_var(x)
+    rows, cols = x.value.shape
+    if n <= 0 or rows % n:
+        raise DimensionError(f"block_sum: {rows} rows do not split into blocks of {n}")
+
+    def bwd(g, need):
+        return (np.repeat(g, n, axis=0),)
+
+    return _emit("block_sum", (x,),
+                 x.value.reshape(rows // n, n, cols).sum(axis=1), bwd)
+
+
+def repeat_rows(x, n: int) -> Var:
+    """Repeat each row ``n`` times in place: (R x c) -> (R*n x c).
+
+    The adjoint of :func:`block_sum`.
+    """
+    x = _as_var(x)
+    rows, cols = x.value.shape
+    if n <= 0:
+        raise DimensionError(f"repeat_rows: repeat count {n} must be positive")
+
+    def bwd(g, need):
+        return (g.reshape(rows, n, cols).sum(axis=1),)
+
+    return _emit("repeat_rows", (x,), np.repeat(x.value, n, axis=0), bwd)
 
 
 def select_rows(x, rows) -> Var:
@@ -331,19 +364,17 @@ def select_rows(x, rows) -> Var:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise DimensionError(f"select_rows: index out of range for {n} rows")
     unique = idx.size == np.unique(idx).size
+    shape = x.value.shape
 
-    def fwd(xv):
-        return xv[idx]
-
-    def bwd(g, xv):
-        out = np.zeros_like(xv)
+    def bwd(g, need):
+        out = np.zeros(shape)
         if unique:
             out[idx] = g
         else:
             np.add.at(out, idx, g)
         return (out,)
 
-    return _emit("select_rows", (x,), x.value[idx], fwd, bwd)
+    return _emit("select_rows", (x,), x.value[idx], bwd)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -379,20 +410,15 @@ def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Var:
     if b_ih.value.shape != (1, 3 * hid) or b_hh.value.shape != (1, 3 * hid):
         raise DimensionError("gru_cell: bias rows must have shape (1, 3H)")
 
-    saved: dict[str, np.ndarray] = {}
+    xv, hv, wiv, whv = x.value, h.value, w_ih.value, w_hh.value
+    gi = xv @ wiv + b_ih.value
+    gh = hv @ whv + b_hh.value
+    r = _sigmoid(gi[:, :hid] + gh[:, :hid])
+    z = _sigmoid(gi[:, hid:2 * hid] + gh[:, hid:2 * hid])
+    hn = gh[:, 2 * hid:]
+    c = np.tanh(gi[:, 2 * hid:] + r * hn)
 
-    def fwd(xv, hv, wiv, whv, biv, bhv):
-        gi = xv @ wiv + biv
-        gh = hv @ whv + bhv
-        r = _sigmoid(gi[:, :hid] + gh[:, :hid])
-        z = _sigmoid(gi[:, hid:2 * hid] + gh[:, hid:2 * hid])
-        hn = gh[:, 2 * hid:]
-        c = np.tanh(gi[:, 2 * hid:] + r * hn)
-        saved.update(r=r, z=z, c=c, hn=hn)
-        return (1.0 - z) * c + z * hv
-
-    def bwd(g, xv, hv, wiv, whv, biv, bhv):
-        r, z, c, hn = saved["r"], saved["z"], saved["c"], saved["hn"]
+    def bwd(g, need):
         dc = g * (1.0 - z)
         dz = g * (hv - c)
         dpre_c = dc * (1.0 - c * c)
@@ -402,17 +428,15 @@ def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Var:
         dpre_z = dz * z * (1.0 - z)
         dgi = np.concatenate([dpre_r, dpre_z, dpre_c], axis=1)
         dgh = np.concatenate([dpre_r, dpre_z, dhn], axis=1)
-        dx = dgi @ wiv.T
-        dh = dgh @ whv.T + g * z
-        dwi = xv.T @ dgi
-        dwh = hv.T @ dgh
-        dbi = dgi.sum(axis=0, keepdims=True)
-        dbh = dgh.sum(axis=0, keepdims=True)
-        return dx, dh, dwi, dwh, dbi, dbh
+        return (dgi @ wiv.T if need[0] else None,
+                dgh @ whv.T + g * z if need[1] else None,
+                xv.T @ dgi if need[2] else None,
+                hv.T @ dgh if need[3] else None,
+                dgi.sum(axis=0, keepdims=True) if need[4] else None,
+                dgh.sum(axis=0, keepdims=True) if need[5] else None)
 
-    inputs = (x, h, w_ih, w_hh, b_ih, b_hh)
-    return _emit("gru_cell", inputs,
-                 fwd(*[v.value for v in inputs]), fwd, bwd)
+    return _emit("gru_cell", (x, h, w_ih, w_hh, b_ih, b_hh),
+                 (1.0 - z) * c + z * hv, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +464,10 @@ def gradient(tape: Tape, seeds) -> dict:
     gets its ``grad`` attribute set; the returned dict maps the remaining
     leaf variables (inputs and parameters) to their accumulated gradients.
     Variables that do not influence any seeded output keep ``grad = None``
-    (a zero gradient).
+    (a zero gradient). Each record's backward is told which of its operands
+    are traced and skips the work for the others. The sweep ends by
+    dropping the tape's records, so the graph is freed as soon as the
+    caller lets go of its outputs.
     """
     if tape.consumed:
         raise TapeError("gradient: tape already consumed by a previous backward pass")
@@ -460,12 +487,13 @@ def gradient(tape: Tape, seeds) -> dict:
         if g is None:
             continue
         rec.out.grad = g
-        grads = rec.bwd(g, *[u.value for u in rec.inputs])
-        for v, gi in zip(rec.inputs, grads):
-            if gi is None or v.tape is not tape:
+        need = tuple(v.tape is tape for v in rec.inputs)
+        for v, gi in zip(rec.inputs, rec.bwd(g, need)):
+            if gi is None:
                 continue
             prev = acc.get(v)
             acc[v] = gi if prev is None else prev + gi
+    tape.records.clear()
     for v, g in acc.items():
         v.grad = g
     return acc

@@ -88,6 +88,8 @@ def _load_run(config_path, checkpoint_path):
 
 
 def cmd_eval(args) -> int:
+    if args.episodes < 1:
+        raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     cfg, env, store = _load_run(args.config, args.checkpoint)
     rng = Rng(args.seed).split("cli-eval")
     stats = evaluate_policy(env, store, args.episodes, rng, cfg.agent_hidden)

@@ -6,7 +6,9 @@ the right with a scaled identity block so each agent keeps a self-edge whose
 weight matches the scale of the learned block. The convolution normalizes by
 vertex and hyperedge degrees with diagonal pseudo-inverses, so all-zero
 hyperedge columns are legal and the scaled-identity case reproduces the
-input exactly.
+input exactly. The ``*_rows`` functions take samples stacked along rows, one
+block of n agent rows each; the single-sample functions call them with one
+block.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (Var, absval, add, concat_cols, matmul, mul, reduce_mean,
-                       relu, safe_recip, safe_rsqrt)
+from .autodiff import (Var, absval, add, block_sum, concat_cols, concat_rows,
+                       matmul, mul, relu, repeat_rows, reshape,
+                       safe_recip, safe_rsqrt)
 
 
 @lru_cache(maxsize=32)
@@ -30,6 +33,12 @@ def _eye(n: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _ones_col(n: int) -> np.ndarray:
     return np.ones((n, 1))
+
+
+@lru_cache(maxsize=64)
+def _tiled_eye(n_samples: int, n: int) -> np.ndarray:
+    # the one-hot incidence of n_samples samples stacked along rows
+    return np.tile(np.eye(n), (n_samples, 1))
 
 
 @dataclass
@@ -46,37 +55,29 @@ class Hypergraph:
         return self.m + self.n
 
 
-@dataclass
-class EdgeWeights:
-    """Raw learnable diagonal weights, one column vector per layer.
+def build_hypergraph_rows(Z_rows, gen_w, gen_b, n: int):
+    """Incidence matrices of samples stacked along rows.
 
-    The convolution consumes abs(w), so effective weights are nonnegative.
+    ``Z_rows`` holds blocks of ``n`` observation rows, one block per sample.
+    Each block's learned part is relu(Z @ gen_w + gen_b), with one shared
+    linear map across agents; its one-hot part is the mean of the learned
+    part times the identity. Returns the stacked incidence (S*n x (m+n))
+    and the per-sample means (S x 1).
     """
-
-    layers: tuple[Var, ...]
-
-
-@dataclass
-class Degrees:
-    """Diagonal degree vectors: d (vertex, length n), b (hyperedge, length m+n)."""
-
-    d: Var
-    b: Var
+    h1 = relu(add(matmul(Z_rows, gen_w), gen_b))           # S*n x m
+    rows, m = h1.shape
+    mu = mul(block_sum(matmul(h1, _ones_col(m)), n),
+             np.array([[1.0 / (n * m)]]))                 # S x 1
+    h2 = mul(repeat_rows(mu, n), _tiled_eye(rows // n, n))  # S*n x n
+    return concat_cols(h1, h2), mu
 
 
 def build_hypergraph(Z, gen_w, gen_b) -> Hypergraph:
-    """Generate the incidence matrix from observations Z (n x d_obs).
-
-    The learned block is relu(Z @ gen_w + gen_b) with one shared linear map
-    across agents; the one-hot block is mean(learned block) * identity.
-    """
+    """Incidence matrix of one sample's observations Z (n x d_obs)."""
     Z = Z if isinstance(Z, Var) else Var(Z)
-    n = Z.value.shape[0]
-    h1 = relu(add(matmul(Z, gen_w), gen_b))
-    m = h1.value.shape[1]
-    mu = reduce_mean(h1)
-    h2 = mul(mu, _eye(n))
-    return Hypergraph(n=n, m=m, H=concat_cols(h1, h2), mu=mu)
+    n = Z.shape[0]
+    H, mu = build_hypergraph_rows(Z, gen_w, gen_b, n)
+    return Hypergraph(n=n, m=H.shape[1] - n, H=H, mu=mu)
 
 
 def onehot_hypergraph(n: int) -> Hypergraph:
@@ -84,117 +85,69 @@ def onehot_hypergraph(n: int) -> Hypergraph:
     return Hypergraph(n=n, m=0, H=Var(_eye(n)), mu=Var(np.ones((1, 1))))
 
 
-def degree_matrices(H, w) -> Degrees:
-    """Vertex degrees d_i = sum_e |w_e| H_ie and hyperedge degrees b_e = sum_i H_ie."""
-    n = (H.value if isinstance(H, Var) else H).shape[0]
-    return Degrees(
-        d=matmul(H, absval(w)),
-        b=matmul(H, _ones_col(n), transpose_a=True),
-    )
+def degree_matrices(H_rows, aw, n: int) -> tuple[Var, Var]:
+    """Degrees of incidence blocks of ``n`` rows under edge weights ``aw``.
+
+    Returns vertex degrees d_i = sum_e aw_e H_ie (S*n x 1) and per-sample
+    hyperedge degrees b_e = sum_i H_ie (S x k).
+    """
+    return matmul(H_rows, aw), block_sum(H_rows, n)
+
+
+def hgcn_layer_rows(x, H_rows, w, n: int) -> Var:
+    """One spectral hypergraph convolution per sample, samples along rows.
+
+    ``x`` (S*n x 1) and ``H_rows`` (S*n x k) hold one block of ``n`` agent
+    rows per sample. Each block computes
+    d^{-1/2} * H * |w| * b^{-1} * H^T * d^{-1/2} * x with its own degrees and
+    diagonal pseudo-inverses for the normalizers; the inter-layer weight
+    matrix is fixed to the identity. Per-sample reductions are block sums,
+    so the cost grows linearly with S. Differentiable in x, H and w,
+    including through both degree normalizers.
+    """
+    k = H_rows.shape[1]
+    aw = absval(w)                                        # k x 1
+    d, b = degree_matrices(H_rows, aw, n)
+    d_isqrt = safe_rsqrt(d)                               # S*n x 1
+    z = mul(d_isqrt, x)                                   # row scaling
+    t = block_sum(mul(z, H_rows), n)                      # S x k, onto hyperedges
+    t = mul(mul(t, safe_recip(b)), reshape(aw, 1, k))     # normalize, weight
+    y = matmul(mul(H_rows, repeat_rows(t, n)), _ones_col(k))  # back onto vertices
+    return mul(d_isqrt, y)
+
+
+def hgcn_transform_rows(q, H_rows, w1, w2, n: int) -> Var:
+    """Two stacked convolutions of per-agent values q (S*n x 1)."""
+    return hgcn_layer_rows(hgcn_layer_rows(q, H_rows, w1, n), H_rows, w2, n)
 
 
 def hgcn_layer(x, H, w) -> Var:
-    """One spectral hypergraph convolution of node signals x (n x f).
+    """One convolution of node signals x (n x f) over one incidence H.
 
-    Computes d^{-1/2} * H * |w| * b^{-1} * H^T * d^{-1/2} * x with diagonal
-    pseudo-inverses for the degree normalizers; the inter-layer weight matrix
-    is fixed to the identity. Differentiable in x, H, and w, including
-    through both degree normalizers.
+    Each signal column runs as one sample of :func:`hgcn_layer_rows`.
     """
-    aw = absval(w)
-    deg = degree_matrices(H, w)
-    d_isqrt = safe_rsqrt(deg.d)           # n x 1
-    b_inv = safe_recip(deg.b)             # (m+n) x 1
-    z = mul(d_isqrt, x)                   # row scaling
-    t = matmul(H, z, transpose_a=True)    # onto hyperedges
-    t = mul(mul(aw, b_inv), t)            # weight and normalize per edge
-    y = matmul(H, t)                      # back onto vertices
-    return mul(d_isqrt, y)
+    x = x if isinstance(x, Var) else Var(x)
+    n, f = x.shape
+    cols = reshape(matmul(x, _eye(n), transpose_a=True), f * n, 1)
+    y = hgcn_layer_rows(cols, concat_rows(*[H] * f), w, n)
+    return matmul(reshape(y, f, n), _eye(f), transpose_a=True)
 
 
-def hgcn_transform(Q, H, w1, w2) -> Var:
-    """Two stacked convolutions applied to per-agent values Q (n x 1)."""
-    return hgcn_layer(hgcn_layer(Q, H, w1), H, w2)
-
-
-@lru_cache(maxsize=64)
-def _block_indicator(n_samples: int, n: int) -> np.ndarray:
-    # (S*n x S) 0/1 matrix mapping stacked agent rows to their sample
-    g = np.zeros((n_samples * n, n_samples))
-    for e in range(n_samples):
-        g[e * n:(e + 1) * n, e] = 1.0
-    return g
-
-
-@lru_cache(maxsize=64)
-def _tiled_eye(n_samples: int, n: int) -> np.ndarray:
-    return np.tile(np.eye(n), (n_samples, 1))
-
-
-@lru_cache(maxsize=8)
-def _ones_row(n: int) -> np.ndarray:
-    return np.ones((1, n))
-
-
-def build_hypergraph_rows(Z_rows, gen_w, gen_b, n_samples: int, n: int):
-    """Batched incidence build over samples stacked along rows.
-
-    ``Z_rows`` holds ``n_samples`` observation blocks of ``n`` rows each;
-    returns the stacked incidence (S*n x (m+n)) whose per-sample blocks
-    equal :func:`build_hypergraph` on the corresponding slice, plus the
-    per-sample means (S x 1).
-    """
-    h1 = relu(add(matmul(Z_rows, gen_w), gen_b))          # S*n x m
-    m = h1.value.shape[1]
-    g = _block_indicator(n_samples, n)
-    col_sums = matmul(g, h1, transpose_a=True)            # S x m
-    mu = mul(matmul(col_sums, _ones_col(m)),
-             np.array([[1.0 / (n * m)]]))                 # S x 1
-    h2 = mul(matmul(g, mu), _tiled_eye(n_samples, n))     # S*n x n
-    return concat_cols(h1, h2), mu
-
-
-def hgcn_layer_rows(x, H_rows, w, n_samples: int, n: int) -> Var:
-    """Batched convolution: per-sample blocks of ``H_rows`` act independently.
-
-    Equivalent to running :func:`hgcn_layer` on every (n x k) block; all
-    per-sample reductions go through one constant block-indicator matmul, so
-    the whole batch costs a fixed number of primitive operations.
-    """
-    k = (H_rows.value if isinstance(H_rows, Var) else H_rows).shape[1]
-    g = _block_indicator(n_samples, n)
-    aw_col = absval(w)                                    # k x 1
-    aw_row = absval(matmul(np.ones((1, 1)), w, transpose_b=True))  # 1 x k
-    d = matmul(H_rows, aw_col)                            # S*n x 1
-    d_isqrt = safe_rsqrt(d)
-    b = matmul(g, H_rows, transpose_a=True)               # S x k, per-sample
-    b_inv = safe_recip(b)
-    z = mul(d_isqrt, x)                                   # S*n x 1
-    t = matmul(g, mul(z, H_rows), transpose_a=True)       # S x k  (H^T z)
-    t = mul(mul(t, b_inv), aw_row)
-    y = matmul(mul(H_rows, matmul(g, t)), _ones_col(k))   # S*n x 1  (H t)
-    return mul(d_isqrt, y)
-
-
-def hgcn_transform_rows(q, H_rows, w1, w2, n_samples: int, n: int) -> Var:
-    """Two stacked batched convolutions over per-sample blocks."""
-    return hgcn_layer_rows(hgcn_layer_rows(q, H_rows, w1, n_samples, n),
-                           H_rows, w2, n_samples, n)
+def hgcn_transform(q, H, w1, w2) -> Var:
+    """Two stacked convolutions of one sample's agent values q (n x 1)."""
+    return hgcn_transform_rows(q, H, w1, w2, H.shape[0])
 
 
 def mixing_matrix(H: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Materialize the effective (n x n) mixing matrix of one layer.
 
-    Diagnostic view of the convolution as a single matrix; entries are
-    nonnegative for any inputs because every factor is.
+    Diagnostic view of the convolution as a single matrix, obtained by
+    convolving the identity; entries are nonnegative for any inputs because
+    every factor is.
     """
     H = np.asarray(H, dtype=np.float64)
-    aw = np.abs(np.asarray(w, dtype=np.float64)).ravel()
-    d = H @ aw
-    b = H.sum(axis=0)
-    d_isqrt = np.where(d > 1e-8, 1.0 / np.sqrt(np.where(d > 1e-8, d, 1.0)), 0.0)
-    b_inv = np.where(b > 1e-8, 1.0 / np.where(b > 1e-8, b, 1.0), 0.0)
-    return (d_isqrt[:, None] * H) @ np.diag(aw * b_inv) @ (H.T * d_isqrt[None, :])
+    w = np.asarray(w, dtype=np.float64).reshape(-1, 1)
+    return hgcn_layer(_eye(H.shape[0]), H, w).value
 
 
 def write_hypergraph_csv(path, H: np.ndarray) -> None:

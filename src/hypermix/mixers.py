@@ -19,12 +19,10 @@ from itertools import product
 
 import numpy as np
 
-from .autodiff import (Var, absval, add, concat_cols, elu, matmul, mul,
-                       reduce_sum, select_rows)
+from .autodiff import (Var, absval, add, block_sum, elu, matmul, mul,
+                       reshape)
 from .errors import ConfigError
-from .hypergraph import (Hypergraph, _tiled_eye, build_hypergraph,
-                         build_hypergraph_rows, hgcn_transform,
-                         hgcn_transform_rows, onehot_hypergraph)
+from .hypergraph import _tiled_eye, build_hypergraph_rows, hgcn_transform_rows
 from .nn import LayerSpec, ParameterStore, init_params, linear_fwd, mlp_fwd
 from .rng import Rng
 
@@ -34,26 +32,6 @@ MIXER_KINDS = ("vdn", "qmix", "hgcn-mix", "hgcn-mix-oh")
 @lru_cache(maxsize=64)
 def _ones(rows: int, cols: int = 1) -> np.ndarray:
     return np.ones((rows, cols))
-
-
-@lru_cache(maxsize=64)
-def _eye(n: int) -> np.ndarray:
-    return np.eye(n)
-
-
-@lru_cache(maxsize=64)
-def _col_selector(n: int, i: int) -> np.ndarray:
-    e = np.zeros((n, 1))
-    e[i, 0] = 1.0
-    return e
-
-
-@lru_cache(maxsize=256)
-def _block_selector(n: int, embed: int, i: int) -> np.ndarray:
-    # picks columns [i*embed, (i+1)*embed) out of a flattened (n, embed) row
-    sel = np.zeros((n * embed, embed))
-    sel[i * embed:(i + 1) * embed, :] = np.eye(embed)
-    return sel
 
 
 def validate_mixer_kind(kind: str) -> str:
@@ -95,63 +73,27 @@ def init_mixer_params(store: ParameterStore, kind: str, n_agents: int,
 def vdn_mix(q_rows) -> Var:
     """Additive joint value: row-wise sum of agent values (S x n) -> (S x 1)."""
     q_rows = q_rows if isinstance(q_rows, Var) else Var(q_rows)
-    return matmul(q_rows, _ones(q_rows.value.shape[1]))
+    return matmul(q_rows, _ones(q_rows.shape[1]))
 
 
-def state_module(q_rows, s, pv: dict[str, Var], n_agents: int, embed: int) -> Var:
-    """State-conditioned monotone head: (S x n) agent values -> (S x 1) joint.
+def state_module(q, s, pv: dict[str, Var], n_agents: int, embed: int) -> Var:
+    """State-conditioned monotone head: per-agent values -> (S x 1) joint.
 
+    ``q`` holds the agent values of the S samples in ``s`` either as
+    (S x n) rows or as the sample-major (S*n x 1) column.
     hidden = elu(|W1(s)|^T q + b1(s)); out = |W2(s)|^T hidden + V(s), with
     W1, W2 generated from the state and made nonnegative via abs.
     """
-    q_rows = q_rows if isinstance(q_rows, Var) else Var(q_rows)
+    n_samples = s.shape[0]
+    q_col = reshape(q, n_samples * n_agents, 1)
     w1 = absval(mlp_fwd(s, pv, "mix.hyper_w1"))   # S x (n*embed)
     b1 = linear_fwd(s, pv, "mix.hyper_b1")        # S x embed
     w2 = absval(mlp_fwd(s, pv, "mix.hyper_w2"))   # S x embed
     v = mlp_fwd(s, pv, "mix.v")                   # S x 1
-    acc = None
-    for i in range(n_agents):
-        block = matmul(w1, _block_selector(n_agents, embed, i))
-        qi = matmul(q_rows, _col_selector(n_agents, i))
-        term = mul(block, qi)
-        acc = term if acc is None else add(acc, term)
-    hidden = elu(add(acc, b1))
+    mixed = block_sum(mul(reshape(w1, n_samples * n_agents, embed), q_col),
+                      n_agents)                   # S x embed
+    hidden = elu(add(mixed, b1))
     return add(matmul(mul(w2, hidden), _ones(embed)), v)
-
-
-def _as_row(q) -> Var:
-    """Normalize an n-vector (row, column, or 1-D) to a (1, n) row."""
-    q = q if isinstance(q, Var) else Var(q)
-    if q.value.shape[0] == 1:
-        return q
-    return matmul(_eye(1), q, transpose_b=True)
-
-
-def fold_agents(chosen: Var, n_samples: int, n_agents: int) -> Var:
-    """Reshape stacked per-agent values (S*n x 1) into sample rows (S x n)."""
-    cols = [select_rows(chosen, np.arange(a, n_samples * n_agents, n_agents))
-            for a in range(n_agents)]
-    return concat_cols(*cols)
-
-
-def hgcn_mix(q, Z, s, pv: dict[str, Var], n_agents: int, embed: int,
-             onehot: bool = False) -> tuple[Var, Hypergraph]:
-    """Full hypergraph head for a single sample.
-
-    Builds the incidence matrix from observations Z (or the identity for the
-    one-hot ablation), convolves the agent values, then applies the
-    state-conditioned head. Returns (joint value 1x1, hypergraph).
-    """
-    q = q if isinstance(q, Var) else Var(q)
-    if q.value.shape[1] != 1:
-        q = matmul(q, _eye(q.value.shape[1]), transpose_a=True) if q.value.shape[0] == 1 else q
-    if onehot:
-        hg = onehot_hypergraph(n_agents)
-    else:
-        hg = build_hypergraph(Z, pv["mix.gen.w"], pv["mix.gen.b"])
-    qp = hgcn_transform(q, hg.H, pv["mix.edge_w1"], pv["mix.edge_w2"])
-    qtot = state_module(_as_row(qp), s, pv, n_agents, embed)
-    return qtot, hg
 
 
 def mix_batch(kind: str, pv: dict[str, Var], chosen: Var, Z: np.ndarray,
@@ -164,50 +106,42 @@ def mix_batch(kind: str, pv: dict[str, Var], chosen: Var, Z: np.ndarray,
     and ``s`` the global states (S x d_state). Returns (S x 1 joint values,
     incidence matrices per sample or None).
     """
+    validate_mixer_kind(kind)
     s = np.asarray(s, dtype=np.float64)
     n_samples = s.shape[0]
     if kind == "vdn":
-        return vdn_mix(fold_agents(chosen, n_samples, n_agents)), None
+        return vdn_mix(reshape(chosen, n_samples, n_agents)), None
     if kind == "qmix":
-        q_rows = fold_agents(chosen, n_samples, n_agents)
-        return state_module(q_rows, s, pv, n_agents, embed), None
-    validate_mixer_kind(kind)
+        return state_module(chosen, s, pv, n_agents, embed), None
     if kind == "hgcn-mix-oh":
-        h_rows = Var(_tiled_eye(n_samples, n_agents))
+        h_rows = _tiled_eye(n_samples, n_agents)
     else:
-        z_rows = np.asarray(Z, dtype=np.float64)
-        h_rows, _ = build_hypergraph_rows(Var(z_rows), pv["mix.gen.w"],
-                                          pv["mix.gen.b"], n_samples, n_agents)
+        h_rows, _ = build_hypergraph_rows(np.asarray(Z, dtype=np.float64),
+                                          pv["mix.gen.w"], pv["mix.gen.b"],
+                                          n_agents)
     qp = hgcn_transform_rows(chosen, h_rows, pv["mix.edge_w1"],
-                             pv["mix.edge_w2"], n_samples, n_agents)
+                             pv["mix.edge_w2"], n_agents)
     hs = None
     if collect_h:
-        hs = [h_rows.value[e * n_agents:(e + 1) * n_agents]
-              for e in range(n_samples)]
-    q_rows = fold_agents(qp, n_samples, n_agents)
-    return state_module(q_rows, s, pv, n_agents, embed), hs
+        hv = h_rows.value if isinstance(h_rows, Var) else h_rows
+        hs = list(hv.reshape(n_samples, n_agents, -1))
+    return state_module(qp, s, pv, n_agents, embed), hs
 
 
 def make_qtot_fn(kind: str, store: ParameterStore, Z, s, n_agents: int,
                  embed: int):
     """Forward-only joint-value evaluator for fixed parameters and context.
 
-    Returns a callable mapping an n-vector of chosen agent values to a float.
+    Returns a callable mapping an n-vector of chosen agent values to a float;
+    it runs :func:`mix_batch` on a single sample.
     """
     validate_mixer_kind(kind)
     pv = store.bind(None)
-    Z = np.asarray(Z, dtype=np.float64) if Z is not None else None
-    s = np.asarray(np.atleast_2d(s), dtype=np.float64) if s is not None else None
+    s = np.atleast_2d(np.asarray(s, dtype=np.float64)) if s is not None else None
 
     def qtot(chosen) -> float:
         col = Var(np.asarray(chosen, dtype=np.float64).reshape(-1, 1))
-        if kind == "vdn":
-            out = vdn_mix(_as_row(col))
-        elif kind == "qmix":
-            out = state_module(_as_row(col), s, pv, n_agents, embed)
-        else:
-            out, _ = hgcn_mix(col, Z, s, pv, n_agents, embed,
-                              onehot=kind == "hgcn-mix-oh")
+        out, _ = mix_batch(kind, pv, col, Z, s, n_agents, embed)
         return float(out.value[0, 0])
 
     return qtot

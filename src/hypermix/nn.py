@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var, absval, add, elu, gru_cell, matmul, relu
+from .autodiff import Var, add, elu, gru_cell, matmul, relu
 from .errors import CheckpointError, ConfigError, TrainingError
 from .rng import Rng
 
@@ -144,11 +144,6 @@ def mlp_fwd(x, pv: dict[str, Var], name: str, activation: str = "relu") -> Var:
 def gru_fwd(x, h, pv: dict[str, Var], name: str) -> Var:
     return gru_cell(x, h, pv[f"{name}.w_ih"], pv[f"{name}.w_hh"],
                     pv[f"{name}.b_ih"], pv[f"{name}.b_hh"])
-
-
-def abs_mlp_fwd(x, pv: dict[str, Var], name: str, activation: str = "relu") -> Var:
-    """MLP whose output passes through abs (monotone weight generators)."""
-    return absval(mlp_fwd(x, pv, name, activation))
 
 
 def rmsprop_step(store: ParameterStore, lr: float = 5e-4, decay: float = 0.99,

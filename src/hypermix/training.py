@@ -18,7 +18,8 @@ import numpy as np
 
 from . import agents as ag
 from . import mixers as mx
-from .autodiff import Tape, Var, add, gradient, matmul, mul, reduce_sum, select_rows
+from .autodiff import (Tape, Var, add, concat_rows, gradient, mul, reduce_sum,
+                       reshape, select_rows)
 from .envs import brute_force_optimal, make_env
 from .errors import TrainingError
 from .nn import (ParameterStore, clip_grad_norm, rmsprop_step, save_checkpoint)
@@ -38,11 +39,6 @@ class Schedule:
             return self.eps_end
         frac = t / self.anneal_steps
         return self.eps_start + (self.eps_end - self.eps_start) * frac
-
-
-def epsilon(t: int, schedule: Schedule = Schedule()) -> float:
-    """Exploration rate after ``t`` environment steps."""
-    return schedule.value(t)
 
 
 @dataclass
@@ -141,62 +137,88 @@ def collect_episode(env, store: ParameterStore, eps: float, env_rng: Rng,
     return ep
 
 
-def _batch_inputs(batch: list[Episode], t: int, n_actions: int) -> np.ndarray:
-    """Stacked agent input rows for step t across the batch (zero-padded)."""
-    n = batch[0].obs.shape[1]
-    obs_dim = batch[0].obs.shape[2]
-    out = np.zeros((len(batch) * n, obs_dim + n_actions + n))
-    agent_ids = np.tile(np.arange(n), len(batch))
-    out[np.arange(len(batch) * n), obs_dim + n_actions + agent_ids] = 1.0
+def _batch_inputs(batch: list[Episode], n_actions: int) -> np.ndarray:
+    """Agent input rows of every step of the batch, (T+1, B*n, d).
+
+    Step t stacks each episode's n agent rows in batch order; rows past an
+    episode's end carry zero observations and no last action.
+    """
+    t_max = max(ep.length for ep in batch)
+    n, obs_dim = batch[0].obs.shape[1:]
+    out = np.zeros((t_max + 1, len(batch), n, obs_dim + n_actions + n))
+    out[..., :obs_dim] = np.stack([ep.obs[:t_max + 1] for ep in batch], axis=1)
+    out[..., obs_dim + n_actions:] = np.eye(n)
+    agents = np.arange(n)
     for e, ep in enumerate(batch):
-        rows = slice(e * n, (e + 1) * n)
-        out[rows, :obs_dim] = ep.obs[t]
-        if 0 < t <= ep.length:
-            out[np.arange(e * n, (e + 1) * n),
-                obs_dim + ep.actions[t - 1]] = 1.0
-    return out
+        steps = np.arange(1, ep.length + 1)[:, None]
+        out[steps, e, agents, obs_dim + ep.actions[:ep.length]] = 1.0
+    return out.reshape(t_max + 1, len(batch) * n, -1)
+
+
+def _steps(batch: list[Episode], first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (t, e) with first <= t < first + length of episode e.
+
+    Ordered by step, then episode: the order of the rows of the
+    per-step agent passes.
+    """
+    lengths = np.array([ep.length for ep in batch])
+    t, e = np.nonzero(np.arange(lengths.max())[:, None] < lengths)
+    return t + first, e
+
+
+def _sample_rows(t: np.ndarray, e: np.ndarray, n_episodes: int,
+                 n: int) -> np.ndarray:
+    """Row indices, in the stacked per-step agent passes, of the n agents of
+    each (t, e) sample."""
+    return ((t * n_episodes + e)[:, None] * n + np.arange(n)).ravel()
+
+
+def _stacked(batch: list[Episode], field: str) -> np.ndarray:
+    return np.stack([getattr(ep, field) for ep in batch])
+
+
+def _mix_steps(kind: str, pv: dict[str, Var], chosen, batch: list[Episode],
+               t: np.ndarray, e: np.ndarray, embed: int) -> Var:
+    """Joint values of the (t, e) samples, in one mixer call."""
+    n = batch[0].obs.shape[1]
+    Z = _stacked(batch, "obs")[e, t].reshape(t.size * n, -1)
+    qtot, _ = mx.mix_batch(kind, pv, chosen, Z, _stacked(batch, "state")[e, t],
+                           n, embed)
+    return qtot
 
 
 def td_targets(batch: list[Episode], target_store: ParameterStore, kind: str,
-               gamma: float, embed: int, agent_hidden: int = 64) -> list[np.ndarray]:
+               gamma: float, embed: int, agent_hidden: int = 64,
+               inputs: np.ndarray | None = None) -> list[np.ndarray]:
     """One-step TD targets per episode, using the frozen target parameters.
 
     Terminal steps take the raw reward; other steps bootstrap from the
     target joint value at the per-agent greedy actions of the next step.
+    The agents run step by step; one mixer call then covers every step.
+    ``inputs`` may pass in this batch's :func:`_batch_inputs`.
     """
     n = batch[0].obs.shape[1]
     n_actions = batch[0].avail.shape[2]
-    t_max = max(ep.length for ep in batch)
+    if inputs is None:
+        inputs = _batch_inputs(batch, n_actions)
     pv = target_store.bind(None)
     hidden = ag.initial_hidden(len(batch) * n, agent_hidden)
-    next_qtot = np.zeros((len(batch), t_max + 1))
-    for t in range(t_max + 1):
-        inputs = _batch_inputs(batch, t, n_actions)
-        q, hidden = ag.agent_forward(pv, Var(inputs), hidden)
-        if t == 0:
-            continue
-        need = [e for e, ep in enumerate(batch) if t <= ep.length]
-        if not need:
-            break
-        rows = np.concatenate([np.arange(e * n, (e + 1) * n) for e in need])
-        avail = np.concatenate([ep.avail[t] for ep in (batch[e] for e in need)])
-        q_rows = q.value[rows]
-        greedy = ag.greedy_actions(q_rows, avail)
-        chosen = Var(q_rows[np.arange(rows.size), greedy].reshape(-1, 1))
-        Z = np.concatenate([batch[e].obs[t] for e in need], axis=0)
-        s = np.stack([batch[e].state[t] for e in need])
-        qtot, _ = mx.mix_batch(kind, pv, chosen, Z, s, n, embed)
-        next_qtot[need, t] = qtot.value[:, 0]
-    targets = []
-    for e, ep in enumerate(batch):
-        y = np.zeros(ep.length)
-        for t in range(ep.length):
-            if ep.terminated[t]:
-                y[t] = ep.reward[t]
-            else:
-                y[t] = ep.reward[t] + gamma * next_qtot[e, t + 1]
-        targets.append(y)
-    return targets
+    qs = []
+    for x in inputs:
+        q, hidden = ag.agent_forward(pv, Var(x), hidden)
+        qs.append(q.value)
+    t, e = _steps(batch, first=1)
+    q_rows = np.concatenate(qs)[_sample_rows(t, e, len(batch), n)]
+    avail = _stacked(batch, "avail")[e, t].reshape(-1, n_actions)
+    greedy = ag.greedy_actions(q_rows, avail)
+    chosen = Var(q_rows[np.arange(q_rows.shape[0]), greedy].reshape(-1, 1))
+    qtot = _mix_steps(kind, pv, chosen, batch, t, e, embed)
+    next_qtot = np.zeros((len(batch), len(inputs)))
+    next_qtot[e, t] = qtot.value[:, 0]
+    return [np.where(ep.terminated[:ep.length], ep.reward[:ep.length],
+                     ep.reward[:ep.length]
+                     + gamma * next_qtot[k, 1:ep.length + 1])
+            for k, ep in enumerate(batch)]
 
 
 def train_step(batch: list[Episode], store: ParameterStore,
@@ -208,39 +230,32 @@ def train_step(batch: list[Episode], store: ParameterStore,
 
     The loss is the mean over valid timesteps of half the squared TD error;
     gradients flow through the agent networks, the hypergraph generator and
-    edge weights, and the hypernetworks, but not into the targets.
+    edge weights, and the hypernetworks, but not into the targets. The
+    agents run step by step; one mixer call then covers every valid step.
     """
-    targets = td_targets(batch, target_store, kind, gamma, embed, agent_hidden)
     n = batch[0].obs.shape[1]
     n_actions = batch[0].avail.shape[2]
-    t_max = max(ep.length for ep in batch)
-    n_valid = sum(ep.length for ep in batch)
+    inputs = _batch_inputs(batch, n_actions)
+    targets = td_targets(batch, target_store, kind, gamma, embed, agent_hidden,
+                         inputs=inputs)
+    t_max = len(inputs) - 1
 
     tape = Tape()
     pv = store.bind(tape)
     hidden = ag.initial_hidden(len(batch) * n, agent_hidden)
-    sq_acc = None
-    for t in range(t_max):
-        inputs = _batch_inputs(batch, t, n_actions)
-        q, hidden = ag.agent_forward(pv, tape.var(inputs), hidden)
-        valid = [e for e, ep in enumerate(batch) if t < ep.length]
-        if not valid:
-            break
-        onehot = np.zeros((len(batch) * n, n_actions))
-        for e in valid:
-            onehot[np.arange(e * n, (e + 1) * n),
-                   batch[e].actions[t]] = 1.0
-        chosen_all = matmul(mul(q, onehot), np.ones((n_actions, 1)))
-        rows = np.concatenate([np.arange(e * n, (e + 1) * n) for e in valid])
-        chosen = select_rows(chosen_all, rows)
-        Z = np.concatenate([batch[e].obs[t] for e in valid], axis=0)
-        s = np.stack([batch[e].state[t] for e in valid])
-        qtot, _ = mx.mix_batch(kind, pv, chosen, Z, s, n, embed)
-        y = np.array([[targets[e][t]] for e in valid])
-        diff = add(qtot, -y)
-        sq = reduce_sum(mul(diff, diff))
-        sq_acc = sq if sq_acc is None else add(sq_acc, sq)
-    loss = mul(sq_acc, np.array([[0.5 / n_valid]]))
+    qs = []
+    for x in inputs[:t_max]:
+        q, hidden = ag.agent_forward(pv, Var(x), hidden)
+        qs.append(q)
+    t, e = _steps(batch, first=0)
+    rows = _sample_rows(t, e, len(batch), n)
+    actions = _stacked(batch, "actions")[e, t].ravel()
+    q_flat = reshape(concat_rows(*qs), t_max * len(batch) * n * n_actions, 1)
+    chosen = select_rows(q_flat, rows * n_actions + actions)
+    qtot = _mix_steps(kind, pv, chosen, batch, t, e, embed)
+    y = np.array([[targets[k][i]] for i, k in zip(t, e)])
+    diff = add(qtot, -y)
+    loss = mul(reduce_sum(mul(diff, diff)), np.array([[0.5 / t.size]]))
     loss_value = float(loss.value[0, 0])
     if not np.isfinite(loss_value):
         raise TrainingError(
@@ -263,6 +278,8 @@ def update_target(store: ParameterStore, target_store: ParameterStore) -> None:
 def evaluate_policy(env, store: ParameterStore, episodes: int, rng: Rng,
                     agent_hidden: int = 64, optimal: float | None = None) -> dict:
     """Greedy evaluation: mean return and the rate of optimal-return episodes."""
+    if episodes < 1:
+        raise ValueError(f"evaluate_policy: episodes must be >= 1, got {episodes}")
     if optimal is None:
         optimal = brute_force_optimal(env)
     returns = []

@@ -1,12 +1,16 @@
 """Tape, primitives, gradients, and the finite-difference oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import hypermix.autodiff as ad
-from hypermix.autodiff import (Tape, Var, absval, add, concat_cols, elu,
-                               evaluate, finite_diff, gradient, gru_cell,
-                               matmul, mul, reduce_mean, reduce_sum, relu,
+from hypermix.autodiff import (Tape, Var, absval, add, block_sum, concat_cols,
+                               concat_rows, elu, evaluate, finite_diff,
+                               gradient, gru_cell, matmul, mul, reduce_mean,
+                               reduce_sum, relu, repeat_rows, reshape,
                                safe_recip, safe_rsqrt, select_rows)
 from hypermix.errors import DimensionError, TapeError
 from hypermix.rng import Rng
@@ -56,6 +60,25 @@ class TestForwardValues:
         sel = select_rows(cat, [1, 0, 1])
         np.testing.assert_array_equal(sel.value, [[2, 5, 6], [1, 3, 4], [2, 5, 6]])
 
+    def test_reshape_is_row_major(self):
+        x = np.arange(6.0).reshape(2, 3)
+        np.testing.assert_array_equal(reshape(Var(x), 3, 2).value,
+                                      [[0, 1], [2, 3], [4, 5]])
+        same = Var(x)
+        assert reshape(same, 2, 3) is same
+
+    def test_block_sum_and_repeat_rows(self):
+        x = np.arange(12.0).reshape(6, 2)
+        np.testing.assert_array_equal(block_sum(Var(x), 3).value,
+                                      [[6, 9], [24, 27]])
+        np.testing.assert_array_equal(
+            repeat_rows(Var([[1.0, 2.0], [3.0, 4.0]]), 2).value,
+            [[1, 2], [1, 2], [3, 4], [3, 4]])
+
+    def test_concat_rows(self):
+        cat = concat_rows(Var([[1.0, 2.0]]), Var([[3.0, 4.0], [5.0, 6.0]]))
+        np.testing.assert_array_equal(cat.value, [[1, 2], [3, 4], [5, 6]])
+
     def test_evaluate_is_deterministic(self):
         rng = Rng(7)
         x = rng.normal((4, 3))
@@ -99,6 +122,16 @@ class TestShapeErrors:
         with pytest.raises(DimensionError, match="concat_cols"):
             concat_cols(Var(np.ones((2, 1))), Var(np.ones((3, 1))))
 
+    def test_segment_shape_errors(self):
+        with pytest.raises(DimensionError, match="reshape"):
+            reshape(Var(np.ones((2, 3))), 4, 2)
+        with pytest.raises(DimensionError, match="block_sum"):
+            block_sum(Var(np.ones((5, 1))), 2)
+        with pytest.raises(DimensionError, match="repeat_rows"):
+            repeat_rows(Var(np.ones((2, 1))), 0)
+        with pytest.raises(DimensionError, match="concat_rows"):
+            concat_rows(Var(np.ones((1, 2))), Var(np.ones((1, 3))))
+
     def test_select_rows_out_of_range(self):
         with pytest.raises(DimensionError, match="select_rows"):
             select_rows(Var(np.ones((2, 2))), [0, 2])
@@ -110,20 +143,6 @@ class TestShapeErrors:
 
 
 class TestTape:
-    def test_replay_reproduces_values_bit_exactly(self):
-        rng = Rng(3)
-        x = rng.normal((3, 2))
-        w = rng.normal((2, 4))
-
-        def build(xv, wv):
-            return reduce_sum(elu(matmul(relu(xv), wv)))
-
-        out, tape, _ = evaluate(build, x, w)
-        recorded = [rec.out.value.copy() for rec in tape.records]
-        tape.replay()
-        for rec, before in zip(tape.records, recorded):
-            assert np.array_equal(rec.out.value, before)
-
     def test_backward_visits_reverse_order(self):
         x = Tape()
         tape = Tape()
@@ -133,6 +152,27 @@ class TestTape:
         gradient(tape, c)
         # d(a^3)/da = 3a^2; correct only if b's grad was complete before a's
         assert a.grad[0, 0] == pytest.approx(12.0)
+
+    def test_gradient_drops_records_and_frees_the_graph(self):
+        # the graph must die by reference counting alone, without the
+        # cyclic collector
+        rng = Rng(4)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tape = Tape()
+            x = tape.var(rng.normal((3, 2)))
+            hidden = relu(matmul(x, rng.normal((2, 4))))
+            out = reduce_sum(mul(hidden, hidden))
+            alive = weakref.ref(hidden)
+            gradient(tape, out)
+            assert tape.records == []
+            assert x.grad is not None
+            del hidden, out
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_consumed_tape_raises(self):
         out, tape, _ = evaluate(lambda x: reduce_sum(x), np.ones((2, 2)))
@@ -181,6 +221,53 @@ class TestGradientExamples:
         _ = mul(y, y)  # dead branch
         gradient(tape, out)
         assert y.grad is None
+
+    @pytest.mark.parametrize("name", ["matmul", "mul", "add"])
+    def test_constant_operand_gets_no_gradient_work(self, name):
+        op = {"matmul": matmul, "mul": mul, "add": add}[name]
+        rng = Rng(6)
+        for traced_side in (0, 1):
+            tape = Tape()
+            operands = [rng.normal((3, 3)), rng.normal((3, 3))]
+            operands[traced_side] = tape.var(operands[traced_side])
+            out = op(*operands)
+            record = tape.records[-1]
+            computed = []
+            bwd = record.bwd
+
+            def spy(g, need):
+                grads = bwd(g, need)
+                computed.append(grads)
+                return grads
+
+            record.bwd = spy
+            gradient(tape, reduce_sum(out))
+            (grads,) = computed
+            assert grads[traced_side] is not None
+            assert grads[1 - traced_side] is None
+
+    def test_partly_constant_operands_match_fully_traced_gradients(self):
+        rng = Rng(7)
+        args = [rng.normal((2, 3)), rng.normal((2, 4)), rng.normal((3, 12)),
+                rng.normal((4, 12)), rng.normal((1, 12)), rng.normal((1, 12))]
+
+        def build(*vs):
+            h = gru_cell(*vs)
+            return reduce_sum(mul(add(matmul(h, vs[3]), 1.0),
+                                  matmul(vs[0], vs[2])))
+
+        def grads(traced):
+            tape = Tape()
+            vs = [tape.var(a) if i in traced else Var(a)
+                  for i, a in enumerate(args)]
+            gradient(tape, build(*vs))
+            return [v.grad for v in vs]
+
+        full = grads(range(len(args)))
+        for traced in ([2, 3, 4, 5], [0, 2], [1, 3], [0, 1]):
+            got = grads(traced)
+            for i in traced:
+                np.testing.assert_array_equal(got[i], full[i])
 
     def test_seed_shape_validated(self):
         out, tape, _ = evaluate(lambda v: reduce_sum(v), np.ones((2, 2)))
@@ -268,6 +355,27 @@ class TestGradCheckPrimitives:
                 lambda a, b: reduce_sum(mul(concat_cols(a, b),
                                             concat_cols(a, b))),
                 [x, y], label="concat_cols")
+
+    def test_segment_primitives(self):
+        rng = Rng(106)
+        for _ in range(self.N_POINTS // 4):
+            x = rng.normal((6, 2))
+            weight = rng.normal((4, 3))
+            check_gradients(
+                lambda v: reduce_sum(mul(reshape(v, 4, 3), weight)), [x],
+                label="reshape")
+            check_gradients(
+                lambda v: reduce_sum(mul(block_sum(v, 3), weight[:2, :2])),
+                [x], label="block_sum")
+            check_gradients(
+                lambda v: reduce_sum(mul(repeat_rows(v, 2), weight[:, :2])),
+                [rng.normal((2, 2))], label="repeat_rows")
+            stack_weight = rng.normal((4, 2))
+            check_gradients(
+                lambda a, b: reduce_sum(mul(concat_rows(a, b, a),
+                                            stack_weight)),
+                [rng.normal((1, 2)), rng.normal((2, 2))],
+                label="concat_rows")
 
     def test_gru_cell(self):
         rng = Rng(105)

@@ -135,6 +135,14 @@ class TestEvalCommand:
         stats = json.loads(out.strip().splitlines()[-1])
         assert set(stats) == {"mean_return", "success_rate"}
 
+    def test_zero_episodes_exits_2_naming_the_flag(self, tmp_path, capsys):
+        cfg, ckpt = self._train(tmp_path)
+        code = main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg),
+                     "--episodes", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--episodes" in err and "Traceback" not in err
+
     def test_corrupted_blob_clean_error(self, tmp_path, capsys):
         cfg, ckpt = self._train(tmp_path)
         blob = ckpt / "params.bin"

@@ -70,27 +70,33 @@ class TestBuildHypergraph:
 
 
 class TestDegrees:
+    # degree_matrices takes the effective (nonnegative) edge weights and
+    # returns vertex degrees as a column and hyperedge degrees as one row
+    # per sample
     def test_identity_incidence(self):
-        deg = degree_matrices(Var(np.eye(2)), Var(np.ones((2, 1))))
-        np.testing.assert_array_equal(deg.d.value, [[1.0], [1.0]])
-        np.testing.assert_array_equal(deg.b.value, [[1.0], [1.0]])
+        d, b = degree_matrices(Var(np.eye(2)), Var(np.ones((2, 1))), 2)
+        np.testing.assert_array_equal(d.value, [[1.0], [1.0]])
+        np.testing.assert_array_equal(b.value, [[1.0, 1.0]])
 
     def test_hand_sum(self):
-        deg = degree_matrices(Var([[1.0], [1.0]]), Var([[2.0]]))
-        np.testing.assert_array_equal(deg.d.value, [[2.0], [2.0]])
-        np.testing.assert_array_equal(deg.b.value, [[2.0]])
+        d, b = degree_matrices(Var([[1.0], [1.0]]), Var([[2.0]]), 2)
+        np.testing.assert_array_equal(d.value, [[2.0], [2.0]])
+        np.testing.assert_array_equal(b.value, [[2.0]])
 
     def test_matches_loop_oracle(self):
         rng = Rng(22)
         for _ in range(200):
             n = 2 + rng.integers(4)
             m = 1 + rng.integers(5)
-            H = np.abs(rng.normal((n, m)))
+            S = 1 + rng.integers(3)
+            H = np.abs(rng.normal((S * n, m)))
             w = rng.normal((m, 1))
-            deg = degree_matrices(Var(H), Var(w))
-            d_ref, b_ref = degrees_loop(H, w)
-            np.testing.assert_allclose(deg.d.value.ravel(), d_ref, atol=1e-12)
-            np.testing.assert_allclose(deg.b.value.ravel(), b_ref, atol=1e-12)
+            d, b = degree_matrices(Var(H), Var(np.abs(w)), n)
+            for k in range(S):
+                d_ref, b_ref = degrees_loop(H[k * n:(k + 1) * n], w)
+                np.testing.assert_allclose(d.value[k * n:(k + 1) * n].ravel(),
+                                           d_ref, atol=1e-12)
+                np.testing.assert_allclose(b.value[k], b_ref, atol=1e-12)
 
 
 class TestHgcnLayer:

@@ -6,7 +6,7 @@ import pytest
 import hypermix.autodiff as ad
 from hypermix.autodiff import Var
 from hypermix.errors import ConfigError
-from hypermix.mixers import (MIXER_KINDS, hgcn_mix, igm_check,
+from hypermix.mixers import (MIXER_KINDS, igm_check,
                              init_mixer_params, make_qtot_fn, mix_batch,
                              state_module, validate_mixer_kind, vdn_mix)
 from hypermix.nn import ParameterStore
@@ -115,17 +115,17 @@ class TestHgcnMixHead:
         for _ in range(50):
             q = rng.normal((3, 1))
             s = rng.normal((1, 4))
-            qtot, hg = hgcn_mix(Var(q), None, s, store.bind(None), 3, 4,
-                                onehot=True)
+            qtot, hs = mix_batch("hgcn-mix-oh", store.bind(None), Var(q),
+                                 None, s, 3, 4, collect_h=True)
             direct = state_module(Var(q.T), s, store.bind(None), 3, 4)
-            assert hg.m == 0
+            np.testing.assert_array_equal(hs[0], np.eye(3))
             assert qtot.value[0, 0] == direct.value[0, 0]  # bit-exact
 
     def test_zero_q_zero_params_give_zero(self):
         store = _mixer_store("hgcn-mix", n=2, obs_dim=3, state_dim=2)
         _zero_state_module(store)
-        qtot, _ = hgcn_mix(Var(np.zeros((2, 1))), Rng(0).normal((2, 3)),
-                           np.zeros((1, 2)), store.bind(None), 2, 3)
+        qtot, _ = mix_batch("hgcn-mix", store.bind(None), Var(np.zeros((2, 1))),
+                            Rng(0).normal((2, 3)), np.zeros((1, 2)), 2, 3)
         assert qtot.value[0, 0] == 0.0
 
     def test_matches_component_oracle_composition(self):
@@ -137,10 +137,11 @@ class TestHgcnMixHead:
             q = rng.normal((3, 1))
             Z = rng.normal((3, 4))
             s = rng.normal((1, 3))
-            qtot, hg = hgcn_mix(Var(q), Z, s, store.bind(None), 3, 4)
+            qtot, hs = mix_batch("hgcn-mix", store.bind(None), Var(q), Z, s,
+                                 3, 4, collect_h=True)
             ref = hgcn_mix_reference(params, q, Z, s, 3, 4)
             assert qtot.value[0, 0] == pytest.approx(ref, abs=1e-9)
-            assert (hg.H.value >= 0).all()
+            assert (hs[0] >= 0).all()
 
     def test_mix_batch_matches_single_sample_head(self):
         rng = Rng(7)

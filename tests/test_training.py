@@ -11,7 +11,7 @@ from hypermix.envs import OneStepMatrixGame, TwoStepGame, make_env
 from hypermix.nn import ParameterStore
 from hypermix.rng import Rng
 from hypermix.training import (Episode, ReplayBuffer, Schedule,
-                               collect_episode, epsilon, evaluate_policy,
+                               collect_episode, evaluate_policy,
                                init_run_stores, run_training, td_targets,
                                train_step, update_target)
 
@@ -38,10 +38,10 @@ def _grid_cfg(**overrides):
 class TestSchedule:
     def test_endpoints_and_midpoint(self):
         sched = Schedule()
-        assert epsilon(0, sched) == 1.0
-        assert epsilon(50_000, sched) == 0.05
-        assert epsilon(25_000, sched) == pytest.approx(0.525)
-        assert epsilon(80_000, sched) == 0.05
+        assert sched.value(0) == 1.0
+        assert sched.value(50_000) == 0.05
+        assert sched.value(25_000) == pytest.approx(0.525)
+        assert sched.value(80_000) == 0.05
 
     def test_monotone_nonincreasing(self):
         sched = Schedule()
@@ -116,28 +116,79 @@ class TestCollectEpisode:
         np.testing.assert_array_equal(ep.obs[1], np.eye(2))
 
 
+def _reference_q(params, ep, t, dims):
+    """Agent values at step t of one episode, by the reference network."""
+    hidden = np.zeros((dims["n"], dims["agent_hidden"]))
+    for step in range(t + 1):
+        last = ep.actions[step - 1] if step > 0 else None
+        inputs = ag.build_agent_inputs(ep.obs[step], last, dims["n_actions"])
+        q, hidden = agent_forward_reference(params, inputs, hidden)
+    return q
+
+
+def _reference_qtot(params, kind, chosen, ep, t, dims):
+    """Joint value of one sample by the reference mixers."""
+    n, embed = dims["n"], dims["embed"]
+    if kind == "vdn":
+        return float(chosen.sum())
+    if kind == "qmix":
+        return state_module_reference(params, chosen, ep.state[t], n, embed)
+    return hgcn_mix_reference(params, chosen, ep.obs[t], ep.state[t], n,
+                              embed, onehot=kind == "hgcn-mix-oh")
+
+
 def _reference_td_targets(batch, target_store, kind, gamma, dims):
     """Slow per-episode loop with the straight-line reference networks."""
     params = store_values(target_store)
-    n, n_actions, embed = dims["n"], dims["n_actions"], dims["embed"]
 
     def qtot_next(ep, t):
-        hidden = np.zeros((n, dims["agent_hidden"]))
-        for step in range(t + 1):
-            last = ep.actions[step - 1] if step > 0 else None
-            inputs = ag.build_agent_inputs(ep.obs[step], last, n_actions)
-            q, hidden = agent_forward_reference(params, inputs, hidden)
-        masked = np.where(ep.avail[t], q, -np.inf)
-        greedy = masked.argmax(axis=1)
-        chosen = q[np.arange(n), greedy]
-        if kind == "vdn":
-            return float(chosen.sum())
-        if kind == "qmix":
-            return state_module_reference(params, chosen, ep.state[t], n, embed)
-        return hgcn_mix_reference(params, chosen, ep.obs[t], ep.state[t], n,
-                                  embed, onehot=kind == "hgcn-mix-oh")
+        q = _reference_q(params, ep, t, dims)
+        greedy = np.where(ep.avail[t], q, -np.inf).argmax(axis=1)
+        chosen = q[np.arange(dims["n"]), greedy]
+        return _reference_qtot(params, kind, chosen, ep, t, dims)
 
     return td_targets_loop(batch, qtot_next, gamma)
+
+
+def _reference_loss(batch, store, kind, gamma, dims):
+    """Mean half squared TD error, one (episode, step) sample at a time."""
+    params = store_values(store)
+    targets = _reference_td_targets(batch, store, kind, gamma, dims)
+    total, count = 0.0, 0
+    for ep, y in zip(batch, targets):
+        for t in range(ep.length):
+            q = _reference_q(params, ep, t, dims)
+            chosen = q[np.arange(dims["n"]), ep.actions[t]]
+            qtot = _reference_qtot(params, kind, chosen, ep, t, dims)
+            total += 0.5 * (qtot - y[t]) ** 2
+            count += 1
+    return total / count
+
+
+def _mixed_length_batch(dims, seed=0):
+    """Episodes that end at different steps: terminated at lengths 1, 2, 3
+    and 5, and one cut by the time limit of 5 without terminating."""
+    rng = Rng(seed)
+    n, n_actions, limit = dims["n"], dims["n_actions"], 5
+    batch = []
+    for length, terminated in ((5, False), (3, True), (1, True), (5, True),
+                               (2, True)):
+        ep = Episode.empty(limit, n, dims["obs_dim"], dims["state_dim"],
+                           n_actions)
+        ep.obs[:length + 1] = rng.normal((length + 1, n, dims["obs_dim"]))
+        ep.state[:length + 1] = rng.normal((length + 1, dims["state_dim"]))
+        ep.avail[:length + 1] = rng.uniform(0.0, 1.0,
+                                            (length + 1, n, n_actions)) < 0.6
+        ep.avail[:length + 1, :, 0] = True
+        for t in range(length):
+            for a in range(n):
+                options = np.flatnonzero(ep.avail[t, a])
+                ep.actions[t, a] = options[rng.integers(options.size)]
+        ep.reward[:length] = rng.normal((length,))
+        ep.terminated[length - 1] = terminated
+        ep.length = length
+        batch.append(ep)
+    return batch
 
 
 class TestTdTargets:
@@ -182,6 +233,18 @@ class TestTdTargets:
         got = td_targets(batch, store, kind, gamma=0.9, embed=dims["embed"],
                          agent_hidden=4)
         want = _reference_td_targets(batch, store, kind, 0.9, dims)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix", "hgcn-mix-oh"])
+    def test_mixed_episode_lengths_match_slow_loop_oracle(self, kind):
+        store, dims = tiny_mixer_store(kind, n=3, obs_dim=4, n_actions=3,
+                                       state_dim=5, hyperedges=2, embed=3)
+        batch = _mixed_length_batch(dims, seed=40)
+        got = td_targets(batch, store, kind, gamma=0.9, embed=dims["embed"],
+                         agent_hidden=dims["agent_hidden"])
+        want = _reference_td_targets(batch, store, kind, 0.9, dims)
+        assert [g.shape for g in got] == [(ep.length,) for ep in batch]
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, atol=1e-9)
 
@@ -230,6 +293,16 @@ class TestTrainStep:
                                      dims["embed"], agent_hidden=4, lr=5e-3))
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
         assert all(np.isfinite(losses))
+
+    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix", "hgcn-mix-oh"])
+    def test_mixed_episode_lengths_first_loss_matches_reference(self, kind):
+        store, dims = tiny_mixer_store(kind, n=3, obs_dim=4, n_actions=3,
+                                       state_dim=5, hyperedges=2, embed=3)
+        batch = _mixed_length_batch(dims, seed=41)
+        want = _reference_loss(batch, store, kind, 0.9, dims)
+        loss = train_step(batch, store, store.clone(), kind, 0.9,
+                          dims["embed"], agent_hidden=dims["agent_hidden"])
+        assert loss == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_targets_not_touched_by_training(self):
         store, dims = tiny_mixer_store("qmix", n=2, obs_dim=2, n_actions=3,
@@ -291,6 +364,12 @@ class TestEvaluatePolicy:
         sigma = np.sqrt(((payoff - exact) ** 2).mean())
         bound = 3 * sigma / np.sqrt(len(returns))
         assert abs(np.mean(returns) - exact) <= bound
+
+    def test_zero_episodes_is_an_error(self):
+        store, _ = tiny_mixer_store("vdn", n=2, obs_dim=2, n_actions=3)
+        with pytest.raises(ValueError, match="episodes"):
+            evaluate_policy(OneStepMatrixGame(), store, 0, Rng(0),
+                            agent_hidden=4)
 
     def test_zero_params_deterministic_return(self):
         store, _ = tiny_mixer_store("vdn", n=2, obs_dim=2, n_actions=3)
