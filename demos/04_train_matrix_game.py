@@ -2,7 +2,7 @@
 
 The one-shot payoff rewards joint action (0,0) with 11 but punishes
 one-sided attempts with -30, so uncoordinated learners settle for the safe
-7. Run: python3 demos/04_train_matrix_game.py  (about a minute)
+7. Run: python3 demos/04_train_matrix_game.py  (about 5 s)
 """
 
 import json

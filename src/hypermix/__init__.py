@@ -11,8 +11,8 @@ from .autodiff import Tape, Var, evaluate, finite_diff, gradient
 from .config import Config, load_config
 from .envs import (LazyCoordinationGrid, OneStepMatrixGame, TwoStepGame,
                    brute_force_optimal, make_env)
-from .hypergraph import (Hypergraph, build_hypergraph, hgcn_layer,
-                         hgcn_transform, onehot_hypergraph)
+from .hypergraph import (build_hypergraph_rows, hgcn_layer_rows,
+                         hgcn_transform_rows)
 from .mixers import MIXER_KINDS, igm_check, mix_batch, state_module, vdn_mix
 from .nn import LayerSpec, ParameterStore, init_params, rmsprop_step
 from .rng import Rng

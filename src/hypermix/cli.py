@@ -18,14 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import agents as ag
 from . import mixers as mx
-from .autodiff import Var
 from .config import Config, load_config
 from .envs import make_env
 from .errors import (CheckpointError, ConfigError, ContractError,
                      TrainingError, UnsupportedMixerError)
-from .hypergraph import build_hypergraph, onehot_hypergraph, write_hypergraph_csv
+from .hypergraph import build_hypergraph_rows, write_hypergraph_csv
 from .nn import load_checkpoint_into
 from .rng import Rng
 from .training import collect_episode, evaluate_policy, init_run_stores, run_training
@@ -110,16 +108,18 @@ def cmd_dump_hypergraph(args) -> int:
     rng = Rng(args.seed)
     ep = collect_episode(env, store, 0.0, rng.split("env"), rng.split("explore"),
                          cfg.agent_hidden)
-    pv = store.bind(None)
-    n = env.spec.n_agents
+    n, steps = env.spec.n_agents, ep.length
+    if cfg.mixer == "hgcn-mix-oh":
+        hs = [np.eye(n)] * steps
+    else:
+        pv = store.bind(None)
+        H, _ = build_hypergraph_rows(ep.obs[:steps].reshape(steps * n, -1),
+                                     pv["mix.gen.w"], pv["mix.gen.b"], n)
+        hs = H.value.reshape(steps, n, -1)
     written = []
-    for t in range(ep.length):
-        if cfg.mixer == "hgcn-mix-oh":
-            hg = onehot_hypergraph(n)
-        else:
-            hg = build_hypergraph(Var(ep.obs[t]), pv["mix.gen.w"], pv["mix.gen.b"])
+    for t, h in enumerate(hs):
         path = out / f"step_{t:04d}.csv"
-        write_hypergraph_csv(path, hg.H.value)
+        write_hypergraph_csv(path, h)
         written.append(str(path))
     print(json.dumps({"steps": ep.length, "files": written}))
     return 0
@@ -169,6 +169,12 @@ def aggregate_metrics(run_dirs: list[Path], mixer: str) -> list[dict]:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
+    if cfg.episodes < cfg.eval_interval:
+        raise ConfigError(
+            f"training.eval_interval: {cfg.eval_interval} exceeds"
+            f" training.episodes ({cfg.episodes}), so no run reaches an"
+            " evaluation to compare"
+        )
     mixers = [m.strip() for m in args.mixers.split(",") if m.strip()]
     for m in mixers:
         mx.validate_mixer_kind(m)

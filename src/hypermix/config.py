@@ -3,11 +3,41 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .envs import make_env
 from .errors import ConfigError
 from .mixers import MIXER_KINDS
+
+# config sections: JSON key -> Config attribute
+_SECTIONS = {
+    "model": {"hyperedges": "hyperedges", "embed": "embed",
+              "agent_hidden": "agent_hidden",
+              "hypernet_hidden": "hypernet_hidden"},
+    "optimizer": {"lr": "lr", "decay": "rms_decay", "eps": "rms_eps",
+                  "clip_norm": "clip_norm"},
+    "schedule": {"eps_start": "eps_start", "eps_end": "eps_end",
+                 "anneal_steps": "anneal_steps"},
+    "training": {"gamma": "gamma", "episodes": "episodes",
+                 "eval_interval": "eval_interval",
+                 "eval_episodes": "eval_episodes",
+                 "buffer_capacity": "buffer_capacity",
+                 "batch_size": "batch_size",
+                 "train_every": "train_every",
+                 "target_interval": "target_interval",
+                 "stop_on_success": "stop_on_success"},
+}
+_PATHS = {attr: f"{section}.{key}"
+          for section, mapping in _SECTIONS.items()
+          for key, attr in mapping.items()}
+_TYPES = {"int": int, "float": (int, float), "bool": bool}
+
+
+def _has_type(value, type_name: str) -> bool:
+    # a bool is not a count or a rate, though Python calls it an int
+    return (isinstance(value, _TYPES[type_name])
+            and isinstance(value, bool) == (type_name == "bool"))
 
 
 @dataclass
@@ -51,8 +81,17 @@ class Config:
             if not cond:
                 raise ConfigError(f"{path}: {message}")
 
+        for f in fields(self):
+            if f.name in _PATHS:
+                value = getattr(self, f.name)
+                require(_has_type(value, f.type), _PATHS[f.name],
+                        f"must be of type {f.type}, got {value!r}")
         require(isinstance(self.env, dict) and "name" in self.env,
                 "env", "must be an object with a 'name' field")
+        try:
+            make_env(self.env)
+        except ConfigError as exc:
+            raise ConfigError(f"env: {exc}") from None
         require(self.mixer in MIXER_KINDS, "mixer",
                 f"must be one of {list(MIXER_KINDS)}")
         require(self.hyperedges >= 0, "model.hyperedges", "must be >= 0")
@@ -78,16 +117,21 @@ class Config:
             require(value >= 1, path, "must be >= 1")
         require(self.batch_size <= self.buffer_capacity,
                 "training.batch_size", "must not exceed buffer_capacity")
-        require(len(self.seeds) > 0, "seeds", "must be non-empty")
-        require(all(isinstance(s, int) for s in self.seeds),
-                "seeds", "must be integers")
+        require(isinstance(self.seeds, list) and len(self.seeds) > 0,
+                "seeds", "must be a non-empty list")
+        require(all(_has_type(s, "int") for s in self.seeds),
+                "seeds", f"must be integers, got {self.seeds!r}")
         if self.hyperedge_sweep is not None:
-            require(len(self.hyperedge_sweep) > 0 and
-                    all(isinstance(m, int) and m >= 0
+            require(isinstance(self.hyperedge_sweep, list) and
+                    len(self.hyperedge_sweep) > 0 and
+                    all(_has_type(m, "int") and m >= 0
                         for m in self.hyperedge_sweep),
                     "hyperedge_sweep", "must be non-empty non-negative ints")
+            # other mixers have no hyperedges: every run would be the same
+            require(self.mixer == "hgcn-mix", "hyperedge_sweep",
+                    f"needs mixer 'hgcn-mix', got {self.mixer!r}")
         # zero learned hyperedges degenerates to the one-hot mixer
-        if self.mixer == "hgcn-mix" and self.hyperedges == 0:
+        elif self.mixer == "hgcn-mix" and self.hyperedges == 0:
             self.mixer = "hgcn-mix-oh"
 
     @classmethod
@@ -99,23 +143,6 @@ class Config:
         unknown = set(data) - known_sections
         if unknown:
             raise ConfigError(f"unknown config sections {sorted(unknown)}")
-        sections = {
-            "model": {"hyperedges": "hyperedges", "embed": "embed",
-                      "agent_hidden": "agent_hidden",
-                      "hypernet_hidden": "hypernet_hidden"},
-            "optimizer": {"lr": "lr", "decay": "rms_decay", "eps": "rms_eps",
-                          "clip_norm": "clip_norm"},
-            "schedule": {"eps_start": "eps_start", "eps_end": "eps_end",
-                         "anneal_steps": "anneal_steps"},
-            "training": {"gamma": "gamma", "episodes": "episodes",
-                         "eval_interval": "eval_interval",
-                         "eval_episodes": "eval_episodes",
-                         "buffer_capacity": "buffer_capacity",
-                         "batch_size": "batch_size",
-                         "train_every": "train_every",
-                         "target_interval": "target_interval",
-                         "stop_on_success": "stop_on_success"},
-        }
         kwargs = {}
         if "env" in data:
             kwargs["env"] = data["env"]
@@ -127,7 +154,7 @@ class Config:
             kwargs["seeds"] = data["seeds"]
         if "hyperedge_sweep" in data:
             kwargs["hyperedge_sweep"] = data["hyperedge_sweep"]
-        for section, mapping in sections.items():
+        for section, mapping in _SECTIONS.items():
             body = data.get(section, {})
             if not isinstance(body, dict):
                 raise ConfigError(f"{section}: must be an object")

@@ -256,7 +256,7 @@ def make_env(env_cfg: dict):
             return TwoStepGame(**cfg)
         if name == "grid":
             return LazyCoordinationGrid(**cfg)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad options for env {name!r}: {exc}") from exc
     raise ConfigError(f"unknown env name {name!r}")
 
@@ -293,8 +293,9 @@ def brute_force_optimal(env) -> float:
     sequences. For the corridor environment the agents' dynamics are
     independent, so the expected optimum over random layouts is the product
     over agents of the probability that a (position, target) pair is
-    reachable within the episode limit under single-agent shortest paths.
-    Refuses search spaces beyond ``ENUMERATION_LIMIT``.
+    reachable within the episode limit under single-agent shortest paths,
+    a closed form costing O(length^2) for any number of agents. The other
+    games refuse search spaces beyond ``ENUMERATION_LIMIT``.
     """
     if isinstance(env, OneStepMatrixGame):
         if env.payoff.size > ENUMERATION_LIMIT:
@@ -310,8 +311,6 @@ def brute_force_optimal(env) -> float:
         return _max_return_dfs(probe)
     if isinstance(env, LazyCoordinationGrid):
         length = env.length
-        if (length * length) ** env.spec.n_agents > ENUMERATION_LIMIT ** 2:
-            raise ValueError("grid layout space too large to enumerate")
         pairs = length * length
         ok = sum(1 for p in range(length) for t in range(length)
                  if abs(p - t) <= env.spec.episode_limit)

@@ -6,28 +6,20 @@ the right with a scaled identity block so each agent keeps a self-edge whose
 weight matches the scale of the learned block. The convolution normalizes by
 vertex and hyperedge degrees with diagonal pseudo-inverses, so all-zero
 hyperedge columns are legal and the scaled-identity case reproduces the
-input exactly. The ``*_rows`` functions take samples stacked along rows, one
-block of n agent rows each; the single-sample functions call them with one
-block.
+input exactly. Every function takes samples stacked along rows, one block
+of n agent rows each; a single sample is a batch of one.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (Var, absval, add, block_sum, concat_cols, concat_rows,
-                       matmul, mul, relu, repeat_rows, reshape,
-                       safe_recip, safe_rsqrt)
-
-
-@lru_cache(maxsize=32)
-def _eye(n: int) -> np.ndarray:
-    return np.eye(n)
+from .autodiff import (Var, absval, add, block_sum, concat_cols, matmul, mul,
+                       relu, repeat_rows, reshape, safe_recip, safe_rsqrt)
 
 
 @lru_cache(maxsize=32)
@@ -39,20 +31,6 @@ def _ones_col(n: int) -> np.ndarray:
 def _tiled_eye(n_samples: int, n: int) -> np.ndarray:
     # the one-hot incidence of n_samples samples stacked along rows
     return np.tile(np.eye(n), (n_samples, 1))
-
-
-@dataclass
-class Hypergraph:
-    """Incidence matrix with a learned block and a scaled one-hot block."""
-
-    n: int           # agents (rows)
-    m: int           # learned hyperedges; columns m..m+n are mu * identity
-    H: Var           # n x (m + n), entrywise nonnegative
-    mu: Var          # 1x1 mean of the learned block (1.0 when m == 0)
-
-    @property
-    def edges(self) -> int:
-        return self.m + self.n
 
 
 def build_hypergraph_rows(Z_rows, gen_w, gen_b, n: int):
@@ -70,19 +48,6 @@ def build_hypergraph_rows(Z_rows, gen_w, gen_b, n: int):
              np.array([[1.0 / (n * m)]]))                 # S x 1
     h2 = mul(repeat_rows(mu, n), _tiled_eye(rows // n, n))  # S*n x n
     return concat_cols(h1, h2), mu
-
-
-def build_hypergraph(Z, gen_w, gen_b) -> Hypergraph:
-    """Incidence matrix of one sample's observations Z (n x d_obs)."""
-    Z = Z if isinstance(Z, Var) else Var(Z)
-    n = Z.shape[0]
-    H, mu = build_hypergraph_rows(Z, gen_w, gen_b, n)
-    return Hypergraph(n=n, m=H.shape[1] - n, H=H, mu=mu)
-
-
-def onehot_hypergraph(n: int) -> Hypergraph:
-    """Identity incidence with unit self-edge weights (no learned block)."""
-    return Hypergraph(n=n, m=0, H=Var(_eye(n)), mu=Var(np.ones((1, 1))))
 
 
 def degree_matrices(H_rows, aw, n: int) -> tuple[Var, Var]:
@@ -121,33 +86,18 @@ def hgcn_transform_rows(q, H_rows, w1, w2, n: int) -> Var:
     return hgcn_layer_rows(hgcn_layer_rows(q, H_rows, w1, n), H_rows, w2, n)
 
 
-def hgcn_layer(x, H, w) -> Var:
-    """One convolution of node signals x (n x f) over one incidence H.
-
-    Each signal column runs as one sample of :func:`hgcn_layer_rows`.
-    """
-    x = x if isinstance(x, Var) else Var(x)
-    n, f = x.shape
-    cols = reshape(matmul(x, _eye(n), transpose_a=True), f * n, 1)
-    y = hgcn_layer_rows(cols, concat_rows(*[H] * f), w, n)
-    return matmul(reshape(y, f, n), _eye(f), transpose_a=True)
-
-
-def hgcn_transform(q, H, w1, w2) -> Var:
-    """Two stacked convolutions of one sample's agent values q (n x 1)."""
-    return hgcn_transform_rows(q, H, w1, w2, H.shape[0])
-
-
 def mixing_matrix(H: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Materialize the effective (n x n) mixing matrix of one layer.
 
-    Diagnostic view of the convolution as a single matrix, obtained by
-    convolving the identity; entries are nonnegative for any inputs because
-    every factor is.
+    Diagnostic view of the convolution as a single matrix: sample j of n
+    stacked samples convolves the unit signal e_j, giving column j.
+    Entries are nonnegative for any inputs because every factor is.
     """
     H = np.asarray(H, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64).reshape(-1, 1)
-    return hgcn_layer(_eye(H.shape[0]), H, w).value
+    n = H.shape[0]
+    y = hgcn_layer_rows(np.eye(n).reshape(n * n, 1), np.tile(H, (n, 1)), w, n)
+    return y.value.reshape(n, n).T
 
 
 def write_hypergraph_csv(path, H: np.ndarray) -> None:

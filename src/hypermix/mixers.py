@@ -97,22 +97,20 @@ def state_module(q, s, pv: dict[str, Var], n_agents: int, embed: int) -> Var:
 
 
 def mix_batch(kind: str, pv: dict[str, Var], chosen: Var, Z: np.ndarray,
-              s: np.ndarray, n_agents: int, embed: int,
-              collect_h: bool = False):
-    """Joint values for a batch of samples.
+              s: np.ndarray, n_agents: int, embed: int) -> Var:
+    """Joint values (S x 1) for a batch of samples.
 
     ``chosen`` stacks per-agent chosen-action values as (S*n x 1) rows in
     sample-major order; ``Z`` stacks the matching observations (S*n x d_obs)
-    and ``s`` the global states (S x d_state). Returns (S x 1 joint values,
-    incidence matrices per sample or None).
+    and ``s`` the global states (S x d_state).
     """
     validate_mixer_kind(kind)
     s = np.asarray(s, dtype=np.float64)
     n_samples = s.shape[0]
     if kind == "vdn":
-        return vdn_mix(reshape(chosen, n_samples, n_agents)), None
+        return vdn_mix(reshape(chosen, n_samples, n_agents))
     if kind == "qmix":
-        return state_module(chosen, s, pv, n_agents, embed), None
+        return state_module(chosen, s, pv, n_agents, embed)
     if kind == "hgcn-mix-oh":
         h_rows = _tiled_eye(n_samples, n_agents)
     else:
@@ -121,11 +119,7 @@ def mix_batch(kind: str, pv: dict[str, Var], chosen: Var, Z: np.ndarray,
                                           n_agents)
     qp = hgcn_transform_rows(chosen, h_rows, pv["mix.edge_w1"],
                              pv["mix.edge_w2"], n_agents)
-    hs = None
-    if collect_h:
-        hv = h_rows.value if isinstance(h_rows, Var) else h_rows
-        hs = list(hv.reshape(n_samples, n_agents, -1))
-    return state_module(qp, s, pv, n_agents, embed), hs
+    return state_module(qp, s, pv, n_agents, embed)
 
 
 def make_qtot_fn(kind: str, store: ParameterStore, Z, s, n_agents: int,
@@ -141,8 +135,7 @@ def make_qtot_fn(kind: str, store: ParameterStore, Z, s, n_agents: int,
 
     def qtot(chosen) -> float:
         col = Var(np.asarray(chosen, dtype=np.float64).reshape(-1, 1))
-        out, _ = mix_batch(kind, pv, col, Z, s, n_agents, embed)
-        return float(out.value[0, 0])
+        return float(mix_batch(kind, pv, col, Z, s, n_agents, embed).value[0, 0])
 
     return qtot
 

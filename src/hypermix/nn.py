@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,7 +173,9 @@ def clip_grad_norm(store: ParameterStore, max_norm: float) -> float:
 
 # ---------------------------------------------------------------------------
 # checkpoint format: manifest.json + params.bin (little-endian float64 blobs
-# concatenated in manifest order); round-trips are bit-exact.
+# concatenated in manifest order); round-trips are bit-exact. Both files are
+# written under temporary names first and then renamed into place, blob
+# before manifest, so a failed save leaves the previous checkpoint loadable.
 # ---------------------------------------------------------------------------
 
 MANIFEST_NAME = "manifest.json"
@@ -190,12 +193,16 @@ def save_checkpoint(store: ParameterStore, directory) -> None:
             for name, p in store.items()
         ],
     }
-    (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
     blob = b"".join(
         np.ascontiguousarray(p.value, dtype="<f8").tobytes()
         for _, p in store.items()
     )
-    (directory / BLOB_NAME).write_bytes(blob)
+    files = ((BLOB_NAME, blob),
+             (MANIFEST_NAME, json.dumps(manifest, indent=2).encode()))
+    for name, data in files:
+        (directory / f"{name}.tmp").write_bytes(data)
+    for name, _ in files:
+        os.replace(directory / f"{name}.tmp", directory / name)
 
 
 def load_checkpoint(directory) -> ParameterStore:

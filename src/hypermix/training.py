@@ -155,15 +155,14 @@ def _batch_inputs(batch: list[Episode], n_actions: int) -> np.ndarray:
     return out.reshape(t_max + 1, len(batch) * n, -1)
 
 
-def _steps(batch: list[Episode], first: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (t, e) with first <= t < first + length of episode e.
+def _steps(batch: list[Episode]) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (t, e) with t < length of episode e.
 
     Ordered by step, then episode: the order of the rows of the
     per-step agent passes.
     """
     lengths = np.array([ep.length for ep in batch])
-    t, e = np.nonzero(np.arange(lengths.max())[:, None] < lengths)
-    return t + first, e
+    return np.nonzero(np.arange(lengths.max())[:, None] < lengths)
 
 
 def _sample_rows(t: np.ndarray, e: np.ndarray, n_episodes: int,
@@ -177,48 +176,60 @@ def _stacked(batch: list[Episode], field: str) -> np.ndarray:
     return np.stack([getattr(ep, field) for ep in batch])
 
 
+def _agent_pass(pv: dict[str, Var], inputs: np.ndarray,
+                agent_hidden: int) -> list[Var]:
+    """Agent Q values of every step of ``inputs``, run step by step from a
+    zero hidden state; one (B*n x n_actions) block per step."""
+    hidden = ag.initial_hidden(inputs.shape[1], agent_hidden)
+    qs = []
+    for x in inputs:
+        q, hidden = ag.agent_forward(pv, Var(x), hidden)
+        qs.append(q)
+    return qs
+
+
 def _mix_steps(kind: str, pv: dict[str, Var], chosen, batch: list[Episode],
                t: np.ndarray, e: np.ndarray, embed: int) -> Var:
     """Joint values of the (t, e) samples, in one mixer call."""
     n = batch[0].obs.shape[1]
     Z = _stacked(batch, "obs")[e, t].reshape(t.size * n, -1)
-    qtot, _ = mx.mix_batch(kind, pv, chosen, Z, _stacked(batch, "state")[e, t],
-                           n, embed)
-    return qtot
+    return mx.mix_batch(kind, pv, chosen, Z, _stacked(batch, "state")[e, t],
+                        n, embed)
 
 
 def td_targets(batch: list[Episode], target_store: ParameterStore, kind: str,
                gamma: float, embed: int, agent_hidden: int = 64,
-               inputs: np.ndarray | None = None) -> list[np.ndarray]:
-    """One-step TD targets per episode, using the frozen target parameters.
+               inputs: np.ndarray | None = None) -> np.ndarray:
+    """One-step TD targets from the frozen target parameters, as (T x B).
 
-    Terminal steps take the raw reward; other steps bootstrap from the
-    target joint value at the per-agent greedy actions of the next step.
-    The agents run step by step; one mixer call then covers every step.
-    ``inputs`` may pass in this batch's :func:`_batch_inputs`.
+    Entry [t, e] is the target of step t of episode e; entries past an
+    episode's length are zero. Terminal steps take the raw reward; other
+    steps bootstrap from the target joint value at the per-agent greedy
+    actions of the next step. One mixer call covers the bootstrapping steps
+    only, and the target agents do not run when there are none. ``inputs``
+    may pass in this batch's :func:`_batch_inputs`.
     """
     n = batch[0].obs.shape[1]
     n_actions = batch[0].avail.shape[2]
+    t, e = _steps(batch)
+    targets = np.zeros((t.max() + 1, len(batch)))
+    targets[t, e] = _stacked(batch, "reward")[e, t]
+    boot = ~_stacked(batch, "terminated")[e, t]
+    if not boot.any():
+        return targets
+    t, e = t[boot] + 1, e[boot]
     if inputs is None:
         inputs = _batch_inputs(batch, n_actions)
     pv = target_store.bind(None)
-    hidden = ag.initial_hidden(len(batch) * n, agent_hidden)
-    qs = []
-    for x in inputs:
-        q, hidden = ag.agent_forward(pv, Var(x), hidden)
-        qs.append(q.value)
-    t, e = _steps(batch, first=1)
-    q_rows = np.concatenate(qs)[_sample_rows(t, e, len(batch), n)]
+    qs = _agent_pass(pv, inputs[:t.max() + 1], agent_hidden)
+    q_rows = np.concatenate([q.value for q in qs])[
+        _sample_rows(t, e, len(batch), n)]
     avail = _stacked(batch, "avail")[e, t].reshape(-1, n_actions)
     greedy = ag.greedy_actions(q_rows, avail)
     chosen = Var(q_rows[np.arange(q_rows.shape[0]), greedy].reshape(-1, 1))
     qtot = _mix_steps(kind, pv, chosen, batch, t, e, embed)
-    next_qtot = np.zeros((len(batch), len(inputs)))
-    next_qtot[e, t] = qtot.value[:, 0]
-    return [np.where(ep.terminated[:ep.length], ep.reward[:ep.length],
-                     ep.reward[:ep.length]
-                     + gamma * next_qtot[k, 1:ep.length + 1])
-            for k, ep in enumerate(batch)]
+    targets[t - 1, e] += gamma * qtot.value[:, 0]
+    return targets
 
 
 def train_step(batch: list[Episode], store: ParameterStore,
@@ -242,19 +253,14 @@ def train_step(batch: list[Episode], store: ParameterStore,
 
     tape = Tape()
     pv = store.bind(tape)
-    hidden = ag.initial_hidden(len(batch) * n, agent_hidden)
-    qs = []
-    for x in inputs[:t_max]:
-        q, hidden = ag.agent_forward(pv, Var(x), hidden)
-        qs.append(q)
-    t, e = _steps(batch, first=0)
+    qs = _agent_pass(pv, inputs[:t_max], agent_hidden)
+    t, e = _steps(batch)
     rows = _sample_rows(t, e, len(batch), n)
     actions = _stacked(batch, "actions")[e, t].ravel()
     q_flat = reshape(concat_rows(*qs), t_max * len(batch) * n * n_actions, 1)
     chosen = select_rows(q_flat, rows * n_actions + actions)
     qtot = _mix_steps(kind, pv, chosen, batch, t, e, embed)
-    y = np.array([[targets[k][i]] for i, k in zip(t, e)])
-    diff = add(qtot, -y)
+    diff = add(qtot, -targets[t, e].reshape(-1, 1))
     loss = mul(reduce_sum(mul(diff, diff)), np.array([[0.5 / t.size]]))
     loss_value = float(loss.value[0, 0])
     if not np.isfinite(loss_value):

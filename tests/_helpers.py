@@ -70,9 +70,8 @@ def composite_qtot(pv, kind, Z, s, actions, dims):
     onehot = np.zeros((n, n_actions))
     onehot[np.arange(n), actions] = 1.0
     chosen = ad.matmul(ad.mul(q, onehot), np.ones((n_actions, 1)))
-    qtot, _ = mixers.mix_batch(kind, pv, chosen, np.asarray(Z, dtype=np.float64),
-                               np.atleast_2d(s), n, dims["embed"])
-    return qtot
+    return mixers.mix_batch(kind, pv, chosen, np.asarray(Z, dtype=np.float64),
+                            np.atleast_2d(s), n, dims["embed"])
 
 
 def composite_qtot_value(store, kind, Z, s, actions, dims) -> float:

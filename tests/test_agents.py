@@ -144,12 +144,12 @@ class TestMaskDeadAgent:
         assert masked.shape == obs.shape
 
     def test_two_dead_agents_have_identical_generator_rows(self):
-        from hypermix.hypergraph import build_hypergraph
+        from hypermix.hypergraph import build_hypergraph_rows
         rng = Rng(11)
         gen_w = rng.normal((4, 3))
         gen_b = rng.normal((1, 3))
         obs = rng.normal((3, 4))
         obs[0] = ag.mask_dead_agent(obs[0])
         obs[2] = ag.mask_dead_agent(obs[2])
-        hg = build_hypergraph(Var(obs), gen_w, gen_b)
-        np.testing.assert_array_equal(hg.H.value[0, :3], hg.H.value[2, :3])
+        H, _ = build_hypergraph_rows(obs, gen_w, gen_b, 3)
+        np.testing.assert_array_equal(H.value[0, :3], H.value[2, :3])

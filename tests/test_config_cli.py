@@ -69,6 +69,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match="env"):
             load_config(path)
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"seeds": [True]}, "seeds"),
+        ({"training": {"episodes": "2"}}, "training.episodes"),
+        ({"env": {"name": "matrix_game", "payoff": [["a"]]}}, "env"),
+        ({"mixer": "vdn", "hyperedge_sweep": [2]}, "hyperedge_sweep"),
+    ])
+    def test_cli_exits_2_with_field_and_no_traceback(self, tmp_path, capsys,
+                                                     overrides, field):
+        code = main(["train", "--config", str(_write_cfg(tmp_path, **overrides)),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_shipped_config_loads(self):
+        files = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+        assert {f.name for f in files} >= {"matrix_hgcn.json", "grid_hgcn.json"}
+        for f in files:
+            assert load_config(f).mixer in ("vdn", "qmix", "hgcn-mix",
+                                            "hgcn-mix-oh")
+
     def test_invalid_json_is_config_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -245,6 +267,16 @@ class TestCompareCommand:
         for rec, row in zip(records, rows):
             assert float(row["success_median"]) == rec["success_rate"]
             assert float(row["success_p25"]) == rec["success_rate"]
+
+    def test_no_eval_reached_exits_2_naming_eval_interval(self, tmp_path,
+                                                          capsys):
+        cfg = _write_cfg(tmp_path, training={"episodes": 3,
+                                             "eval_interval": 4})
+        code = main(["compare", "--config", str(cfg), "--mixers", "vdn",
+                     "--seeds", "1", "--out", str(tmp_path / "cmp.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "training.eval_interval" in err and "Traceback" not in err
 
     def test_mismatched_eval_grids_alignment_error(self, tmp_path):
         a = tmp_path / "a"

@@ -235,6 +235,11 @@ class TestBruteForceOptimal:
             for t0 in range(length) for t1 in range(length))
         assert all_ok and brute_force_optimal(env) == 1.0
 
+    def test_grid_closed_form_has_no_size_cap(self):
+        # 64^9 layouts: the product form costs O(length^2) regardless
+        env = LazyCoordinationGrid(n_agents=9, length=8)
+        assert brute_force_optimal(env) == 1.0
+
     def test_refuses_oversized_joint_space(self):
         env = OneStepMatrixGame(np.zeros((10,) * 7))
         with pytest.raises(ValueError, match="too large"):

@@ -1,13 +1,17 @@
-"""Hypergraph construction and spectral convolution against dense oracles."""
+"""Hypergraph construction and spectral convolution against dense oracles.
+
+The functions under test take samples stacked along rows. Oracle checks
+stack one to three samples, each with its own incidence, and compare every
+block with the single-sample oracles in ``_oracles``.
+"""
 
 import numpy as np
 import pytest
 
-import hypermix.autodiff as ad
 from hypermix.autodiff import Var, reduce_sum
-from hypermix.hypergraph import (build_hypergraph, degree_matrices, hgcn_layer,
-                                 hgcn_transform, mixing_matrix,
-                                 onehot_hypergraph, read_hypergraph_csv,
+from hypermix.hypergraph import (build_hypergraph_rows, degree_matrices,
+                                 hgcn_layer_rows, hgcn_transform_rows,
+                                 mixing_matrix, read_hypergraph_csv,
                                  write_hypergraph_csv)
 from hypermix.rng import Rng
 
@@ -16,19 +20,35 @@ from _oracles import (build_hypergraph_dense, degrees_loop, hgcn_layer_dense,
                       hgcn_transform_dense)
 
 
+def _blocks(a, n):
+    """The per-sample blocks of ``n`` rows of a stacked array."""
+    a = a.value if isinstance(a, Var) else a
+    return [a[k:k + n] for k in range(0, a.shape[0], n)]
+
+
+def _incidences(rng, S, n, m, zero_column=False):
+    """S stacked nonnegative (n x m) incidences, different per block; with
+    ``zero_column`` one block gets an all-zero hyperedge column."""
+    H = np.abs(rng.normal((S * n, m)))
+    if zero_column:
+        k = rng.integers(S)
+        H[k * n:(k + 1) * n, rng.integers(m)] = 0.0  # safe-inverse path
+    return H
+
+
 class TestBuildHypergraph:
     def test_zero_generator_gives_zero_matrix(self):
         Z = np.array([[1.0, 2.0], [3.0, 4.0]])
-        hg = build_hypergraph(Var(Z), np.zeros((2, 3)), np.zeros((1, 3)))
-        assert hg.mu.value[0, 0] == 0.0
-        np.testing.assert_array_equal(hg.H.value, np.zeros((2, 5)))
+        H, mu = build_hypergraph_rows(Z, np.zeros((2, 3)), np.zeros((1, 3)), 2)
+        assert mu.value[0, 0] == 0.0
+        np.testing.assert_array_equal(H.value, np.zeros((2, 5)))
 
     def test_direct_substitution_example(self):
         # n=2, m=1, Z=((1),(2)), W=(1), b=0 -> learned column (1,2), mu=1.5
-        hg = build_hypergraph(Var([[1.0], [2.0]]), np.array([[1.0]]),
-                              np.zeros((1, 1)))
-        assert hg.mu.value[0, 0] == 1.5
-        np.testing.assert_array_equal(hg.H.value,
+        H, mu = build_hypergraph_rows(np.array([[1.0], [2.0]]),
+                                      np.array([[1.0]]), np.zeros((1, 1)), 2)
+        assert mu.value[0, 0] == 1.5
+        np.testing.assert_array_equal(H.value,
                                       [[1.0, 1.5, 0.0], [2.0, 0.0, 1.5]])
 
     def test_nonnegative_and_identity_block_property(self):
@@ -37,33 +57,36 @@ class TestBuildHypergraph:
             n = 2 + rng.integers(5)
             m = 1 + rng.integers(4)
             d = 1 + rng.integers(4)
-            Z = rng.normal((n, d))
+            S = 1 + rng.integers(3)
+            Z = rng.normal((S * n, d))
             w = rng.normal((d, m))
             b = rng.normal((1, m))
-            hg = build_hypergraph(Var(Z), w, b)
-            H = hg.H.value
-            mu = hg.mu.value[0, 0]
-            assert (H >= 0.0).all()
-            np.testing.assert_array_equal(H[:, m:], mu * np.eye(n))
-            assert mu == pytest.approx(H[:, :m].mean())
+            H, mu = build_hypergraph_rows(Z, w, b, n)
+            assert H.shape == (S * n, m + n) and mu.shape == (S, 1)
+            assert (H.value >= 0.0).all()
+            for Hk, mk in zip(_blocks(H, n), mu.value[:, 0]):
+                np.testing.assert_array_equal(Hk[:, m:], mk * np.eye(n))
+                assert mk == pytest.approx(Hk[:, :m].mean())
 
     def test_matches_dense_oracle(self):
         rng = Rng(21)
         for _ in range(100):
-            Z = rng.normal((3, 4))
+            S = 1 + rng.integers(3)
+            Z = rng.normal((S * 3, 4))
             w = rng.normal((4, 2))
             b = rng.normal((1, 2))
-            hg = build_hypergraph(Var(Z), w, b)
-            H_ref, mu_ref = build_hypergraph_dense(Z, w, b)
-            np.testing.assert_allclose(hg.H.value, H_ref, atol=1e-14)
-            assert hg.mu.value[0, 0] == pytest.approx(mu_ref)
+            H, mu = build_hypergraph_rows(Z, w, b, 3)
+            for Zk, Hk, mk in zip(_blocks(Z, 3), _blocks(H, 3), mu.value[:, 0]):
+                H_ref, mu_ref = build_hypergraph_dense(Zk, w, b)
+                np.testing.assert_allclose(Hk, H_ref, atol=1e-14)
+                assert mk == pytest.approx(mu_ref)
 
     def test_generator_receives_gradient(self):
-        Z = np.array([[1.0, -2.0], [0.5, 3.0]])
+        Z = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.2], [2.0, 1.5]])
 
         def build(w, b):
-            hg = build_hypergraph(Var(Z), w, b)
-            return reduce_sum(hg.H)
+            H, _ = build_hypergraph_rows(Z, w, b, 2)
+            return reduce_sum(H)
 
         check_gradients(build, [np.array([[0.3, -0.2], [0.4, 0.9]]),
                                 np.array([[0.1, -0.3]])], label="generator")
@@ -113,21 +136,22 @@ class TestHgcnLayer:
         rng = Rng(23)
         for _ in range(100):
             n = 2 + rng.integers(4)
-            c = float(rng.uniform(0.1, 3.0))
+            S = 1 + rng.integers(3)
+            H = np.concatenate([float(rng.uniform(0.1, 3.0)) * np.eye(n)
+                                for _ in range(S)])
             w = rng.uniform(0.1, 2.0, (n, 1))
-            x = rng.normal((n, 2))
-            out = hgcn_layer(Var(x), Var(c * np.eye(n)), Var(w))
+            x = rng.normal((S * n, 1))
+            out = hgcn_layer_rows(x, H, w, n)
             np.testing.assert_allclose(out.value, x, atol=1e-12)
 
     def test_single_uniform_hyperedge_is_mean_pooling(self):
-        out = hgcn_layer(Var([[1.0], [2.0], [3.0]]), Var(np.ones((3, 1))),
-                         Var([[1.0]]))
+        out = hgcn_layer_rows(np.array([[1.0], [2.0], [3.0]]), np.ones((3, 1)),
+                              np.array([[1.0]]), 3)
         np.testing.assert_allclose(out.value, np.full((3, 1), 2.0), atol=1e-12)
 
     def test_golden_value(self):
-        out = hgcn_layer(Var(self.GOLDEN_INPUT["x"]),
-                         Var(self.GOLDEN_INPUT["H"]),
-                         Var(self.GOLDEN_INPUT["w"]))
+        out = hgcn_layer_rows(self.GOLDEN_INPUT["x"], self.GOLDEN_INPUT["H"],
+                              self.GOLDEN_INPUT["w"], 3)
         np.testing.assert_allclose(out.value.ravel(), self.GOLDEN_OUTPUT,
                                    atol=1e-9)
 
@@ -136,24 +160,25 @@ class TestHgcnLayer:
         for trial in range(500):
             n = 2 + rng.integers(7)
             m = 1 + rng.integers(8)
-            H = np.abs(rng.normal((n, m)))
-            if trial % 3 == 0:
-                H[:, rng.integers(m)] = 0.0  # exercise the safe-inverse path
+            S = 1 + rng.integers(3)
+            H = _incidences(rng, S, n, m, zero_column=trial % 3 == 0)
             w = rng.normal((m, 1))
-            x = rng.normal((n, 3))
-            out = hgcn_layer(Var(x), Var(H), Var(w))
-            ref = hgcn_layer_dense(x, H, w)
-            np.testing.assert_allclose(out.value, ref, atol=1e-9)
+            x = rng.normal((S * n, 1))
+            out = hgcn_layer_rows(x, H, w, n)
+            for xk, Hk, yk in zip(_blocks(x, n), _blocks(H, n),
+                                  _blocks(out, n)):
+                np.testing.assert_allclose(yk, hgcn_layer_dense(xk, Hk, w),
+                                           atol=1e-9)
 
     def test_gradients_through_x_h_and_w(self):
         rng = Rng(25)
         for _ in range(20):
-            H = np.abs(rng.normal((3, 2))) + 0.1
+            H = np.abs(rng.normal((6, 2))) + 0.1
             w = rng.uniform(0.2, 2.0, (2, 1))
-            x = rng.normal((3, 2))
+            x = rng.normal((6, 1))
             check_gradients(
-                lambda xv, hv, wv: reduce_sum(hgcn_layer(xv, hv, wv)),
-                [x, H, w], label="hgcn_layer")
+                lambda xv, hv, wv: reduce_sum(hgcn_layer_rows(xv, hv, wv, 3)),
+                [x, H, w], label="hgcn_layer_rows")
 
 
 class TestHgcnTransform:
@@ -161,18 +186,22 @@ class TestHgcnTransform:
         rng = Rng(26)
         for _ in range(50):
             n = 2 + rng.integers(4)
-            mu = float(rng.uniform(0.2, 2.0))
-            H = np.concatenate([np.zeros((n, 3)), mu * np.eye(n)], axis=1)
-            q = rng.normal((n, 1))
+            S = 1 + rng.integers(3)
+            H = np.concatenate([
+                np.concatenate([np.zeros((n, 3)),
+                                float(rng.uniform(0.2, 2.0)) * np.eye(n)],
+                               axis=1)
+                for _ in range(S)])
+            q = rng.normal((S * n, 1))
             w1 = rng.uniform(0.1, 2.0, (n + 3, 1))
             w2 = rng.uniform(0.1, 2.0, (n + 3, 1))
-            out = hgcn_transform(Var(q), Var(H), Var(w1), Var(w2))
+            out = hgcn_transform_rows(q, H, w1, w2, n)
             np.testing.assert_allclose(out.value, q, atol=1e-12)
 
     def test_zero_signal_stays_zero(self):
         H = np.abs(Rng(27).normal((3, 5)))
-        out = hgcn_transform(Var(np.zeros((3, 1))), Var(H),
-                             Var(np.ones((5, 1))), Var(np.ones((5, 1))))
+        out = hgcn_transform_rows(np.zeros((3, 1)), H, np.ones((5, 1)),
+                                  np.ones((5, 1)), 3)
         np.testing.assert_array_equal(out.value, np.zeros((3, 1)))
 
     def test_matches_composed_layer_oracle(self):
@@ -180,13 +209,16 @@ class TestHgcnTransform:
         for _ in range(200):
             n = 2 + rng.integers(6)
             m = 1 + rng.integers(6)
-            H = np.abs(rng.normal((n, m)))
+            S = 1 + rng.integers(3)
+            H = _incidences(rng, S, n, m)
             w1 = rng.normal((m, 1))
             w2 = rng.normal((m, 1))
-            q = rng.normal((n, 1))
-            out = hgcn_transform(Var(q), Var(H), Var(w1), Var(w2))
-            ref = hgcn_transform_dense(q, H, w1, w2)
-            np.testing.assert_allclose(out.value, ref, atol=1e-9)
+            q = rng.normal((S * n, 1))
+            out = hgcn_transform_rows(q, H, w1, w2, n)
+            for qk, Hk, yk in zip(_blocks(q, n), _blocks(H, n),
+                                  _blocks(out, n)):
+                np.testing.assert_allclose(
+                    yk, hgcn_transform_dense(qk, Hk, w1, w2), atol=1e-9)
 
     def test_monotone_in_every_input_value(self):
         rng = Rng(29)
@@ -221,18 +253,11 @@ class TestMixingMatrix:
         rng = Rng(31)
         H = np.abs(rng.normal((4, 3)))
         w = rng.normal((3, 1))
-        x = rng.normal((4, 2))
-        out = hgcn_layer(Var(x), Var(H), Var(w))
-        np.testing.assert_allclose(mixing_matrix(H, w) @ x, out.value,
-                                   atol=1e-12)
-
-
-class TestOnehotHypergraph:
-    def test_shape_and_values(self):
-        hg = onehot_hypergraph(3)
-        assert hg.m == 0
-        np.testing.assert_array_equal(hg.H.value, np.eye(3))
-        assert hg.mu.value[0, 0] == 1.0
+        x = rng.normal((8, 1))
+        out = hgcn_layer_rows(x, np.tile(H, (2, 1)), w, 4)
+        A = mixing_matrix(H, w)
+        for xk, yk in zip(_blocks(x, 4), _blocks(out, 4)):
+            np.testing.assert_allclose(A @ xk, yk, atol=1e-12)
 
 
 class TestCsvDump:

@@ -115,17 +115,16 @@ class TestHgcnMixHead:
         for _ in range(50):
             q = rng.normal((3, 1))
             s = rng.normal((1, 4))
-            qtot, hs = mix_batch("hgcn-mix-oh", store.bind(None), Var(q),
-                                 None, s, 3, 4, collect_h=True)
+            qtot = mix_batch("hgcn-mix-oh", store.bind(None), Var(q), None, s,
+                             3, 4)
             direct = state_module(Var(q.T), s, store.bind(None), 3, 4)
-            np.testing.assert_array_equal(hs[0], np.eye(3))
             assert qtot.value[0, 0] == direct.value[0, 0]  # bit-exact
 
     def test_zero_q_zero_params_give_zero(self):
         store = _mixer_store("hgcn-mix", n=2, obs_dim=3, state_dim=2)
         _zero_state_module(store)
-        qtot, _ = mix_batch("hgcn-mix", store.bind(None), Var(np.zeros((2, 1))),
-                            Rng(0).normal((2, 3)), np.zeros((1, 2)), 2, 3)
+        qtot = mix_batch("hgcn-mix", store.bind(None), Var(np.zeros((2, 1))),
+                         Rng(0).normal((2, 3)), np.zeros((1, 2)), 2, 3)
         assert qtot.value[0, 0] == 0.0
 
     def test_matches_component_oracle_composition(self):
@@ -137,11 +136,9 @@ class TestHgcnMixHead:
             q = rng.normal((3, 1))
             Z = rng.normal((3, 4))
             s = rng.normal((1, 3))
-            qtot, hs = mix_batch("hgcn-mix", store.bind(None), Var(q), Z, s,
-                                 3, 4, collect_h=True)
+            qtot = mix_batch("hgcn-mix", store.bind(None), Var(q), Z, s, 3, 4)
             ref = hgcn_mix_reference(params, q, Z, s, 3, 4)
             assert qtot.value[0, 0] == pytest.approx(ref, abs=1e-9)
-            assert (hs[0] >= 0).all()
 
     def test_mix_batch_matches_single_sample_head(self):
         rng = Rng(7)
@@ -152,25 +149,13 @@ class TestHgcnMixHead:
             chosen = rng.normal((S * n, 1))
             Z = rng.normal((S * n, dims["obs_dim"]))
             s = rng.normal((S, dims["state_dim"]))
-            qtot, _ = mix_batch(kind, store.bind(None), Var(chosen), Z, s, n,
-                                embed)
+            qtot = mix_batch(kind, store.bind(None), Var(chosen), Z, s, n,
+                             embed)
             for i in range(S):
                 fn = make_qtot_fn(kind, store, Z[i * n:(i + 1) * n], s[i], n,
                                   embed)
                 assert qtot.value[i, 0] == pytest.approx(
                     fn(chosen[i * n:(i + 1) * n].ravel()), abs=1e-10)
-
-    def test_collects_incidence_matrices(self):
-        store, dims = tiny_mixer_store("hgcn-mix", n=2, hyperedges=2, embed=3)
-        rng = Rng(8)
-        S = 3
-        qtot, hs = mix_batch("hgcn-mix", store.bind(None),
-                             Var(rng.normal((S * 2, 1))),
-                             rng.normal((S * 2, dims["obs_dim"])),
-                             rng.normal((S, dims["state_dim"])), 2,
-                             dims["embed"], collect_h=True)
-        assert len(hs) == S
-        assert all(h.shape == (2, 2 + 2) for h in hs)
 
 
 class TestIgmCheck:

@@ -1,13 +1,15 @@
 """Layers, initialization, RMSProp, and checkpoint round-trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import hypermix.autodiff as ad
 from hypermix.autodiff import reduce_sum
 from hypermix.errors import CheckpointError, ConfigError, TrainingError
-from hypermix.nn import (LayerSpec, ParameterStore, clip_grad_norm, gru_fwd,
-                         init_params, linear_fwd, load_checkpoint,
+from hypermix.nn import (MANIFEST_NAME, LayerSpec, ParameterStore,
+                         clip_grad_norm, gru_fwd, init_params, load_checkpoint,
                          load_checkpoint_into, mlp_fwd, rmsprop_step,
                          save_checkpoint)
 from hypermix.rng import Rng
@@ -226,6 +228,32 @@ class TestCheckpoint:
         blob.write_bytes(blob.read_bytes()[:-8])
         with pytest.raises(CheckpointError, match="bytes"):
             load_checkpoint(tmp_path / "ckpt")
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path,
+                                                   monkeypatch):
+        store = self._store()
+        save_checkpoint(store, tmp_path / "ckpt")
+        old = {name: p.value.copy() for name, p in store.items()}
+        for _, p in store.items():
+            p.value = p.value + 1.0
+        write_bytes = Path.write_bytes
+
+        def fail_on_manifest(path, data):
+            if path.name.startswith(MANIFEST_NAME):
+                raise OSError("disk full")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", fail_on_manifest)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(store, tmp_path / "ckpt")
+        monkeypatch.undo()
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        for name in store.names():
+            assert np.array_equal(loaded[name].value, old[name])
+        save_checkpoint(store, tmp_path / "ckpt")
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        for name, p in store.items():
+            assert np.array_equal(loaded[name].value, p.value)
 
     def test_missing_files_is_clean_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="missing"):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hypermix import agents as ag
+from hypermix import mixers as mx
 from hypermix.config import Config
 from hypermix.envs import OneStepMatrixGame, TwoStepGame, make_env
-from hypermix.nn import ParameterStore
 from hypermix.rng import Rng
 from hypermix.training import (Episode, ReplayBuffer, Schedule,
                                collect_episode, evaluate_policy,
@@ -191,6 +191,15 @@ def _mixed_length_batch(dims, seed=0):
     return batch
 
 
+def _columns(targets, batch):
+    """Per-episode target vectors of a (T x B) target array, checking that
+    it is zero past each episode's length."""
+    assert targets.shape == (max(ep.length for ep in batch), len(batch))
+    for k, ep in enumerate(batch):
+        assert not targets[ep.length:, k].any()
+    return [targets[:ep.length, k] for k, ep in enumerate(batch)]
+
+
 class TestTdTargets:
     def _batch(self, store, env_name, count, seed=0):
         batch = []
@@ -209,7 +218,7 @@ class TestTdTargets:
                              Rng(2).split("x"), agent_hidden=4)
         y = td_targets([ep], store, "vdn", gamma=0.99, embed=dims["embed"],
                        agent_hidden=4)
-        assert y[0][0] == ep.reward[0]
+        assert y[0, 0] == ep.reward[0]
 
     def test_bootstrap_arithmetic(self):
         # terminal-free step: y = r + gamma * next joint value
@@ -221,8 +230,8 @@ class TestTdTargets:
         y = td_targets([ep], store, "vdn", gamma=0.99, embed=dims["embed"],
                        agent_hidden=4)
         ref = _reference_td_targets([ep], store, "vdn", 0.99, dims)
-        np.testing.assert_allclose(y[0], ref[0], atol=1e-10)
-        assert y[0][0] != ep.reward[0]  # really bootstrapped
+        np.testing.assert_allclose(_columns(y, [ep])[0], ref[0], atol=1e-10)
+        assert y[0, 0] != ep.reward[0]  # really bootstrapped
 
     @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix", "hgcn-mix-oh"])
     def test_matches_slow_loop_oracle(self, kind):
@@ -233,7 +242,7 @@ class TestTdTargets:
         got = td_targets(batch, store, kind, gamma=0.9, embed=dims["embed"],
                          agent_hidden=4)
         want = _reference_td_targets(batch, store, kind, 0.9, dims)
-        for g, w in zip(got, want):
+        for g, w in zip(_columns(got, batch), want):
             np.testing.assert_allclose(g, w, atol=1e-9)
 
     @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix", "hgcn-mix-oh"])
@@ -244,9 +253,42 @@ class TestTdTargets:
         got = td_targets(batch, store, kind, gamma=0.9, embed=dims["embed"],
                          agent_hidden=dims["agent_hidden"])
         want = _reference_td_targets(batch, store, kind, 0.9, dims)
-        assert [g.shape for g in got] == [(ep.length,) for ep in batch]
-        for g, w in zip(got, want):
+        for g, w in zip(_columns(got, batch), want):
             np.testing.assert_allclose(g, w, atol=1e-9)
+
+    def test_mixes_only_bootstrapping_steps(self, monkeypatch):
+        store, dims = tiny_mixer_store("qmix", n=3, obs_dim=4, n_actions=3,
+                                       state_dim=5, embed=3)
+        batch = _mixed_length_batch(dims, seed=42)
+        samples = []
+        mix_batch = mx.mix_batch
+
+        def spy(*args):
+            samples.append(len(args[4]))
+            return mix_batch(*args)
+
+        monkeypatch.setattr(mx, "mix_batch", spy)
+        td_targets(batch, store, "qmix", gamma=0.9, embed=dims["embed"],
+                   agent_hidden=dims["agent_hidden"])
+        # four of the five episodes end terminated
+        assert samples == [sum(ep.length for ep in batch) - 4]
+
+    def test_all_terminal_batch_runs_no_target_pass(self, monkeypatch):
+        store, dims = tiny_mixer_store("qmix", n=2, obs_dim=2, n_actions=3,
+                                       state_dim=1, embed=3)
+        batch = [collect_episode(OneStepMatrixGame(), store, 1.0,
+                                 Rng(k).split("env"), Rng(k).split("x"),
+                                 agent_hidden=4)
+                 for k in range(3)]
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("no step bootstraps")
+
+        monkeypatch.setattr(ag, "agent_forward", unexpected)
+        monkeypatch.setattr(mx, "mix_batch", unexpected)
+        y = td_targets(batch, store, "qmix", gamma=0.9, embed=dims["embed"],
+                       agent_hidden=4)
+        np.testing.assert_array_equal(y, [[ep.reward[0] for ep in batch]])
 
 
 class TestTrainStep:
