@@ -29,15 +29,23 @@ def init_agent_params(store: ParameterStore, obs_dim: int, n_actions: int,
     init_params(store, f"{prefix}.fc2", LayerSpec("linear", hidden, n_actions), rng)
 
 
-def agent_forward(pv: dict[str, Var], inputs, hidden, prefix: str = "agent"):
-    """One recurrent step for a row batch of agent inputs.
+def agent_forward(pv: dict[str, Var], inputs, hidden, steps: int = 1,
+                  prefix: str = "agent"):
+    """Run the agent network over ``steps`` steps of a row batch.
 
-    Returns (q_values, new_hidden); rows may stack any number of agents
-    and batch entries since the network is shared.
+    ``inputs`` stacks the input rows of every step, (steps*R x d) with step
+    t in rows t*R .. (t+1)*R; ``hidden`` is the (R x H) state before the
+    first step. Rows may stack any number of agents and batch entries since
+    the network is shared. Returns (q_values, hidden_states), both stacked
+    the same way; the last R rows of hidden_states are the state to carry
+    into the next call. fc1, the GRU and fc2 each run once over all rows
+    (the GRU as one tape record), and every product runs step by step in its
+    forward, so one call gives bit for bit the values of ``steps`` chained
+    one-step calls.
     """
-    x = relu(linear_fwd(inputs, pv, f"{prefix}.fc1"))
-    h = gru_fwd(x, hidden, pv, f"{prefix}.rnn")
-    q = linear_fwd(h, pv, f"{prefix}.fc2")
+    x = relu(linear_fwd(inputs, pv, f"{prefix}.fc1", steps))
+    h = gru_fwd(x, hidden, pv, f"{prefix}.rnn", steps)
+    q = linear_fwd(h, pv, f"{prefix}.fc2", steps)
     return q, h
 
 
@@ -52,14 +60,12 @@ def build_agent_inputs(obs: np.ndarray, last_actions, n_actions: int) -> np.ndar
     ``last_actions`` holds ints, or None for the first step of an episode.
     """
     obs = np.asarray(obs, dtype=np.float64)
-    n = obs.shape[0]
-    out = np.zeros((n, obs.shape[1] + n_actions + n))
-    out[:, :obs.shape[1]] = obs
-    for a in range(n):
-        la = last_actions[a] if last_actions is not None else None
-        if la is not None:
-            out[a, obs.shape[1] + int(la)] = 1.0
-        out[a, obs.shape[1] + n_actions + a] = 1.0
+    n, obs_dim = obs.shape
+    out = np.zeros((n, obs_dim + n_actions + n))
+    out[:, :obs_dim] = obs
+    if last_actions is not None:
+        out[np.arange(n), obs_dim + np.asarray(last_actions, dtype=np.intp)] = 1.0
+    out[:, obs_dim + n_actions:] = np.eye(n)
     return out
 
 

@@ -130,8 +130,14 @@ def _check_broadcast(name: str, a: np.ndarray, b: np.ndarray) -> None:
 # primitives
 # ---------------------------------------------------------------------------
 
-def matmul(a, b, transpose_a: bool = False, transpose_b: bool = False) -> Var:
-    """Matrix product with optional operand transposes (GEMM-style)."""
+def matmul(a, b, transpose_a: bool = False, transpose_b: bool = False,
+           row_blocks: int = 1) -> Var:
+    """Matrix product with optional operand transposes (GEMM-style).
+
+    ``row_blocks`` > 1 runs the forward one equal block of rows at a time, so
+    each block is bit for bit the product of that block alone (BLAS may round
+    a row differently depending on the rows stacked around it).
+    """
     a, b = _as_var(a), _as_var(b)
     av, bv = a.value, b.value
     lhs = av.T if transpose_a else av
@@ -140,6 +146,10 @@ def matmul(a, b, transpose_a: bool = False, transpose_b: bool = False) -> Var:
         raise DimensionError(
             f"matmul: inner dimensions differ, {lhs.shape} x {rhs.shape}"
             f" (transpose_a={transpose_a}, transpose_b={transpose_b})"
+        )
+    if row_blocks <= 0 or lhs.shape[0] % row_blocks:
+        raise DimensionError(
+            f"matmul: {lhs.shape[0]} rows do not split into {row_blocks} blocks"
         )
 
     def bwd(g, need):
@@ -154,7 +164,9 @@ def matmul(a, b, transpose_a: bool = False, transpose_b: bool = False) -> Var:
                 gb = gb.T
         return ga, gb
 
-    return _emit("matmul", (a, b), lhs @ rhs, bwd)
+    out = lhs @ rhs if row_blocks == 1 else (
+        lhs.reshape(row_blocks, -1, lhs.shape[1]) @ rhs).reshape(-1, rhs.shape[1])
+    return _emit("matmul", (a, b), out, bwd)
 
 
 def add(a, b) -> Var:
@@ -183,11 +195,6 @@ def mul(a, b) -> Var:
                 _unbroadcast(g * av, bv.shape) if need[1] else None)
 
     return _emit("mul", (a, b), av * bv, bwd)
-
-
-def sub(a, b) -> Var:
-    """Elementwise difference (composite of add and a constant scale)."""
-    return add(a, mul(b, np.array([[-1.0]])))
 
 
 def relu(x) -> Var:
@@ -258,17 +265,6 @@ def reduce_sum(x) -> Var:
     return _emit("sum", (x,), np.array([[x.value.sum()]]), bwd)
 
 
-def reduce_mean(x) -> Var:
-    """Mean of all entries, as a 1x1 matrix."""
-    x = _as_var(x)
-    shape, size = x.value.shape, x.value.size
-
-    def bwd(g, need):
-        return (np.full(shape, g[0, 0] / size),)
-
-    return _emit("mean", (x,), np.array([[x.value.mean()]]), bwd)
-
-
 def concat_cols(*xs) -> Var:
     """Concatenate matrices along columns; all must share the row count."""
     vs = tuple(_as_var(x) for x in xs)
@@ -288,27 +284,6 @@ def concat_cols(*xs) -> Var:
 
     return _emit("concat_cols", vs,
                  np.concatenate([v.value for v in vs], axis=1), bwd)
-
-
-def concat_rows(*xs) -> Var:
-    """Stack matrices along rows; all must share the column count."""
-    vs = tuple(_as_var(x) for x in xs)
-    if not vs:
-        raise DimensionError("concat_rows: needs at least one operand")
-    cols = vs[0].value.shape[1]
-    for v in vs:
-        if v.value.shape[1] != cols:
-            raise DimensionError(
-                f"concat_rows: column counts differ, {v.value.shape[1]} != {cols}"
-            )
-    bounds = np.cumsum([0] + [v.value.shape[0] for v in vs])
-
-    def bwd(g, need):
-        return tuple(g[bounds[i]:bounds[i + 1]] if need[i] else None
-                     for i in range(len(vs)))
-
-    return _emit("concat_rows", vs,
-                 np.concatenate([v.value for v in vs], axis=0), bwd)
 
 
 def reshape(x, rows: int, cols: int) -> Var:
@@ -377,66 +352,85 @@ def select_rows(x, rows) -> Var:
     return _emit("select_rows", (x,), x.value[idx], bwd)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # stable for large |x|: exp of a nonpositive argument only
-    t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+def gru_sequence(x, h0, w_ih, w_hh, b_ih, b_hh, steps: int = 1) -> Var:
+    """GRU recurrence over ``steps`` steps of a row batch, as one record.
 
-
-def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Var:
-    """Fused GRU cell update over a row batch.
-
-    Gate layout is (reset, update, candidate) stacked along columns:
-    ``w_ih`` is (in, 3H), ``w_hh`` is (H, 3H), biases are (1, 3H). The update
-    is the standard sigmoid/tanh recurrence h' = (1 - z) * c + z * h.
+    ``x`` stacks the inputs of every step, (steps*R x in) with step t in
+    rows t*R .. (t+1)*R; ``h0`` is the (R x H) initial state. Returns the
+    (steps*R x H) stack of the hidden states after each step. Gate layout is
+    (reset, update, candidate) stacked along columns: ``w_ih`` is (in, 3H),
+    ``w_hh`` is (H, 3H), biases are (1, 3H). Each step is the standard
+    sigmoid/tanh update h' = (1 - z) * c + z * h. Backward walks the steps in
+    reverse with one step's gate gradients alive at a time.
     """
-    x, h = _as_var(x), _as_var(h)
-    w_ih, w_hh, b_ih, b_hh = map(_as_var, (w_ih, w_hh, b_ih, b_hh))
-    big = x.value.shape[0]
-    hid = h.value.shape[1]
-    if h.value.shape[0] != big:
-        raise DimensionError(
-            f"gru_cell: batch rows differ, x {x.value.shape} vs h {h.value.shape}"
-        )
-    if w_ih.value.shape != (x.value.shape[1], 3 * hid):
-        raise DimensionError(
-            f"gru_cell: w_ih shape {w_ih.value.shape}, expected"
-            f" {(x.value.shape[1], 3 * hid)}"
-        )
-    if w_hh.value.shape != (hid, 3 * hid):
-        raise DimensionError(
-            f"gru_cell: w_hh shape {w_hh.value.shape}, expected {(hid, 3 * hid)}"
-        )
-    if b_ih.value.shape != (1, 3 * hid) or b_hh.value.shape != (1, 3 * hid):
-        raise DimensionError("gru_cell: bias rows must have shape (1, 3H)")
+    operands = tuple(map(_as_var, (x, h0, w_ih, w_hh, b_ih, b_hh)))
+    xv, h0v, wiv, whv, biv, bhv = (v.value for v in operands)
+    rows, hid = h0v.shape
+    if steps <= 0 or xv.shape[0] != steps * rows:
+        raise DimensionError(f"gru_sequence: x {xv.shape} is not {steps} steps"
+                             f" of the {rows} rows of h0 {h0v.shape}")
+    for name, v, want in (("w_ih", wiv, (xv.shape[1], 3 * hid)),
+                          ("w_hh", whv, (hid, 3 * hid)),
+                          ("b_ih", biv, (1, 3 * hid)), ("b_hh", bhv, (1, 3 * hid))):
+        if v.shape != want:
+            raise DimensionError(
+                f"gru_sequence: {name} shape {v.shape}, expected {want}")
 
-    xv, hv, wiv, whv = x.value, h.value, w_ih.value, w_hh.value
-    gi = xv @ wiv + b_ih.value
-    gh = hv @ whv + b_hh.value
-    r = _sigmoid(gi[:, :hid] + gh[:, :hid])
-    z = _sigmoid(gi[:, hid:2 * hid] + gh[:, hid:2 * hid])
-    hn = gh[:, 2 * hid:]
-    c = np.tanh(gi[:, 2 * hid:] + r * hn)
+    out = np.empty((steps * rows, hid))
+    # kept for backward, per step: reset and update gates side by side, the
+    # candidate c, and hn, the recurrent part of the candidate's input
+    rz_s = np.empty((steps, rows, 2 * hid))
+    c_s, hn_s = np.empty((steps, rows, hid)), np.empty((steps, rows, hid))
+    gi, gh = np.empty((rows, 3 * hid)), np.empty((rows, 3 * hid))
+    hv = h0v
+    for t in range(steps):
+        rz, c, hn = rz_s[t], c_s[t], hn_s[t]
+        np.add(np.matmul(xv[t * rows:(t + 1) * rows], wiv, out=gi), biv, out=gi)
+        np.add(np.matmul(hv, whv, out=gh), bhv, out=gh)
+        # logistic exp(min(u, 0)) / (1 + exp(-|u|)): exp of u <= 0 only
+        u = np.add(gi[:, :2 * hid], gh[:, :2 * hid], out=rz)
+        d = np.exp(-np.abs(u)) + 1.0
+        np.divide(np.exp(np.minimum(u, 0.0, out=rz), out=rz), d, out=rz)
+        hn[...] = gh[:, 2 * hid:]
+        np.tanh(np.add(gi[:, 2 * hid:], rz[:, :hid] * hn, out=c), out=c)
+        z = rz[:, hid:]
+        hv = out[t * rows:(t + 1) * rows] = (1.0 - z) * c + z * hv
 
     def bwd(g, need):
-        dc = g * (1.0 - z)
-        dz = g * (hv - c)
-        dpre_c = dc * (1.0 - c * c)
-        dr = dpre_c * hn
-        dhn = dpre_c * r
-        dpre_r = dr * r * (1.0 - r)
-        dpre_z = dz * z * (1.0 - z)
-        dgi = np.concatenate([dpre_r, dpre_z, dpre_c], axis=1)
-        dgh = np.concatenate([dpre_r, dpre_z, dhn], axis=1)
-        return (dgi @ wiv.T if need[0] else None,
-                dgh @ whv.T + g * z if need[1] else None,
-                xv.T @ dgi if need[2] else None,
-                hv.T @ dgh if need[3] else None,
-                dgi.sum(axis=0, keepdims=True) if need[4] else None,
-                dgh.sum(axis=0, keepdims=True) if need[5] else None)
+        dx, _, dw_ih, dw_hh, db_ih, db_hh = (
+            np.zeros_like(v) if n else None
+            for v, n in zip((xv, h0v, wiv, whv, biv, bhv), need))
+        d_rz = np.empty((rows, 2 * hid))
+        dgi, dgh = np.empty((rows, 3 * hid)), np.empty((rows, 3 * hid))
+        dh = None
+        for t in reversed(range(steps)):
+            lo, hi = t * rows, (t + 1) * rows
+            gt = g[lo:hi] if dh is None else g[lo:hi] + dh
+            rz, c, hn = rz_s[t], c_s[t], hn_s[t]
+            z = rz[:, hid:]
+            hv = out[lo - rows:lo] if t else h0v
+            dpre_c = np.multiply(gt * (1.0 - z), 1.0 - c * c,
+                                 out=dgi[:, 2 * hid:])
+            np.multiply(dpre_c, hn, out=d_rz[:, :hid])
+            np.multiply(gt, hv - c, out=d_rz[:, hid:])
+            np.multiply(d_rz * rz, 1.0 - rz, out=dgi[:, :2 * hid])
+            dgh[:, :2 * hid] = dgi[:, :2 * hid]
+            np.multiply(dpre_c, rz[:, :hid], out=dgh[:, 2 * hid:])
+            if need[0]:
+                dx[lo:hi] = dgi @ wiv.T
+            if need[2]:
+                dw_ih += xv[lo:hi].T @ dgi
+            if need[3]:
+                dw_hh += hv.T @ dgh
+            if need[4]:
+                db_ih += dgi.sum(axis=0, keepdims=True)
+            if need[5]:
+                db_hh += dgh.sum(axis=0, keepdims=True)
+            if t or need[1]:
+                dh = dgh @ whv.T + gt * z
+        return dx, dh if need[1] else None, dw_ih, dw_hh, db_ih, db_hh
 
-    return _emit("gru_cell", (x, h, w_ih, w_hh, b_ih, b_hh),
-                 (1.0 - z) * c + z * hv, bwd)
+    return _emit("gru_sequence", operands, out, bwd)
 
 
 # ---------------------------------------------------------------------------

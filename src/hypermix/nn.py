@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var, add, elu, gru_cell, matmul, relu
+from .autodiff import Var, add, elu, gru_sequence, matmul, relu
 from .errors import CheckpointError, ConfigError, TrainingError
 from .rng import Rng
 
@@ -133,8 +133,9 @@ def init_params(store: ParameterStore, name: str, spec: LayerSpec, rng: Rng) -> 
         store.add(f"{name}.fc2.b", np.zeros((1, spec.out_dim)))
 
 
-def linear_fwd(x, pv: dict[str, Var], name: str) -> Var:
-    return add(matmul(x, pv[f"{name}.w"]), pv[f"{name}.b"])
+def linear_fwd(x, pv: dict[str, Var], name: str, row_blocks: int = 1) -> Var:
+    return add(matmul(x, pv[f"{name}.w"], row_blocks=row_blocks),
+               pv[f"{name}.b"])
 
 
 def mlp_fwd(x, pv: dict[str, Var], name: str, activation: str = "relu") -> Var:
@@ -142,9 +143,9 @@ def mlp_fwd(x, pv: dict[str, Var], name: str, activation: str = "relu") -> Var:
     return linear_fwd(h, pv, f"{name}.fc2")
 
 
-def gru_fwd(x, h, pv: dict[str, Var], name: str) -> Var:
-    return gru_cell(x, h, pv[f"{name}.w_ih"], pv[f"{name}.w_hh"],
-                    pv[f"{name}.b_ih"], pv[f"{name}.b_hh"])
+def gru_fwd(x, h, pv: dict[str, Var], name: str, steps: int = 1) -> Var:
+    return gru_sequence(x, h, pv[f"{name}.w_ih"], pv[f"{name}.w_hh"],
+                        pv[f"{name}.b_ih"], pv[f"{name}.b_hh"], steps)
 
 
 def rmsprop_step(store: ParameterStore, lr: float = 5e-4, decay: float = 0.99,

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import agents as ag
 from . import mixers as mx
-from .autodiff import (Tape, Var, add, concat_rows, gradient, mul, reduce_sum,
-                       reshape, select_rows)
+from .autodiff import (Tape, Var, add, gradient, mul, reduce_sum, reshape,
+                       select_rows)
 from .envs import brute_force_optimal, make_env
 from .errors import TrainingError
 from .nn import (ParameterStore, clip_grad_norm, rmsprop_step, save_checkpoint)
@@ -158,8 +158,8 @@ def _batch_inputs(batch: list[Episode], n_actions: int) -> np.ndarray:
 def _steps(batch: list[Episode]) -> tuple[np.ndarray, np.ndarray]:
     """Pairs (t, e) with t < length of episode e.
 
-    Ordered by step, then episode: the order of the rows of the
-    per-step agent passes.
+    Ordered by step, then episode: the order of the rows of the agent
+    pass.
     """
     lengths = np.array([ep.length for ep in batch])
     return np.nonzero(np.arange(lengths.max())[:, None] < lengths)
@@ -167,8 +167,8 @@ def _steps(batch: list[Episode]) -> tuple[np.ndarray, np.ndarray]:
 
 def _sample_rows(t: np.ndarray, e: np.ndarray, n_episodes: int,
                  n: int) -> np.ndarray:
-    """Row indices, in the stacked per-step agent passes, of the n agents of
-    each (t, e) sample."""
+    """Row indices, in the step-major agent pass, of the n agents of each
+    (t, e) sample."""
     return ((t * n_episodes + e)[:, None] * n + np.arange(n)).ravel()
 
 
@@ -177,15 +177,13 @@ def _stacked(batch: list[Episode], field: str) -> np.ndarray:
 
 
 def _agent_pass(pv: dict[str, Var], inputs: np.ndarray,
-                agent_hidden: int) -> list[Var]:
-    """Agent Q values of every step of ``inputs``, run step by step from a
-    zero hidden state; one (B*n x n_actions) block per step."""
-    hidden = ag.initial_hidden(inputs.shape[1], agent_hidden)
-    qs = []
-    for x in inputs:
-        q, hidden = ag.agent_forward(pv, Var(x), hidden)
-        qs.append(q)
-    return qs
+                agent_hidden: int) -> Var:
+    """Agent Q values of every step of ``inputs`` (T, B*n, d) from a zero
+    hidden state, in one agent call: (T*B*n x n_actions), step-major."""
+    steps, rows = inputs.shape[:2]
+    q, _ = ag.agent_forward(pv, Var(inputs.reshape(steps * rows, -1)),
+                            ag.initial_hidden(rows, agent_hidden), steps)
+    return q
 
 
 def _mix_steps(kind: str, pv: dict[str, Var], chosen, batch: list[Episode],
@@ -221,9 +219,8 @@ def td_targets(batch: list[Episode], target_store: ParameterStore, kind: str,
     if inputs is None:
         inputs = _batch_inputs(batch, n_actions)
     pv = target_store.bind(None)
-    qs = _agent_pass(pv, inputs[:t.max() + 1], agent_hidden)
-    q_rows = np.concatenate([q.value for q in qs])[
-        _sample_rows(t, e, len(batch), n)]
+    q = _agent_pass(pv, inputs[:t.max() + 1], agent_hidden)
+    q_rows = q.value[_sample_rows(t, e, len(batch), n)]
     avail = _stacked(batch, "avail")[e, t].reshape(-1, n_actions)
     greedy = ag.greedy_actions(q_rows, avail)
     chosen = Var(q_rows[np.arange(q_rows.shape[0]), greedy].reshape(-1, 1))
@@ -241,8 +238,9 @@ def train_step(batch: list[Episode], store: ParameterStore,
 
     The loss is the mean over valid timesteps of half the squared TD error;
     gradients flow through the agent networks, the hypergraph generator and
-    edge weights, and the hypernetworks, but not into the targets. The
-    agents run step by step; one mixer call then covers every valid step.
+    edge weights, and the hypernetworks, but not into the targets. One agent
+    call covers every step of the batch and one mixer call every valid step,
+    so the tape holds one GRU record however long the episodes are.
     """
     n = batch[0].obs.shape[1]
     n_actions = batch[0].avail.shape[2]
@@ -253,11 +251,11 @@ def train_step(batch: list[Episode], store: ParameterStore,
 
     tape = Tape()
     pv = store.bind(tape)
-    qs = _agent_pass(pv, inputs[:t_max], agent_hidden)
+    q = _agent_pass(pv, inputs[:t_max], agent_hidden)
     t, e = _steps(batch)
     rows = _sample_rows(t, e, len(batch), n)
     actions = _stacked(batch, "actions")[e, t].ravel()
-    q_flat = reshape(concat_rows(*qs), t_max * len(batch) * n * n_actions, 1)
+    q_flat = reshape(q, q.value.size, 1)
     chosen = select_rows(q_flat, rows * n_actions + actions)
     qtot = _mix_steps(kind, pv, chosen, batch, t, e, embed)
     diff = add(qtot, -targets[t, e].reshape(-1, 1))

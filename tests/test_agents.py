@@ -58,6 +58,26 @@ class TestAgentForward:
         q_b, _ = ag.agent_forward(pv, Var(inputs), ag.initial_hidden(2, 4))
         assert not np.array_equal(q_a.value, q_b.value)
 
+    @pytest.mark.parametrize("rows,hidden", [(1, 4), (3, 64), (6, 64),
+                                             (128, 64)])
+    def test_sequence_call_matches_chained_steps(self, rows, hidden):
+        # the agent that learns (one T-step call) and the agent that acts
+        # (one call per step) must be the same network, bit for bit
+        steps, obs_dim, n_actions = 5, 4, 3
+        store = _store(obs_dim=obs_dim, n_actions=n_actions, n=rows,
+                       hidden=hidden, seed=9)
+        pv = store.bind(None)
+        inputs = Rng(2).normal((steps * rows, obs_dim + n_actions + rows))
+        q, h = ag.agent_forward(pv, Var(inputs), ag.initial_hidden(rows, hidden),
+                                steps)
+        carried = ag.initial_hidden(rows, hidden)
+        for t in range(steps):
+            q_t, carried = ag.agent_forward(
+                pv, Var(inputs[t * rows:(t + 1) * rows]), carried)
+            np.testing.assert_array_equal(q.value[t * rows:(t + 1) * rows],
+                                          q_t.value)
+        np.testing.assert_array_equal(h.value[-rows:], carried.value)
+
 
 class TestBuildInputs:
     def test_layout_obs_lastaction_id(self):

@@ -8,10 +8,10 @@ import pytest
 
 import hypermix.autodiff as ad
 from hypermix.autodiff import (Tape, Var, absval, add, block_sum, concat_cols,
-                               concat_rows, elu, evaluate, finite_diff,
-                               gradient, gru_cell, matmul, mul, reduce_mean,
-                               reduce_sum, relu, repeat_rows, reshape,
-                               safe_recip, safe_rsqrt, select_rows)
+                               elu, evaluate, finite_diff, gradient,
+                               gru_sequence, matmul, mul, reduce_sum, relu,
+                               repeat_rows, reshape, safe_recip, safe_rsqrt,
+                               select_rows)
 from hypermix.errors import DimensionError, TapeError
 from hypermix.rng import Rng
 
@@ -29,6 +29,15 @@ class TestForwardValues:
         b = np.array([[1.0], [1.0]])
         out = matmul(Var(a), Var(b))
         np.testing.assert_array_equal(out.value, [[3.0], [7.0]])
+
+    def test_matmul_row_blocks_equal_products_of_each_block(self):
+        rng = Rng(3)
+        a, b = rng.normal((18, 64)), rng.normal((64, 3))
+        out = matmul(Var(a), Var(b), row_blocks=3)
+        np.testing.assert_array_equal(
+            out.value, np.concatenate([a[k:k + 6] @ b for k in (0, 6, 12)]))
+        with pytest.raises(DimensionError, match="matmul"):
+            matmul(Var(a), Var(b), row_blocks=4)
 
     def test_relu_definition(self):
         out = relu(Var(np.array([-1.0, 0.0, 2.0])))
@@ -50,7 +59,6 @@ class TestForwardValues:
     def test_reductions(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert reduce_sum(Var(x)).value[0, 0] == 10.0
-        assert reduce_mean(Var(x)).value[0, 0] == 2.5
 
     def test_concat_and_select(self):
         a = np.array([[1.0], [2.0]])
@@ -75,10 +83,6 @@ class TestForwardValues:
             repeat_rows(Var([[1.0, 2.0], [3.0, 4.0]]), 2).value,
             [[1, 2], [1, 2], [3, 4], [3, 4]])
 
-    def test_concat_rows(self):
-        cat = concat_rows(Var([[1.0, 2.0]]), Var([[3.0, 4.0], [5.0, 6.0]]))
-        np.testing.assert_array_equal(cat.value, [[1, 2], [3, 4], [5, 6]])
-
     def test_evaluate_is_deterministic(self):
         rng = Rng(7)
         x = rng.normal((4, 3))
@@ -101,7 +105,7 @@ class TestForwardValues:
                 h = elu(matmul(xv, wv))
                 h = add(mul(h, h), absval(xv))
                 h = mul(safe_rsqrt(absval(h)), h)
-                return reduce_mean(h)
+                return reduce_sum(h)
 
             out, tape, _ = evaluate(build, x, w)
             for rec in tape.records:
@@ -129,17 +133,22 @@ class TestShapeErrors:
             block_sum(Var(np.ones((5, 1))), 2)
         with pytest.raises(DimensionError, match="repeat_rows"):
             repeat_rows(Var(np.ones((2, 1))), 0)
-        with pytest.raises(DimensionError, match="concat_rows"):
-            concat_rows(Var(np.ones((1, 2))), Var(np.ones((1, 3))))
 
     def test_select_rows_out_of_range(self):
         with pytest.raises(DimensionError, match="select_rows"):
             select_rows(Var(np.ones((2, 2))), [0, 2])
 
     def test_gru_bad_weight_shape(self):
-        with pytest.raises(DimensionError, match="gru_cell"):
-            gru_cell(np.ones((1, 3)), np.ones((1, 4)), np.ones((3, 11)),
-                     np.ones((4, 12)), np.ones((1, 12)), np.ones((1, 12)))
+        with pytest.raises(DimensionError, match="gru_sequence"):
+            gru_sequence(np.ones((1, 3)), np.ones((1, 4)), np.ones((3, 11)),
+                         np.ones((4, 12)), np.ones((1, 12)), np.ones((1, 12)))
+
+    @pytest.mark.parametrize("x_rows,steps", [(5, 2), (6, 2), (4, 0)])
+    def test_gru_rows_not_steps_of_h0(self, x_rows, steps):
+        w = [np.ones((3, 12)), np.ones((4, 12)), np.ones((1, 12)),
+             np.ones((1, 12))]
+        with pytest.raises(DimensionError, match="gru_sequence"):
+            gru_sequence(np.ones((x_rows, 3)), np.ones((2, 4)), *w, steps)
 
 
 class TestTape:
@@ -246,13 +255,38 @@ class TestGradientExamples:
             assert grads[traced_side] is not None
             assert grads[1 - traced_side] is None
 
+    @pytest.mark.parametrize("traced", [(0,), (1,), (2, 3), (4, 5), (0, 1)])
+    def test_gru_constant_operands_get_no_gradient_work(self, traced):
+        rng = Rng(6)
+        tape = Tape()
+        operands = [rng.normal((6, 3)), rng.normal((2, 4)),
+                    rng.normal((3, 12)), rng.normal((4, 12)),
+                    rng.normal((1, 12)), rng.normal((1, 12))]
+        operands = [tape.var(a) if i in traced else a
+                    for i, a in enumerate(operands)]
+        out = gru_sequence(*operands, steps=3)
+        record = tape.records[-1]
+        computed = []
+        bwd = record.bwd
+
+        def spy(g, need):
+            grads = bwd(g, need)
+            computed.append(grads)
+            return grads
+
+        record.bwd = spy
+        gradient(tape, reduce_sum(out))
+        (grads,) = computed
+        for i, grad in enumerate(grads):
+            assert (grad is not None) == (i in traced)
+
     def test_partly_constant_operands_match_fully_traced_gradients(self):
         rng = Rng(7)
-        args = [rng.normal((2, 3)), rng.normal((2, 4)), rng.normal((3, 12)),
+        args = [rng.normal((4, 3)), rng.normal((2, 4)), rng.normal((3, 12)),
                 rng.normal((4, 12)), rng.normal((1, 12)), rng.normal((1, 12))]
 
         def build(*vs):
-            h = gru_cell(*vs)
+            h = gru_sequence(*vs, steps=2)
             return reduce_sum(mul(add(matmul(h, vs[3]), 1.0),
                                   matmul(vs[0], vs[2])))
 
@@ -307,6 +341,10 @@ class TestGradCheckPrimitives:
                 check_gradients(
                     lambda x, y: reduce_sum(matmul(x, y, ta, tb)), [a, b],
                     label=f"matmul ta={ta} tb={tb}")
+        weight = rng.normal((6, 2))
+        check_gradients(
+            lambda x, y: reduce_sum(mul(matmul(x, y, row_blocks=3), weight)),
+            [rng.normal((6, 4)), rng.normal((4, 2))], label="matmul row_blocks")
 
     def test_add_mul_with_broadcast(self):
         rng = Rng(101)
@@ -345,7 +383,6 @@ class TestGradCheckPrimitives:
         rng = Rng(104)
         for _ in range(self.N_POINTS // 4):
             x = rng.normal((4, 3))
-            check_gradients(lambda v: reduce_mean(v), [x], label="mean")
             check_gradients(lambda v: reduce_sum(v), [x], label="sum")
             check_gradients(
                 lambda v: reduce_sum(select_rows(v, [0, 2, 2, 1])), [x],
@@ -370,50 +407,59 @@ class TestGradCheckPrimitives:
             check_gradients(
                 lambda v: reduce_sum(mul(repeat_rows(v, 2), weight[:, :2])),
                 [rng.normal((2, 2))], label="repeat_rows")
-            stack_weight = rng.normal((4, 2))
-            check_gradients(
-                lambda a, b: reduce_sum(mul(concat_rows(a, b, a),
-                                            stack_weight)),
-                [rng.normal((1, 2)), rng.normal((2, 2))],
-                label="concat_rows")
 
-    def test_gru_cell(self):
+    def test_gru_sequence(self):
         rng = Rng(105)
-        for _ in range(25):
-            hid, din, rows = 4, 3, 2
-            args = [rng.normal((rows, din)), rng.normal((rows, hid)),
-                    rng.normal((din, 3 * hid)), rng.normal((hid, 3 * hid)),
-                    rng.normal((1, 3 * hid)), rng.normal((1, 3 * hid))]
-            check_gradients(
-                lambda *vs: reduce_sum(gru_cell(*vs)), args, label="gru_cell")
+        hid, din, rows = 4, 3, 2
+        for steps in (1, 3):
+            for _ in range(8):
+                args = [rng.normal((steps * rows, din)), rng.normal((rows, hid)),
+                        rng.normal((din, 3 * hid)), rng.normal((hid, 3 * hid)),
+                        rng.normal((1, 3 * hid)), rng.normal((1, 3 * hid))]
+                weight = rng.normal((steps * rows, hid))
+                check_gradients(
+                    lambda *vs: reduce_sum(mul(gru_sequence(*vs, steps=steps),
+                                               weight)),
+                    args, label=f"gru_sequence steps={steps}")
+                x, h0 = args[:2]
+                check_gradients(
+                    lambda *ws: reduce_sum(mul(gru_sequence(x, h0, *ws,
+                                                            steps=steps),
+                                               weight)),
+                    args[2:], label=f"gru_sequence steps={steps}, x and h0"
+                                    " constant")
 
 
 class TestGruForward:
     def test_zero_params_zero_hidden_fixed_point(self):
         hid = 4
-        out = gru_cell(np.ones((1, 3)), np.zeros((1, hid)),
-                       np.zeros((3, 3 * hid)), np.zeros((hid, 3 * hid)),
-                       np.zeros((1, 3 * hid)), np.zeros((1, 3 * hid)))
+        out = gru_sequence(np.ones((1, 3)), np.zeros((1, hid)),
+                           np.zeros((3, 3 * hid)), np.zeros((hid, 3 * hid)),
+                           np.zeros((1, 3 * hid)), np.zeros((1, 3 * hid)))
         np.testing.assert_array_equal(out.value, np.zeros((1, hid)))
 
     def test_zero_params_halves_hidden(self):
         hid = 3
         h = np.array([[1.0, -2.0, 4.0]])
-        out = gru_cell(np.zeros((1, 2)), h, np.zeros((2, 3 * hid)),
-                       np.zeros((hid, 3 * hid)), np.zeros((1, 3 * hid)),
-                       np.zeros((1, 3 * hid)))
-        np.testing.assert_allclose(out.value, 0.5 * h)
+        out = gru_sequence(np.zeros((2, 2)), h, np.zeros((2, 3 * hid)),
+                           np.zeros((hid, 3 * hid)), np.zeros((1, 3 * hid)),
+                           np.zeros((1, 3 * hid)), steps=2)
+        np.testing.assert_allclose(out.value, [0.5 * h[0], 0.25 * h[0]])
 
     def test_matches_independent_reference(self):
         rng = Rng(106)
-        for _ in range(20):
-            hid, din, rows = 5, 4, 3
-            x = rng.normal((rows, din))
-            h = rng.normal((rows, hid))
-            w_ih = rng.normal((din, 3 * hid))
-            w_hh = rng.normal((hid, 3 * hid))
-            b_ih = rng.normal((1, 3 * hid))
-            b_hh = rng.normal((1, 3 * hid))
-            got = gru_cell(x, h, w_ih, w_hh, b_ih, b_hh).value
-            want = gru_step_reference(x, h, w_ih, w_hh, b_ih, b_hh)
-            np.testing.assert_allclose(got, want, atol=1e-12)
+        hid, din, rows = 5, 4, 3
+        for steps in (1, 3):
+            for _ in range(10):
+                x = rng.normal((steps * rows, din))
+                h = rng.normal((rows, hid))
+                w_ih = rng.normal((din, 3 * hid))
+                w_hh = rng.normal((hid, 3 * hid))
+                b_ih = rng.normal((1, 3 * hid))
+                b_hh = rng.normal((1, 3 * hid))
+                got = gru_sequence(x, h, w_ih, w_hh, b_ih, b_hh, steps).value
+                for t in range(steps):
+                    h = gru_step_reference(x[t * rows:(t + 1) * rows], h,
+                                           w_ih, w_hh, b_ih, b_hh)
+                    np.testing.assert_allclose(got[t * rows:(t + 1) * rows],
+                                               h, atol=1e-12)

@@ -10,7 +10,7 @@ from hypermix import mixers as mx
 from hypermix.config import Config
 from hypermix.envs import OneStepMatrixGame, TwoStepGame, make_env
 from hypermix.rng import Rng
-from hypermix.training import (Episode, ReplayBuffer, Schedule,
+from hypermix.training import (Episode, ReplayBuffer, Schedule, _batch_inputs,
                                collect_episode, evaluate_policy,
                                init_run_stores, run_training, td_targets,
                                train_step, update_target)
@@ -114,6 +114,26 @@ class TestCollectEpisode:
                              Rng(1).split("x"), agent_hidden=4)
         assert ep.avail[1].all()
         np.testing.assert_array_equal(ep.obs[1], np.eye(2))
+
+    def test_replayed_inputs_are_the_collector_inputs(self, monkeypatch):
+        env = make_env({"name": "grid", "n_agents": 3, "length": 4})
+        spec = env.spec
+        store, _ = tiny_mixer_store("vdn", n=3, obs_dim=spec.obs_dim,
+                                    n_actions=spec.n_actions)
+        used = []
+        build = ag.build_agent_inputs
+        monkeypatch.setattr(ag, "build_agent_inputs",
+                            lambda *a: used.append(build(*a)) or used[-1])
+        ep = collect_episode(env, store, 1.0, Rng(3).split("env"),
+                             Rng(3).split("x"), agent_hidden=4)
+        assert ep.length > 1 and len(used) == ep.length
+        replayed = _batch_inputs([ep], spec.n_actions)
+        for t in range(ep.length):
+            np.testing.assert_array_equal(replayed[t], used[t])
+        np.testing.assert_array_equal(
+            replayed[ep.length],
+            build(ep.obs[ep.length], ep.actions[ep.length - 1],
+                  spec.n_actions))
 
 
 def _reference_q(params, ep, t, dims):
