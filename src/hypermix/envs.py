@@ -164,7 +164,9 @@ class LazyCoordinationGrid:
 
     Actions: 0 = stay, 1 = left, 2 = right; moves off the corridor are
     masked unavailable. Reward is 1 exactly when every agent is on its own
-    target simultaneously, which also terminates the episode. With
+    target simultaneously, which also terminates the episode. The step at
+    ``episode_limit`` is terminated too: the state has no time feature, so
+    TD targets do not bootstrap past the limit. With
     ``freeze=True`` an agent locks in place on arrival and its observation
     is replaced by the dead-agent mask value.
     """

@@ -27,12 +27,6 @@ def _ones_col(n: int) -> np.ndarray:
     return np.ones((n, 1))
 
 
-@lru_cache(maxsize=64)
-def _tiled_eye(n_samples: int, n: int) -> np.ndarray:
-    # the one-hot incidence of n_samples samples stacked along rows
-    return np.tile(np.eye(n), (n_samples, 1))
-
-
 def build_hypergraph_rows(Z_rows, gen_w, gen_b, n: int):
     """Incidence matrices of samples stacked along rows.
 
@@ -46,7 +40,7 @@ def build_hypergraph_rows(Z_rows, gen_w, gen_b, n: int):
     rows, m = h1.shape
     mu = mul(block_sum(matmul(h1, _ones_col(m)), n),
              np.array([[1.0 / (n * m)]]))                 # S x 1
-    h2 = mul(repeat_rows(mu, n), _tiled_eye(rows // n, n))  # S*n x n
+    h2 = reshape(mul(mu, np.eye(n).reshape(1, n * n)), rows, n)  # S*n x n
     return concat_cols(h1, h2), mu
 
 

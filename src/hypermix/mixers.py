@@ -22,7 +22,7 @@ import numpy as np
 from .autodiff import (Var, absval, add, block_sum, elu, matmul, mul,
                        reshape)
 from .errors import ConfigError
-from .hypergraph import _tiled_eye, build_hypergraph_rows, hgcn_transform_rows
+from .hypergraph import build_hypergraph_rows, hgcn_transform_rows
 from .nn import LayerSpec, ParameterStore, init_params, linear_fwd, mlp_fwd
 from .rng import Rng
 
@@ -112,7 +112,7 @@ def mix_batch(kind: str, pv: dict[str, Var], chosen: Var, Z: np.ndarray,
     if kind == "qmix":
         return state_module(chosen, s, pv, n_agents, embed)
     if kind == "hgcn-mix-oh":
-        h_rows = _tiled_eye(n_samples, n_agents)
+        h_rows = np.tile(np.eye(n_agents), (n_samples, 1))
     else:
         h_rows, _ = build_hypergraph_rows(np.asarray(Z, dtype=np.float64),
                                           pv["mix.gen.w"], pv["mix.gen.b"],

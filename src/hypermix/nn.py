@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +53,7 @@ class ParameterStore:
 
     def __init__(self):
         self._params: dict[str, _Param] = {}
+        self._memo = None  # (key, weak refs to the value arrays, entries)
 
     def add(self, name: str, value) -> None:
         if name in self._params:
@@ -89,6 +91,19 @@ class ParameterStore:
             if var.grad is not None:
                 p = self._params[name]
                 p.grad = p.grad + var.grad
+
+    def memo(self, key) -> weakref.WeakKeyDictionary:
+        """Entries valid for ``key`` and the current value arrays (held weakly,
+        made read-only); emptied when either changes."""
+        arrays = [p.value for p in self._params.values()]
+        held = self._memo
+        if (held is None or held[0] != key or len(held[1]) != len(arrays)
+                or any(r() is not a for r, a in zip(held[1], arrays))):
+            for a in arrays:
+                a.flags.writeable = False
+            held = self._memo = (key, [weakref.ref(a) for a in arrays],
+                                 weakref.WeakKeyDictionary())
+        return held[2]
 
     def clone(self) -> "ParameterStore":
         other = ParameterStore()

@@ -41,7 +41,7 @@ class Schedule:
         return self.eps_start + (self.eps_end - self.eps_start) * frac
 
 
-@dataclass
+@dataclass(eq=False)
 class Episode:
     """One rollout with a trailing observation slot for bootstrapping.
 
@@ -195,18 +195,10 @@ def _mix_steps(kind: str, pv: dict[str, Var], chosen, batch: list[Episode],
                         n, embed)
 
 
-def td_targets(batch: list[Episode], target_store: ParameterStore, kind: str,
-               gamma: float, embed: int, agent_hidden: int = 64,
-               inputs: np.ndarray | None = None) -> np.ndarray:
-    """One-step TD targets from the frozen target parameters, as (T x B).
-
-    Entry [t, e] is the target of step t of episode e; entries past an
-    episode's length are zero. Terminal steps take the raw reward; other
-    steps bootstrap from the target joint value at the per-agent greedy
-    actions of the next step. One mixer call covers the bootstrapping steps
-    only, and the target agents do not run when there are none. ``inputs``
-    may pass in this batch's :func:`_batch_inputs`.
-    """
+def _fresh_targets(batch: list[Episode], target_store: ParameterStore,
+                   kind: str, gamma: float, embed: int, agent_hidden: int,
+                   inputs: np.ndarray | None) -> np.ndarray:
+    """:func:`td_targets` of every episode of ``batch``, without the memo."""
     n = batch[0].obs.shape[1]
     n_actions = batch[0].avail.shape[2]
     t, e = _steps(batch)
@@ -226,6 +218,43 @@ def td_targets(batch: list[Episode], target_store: ParameterStore, kind: str,
     chosen = Var(q_rows[np.arange(q_rows.shape[0]), greedy].reshape(-1, 1))
     qtot = _mix_steps(kind, pv, chosen, batch, t, e, embed)
     targets[t - 1, e] += gamma * qtot.value[:, 0]
+    return targets
+
+
+def td_targets(batch: list[Episode], target_store: ParameterStore, kind: str,
+               gamma: float, embed: int, agent_hidden: int = 64,
+               inputs: np.ndarray | None = None) -> np.ndarray:
+    """One-step TD targets from the frozen target parameters, as (T x B).
+
+    Entry [t, e] is the target of step t of episode e; entries past an
+    episode's length are zero. Terminal steps take the raw reward (so does a
+    time-limit step the environment marks terminal, as the corridor does:
+    no state feature carries the time left); other steps bootstrap from the
+    target joint value at the per-agent greedy actions of the next step.
+    ``inputs`` may pass in this batch's :func:`_batch_inputs`.
+
+    Each episode's targets are memoized in ``target_store.memo`` under
+    (kind, gamma, embed, agent_hidden) by episode identity, and its arrays
+    become read-only; a new key or target parameter array empties the memo.
+    Missed episodes share one target agent and mixer call; hits make none.
+    """
+    memo = target_store.memo((kind, gamma, embed, agent_hidden))
+    missed = [k for k, ep in enumerate(batch) if ep not in memo]
+    if missed:
+        sub = [batch[k] for k in missed]
+        if inputs is not None:
+            cols = inputs.reshape(len(inputs), len(batch), -1, inputs.shape[2])
+            inputs = cols[:, missed].reshape(len(inputs), -1, inputs.shape[2])
+        fresh = _fresh_targets(sub, target_store, kind, gamma, embed,
+                               agent_hidden, inputs)
+        for k, ep in enumerate(sub):
+            memo[ep] = fresh[:ep.length, k].copy()
+            for value in (*vars(ep).values(), memo[ep]):
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+    targets = np.zeros((max(ep.length for ep in batch), len(batch)))
+    for k, ep in enumerate(batch):
+        targets[:ep.length, k] = memo[ep]
     return targets
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import hypermix.autodiff as ad
+import hypermix.hypergraph as hg
+import hypermix.mixers as mx
 from hypermix.autodiff import Var
 from hypermix.errors import ConfigError
 from hypermix.mixers import (MIXER_KINDS, igm_check,
@@ -126,6 +128,23 @@ class TestHgcnMixHead:
         qtot = mix_batch("hgcn-mix", store.bind(None), Var(np.zeros((2, 1))),
                          Rng(0).normal((2, 3)), np.zeros((1, 2)), 2, 3)
         assert qtot.value[0, 0] == 0.0
+
+    @pytest.mark.parametrize("kind", ["hgcn-mix", "hgcn-mix-oh"])
+    def test_no_cache_grows_with_sample_count(self, kind):
+        store = _mixer_store(kind, n=3, obs_dim=4, state_dim=3, seed=8)
+        caches = [f for module in (hg, mx) for f in vars(module).values()
+                  if hasattr(f, "cache_info")]
+        for f in caches:
+            f.cache_clear()
+
+        def sizes_after(counts):
+            rng = Rng(9)
+            for S in counts:
+                mix_batch(kind, store.bind(None), Var(rng.normal((S * 3, 1))),
+                          rng.normal((S * 3, 4)), rng.normal((S, 3)), 3, 3)
+            return [f.cache_info().currsize for f in caches]
+
+        assert sizes_after(range(1, 5)) == sizes_after(range(5, 80))
 
     def test_matches_component_oracle_composition(self):
         rng = Rng(6)

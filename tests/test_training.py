@@ -1,6 +1,8 @@
 """Episode collection, replay, TD targets, training steps, evaluation."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypermix import agents as ag
 from hypermix import mixers as mx
 from hypermix.config import Config
 from hypermix.envs import OneStepMatrixGame, TwoStepGame, make_env
+from hypermix.nn import load_checkpoint_into, rmsprop_step, save_checkpoint
 from hypermix.rng import Rng
 from hypermix.training import (Episode, ReplayBuffer, Schedule, _batch_inputs,
                                collect_episode, evaluate_policy,
@@ -309,6 +312,154 @@ class TestTdTargets:
         y = td_targets(batch, store, "qmix", gamma=0.9, embed=dims["embed"],
                        agent_hidden=4)
         np.testing.assert_array_equal(y, [[ep.reward[0] for ep in batch]])
+
+    def test_time_limit_step_takes_raw_reward(self):
+        # the corridor marks its time-limit step terminated: no bootstrap
+        store, dims = tiny_mixer_store("qmix", n=2, obs_dim=6, n_actions=3,
+                                       state_dim=12)
+        batch = self._batch(store, {"name": "grid", "n_agents": 2,
+                                    "length": 3}, count=20, seed=60)
+        limit = 6
+        cut = [ep for ep in batch
+               if ep.length == limit and ep.reward[limit - 1] == 0.0]
+        assert cut, "no episode reached the time limit"
+        y = td_targets(cut, store, "qmix", gamma=0.9, embed=dims["embed"],
+                       agent_hidden=4)
+        for k, ep in enumerate(cut):
+            assert ep.terminated[limit - 1]
+            assert y[limit - 1, k] == 0.0
+            assert (y[:limit - 1, k] != 0.0).all()  # earlier steps bootstrap
+
+
+def _spy_target_pass(monkeypatch):
+    """Count calls of the target agents and mixer."""
+    calls = {"agent_forward": 0, "mix_batch": 0}
+    for module, name in ((ag, "agent_forward"), (mx, "mix_batch")):
+        def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestTargetMemo:
+    """td_targets computes each episode's targets once per target sync."""
+
+    def _setup(self, kind):
+        store, dims = tiny_mixer_store(kind, n=3, obs_dim=4, n_actions=3,
+                                       state_dim=5, hyperedges=2, embed=3)
+        return store, dims, _mixed_length_batch(dims, seed=40)
+
+    def _targets(self, batch, store, dims, kind="hgcn-mix", gamma=0.9):
+        return td_targets(batch, store, kind, gamma=gamma, embed=dims["embed"],
+                          agent_hidden=dims["agent_hidden"])
+
+    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix", "hgcn-mix-oh"])
+    @pytest.mark.parametrize("pass_inputs", [False, True])
+    def test_memoized_and_new_episodes_match_oracle(self, kind, pass_inputs):
+        store, dims, old = self._setup(kind)
+        self._targets(old[:3], store, dims, kind)
+        new = _mixed_length_batch(dims, seed=41)
+        batch = [new[0], old[1], new[1], old[0], new[3], old[2], new[4]]
+        inputs = _batch_inputs(batch, dims["n_actions"]) if pass_inputs else None
+        got = td_targets(batch, store, kind, gamma=0.9, embed=dims["embed"],
+                         agent_hidden=dims["agent_hidden"], inputs=inputs)
+        want = _reference_td_targets(batch, store, kind, 0.9, dims)
+        for g, w in zip(_columns(got, batch), want):
+            np.testing.assert_allclose(g, w, atol=1e-9)
+        fresh = self._targets(batch, store.clone(), dims, kind)
+        np.testing.assert_allclose(got, fresh, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix", "hgcn-mix-oh"])
+    def test_repeat_call_runs_no_target_pass(self, kind, monkeypatch):
+        store, dims, batch = self._setup(kind)
+        first = self._targets(batch, store, dims, kind)
+        calls = _spy_target_pass(monkeypatch)
+        again = self._targets(batch[::-1], store, dims, kind)
+        assert calls == {"agent_forward": 0, "mix_batch": 0}
+        np.testing.assert_array_equal(again, first[:, ::-1])
+
+    def _online(self, target):
+        online = target.clone()
+        for _, p in online.items():
+            p.value = p.value + 0.25
+        return online
+
+    @pytest.mark.parametrize("event", ["update_target", "rmsprop_step",
+                                       "load_checkpoint_into", "rebind"])
+    def test_recomputed_after_parameter_change(self, event, monkeypatch,
+                                               tmp_path):
+        store, dims, batch = self._setup("hgcn-mix")
+        before = self._targets(batch, store, dims)
+        if event == "update_target":
+            update_target(self._online(store), store)
+        elif event == "rmsprop_step":
+            for _, p in store.items():
+                p.grad = np.ones_like(p.value)
+            rmsprop_step(store, lr=0.05)
+        elif event == "load_checkpoint_into":
+            save_checkpoint(self._online(store), tmp_path / "ckpt")
+            load_checkpoint_into(store, tmp_path / "ckpt")
+        else:
+            store["mix.v.fc2.b"].value = store["mix.v.fc2.b"].value + 1.0
+        calls = _spy_target_pass(monkeypatch)
+        after = self._targets(batch, store, dims)
+        assert calls == {"agent_forward": 1, "mix_batch": 1}
+        assert (after != before).any()
+        np.testing.assert_array_equal(
+            after, self._targets(batch, store.clone(), dims))
+
+    @pytest.mark.parametrize("change", [{"gamma": 0.5}, {"kind": "qmix"},
+                                        {"kind": "vdn"}])
+    def test_recomputed_after_key_change(self, change, monkeypatch):
+        store, dims, batch = self._setup("hgcn-mix")
+        before = self._targets(batch, store, dims)
+        calls = _spy_target_pass(monkeypatch)
+        after = self._targets(batch, store, dims, **change)
+        assert calls == {"agent_forward": 1, "mix_batch": 1}
+        assert (after != before).any()
+        np.testing.assert_array_equal(
+            after, self._targets(batch, store.clone(), dims, **change))
+
+    def test_in_place_writes_raise(self):
+        store, dims, batch = self._setup("hgcn-mix")
+        self._targets(batch, store, dims)
+        with pytest.raises(ValueError, match="read-only"):
+            batch[0].reward[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            batch[1].obs[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            store["agent.fc1.w"].value[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            store["mix.edge_w1"].value += 1.0
+
+    def test_evicted_episodes_and_replaced_arrays_are_freed(self):
+        store, dims, batch = self._setup("hgcn-mix")
+        buf = ReplayBuffer(capacity=len(batch))
+        for ep in batch:
+            buf.add(ep)
+        sample = buf.sample(len(batch), Rng(0))
+        self._targets(sample, store, dims)
+        memo = store.memo(("hgcn-mix", 0.9, dims["embed"],
+                           dims["agent_hidden"]))
+        assert len(memo) == len(batch)
+        episode = weakref.ref(batch[0])
+        array = weakref.ref(store["mix.gen.w"].value)
+        for ep in _mixed_length_batch(dims, seed=43):
+            buf.add(ep)  # evicts every episode of the first batch
+        del batch, sample, ep
+        gc.collect()
+        assert episode() is None and len(memo) == 0
+        update_target(self._online(store), store)
+        gc.collect()
+        assert array() is None
+
+    def test_fresh_store_starts_empty(self):
+        store, dims, batch = self._setup("qmix")
+        key = ("qmix", 0.9, dims["embed"], dims["agent_hidden"])
+        self._targets(batch, store, dims, "qmix")
+        assert len(store.memo(key)) == len(batch)
+        assert len(store.clone().memo(key)) == 0
 
 
 class TestTrainStep:
