@@ -7,6 +7,7 @@ Run: python3 demos/02_hypergraph_convolution.py
 
 import numpy as np
 
+from hypermix.autodiff import Tape
 from hypermix.hypergraph import (build_hypergraph_rows, hgcn_layer_rows,
                                  hgcn_transform_rows, mixing_matrix)
 
@@ -58,3 +59,10 @@ mixed2 = hgcn_transform_rows(q2, H2, edge_w, edge_w, n_agents)
 print("two stacked samples, mu per sample:", np.round(mu2.value.ravel(), 4))
 print("mixed values per sample:")
 print(np.round(mixed2.value.reshape(2, n_agents), 3))
+
+# On a tape, each convolution layer is a single record whose backward gives
+# the gradients of the values, the incidence and the edge weights at once.
+tape = Tape()
+hgcn_transform_rows(tape.var(q2), tape.var(H2.value), tape.var(edge_w),
+                    tape.var(edge_w), n_agents)
+print("tape records of a traced transform:", [r.name for r in tape.records])

@@ -8,8 +8,8 @@ drops the records once done. Plain numpy arrays (or variables without a
 tape) act as constants: backward computes no gradient for them.
 
 Subgradient conventions at kinks: relu'(0) = 0, abs'(0) = 0, elu uses
-alpha = 1. Safe reciprocals return exactly 0 at or below ``SAFE_EPS`` so
-that zero degrees in downstream code stay finite.
+alpha = 1. The hypergraph convolution's degree pseudo-inverses are exactly 0
+at or below ``SAFE_EPS``, so zero degrees stay finite.
 """
 
 from __future__ import annotations
@@ -229,31 +229,6 @@ def absval(x) -> Var:
     return _emit("abs", (x,), np.abs(xv), bwd)
 
 
-def safe_rsqrt(x) -> Var:
-    """1/sqrt(x) where x > SAFE_EPS, exactly 0 elsewhere (diagonal pseudo-inverse)."""
-    x = _as_var(x)
-    mask = x.value > SAFE_EPS
-    safe = np.where(mask, x.value, 1.0)
-
-    def bwd(g, need):
-        return (g * np.where(mask, -0.5 / (np.sqrt(safe) * safe), 0.0),)
-
-    return _emit("safe_rsqrt", (x,),
-                 np.where(mask, 1.0 / np.sqrt(safe), 0.0), bwd)
-
-
-def safe_recip(x) -> Var:
-    """1/x where x > SAFE_EPS, exactly 0 elsewhere (diagonal pseudo-inverse)."""
-    x = _as_var(x)
-    mask = x.value > SAFE_EPS
-    safe = np.where(mask, x.value, 1.0)
-
-    def bwd(g, need):
-        return (g * np.where(mask, -1.0 / (safe * safe), 0.0),)
-
-    return _emit("safe_recip", (x,), np.where(mask, 1.0 / safe, 0.0), bwd)
-
-
 def reduce_sum(x) -> Var:
     """Sum of all entries, as a 1x1 matrix."""
     x = _as_var(x)
@@ -313,22 +288,6 @@ def block_sum(x, n: int) -> Var:
 
     return _emit("block_sum", (x,),
                  x.value.reshape(rows // n, n, cols).sum(axis=1), bwd)
-
-
-def repeat_rows(x, n: int) -> Var:
-    """Repeat each row ``n`` times in place: (R x c) -> (R*n x c).
-
-    The adjoint of :func:`block_sum`.
-    """
-    x = _as_var(x)
-    rows, cols = x.value.shape
-    if n <= 0:
-        raise DimensionError(f"repeat_rows: repeat count {n} must be positive")
-
-    def bwd(g, need):
-        return (g.reshape(rows, n, cols).sum(axis=1),)
-
-    return _emit("repeat_rows", (x,), np.repeat(x.value, n, axis=0), bwd)
 
 
 def select_rows(x, rows) -> Var:
@@ -431,6 +390,67 @@ def gru_sequence(x, h0, w_ih, w_hh, b_ih, b_hh, steps: int = 1) -> Var:
         return dx, dh if need[1] else None, dw_ih, dw_hh, db_ih, db_hh
 
     return _emit("gru_sequence", operands, out, bwd)
+
+
+def hgcn_conv(x, H, w, n: int) -> Var:
+    """Spectral hypergraph convolution of samples stacked along rows, as one record.
+
+    ``x`` (S*n x 1) and ``H`` (S*n x k) hold one block of ``n`` agent rows per
+    sample; ``w`` (k x 1) holds the shared hyperedge weights. Each block
+    computes d^{-1/2} H |w| b^{-1} H^T d^{-1/2} x with vertex degrees
+    d = H |w| and hyperedge degrees b = 1^T H of its own. Both normalizers
+    are diagonal pseudo-inverses: exactly 0 where the degree is at or below
+    ``SAFE_EPS``, with zero gradient there; abs'(0) = 0.
+    """
+    operands = tuple(map(_as_var, (x, H, w)))
+    xv, hv, wv = (v.value for v in operands)
+    rows, k = hv.shape
+    if n <= 0 or rows % n:
+        raise DimensionError(f"hgcn_conv: {rows} rows do not split into blocks of {n}")
+    if xv.shape != (rows, 1) or wv.shape != (k, 1):
+        raise DimensionError(f"hgcn_conv: x {xv.shape} and w {wv.shape} do not fit"
+                             f" H {hv.shape}; expected {(rows, 1)} and {(k, 1)}")
+    S = rows // n
+    h3 = hv.reshape(S, n, k)
+    aw = np.abs(wv)
+    d = (hv @ aw).reshape(S, n)
+    dis = (d > SAFE_EPS) / np.sqrt(np.maximum(d, SAFE_EPS))
+    x2 = xv.reshape(S, n)
+    # one product gives the hyperedge degrees b (row 0) and the projection
+    # s = (d^{-1/2} x)^T H (row 1) of every sample
+    lhs = np.stack((np.ones_like(d), dis * x2), axis=1)
+    z = lhs[:, 1]
+    b, s = (lhs @ h3).transpose(1, 0, 2)
+    binv = (b > SAFE_EPS) / np.maximum(b, SAFE_EPS)
+    t = s * binv * aw.T                                   # S x k
+    u = (h3 @ t[:, :, None])[:, :, 0]                     # S x n
+    out = (dis * u).reshape(rows, 1)
+
+    def bwd(g, need):
+        g = g.reshape(S, n)
+        gu = g * dis
+        gt = (gu[:, None, :] @ h3)[:, 0]
+        gs = gt * binv * aw.T
+        gz = (h3 @ gs[:, :, None])[:, :, 0]
+        gx = (gz * dis).reshape(rows, 1) if need[0] else None
+        gH = gw = None
+        if need[1] or need[2]:
+            # d(d^{-1/2})/dd = -d^{-3/2}/2 and d(b^{-1})/db = -b^{-2}: both
+            # vanish where the pseudo-inverse is 0
+            dd = (g * u + gz * x2) * (-0.5 * dis ** 3)
+        if need[1]:
+            # dH = gu t^T + z gs^T + dd |w|^T + 1 gb^T, one rank-4 product
+            left, right = np.ones((S, n, 4)), np.empty((S, 4, k))
+            left[..., 0], left[..., 1], left[..., 2] = gu, z, dd
+            right[:, 0], right[:, 1], right[:, 2] = t, gs, aw.T
+            np.multiply(-gt * t, binv, out=right[:, 3])
+            gH = (left @ right).reshape(rows, k)
+        if need[2]:
+            gaw = (gt * s * binv).sum(axis=0)[:, None] + hv.T @ dd.reshape(rows, 1)
+            gw = gaw * np.sign(wv)
+        return gx, gH, gw
+
+    return _emit("hgcn_conv", operands, out, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ the right with a scaled identity block so each agent keeps a self-edge whose
 weight matches the scale of the learned block. The convolution normalizes by
 vertex and hyperedge degrees with diagonal pseudo-inverses, so all-zero
 hyperedge columns are legal and the scaled-identity case reproduces the
-input exactly. Every function takes samples stacked along rows, one block
-of n agent rows each; a single sample is a batch of one.
+input exactly; each layer is a single ``autodiff.hgcn_conv`` tape record.
+Every function takes samples stacked along rows, one block of n agent rows
+each; a single sample is a batch of one.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (Var, absval, add, block_sum, concat_cols, matmul, mul,
-                       relu, repeat_rows, reshape, safe_recip, safe_rsqrt)
+from .autodiff import (Var, add, block_sum, concat_cols, hgcn_conv, matmul,
+                       mul, relu, reshape)
 
 
 @lru_cache(maxsize=32)
@@ -44,35 +45,14 @@ def build_hypergraph_rows(Z_rows, gen_w, gen_b, n: int):
     return concat_cols(h1, h2), mu
 
 
-def degree_matrices(H_rows, aw, n: int) -> tuple[Var, Var]:
-    """Degrees of incidence blocks of ``n`` rows under edge weights ``aw``.
-
-    Returns vertex degrees d_i = sum_e aw_e H_ie (S*n x 1) and per-sample
-    hyperedge degrees b_e = sum_i H_ie (S x k).
-    """
-    return matmul(H_rows, aw), block_sum(H_rows, n)
-
-
 def hgcn_layer_rows(x, H_rows, w, n: int) -> Var:
     """One spectral hypergraph convolution per sample, samples along rows.
 
-    ``x`` (S*n x 1) and ``H_rows`` (S*n x k) hold one block of ``n`` agent
-    rows per sample. Each block computes
-    d^{-1/2} * H * |w| * b^{-1} * H^T * d^{-1/2} * x with its own degrees and
-    diagonal pseudo-inverses for the normalizers; the inter-layer weight
-    matrix is fixed to the identity. Per-sample reductions are block sums,
-    so the cost grows linearly with S. Differentiable in x, H and w,
-    including through both degree normalizers.
+    The layer is a single :func:`hypermix.autodiff.hgcn_conv` tape record,
+    d^{-1/2} H |w| b^{-1} H^T d^{-1/2} x per block of ``n`` agent rows, with
+    the inter-layer weight matrix fixed to the identity.
     """
-    k = H_rows.shape[1]
-    aw = absval(w)                                        # k x 1
-    d, b = degree_matrices(H_rows, aw, n)
-    d_isqrt = safe_rsqrt(d)                               # S*n x 1
-    z = mul(d_isqrt, x)                                   # row scaling
-    t = block_sum(mul(z, H_rows), n)                      # S x k, onto hyperedges
-    t = mul(mul(t, safe_recip(b)), reshape(aw, 1, k))     # normalize, weight
-    y = matmul(mul(H_rows, repeat_rows(t, n)), _ones_col(k))  # back onto vertices
-    return mul(d_isqrt, y)
+    return hgcn_conv(x, H_rows, w, n)
 
 
 def hgcn_transform_rows(q, H_rows, w1, w2, n: int) -> Var:

@@ -12,12 +12,17 @@ import numpy as np
 import pytest
 
 from hypermix import autodiff as ad
+from hypermix.agents import agent_forward, initial_hidden
 from hypermix.autodiff import reduce_sum
-from hypermix.hypergraph import hgcn_layer_rows, hgcn_transform_rows
+from hypermix.config import Config
+from hypermix.envs import make_env
+from hypermix.hypergraph import (build_hypergraph_rows, hgcn_layer_rows,
+                                 hgcn_transform_rows)
 from hypermix.mixers import igm_check, init_mixer_params, make_qtot_fn
 from hypermix.nn import (LayerSpec, ParameterStore, gru_fwd, init_params,
-                         mlp_fwd)
+                         load_checkpoint, mlp_fwd)
 from hypermix.rng import Rng
+from hypermix.training import _batch_inputs, collect_episode, run_training
 
 from _helpers import (assert_grad_close, check_gradients,
                       composite_param_grads, composite_qtot_value,
@@ -243,3 +248,53 @@ def test_criterion_6_ablation_equivalence():
     assert worst <= 1e-12, f"ablation gap {worst:.2e}"
     assert elapsed < 10.0
     _report(6, f"max |Qtot gap| {worst:.1e} over 1000 instances", elapsed, 10)
+
+
+def test_criterion_9_trained_monotonicity_and_igm(tmp_path):
+    """A trained hgcn-mix (corridor n=3, length 4, desk widths, seed 0,
+    400 episodes) keeps dQtot/dQ_a >= -1e-9 and passes the exhaustive IGM
+    check (3^3 joint actions) at every state of 8 of its greedy episodes,
+    where ReLU leaves some learned incidence columns all zero."""
+    start = time.perf_counter()
+    cfg = Config(env={"name": "grid", "n_agents": 3, "length": 4},
+                 mixer="hgcn-mix", agent_hidden=16, embed=8, hypernet_hidden=8,
+                 hyperedges=8, lr=5e-3, anneal_steps=2000, eval_interval=50,
+                 episodes=400)
+    summary = run_training(cfg, 0, tmp_path)
+    store = load_checkpoint(summary["checkpoint"])
+    env = make_env(cfg.env)
+    n, n_actions = env.spec.n_agents, env.spec.n_actions
+    pv = store.bind(None)
+    rng = Rng(0).split("criterion 9")
+    h = 1e-6
+    worst_partial, states, zero_columns = np.inf, 0, 0
+    for k in range(8):
+        ep = collect_episode(env, store, 0.0, rng.split(f"env{k}"),
+                             rng.split(f"explore{k}"), cfg.agent_hidden)
+        steps = ep.length
+        inputs = _batch_inputs([ep], n_actions)[:steps].reshape(steps * n, -1)
+        q, _ = agent_forward(pv, ad.Var(inputs),
+                             initial_hidden(n, cfg.agent_hidden), steps=steps)
+        tables = q.value.reshape(steps, n, n_actions)
+        for t in range(steps):
+            H, _ = build_hypergraph_rows(ep.obs[t], pv["mix.gen.w"],
+                                         pv["mix.gen.b"], n)
+            zero_columns += int((H.value[:, :cfg.hyperedges] == 0.0)
+                                .all(axis=0).sum())
+            fn = make_qtot_fn("hgcn-mix", store, ep.obs[t], ep.state[t], n,
+                              cfg.embed)
+            chosen = tables[t].max(axis=1)
+            base = fn(chosen)
+            for i in range(n):
+                up = chosen.copy()
+                up[i] += h
+                partial = (fn(up) - base) / h
+                worst_partial = min(worst_partial, partial)
+                assert partial >= -1e-9, f"state {k}.{t}: partial {partial:.2e}"
+            assert igm_check(fn, tables[t], tol=1e-9), f"IGM failed: {k}.{t}"
+            states += 1
+    elapsed = time.perf_counter() - start
+    assert zero_columns > 0
+    assert elapsed < 10.0
+    _report(9, f"worst partial {worst_partial:+.1e}, IGM {states}/{states}"
+               f" states, {zero_columns} all-zero learned columns", elapsed, 10)

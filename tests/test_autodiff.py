@@ -6,17 +6,39 @@ import weakref
 import numpy as np
 import pytest
 
-import hypermix.autodiff as ad
-from hypermix.autodiff import (Tape, Var, absval, add, block_sum, concat_cols,
-                               elu, evaluate, finite_diff, gradient,
-                               gru_sequence, matmul, mul, reduce_sum, relu,
-                               repeat_rows, reshape, safe_recip, safe_rsqrt,
-                               select_rows)
+from hypermix.autodiff import (SAFE_EPS, Tape, Var, absval, add, block_sum,
+                               concat_cols, elu, evaluate, finite_diff,
+                               gradient, gru_sequence, hgcn_conv, matmul, mul,
+                               reduce_sum, relu, reshape, select_rows)
 from hypermix.errors import DimensionError, TapeError
 from hypermix.rng import Rng
 
-from _helpers import check_gradients, shift_from_kinks
-from _oracles import gru_step_reference
+from _helpers import assert_grad_close, check_gradients, shift_from_kinks
+from _oracles import gru_step_reference, hgcn_layer_dense
+
+
+def _spy_on_backward(tape):
+    """Wrap the last record's backward; returns the list its results go to."""
+    record = tape.records[-1]
+    computed = []
+    bwd = record.bwd
+
+    def spy(g, need):
+        grads = bwd(g, need)
+        computed.append(grads)
+        return grads
+
+    record.bwd = spy
+    return computed
+
+
+def _hgcn_grads(x, H, w, n):
+    """Gradients of a weighted sum of hgcn_conv's output in x, H and w."""
+    tape = Tape()
+    vs = [tape.var(a) for a in (x, H, w)]
+    weight = np.linspace(-1.0, 2.0, x.shape[0]).reshape(-1, 1)
+    gradient(tape, reduce_sum(mul(hgcn_conv(*vs, n), weight)))
+    return [v.grad for v in vs]
 
 
 class TestForwardValues:
@@ -50,11 +72,22 @@ class TestForwardValues:
                                    [np.expm1(-1.0), 0.0, 2.0])
 
     def test_safe_reciprocals_zero_below_threshold(self):
-        x = np.array([4.0, 0.0, 1e-9, 1e-3])
-        np.testing.assert_allclose(safe_recip(Var(x)).value.ravel(),
-                                   [0.25, 0.0, 0.0, 1000.0])
-        np.testing.assert_allclose(safe_rsqrt(Var(x)).value.ravel(),
-                                   [0.5, 0.0, 0.0, 1.0 / np.sqrt(1e-3)])
+        # hgcn_conv's degree pseudo-inverses. One vertex on one hyperedge per
+        # sample: d = b = h, so y = x where h > SAFE_EPS and exactly 0 else
+        h = np.array([[4.0], [0.0], [1e-9], [SAFE_EPS], [1e-3]])
+        x = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
+        out = hgcn_conv(x, h, np.ones((1, 1)), 1).value
+        np.testing.assert_allclose(out, [[1.0], [0.0], [0.0], [0.0], [5.0]])
+        assert out[1, 0] == out[2, 0] == out[3, 0] == 0.0
+        # b^{-1} = 1/2 with d^{-1/2} = 1/sqrt(|w|): mean pooling while
+        # |w| = d > SAFE_EPS, exactly 0 once the vertex degrees drop below
+        x2 = np.array([[1.0], [3.0]])
+        for w, want in ((1e-3, 2.0), (-1e-3, 2.0), (1e-9, 0.0), (0.0, 0.0)):
+            out = hgcn_conv(x2, np.ones((2, 1)), np.array([[w]]), 2).value
+            np.testing.assert_allclose(out, [[want], [want]], rtol=1e-12)
+        # b = 2e-9 below the threshold, d = 0.2 above it: exactly 0
+        out = hgcn_conv(x2, np.full((2, 1), 1e-9), np.array([[2e8]]), 2).value
+        np.testing.assert_array_equal(out, np.zeros((2, 1)))
 
     def test_reductions(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -76,12 +109,12 @@ class TestForwardValues:
         assert reshape(same, 2, 3) is same
 
     def test_block_sum_and_repeat_rows(self):
-        x = np.arange(12.0).reshape(6, 2)
-        np.testing.assert_array_equal(block_sum(Var(x), 3).value,
-                                      [[6, 9], [24, 27]])
-        np.testing.assert_array_equal(
-            repeat_rows(Var([[1.0, 2.0], [3.0, 4.0]]), 2).value,
-            [[1, 2], [1, 2], [3, 4], [3, 4]])
+        # block_sum's adjoint repeats each row of the seed over its block
+        out, tape, (x,) = evaluate(lambda v: block_sum(v, 3),
+                                   np.arange(12.0).reshape(6, 2))
+        np.testing.assert_array_equal(out.value, [[6, 9], [24, 27]])
+        gradient(tape, {out: np.array([[1.0, 2.0], [3.0, 4.0]])})
+        np.testing.assert_array_equal(x.grad, [[1, 2]] * 3 + [[3, 4]] * 3)
 
     def test_evaluate_is_deterministic(self):
         rng = Rng(7)
@@ -104,7 +137,8 @@ class TestForwardValues:
             def build(xv, wv):
                 h = elu(matmul(xv, wv))
                 h = add(mul(h, h), absval(xv))
-                h = mul(safe_rsqrt(absval(h)), h)
+                h = hgcn_conv(matmul(h, np.ones((3, 1))), h,
+                              matmul(wv, np.ones((3, 1))), 3)
                 return reduce_sum(h)
 
             out, tape, _ = evaluate(build, x, w)
@@ -131,8 +165,18 @@ class TestShapeErrors:
             reshape(Var(np.ones((2, 3))), 4, 2)
         with pytest.raises(DimensionError, match="block_sum"):
             block_sum(Var(np.ones((5, 1))), 2)
-        with pytest.raises(DimensionError, match="repeat_rows"):
-            repeat_rows(Var(np.ones((2, 1))), 0)
+
+    @pytest.mark.parametrize("x_shape,h_shape,w_shape,n", [
+        ((5, 1), (6, 2), (2, 1), 3),   # x rows differ from H rows
+        ((6, 2), (6, 2), (2, 1), 3),   # x is not a column
+        ((6, 1), (6, 2), (3, 1), 3),   # one weight per hyperedge
+        ((6, 1), (6, 2), (1, 2), 3),   # w is not a column
+        ((6, 1), (6, 2), (2, 1), 4),   # rows do not split into blocks of n
+        ((6, 1), (6, 2), (2, 1), 0),
+    ])
+    def test_hgcn_conv_shape_errors(self, x_shape, h_shape, w_shape, n):
+        with pytest.raises(DimensionError, match="hgcn_conv"):
+            hgcn_conv(np.ones(x_shape), np.ones(h_shape), np.ones(w_shape), n)
 
     def test_select_rows_out_of_range(self):
         with pytest.raises(DimensionError, match="select_rows"):
@@ -240,16 +284,7 @@ class TestGradientExamples:
             operands = [rng.normal((3, 3)), rng.normal((3, 3))]
             operands[traced_side] = tape.var(operands[traced_side])
             out = op(*operands)
-            record = tape.records[-1]
-            computed = []
-            bwd = record.bwd
-
-            def spy(g, need):
-                grads = bwd(g, need)
-                computed.append(grads)
-                return grads
-
-            record.bwd = spy
+            computed = _spy_on_backward(tape)
             gradient(tape, reduce_sum(out))
             (grads,) = computed
             assert grads[traced_side] is not None
@@ -265,16 +300,24 @@ class TestGradientExamples:
         operands = [tape.var(a) if i in traced else a
                     for i, a in enumerate(operands)]
         out = gru_sequence(*operands, steps=3)
-        record = tape.records[-1]
-        computed = []
-        bwd = record.bwd
+        computed = _spy_on_backward(tape)
+        gradient(tape, reduce_sum(out))
+        (grads,) = computed
+        for i, grad in enumerate(grads):
+            assert (grad is not None) == (i in traced)
 
-        def spy(g, need):
-            grads = bwd(g, need)
-            computed.append(grads)
-            return grads
-
-        record.bwd = spy
+    @pytest.mark.parametrize("traced", [(0,), (1,), (2,), (0, 2), (1, 2),
+                                        (0, 1, 2)])
+    def test_hgcn_conv_constant_operands_get_no_gradient_work(self, traced):
+        # (0, 2) is hgcn-mix-oh's case: a constant incidence
+        rng = Rng(8)
+        tape = Tape()
+        operands = [rng.normal((6, 1)), np.abs(rng.normal((6, 4))),
+                    rng.normal((4, 1))]
+        operands = [tape.var(a) if i in traced else a
+                    for i, a in enumerate(operands)]
+        out = hgcn_conv(*operands, 3)
+        computed = _spy_on_backward(tape)
         gradient(tape, reduce_sum(out))
         (grads,) = computed
         for i, grad in enumerate(grads):
@@ -365,19 +408,49 @@ class TestGradCheckPrimitives:
             x = shift_from_kinks(rng.normal((3, 4)))
             check_gradients(lambda v: reduce_sum(op(v)), [x], label=op.__name__)
 
-    @pytest.mark.parametrize("op", [safe_recip, safe_rsqrt])
-    def test_safe_reciprocals_positive_branch(self, op):
+    # hgcn_conv's two degree pseudo-inverses: "safe_recip" is b^{-1} over
+    # the hyperedge degrees, "safe_rsqrt" is d^{-1/2} over the vertex degrees
+
+    @pytest.mark.parametrize("normalizer", ["safe_recip", "safe_rsqrt"])
+    def test_safe_reciprocals_positive_branch(self, normalizer):
+        # the chosen degrees lie in [0.0125, 3], the others near 1 or above
         rng = Rng(103)
         for _ in range(self.N_POINTS):
-            x = rng.uniform(0.05, 3.0, (3, 4))
-            check_gradients(lambda v: reduce_sum(op(v)), [x], label=op.__name__)
+            if normalizer == "safe_recip":
+                H = rng.uniform(0.05, 3.0, (6, 4)) / 3.0   # b in [0.05, 3]
+                w = rng.uniform(0.5, 2.0, (4, 1))
+            else:
+                H = rng.uniform(0.5, 2.0, (6, 4))
+                w = rng.uniform(0.05, 3.0, (4, 1)) / 8.0   # d in [0.0125, 3]
+            check_gradients(lambda *vs: reduce_sum(hgcn_conv(*vs, 3)),
+                            [rng.normal((6, 1)), H, w], label=normalizer)
 
-    @pytest.mark.parametrize("op", [safe_recip, safe_rsqrt])
-    def test_safe_reciprocals_zero_branch_grad_is_zero(self, op):
-        out, tape, (x,) = evaluate(lambda v: reduce_sum(op(v)),
-                                   np.zeros((2, 2)))
+    @pytest.mark.parametrize("normalizer", ["safe_recip", "safe_rsqrt"])
+    def test_safe_reciprocals_zero_branch_grad_is_zero(self, normalizer):
+        rng = Rng(107)
+        x, w = rng.normal((6, 1)), rng.normal((4, 1))
+        H = rng.uniform(0.5, 2.0, (6, 4))
+        # every degree at zero: the incidence is zero ("safe_recip") or the
+        # weights are ("safe_rsqrt"); every gradient is exactly zero
+        zeroed = [x, np.zeros_like(H), w] if normalizer == "safe_recip" \
+            else [x, H, np.zeros_like(w)]
+        out, tape, leaves = evaluate(lambda *vs: reduce_sum(hgcn_conv(*vs, 3)),
+                                     *zeroed)
         gradient(tape, out)
-        np.testing.assert_array_equal(x.grad, np.zeros((2, 2)))
+        for leaf in leaves:
+            np.testing.assert_array_equal(leaf.grad, np.zeros_like(leaf.value))
+        # one degree at 1e-9, below SAFE_EPS: a hyperedge column or a vertex
+        # row. With no gradient through its pseudo-inverse, the gradients
+        # differ from those at an exactly zero column or row by O(1e-9);
+        # the unmasked derivative would add terms of order 1e9
+        tiny, zero = H.copy(), H.copy()
+        if normalizer == "safe_recip":
+            tiny[3:, 1], zero[3:, 1] = 1e-9 / 3, 0.0
+        else:
+            tiny[4], zero[4] = 1e-9 / (4 * np.abs(w).max()), 0.0
+        for got, want in zip(_hgcn_grads(x, tiny, w, 3),
+                             _hgcn_grads(x, zero, w, 3)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
     def test_reductions_and_gather(self):
         rng = Rng(104)
@@ -404,9 +477,54 @@ class TestGradCheckPrimitives:
             check_gradients(
                 lambda v: reduce_sum(mul(block_sum(v, 3), weight[:2, :2])),
                 [x], label="block_sum")
-            check_gradients(
-                lambda v: reduce_sum(mul(repeat_rows(v, 2), weight[:, :2])),
-                [rng.normal((2, 2))], label="repeat_rows")
+
+    def test_hgcn_conv(self):
+        rng = Rng(108)
+        for S, n, k in ((1, 3, 2), (2, 3, 4), (3, 2, 5), (2, 4, 1)):
+            for _ in range(4):
+                H = rng.uniform(0.1, 2.0, (S * n, k))
+                weight = rng.normal((S * n, 1))
+                check_gradients(
+                    lambda *vs: reduce_sum(mul(hgcn_conv(*vs, n), weight)),
+                    [rng.normal((S * n, 1)), H, rng.normal((k, 1))],
+                    label=f"hgcn_conv S={S} n={n} k={k}")
+
+    def test_hgcn_conv_with_zero_degrees(self):
+        # an all-zero hyperedge column and a zero-degree vertex; a +-h step
+        # on a zero entry of H crosses SAFE_EPS, where finite differences are
+        # undefined, so H is checked over its nonzero entries only
+        rng = Rng(109)
+        S, n, k = 3, 3, 4
+        for trial in range(12):
+            H = rng.uniform(0.1, 2.0, (S * n, k))
+            H[n * (trial % S):n * (trial % S + 1), trial % k] = 0.0
+            H[(trial * 5 + 1) % (S * n)] = 0.0
+            x, w = rng.normal((S * n, 1)), rng.normal((k, 1))
+            weight = rng.normal((S * n, 1))
+            out = hgcn_conv(x, H, w, n).value
+            for b in range(S):
+                rows = slice(b * n, (b + 1) * n)
+                np.testing.assert_allclose(
+                    out[rows], hgcn_layer_dense(x[rows], H[rows], w), atol=1e-12)
+
+            def build(xv, hv, wv):
+                return reduce_sum(mul(hgcn_conv(xv, hv, wv, n), weight))
+
+            check_gradients(lambda xv, wv: build(xv, H, wv), [x, w],
+                            label=f"hgcn_conv x, w #{trial}")
+            nonzero = H > 0.0
+
+            def on_nonzero(vals):
+                full = np.zeros_like(H)
+                full[nonzero] = vals
+                return float(build(x, full, w).value[0, 0])
+
+            tape = Tape()
+            hv = tape.var(H)
+            gradient(tape, build(x, hv, w))
+            assert_grad_close(hv.grad[nonzero],
+                              finite_diff(on_nonzero, H[nonzero]),
+                              label=f"hgcn_conv H #{trial}")
 
     def test_gru_sequence(self):
         rng = Rng(105)

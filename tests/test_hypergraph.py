@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from hypermix.autodiff import Var, reduce_sum
-from hypermix.hypergraph import (build_hypergraph_rows, degree_matrices,
-                                 hgcn_layer_rows, hgcn_transform_rows,
-                                 mixing_matrix, read_hypergraph_csv,
-                                 write_hypergraph_csv)
+from hypermix.hypergraph import (build_hypergraph_rows, hgcn_layer_rows,
+                                 hgcn_transform_rows, mixing_matrix,
+                                 read_hypergraph_csv, write_hypergraph_csv)
 from hypermix.rng import Rng
 
 from _helpers import check_gradients
@@ -93,20 +92,25 @@ class TestBuildHypergraph:
 
 
 class TestDegrees:
-    # degree_matrices takes the effective (nonnegative) edge weights and
-    # returns vertex degrees as a column and hyperedge degrees as one row
-    # per sample
+    # the layer normalizes by vertex degrees d_i = sum_e |w_e| H_ie and by
+    # hyperedge degrees b_e = sum_i H_ie, both taken per sample
     def test_identity_incidence(self):
-        d, b = degree_matrices(Var(np.eye(2)), Var(np.ones((2, 1))), 2)
-        np.testing.assert_array_equal(d.value, [[1.0], [1.0]])
-        np.testing.assert_array_equal(b.value, [[1.0, 1.0]])
+        # d = |w| and b = 1 per sample: every vertex keeps its own value
+        x = np.array([[1.0], [-2.0], [3.0], [0.5]])
+        out = hgcn_layer_rows(x, np.tile(np.eye(2), (2, 1)),
+                              np.array([[3.0], [-0.5]]), 2)
+        np.testing.assert_allclose(out.value, x, atol=1e-12)
 
     def test_hand_sum(self):
-        d, b = degree_matrices(Var([[1.0], [1.0]]), Var([[2.0]]), 2)
-        np.testing.assert_array_equal(d.value, [[2.0], [2.0]])
-        np.testing.assert_array_equal(b.value, [[2.0]])
+        # H = (1, 1)^T, w = 2: d = (2, 2), b = 2, so y_i = (x_1 + x_2) / 2
+        for w in (2.0, -2.0):
+            out = hgcn_layer_rows(np.array([[1.0], [4.0]]),
+                                  np.array([[1.0], [1.0]]), np.array([[w]]), 2)
+            np.testing.assert_allclose(out.value, [[2.5], [2.5]], atol=1e-12)
 
     def test_matches_loop_oracle(self):
+        # with every hyperedge degree nonzero, x = sqrt(d) is a fixed point:
+        # sum_e H_ie |w_e| b_e^{-1} sum_j H_je = d_i
         rng = Rng(22)
         for _ in range(200):
             n = 2 + rng.integers(4)
@@ -114,12 +118,10 @@ class TestDegrees:
             S = 1 + rng.integers(3)
             H = np.abs(rng.normal((S * n, m)))
             w = rng.normal((m, 1))
-            d, b = degree_matrices(Var(H), Var(np.abs(w)), n)
-            for k in range(S):
-                d_ref, b_ref = degrees_loop(H[k * n:(k + 1) * n], w)
-                np.testing.assert_allclose(d.value[k * n:(k + 1) * n].ravel(),
-                                           d_ref, atol=1e-12)
-                np.testing.assert_allclose(b.value[k], b_ref, atol=1e-12)
+            x = np.concatenate([np.sqrt(degrees_loop(H[k * n:(k + 1) * n], w)[0])
+                                for k in range(S)]).reshape(-1, 1)
+            out = hgcn_layer_rows(x, H, w, n)
+            np.testing.assert_allclose(out.value, x, atol=1e-12)
 
 
 class TestHgcnLayer:

@@ -3,12 +3,15 @@
 import gc
 import json
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from hypermix import agents as ag
 from hypermix import mixers as mx
+from hypermix import training
+from hypermix.autodiff import gradient
 from hypermix.config import Config
 from hypermix.envs import OneStepMatrixGame, TwoStepGame, make_env
 from hypermix.nn import load_checkpoint_into, rmsprop_step, save_checkpoint
@@ -516,6 +519,32 @@ class TestTrainStep:
         loss = train_step(batch, store, store.clone(), kind, 0.9,
                           dims["embed"], agent_hidden=dims["agent_hidden"])
         assert loss == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind,total", [("hgcn-mix", 50),
+                                            ("hgcn-mix-oh", 41)])
+    def test_tape_records_per_step_at_paper_widths(self, kind, total,
+                                                   monkeypatch):
+        # each hypergraph convolution layer is one hgcn_conv record
+        cfg = Config(env={"name": "grid", "n_agents": 4, "length": 6},
+                     mixer=kind)
+        env = make_env(cfg.env)
+        store, target = init_run_stores(cfg, env, 0)
+        batch = [collect_episode(env, store, 1.0, Rng(k).split("env"),
+                                 Rng(k).split("x"), cfg.agent_hidden)
+                 for k in range(4)]
+        counts = []
+
+        def spy(tape, seeds):
+            counts.append(Counter(r.name for r in tape.records))
+            return gradient(tape, seeds)
+
+        monkeypatch.setattr(training, "gradient", spy)
+        train_step(batch, store, target, kind, cfg.gamma, cfg.embed,
+                   cfg.agent_hidden)
+        (count,) = counts
+        assert count["hgcn_conv"] == 2
+        assert not {"safe_rsqrt", "safe_recip", "repeat_rows"} & set(count)
+        assert sum(count.values()) == total
 
     def test_targets_not_touched_by_training(self):
         store, dims = tiny_mixer_store("qmix", n=2, obs_dim=2, n_actions=3,
