@@ -7,9 +7,9 @@ Run: python3 demos/02_hypergraph_convolution.py
 
 import numpy as np
 
-from hypermix.autodiff import Tape
-from hypermix.hypergraph import (build_hypergraph_rows, hgcn_layer_rows,
-                                 hgcn_transform_rows, mixing_matrix)
+from hypermix.autodiff import Tape, hgcn_conv
+from hypermix.hypergraph import (build_hypergraph_rows, hgcn_transform_rows,
+                                 mixing_matrix)
 
 rng = np.random.default_rng(1)
 n_agents, n_edges, obs_dim = 4, 3, 5
@@ -46,7 +46,7 @@ print("identity incidence max |q' - q|:",
       f"{np.abs(q_id.value - q).max():.2e}")
 
 # 2. one all-ones hyperedge averages the values (mean pooling).
-pool = hgcn_layer_rows(q, np.ones((n_agents, 1)), np.ones((1, 1)), n_agents)
+pool = hgcn_conv(q, np.ones((n_agents, 1)), np.ones((1, 1)), n_agents)
 print("single uniform hyperedge output:", np.round(pool.value.ravel(), 4),
       "vs mean", round(float(q.mean()), 4), "\n")
 

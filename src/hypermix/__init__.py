@@ -11,10 +11,9 @@ from .autodiff import Tape, Var, evaluate, finite_diff, gradient
 from .config import Config, load_config
 from .envs import (LazyCoordinationGrid, OneStepMatrixGame, TwoStepGame,
                    brute_force_optimal, make_env)
-from .hypergraph import (build_hypergraph_rows, hgcn_layer_rows,
-                         hgcn_transform_rows)
+from .hypergraph import build_hypergraph_rows, hgcn_transform_rows
 from .mixers import MIXER_KINDS, igm_check, mix_batch, state_module, vdn_mix
-from .nn import LayerSpec, ParameterStore, init_params, rmsprop_step
+from .nn import ParameterStore, rmsprop_step
 from .rng import Rng
 from .training import (Episode, ReplayBuffer, Schedule, collect_episode,
                        evaluate_policy, run_training, td_targets, train_step,

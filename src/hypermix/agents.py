@@ -12,25 +12,20 @@ import numpy as np
 
 from .autodiff import Var, relu
 from .errors import ContractError
-from .nn import LayerSpec, ParameterStore, gru_fwd, init_params, linear_fwd
+from .nn import ParameterStore, gru_fwd, init_gru, init_linear, linear_fwd
 from .rng import Rng
 
 
-def agent_input_dim(obs_dim: int, n_actions: int, n_agents: int) -> int:
-    return obs_dim + n_actions + n_agents
-
-
 def init_agent_params(store: ParameterStore, obs_dim: int, n_actions: int,
-                      n_agents: int, rng: Rng, hidden: int = 64,
-                      prefix: str = "agent") -> None:
-    d_in = agent_input_dim(obs_dim, n_actions, n_agents)
-    init_params(store, f"{prefix}.fc1", LayerSpec("linear", d_in, hidden), rng)
-    init_params(store, f"{prefix}.rnn", LayerSpec("gru-cell", hidden, hidden), rng)
-    init_params(store, f"{prefix}.fc2", LayerSpec("linear", hidden, n_actions), rng)
+                      n_agents: int, rng: Rng, hidden: int = 64) -> None:
+    # input rows: obs ++ last-action one-hot ++ agent-id one-hot
+    d_in = obs_dim + n_actions + n_agents
+    init_linear(store, "agent.fc1", d_in, hidden, rng)
+    init_gru(store, "agent.rnn", hidden, hidden, rng)
+    init_linear(store, "agent.fc2", hidden, n_actions, rng)
 
 
-def agent_forward(pv: dict[str, Var], inputs, hidden, steps: int = 1,
-                  prefix: str = "agent"):
+def agent_forward(pv: dict[str, Var], inputs, hidden, steps: int = 1):
     """Run the agent network over ``steps`` steps of a row batch.
 
     ``inputs`` stacks the input rows of every step, (steps*R x d) with step
@@ -43,9 +38,9 @@ def agent_forward(pv: dict[str, Var], inputs, hidden, steps: int = 1,
     forward, so one call gives bit for bit the values of ``steps`` chained
     one-step calls.
     """
-    x = relu(linear_fwd(inputs, pv, f"{prefix}.fc1", steps))
-    h = gru_fwd(x, hidden, pv, f"{prefix}.rnn", steps)
-    q = linear_fwd(h, pv, f"{prefix}.fc2", steps)
+    x = relu(linear_fwd(inputs, pv, "agent.fc1", steps))
+    h = gru_fwd(x, hidden, pv, "agent.rnn", steps)
+    q = linear_fwd(h, pv, "agent.fc2", steps)
     return q, h
 
 

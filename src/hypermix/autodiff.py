@@ -14,6 +14,7 @@ at or below ``SAFE_EPS``, so zero degrees stay finite.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -36,6 +37,12 @@ def as_matrix(x) -> np.ndarray:
     if a.ndim == 1:
         return a.reshape(1, -1)
     raise DimensionError(f"expected at most 2 dimensions, got {a.ndim}")
+
+
+@lru_cache(maxsize=64)
+def ones_col(n: int) -> np.ndarray:
+    """Cached (n x 1) column of ones; right-multiplying by it sums each row."""
+    return np.ones((n, 1))
 
 
 class Var:
@@ -130,39 +137,26 @@ def _check_broadcast(name: str, a: np.ndarray, b: np.ndarray) -> None:
 # primitives
 # ---------------------------------------------------------------------------
 
-def matmul(a, b, transpose_a: bool = False, transpose_b: bool = False,
-           row_blocks: int = 1) -> Var:
-    """Matrix product with optional operand transposes (GEMM-style).
+def matmul(a, b, row_blocks: int = 1) -> Var:
+    """Matrix product.
 
     ``row_blocks`` > 1 runs the forward one equal block of rows at a time, so
     each block is bit for bit the product of that block alone (BLAS may round
     a row differently depending on the rows stacked around it).
     """
     a, b = _as_var(a), _as_var(b)
-    av, bv = a.value, b.value
-    lhs = av.T if transpose_a else av
-    rhs = bv.T if transpose_b else bv
+    lhs, rhs = a.value, b.value
     if lhs.shape[1] != rhs.shape[0]:
         raise DimensionError(
-            f"matmul: inner dimensions differ, {lhs.shape} x {rhs.shape}"
-            f" (transpose_a={transpose_a}, transpose_b={transpose_b})"
-        )
+            f"matmul: inner dimensions differ, {lhs.shape} x {rhs.shape}")
     if row_blocks <= 0 or lhs.shape[0] % row_blocks:
         raise DimensionError(
             f"matmul: {lhs.shape[0]} rows do not split into {row_blocks} blocks"
         )
 
     def bwd(g, need):
-        ga = gb = None
-        if need[0]:
-            ga = g @ rhs.T
-            if transpose_a:
-                ga = ga.T
-        if need[1]:
-            gb = lhs.T @ g
-            if transpose_b:
-                gb = gb.T
-        return ga, gb
+        return (g @ rhs.T if need[0] else None,
+                lhs.T @ g if need[1] else None)
 
     out = lhs @ rhs if row_blocks == 1 else (
         lhs.reshape(row_blocks, -1, lhs.shape[1]) @ rhs).reshape(-1, rhs.shape[1])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -10,6 +11,8 @@ from .envs import make_env
 from .errors import ConfigError
 from .mixers import MIXER_KINDS
 
+# top-level JSON keys, each named after its Config attribute
+_TOP_LEVEL = ("env", "mixer", "seeds", "hyperedge_sweep")
 # config sections: JSON key -> Config attribute
 _SECTIONS = {
     "model": {"hyperedges": "hyperedges", "embed": "embed",
@@ -138,22 +141,12 @@ class Config:
     def from_dict(cls, data: dict) -> "Config":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-        known_sections = {"env", "mixer", "model", "optimizer", "schedule",
-                          "training", "seeds", "hyperedge_sweep"}
-        unknown = set(data) - known_sections
+        unknown = set(data) - set(_TOP_LEVEL) - set(_SECTIONS)
         if unknown:
             raise ConfigError(f"unknown config sections {sorted(unknown)}")
-        kwargs = {}
-        if "env" in data:
-            kwargs["env"] = data["env"]
-        else:
+        if "env" not in data:
             raise ConfigError("env: section is required")
-        if "mixer" in data:
-            kwargs["mixer"] = data["mixer"]
-        if "seeds" in data:
-            kwargs["seeds"] = data["seeds"]
-        if "hyperedge_sweep" in data:
-            kwargs["hyperedge_sweep"] = data["hyperedge_sweep"]
+        kwargs = {key: data[key] for key in _TOP_LEVEL if key in data}
         for section, mapping in _SECTIONS.items():
             body = data.get(section, {})
             if not isinstance(body, dict):
@@ -170,28 +163,12 @@ class Config:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
-        return {
-            "env": dict(self.env),
-            "mixer": self.mixer,
-            "model": {"hyperedges": self.hyperedges, "embed": self.embed,
-                      "agent_hidden": self.agent_hidden,
-                      "hypernet_hidden": self.hypernet_hidden},
-            "optimizer": {"lr": self.lr, "decay": self.rms_decay,
-                          "eps": self.rms_eps, "clip_norm": self.clip_norm},
-            "schedule": {"eps_start": self.eps_start, "eps_end": self.eps_end,
-                         "anneal_steps": self.anneal_steps},
-            "training": {"gamma": self.gamma, "episodes": self.episodes,
-                         "eval_interval": self.eval_interval,
-                         "eval_episodes": self.eval_episodes,
-                         "buffer_capacity": self.buffer_capacity,
-                         "batch_size": self.batch_size,
-                         "train_every": self.train_every,
-                         "target_interval": self.target_interval,
-                         "stop_on_success": self.stop_on_success},
-            "seeds": list(self.seeds),
-            **({"hyperedge_sweep": list(self.hyperedge_sweep)}
-               if self.hyperedge_sweep is not None else {}),
-        }
+        out = {key: copy.deepcopy(getattr(self, key)) for key in _TOP_LEVEL
+               if getattr(self, key) is not None}
+        for section, mapping in _SECTIONS.items():
+            out[section] = {key: getattr(self, attr)
+                            for key, attr in mapping.items()}
+        return out
 
     def replace(self, **changes) -> "Config":
         """Copy with updated fields (re-validated)."""

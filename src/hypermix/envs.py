@@ -18,7 +18,6 @@ scalar reward per step, and terminate at their episode limit at the latest.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,15 +42,12 @@ class EnvSpec:
     obs_dim: int
     state_dim: int
     episode_limit: int
-    gamma: float = 0.99
 
     def __post_init__(self):
         if self.n_agents < 1:
             raise ConfigError("n_agents must be >= 1")
         if self.n_actions < 2:
             raise ConfigError("n_actions must be >= 2")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ConfigError("gamma must be in [0, 1)")
 
 
 @dataclass
@@ -263,54 +259,25 @@ def make_env(env_cfg: dict):
     raise ConfigError(f"unknown env name {name!r}")
 
 
-def _max_return_dfs(env) -> float:
-    """Exhaustive max total reward over all joint-action sequences."""
-    n, n_actions = env.avail_actions().shape
-    best = -np.inf
-
-    def rec(env, acc):
-        nonlocal best
-        avail = env.avail_actions()
-        joints = [[]]
-        for agent in range(n):
-            choices = [a for a in range(n_actions) if avail[agent, a]]
-            joints = [pre + [a] for pre in joints for a in choices]
-        for joint in joints:
-            child = copy.deepcopy(env)
-            res = child.step(joint)
-            total = acc + res.reward
-            if res.terminated:
-                best = max(best, total)
-            else:
-                rec(child, total)
-
-    rec(env, 0.0)
-    return float(best)
-
-
 def brute_force_optimal(env) -> float:
-    """Exact optimal expected episode return by exhaustive search.
+    """Exact optimal expected episode return.
 
-    Deterministic fixed-start games are searched over all joint-action
-    sequences. For the corridor environment the agents' dynamics are
-    independent, so the expected optimum over random layouts is the product
-    over agents of the probability that a (position, target) pair is
-    reachable within the episode limit under single-agent shortest paths,
-    a closed form costing O(length^2) for any number of agents. The other
-    games refuse search spaces beyond ``ENUMERATION_LIMIT``.
+    The one-step game's optimum is its largest payoff; it refuses payoff
+    tensors beyond ``ENUMERATION_LIMIT`` entries. In the two-step game the
+    first step pays 0 and agent 0's action picks the branch, so the optimum
+    is the largest entry of either second-step payoff. For the corridor
+    environment the agents' dynamics are independent, so the expected
+    optimum over random layouts is the product over agents of the
+    probability that a (position, target) pair is reachable within the
+    episode limit under single-agent shortest paths, a closed form costing
+    O(length^2) for any number of agents.
     """
     if isinstance(env, OneStepMatrixGame):
         if env.payoff.size > ENUMERATION_LIMIT:
             raise ValueError("joint action space too large to enumerate")
         return float(env.payoff.max())
     if isinstance(env, TwoStepGame):
-        spec = env.spec
-        paths = (spec.n_actions ** spec.n_agents) ** spec.episode_limit
-        if paths > ENUMERATION_LIMIT:
-            raise ValueError("joint policy space too large to enumerate")
-        probe = copy.deepcopy(env)
-        probe.reset(Rng(0))
-        return _max_return_dfs(probe)
+        return float(max(env.payoff_a.max(), env.payoff_b.max()))
     if isinstance(env, LazyCoordinationGrid):
         length = env.length
         pairs = length * length

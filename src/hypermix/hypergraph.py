@@ -14,18 +14,12 @@ each; a single sample is a batch of one.
 from __future__ import annotations
 
 import csv
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import (Var, add, block_sum, concat_cols, hgcn_conv, matmul,
-                       mul, relu, reshape)
-
-
-@lru_cache(maxsize=32)
-def _ones_col(n: int) -> np.ndarray:
-    return np.ones((n, 1))
+                       mul, ones_col, relu, reshape)
 
 
 def build_hypergraph_rows(Z_rows, gen_w, gen_b, n: int):
@@ -39,25 +33,19 @@ def build_hypergraph_rows(Z_rows, gen_w, gen_b, n: int):
     """
     h1 = relu(add(matmul(Z_rows, gen_w), gen_b))           # S*n x m
     rows, m = h1.shape
-    mu = mul(block_sum(matmul(h1, _ones_col(m)), n),
+    mu = mul(block_sum(matmul(h1, ones_col(m)), n),
              np.array([[1.0 / (n * m)]]))                 # S x 1
     h2 = reshape(mul(mu, np.eye(n).reshape(1, n * n)), rows, n)  # S*n x n
     return concat_cols(h1, h2), mu
 
 
-def hgcn_layer_rows(x, H_rows, w, n: int) -> Var:
-    """One spectral hypergraph convolution per sample, samples along rows.
-
-    The layer is a single :func:`hypermix.autodiff.hgcn_conv` tape record,
-    d^{-1/2} H |w| b^{-1} H^T d^{-1/2} x per block of ``n`` agent rows, with
-    the inter-layer weight matrix fixed to the identity.
-    """
-    return hgcn_conv(x, H_rows, w, n)
-
-
 def hgcn_transform_rows(q, H_rows, w1, w2, n: int) -> Var:
-    """Two stacked convolutions of per-agent values q (S*n x 1)."""
-    return hgcn_layer_rows(hgcn_layer_rows(q, H_rows, w1, n), H_rows, w2, n)
+    """Two stacked convolutions of per-agent values q (S*n x 1).
+
+    Each layer is one :func:`hypermix.autodiff.hgcn_conv` record, with the
+    inter-layer weight matrix fixed to the identity.
+    """
+    return hgcn_conv(hgcn_conv(q, H_rows, w1, n), H_rows, w2, n)
 
 
 def mixing_matrix(H: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -70,7 +58,7 @@ def mixing_matrix(H: np.ndarray, w: np.ndarray) -> np.ndarray:
     H = np.asarray(H, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64).reshape(-1, 1)
     n = H.shape[0]
-    y = hgcn_layer_rows(np.eye(n).reshape(n * n, 1), np.tile(H, (n, 1)), w, n)
+    y = hgcn_conv(np.eye(n).reshape(n * n, 1), np.tile(H, (n, 1)), w, n)
     return y.value.reshape(n, n).T
 
 

@@ -14,24 +14,18 @@ to the plain state-conditioned head).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .autodiff import (Var, absval, add, block_sum, elu, matmul, mul,
-                       reshape)
+                       ones_col, reshape)
 from .errors import ConfigError
 from .hypergraph import build_hypergraph_rows, hgcn_transform_rows
-from .nn import LayerSpec, ParameterStore, init_params, linear_fwd, mlp_fwd
+from .nn import ParameterStore, init_linear, init_mlp, linear_fwd, mlp_fwd
 from .rng import Rng
 
 MIXER_KINDS = ("vdn", "qmix", "hgcn-mix", "hgcn-mix-oh")
-
-
-@lru_cache(maxsize=64)
-def _ones(rows: int, cols: int = 1) -> np.ndarray:
-    return np.ones((rows, cols))
 
 
 def validate_mixer_kind(kind: str) -> str:
@@ -53,14 +47,12 @@ def init_mixer_params(store: ParameterStore, kind: str, n_agents: int,
     if kind == "vdn":
         return
     hh = hypernet_hidden
-    init_params(store, "mix.hyper_w1",
-                LayerSpec("mlp", state_dim, n_agents * embed, hh, "relu"), rng)
-    init_params(store, "mix.hyper_b1", LayerSpec("linear", state_dim, embed), rng)
-    init_params(store, "mix.hyper_w2",
-                LayerSpec("mlp", state_dim, embed, hh, "relu"), rng)
-    init_params(store, "mix.v", LayerSpec("mlp", state_dim, 1, hh, "relu"), rng)
+    init_mlp(store, "mix.hyper_w1", state_dim, hh, n_agents * embed, rng)
+    init_linear(store, "mix.hyper_b1", state_dim, embed, rng)
+    init_mlp(store, "mix.hyper_w2", state_dim, hh, embed, rng)
+    init_mlp(store, "mix.v", state_dim, hh, 1, rng)
     if kind == "hgcn-mix":
-        init_params(store, "mix.gen", LayerSpec("linear", obs_dim, hyperedges), rng)
+        init_linear(store, "mix.gen", obs_dim, hyperedges, rng)
         edges = hyperedges + n_agents
     elif kind == "hgcn-mix-oh":
         edges = n_agents
@@ -73,7 +65,7 @@ def init_mixer_params(store: ParameterStore, kind: str, n_agents: int,
 def vdn_mix(q_rows) -> Var:
     """Additive joint value: row-wise sum of agent values (S x n) -> (S x 1)."""
     q_rows = q_rows if isinstance(q_rows, Var) else Var(q_rows)
-    return matmul(q_rows, _ones(q_rows.shape[1]))
+    return matmul(q_rows, ones_col(q_rows.shape[1]))
 
 
 def state_module(q, s, pv: dict[str, Var], n_agents: int, embed: int) -> Var:
@@ -93,7 +85,7 @@ def state_module(q, s, pv: dict[str, Var], n_agents: int, embed: int) -> Var:
     mixed = block_sum(mul(reshape(w1, n_samples * n_agents, embed), q_col),
                       n_agents)                   # S x embed
     hidden = elu(add(mixed, b1))
-    return add(matmul(mul(w2, hidden), _ones(embed)), v)
+    return add(matmul(mul(w2, hidden), ones_col(embed)), v)
 
 
 def mix_batch(kind: str, pv: dict[str, Var], chosen: Var, Z: np.ndarray,

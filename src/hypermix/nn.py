@@ -5,38 +5,14 @@ from __future__ import annotations
 import json
 import os
 import weakref
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var, add, elu, gru_sequence, matmul, relu
+from .autodiff import Var, add, gru_sequence, matmul, relu
 from .errors import CheckpointError, ConfigError, TrainingError
 from .rng import Rng
-
-_ACTIVATIONS = {"none": lambda v: v, "relu": relu, "elu": elu}
-
-
-@dataclass
-class LayerSpec:
-    """Shape/activation description of one layer bundle."""
-
-    kind: str  # "linear" | "gru-cell" | "mlp"
-    in_dim: int
-    out_dim: int
-    hidden_dim: int | None = None
-    activation: str = "none"
-
-    def __post_init__(self):
-        if self.kind not in ("linear", "gru-cell", "mlp"):
-            raise ConfigError(f"unknown layer kind {self.kind!r}")
-        if self.in_dim <= 0 or self.out_dim <= 0:
-            raise ConfigError("layer dims must be positive")
-        if self.kind == "mlp" and (self.hidden_dim is None or self.hidden_dim <= 0):
-            raise ConfigError("mlp spec needs a positive hidden_dim")
-        if self.activation not in _ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
 
 
 class _Param:
@@ -120,32 +96,33 @@ class ParameterStore:
             self._params[name].value = p.value.copy()
 
 
-def init_params(store: ParameterStore, name: str, spec: LayerSpec, rng: Rng) -> None:
-    """Add uniformly initialized entries for ``spec`` under prefix ``name``.
+def _uniform(rng: Rng, rows: int, cols: int) -> np.ndarray:
+    # uniform(-k, k) with k = 1/sqrt(fan_in); every matrix here has fan_in = rows
+    k = 1.0 / np.sqrt(rows)
+    return rng.uniform(-k, k, (rows, cols))
 
-    Weights are uniform(-k, k) with k = 1/sqrt(fan_in of that matrix);
-    biases start at zero.
-    """
 
-    def unif(rows, cols, fan_in):
-        k = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-k, k, (rows, cols))
+def init_linear(store: ParameterStore, name: str, in_dim: int, out_dim: int,
+                rng: Rng) -> None:
+    """Add ``name.w`` (uniform fan-in init) and a zero bias ``name.b``."""
+    store.add(f"{name}.w", _uniform(rng, in_dim, out_dim))
+    store.add(f"{name}.b", np.zeros((1, out_dim)))
 
-    if spec.kind == "linear":
-        store.add(f"{name}.w", unif(spec.in_dim, spec.out_dim, spec.in_dim))
-        store.add(f"{name}.b", np.zeros((1, spec.out_dim)))
-    elif spec.kind == "gru-cell":
-        hid = spec.out_dim
-        store.add(f"{name}.w_ih", unif(spec.in_dim, 3 * hid, spec.in_dim))
-        store.add(f"{name}.w_hh", unif(hid, 3 * hid, hid))
-        store.add(f"{name}.b_ih", np.zeros((1, 3 * hid)))
-        store.add(f"{name}.b_hh", np.zeros((1, 3 * hid)))
-    else:  # mlp
-        hid = spec.hidden_dim
-        store.add(f"{name}.fc1.w", unif(spec.in_dim, hid, spec.in_dim))
-        store.add(f"{name}.fc1.b", np.zeros((1, hid)))
-        store.add(f"{name}.fc2.w", unif(hid, spec.out_dim, hid))
-        store.add(f"{name}.fc2.b", np.zeros((1, spec.out_dim)))
+
+def init_mlp(store: ParameterStore, name: str, in_dim: int, hidden: int,
+             out_dim: int, rng: Rng) -> None:
+    """Add the two linear layers ``name.fc1`` and ``name.fc2`` of a ReLU MLP."""
+    init_linear(store, f"{name}.fc1", in_dim, hidden, rng)
+    init_linear(store, f"{name}.fc2", hidden, out_dim, rng)
+
+
+def init_gru(store: ParameterStore, name: str, in_dim: int, hidden: int,
+             rng: Rng) -> None:
+    """Add a GRU's (reset, update, candidate) gate weights and zero biases."""
+    store.add(f"{name}.w_ih", _uniform(rng, in_dim, 3 * hidden))
+    store.add(f"{name}.w_hh", _uniform(rng, hidden, 3 * hidden))
+    store.add(f"{name}.b_ih", np.zeros((1, 3 * hidden)))
+    store.add(f"{name}.b_hh", np.zeros((1, 3 * hidden)))
 
 
 def linear_fwd(x, pv: dict[str, Var], name: str, row_blocks: int = 1) -> Var:
@@ -153,8 +130,8 @@ def linear_fwd(x, pv: dict[str, Var], name: str, row_blocks: int = 1) -> Var:
                pv[f"{name}.b"])
 
 
-def mlp_fwd(x, pv: dict[str, Var], name: str, activation: str = "relu") -> Var:
-    h = _ACTIVATIONS[activation](linear_fwd(x, pv, f"{name}.fc1"))
+def mlp_fwd(x, pv: dict[str, Var], name: str) -> Var:
+    h = relu(linear_fwd(x, pv, f"{name}.fc1"))
     return linear_fwd(h, pv, f"{name}.fc2")
 
 

@@ -13,13 +13,12 @@ import pytest
 
 from hypermix import autodiff as ad
 from hypermix.agents import agent_forward, initial_hidden
-from hypermix.autodiff import reduce_sum
+from hypermix.autodiff import hgcn_conv, reduce_sum
 from hypermix.config import Config
 from hypermix.envs import make_env
-from hypermix.hypergraph import (build_hypergraph_rows, hgcn_layer_rows,
-                                 hgcn_transform_rows)
+from hypermix.hypergraph import build_hypergraph_rows, hgcn_transform_rows
 from hypermix.mixers import igm_check, init_mixer_params, make_qtot_fn
-from hypermix.nn import (LayerSpec, ParameterStore, gru_fwd, init_params,
+from hypermix.nn import (ParameterStore, gru_fwd, init_gru, init_mlp,
                          load_checkpoint, mlp_fwd)
 from hypermix.rng import Rng
 from hypermix.training import _batch_inputs, collect_episode, run_training
@@ -71,7 +70,7 @@ def test_criterion_2_mean_pooling():
         S = 1 + rng.integers(3)
         x = rng.normal((S * n, 1)) * 4.0
         w = rng.uniform(0.1, 3.0, (1, 1))
-        out = hgcn_layer_rows(x, np.ones((S * n, 1)), w, n)
+        out = hgcn_conv(x, np.ones((S * n, 1)), w, n)
         means = x.reshape(S, n).mean(axis=1).repeat(n).reshape(-1, 1)
         worst = max(worst, float(np.abs(out.value - means).max()))
     elapsed = time.perf_counter() - start
@@ -95,7 +94,7 @@ def test_criterion_3_oracle_equivalence():
             H[k * n:(k + 1) * n, rng.integers(m)] = 0.0  # safe-inverse path
         w = rng.normal((m, 1))
         x = rng.normal((S * n, 1))
-        got = hgcn_layer_rows(x, H, w, n).value
+        got = hgcn_conv(x, H, w, n).value
         for k in range(0, S * n, n):
             ref = hgcn_layer_dense(x[k:k + n], H[k:k + n], w)
             worst = max(worst, float(np.abs(got[k:k + n] - ref).max()))
@@ -121,7 +120,7 @@ def test_criterion_4_gradient_suite():
 
     # mlp layer (relu hidden, shifted off kinks)
     store = ParameterStore()
-    init_params(store, "m", LayerSpec("mlp", 3, 2, hidden_dim=4), Rng(7))
+    init_mlp(store, "m", 3, 4, 2, Rng(7))
     names = store.names()
     for _ in range(100):
         args = [shift_from_kinks(rng.normal((2, 3)))] + \
@@ -133,7 +132,7 @@ def test_criterion_4_gradient_suite():
 
     # gru cell layer
     gstore = ParameterStore()
-    init_params(gstore, "g", LayerSpec("gru-cell", 3, 4), Rng(8))
+    init_gru(gstore, "g", 3, 4, Rng(8))
     gnames = gstore.names()
     for _ in range(100):
         args = [rng.normal((2, 3)), rng.normal((2, 4))] + \
@@ -151,7 +150,7 @@ def test_criterion_4_gradient_suite():
         w = shift_from_kinks(rng.normal((2, 1)))
         x = rng.normal((6, 1))
         check_gradients(
-            lambda xv, hv, wv: reduce_sum(hgcn_layer_rows(xv, hv, wv, 3)),
+            lambda xv, hv, wv: reduce_sum(hgcn_conv(xv, hv, wv, 3)),
             [x, H, w], label="hgcn layer")
 
     # full composite: agent nets -> convolution -> state module, for the

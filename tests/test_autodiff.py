@@ -366,10 +366,6 @@ class TestFiniteDiff:
             finite_diff(lambda x: 0.0, np.ones(2), h=0.0)
 
 
-def _transpose_variants():
-    return [(False, False), (True, False), (False, True), (True, True)]
-
-
 class TestGradCheckPrimitives:
     """Analytic gradients match central differences at random points."""
 
@@ -377,13 +373,10 @@ class TestGradCheckPrimitives:
 
     def test_matmul(self):
         rng = Rng(100)
-        for ta, tb in _transpose_variants():
-            for _ in range(self.N_POINTS // 4):
-                a = rng.normal((3, 4)) if not ta else rng.normal((4, 3))
-                b = rng.normal((4, 2)) if not tb else rng.normal((2, 4))
-                check_gradients(
-                    lambda x, y: reduce_sum(matmul(x, y, ta, tb)), [a, b],
-                    label=f"matmul ta={ta} tb={tb}")
+        for _ in range(self.N_POINTS):
+            check_gradients(lambda x, y: reduce_sum(matmul(x, y)),
+                            [rng.normal((3, 4)), rng.normal((4, 2))],
+                            label="matmul")
         weight = rng.normal((6, 2))
         check_gradients(
             lambda x, y: reduce_sum(mul(matmul(x, y, row_blocks=3), weight)),

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +40,26 @@ class TestConfig:
                           optimizer={"lr": 1e-3, "clip_norm": 5.0},
                           schedule={"anneal_steps": 100})
         cfg = load_config(path)
-        again = Config.from_dict(cfg.to_dict())
-        assert again.to_dict() == cfg.to_dict()
+        assert Config.from_dict(cfg.to_dict()) == cfg
+        # every field off its default; a sweep needs mixer "hgcn-mix", so
+        # the mixer and the sweep leave their defaults in separate configs
+        off = dict(env={"name": "grid", "n_agents": 3, "length": 4,
+                        "freeze": True},
+                   hyperedges=5, embed=7, agent_hidden=9, hypernet_hidden=11,
+                   lr=1e-3, rms_decay=0.95, rms_eps=1e-6, clip_norm=5.0,
+                   eps_start=0.9, eps_end=0.1, anneal_steps=100, gamma=0.9,
+                   episodes=10, eval_interval=5, eval_episodes=3,
+                   buffer_capacity=50, batch_size=8, train_every=2,
+                   target_interval=20, stop_on_success=True, seeds=[3, 4])
+        configs = [Config(mixer="qmix", **off),
+                   Config(hyperedge_sweep=[2, 6], **off)]
+        default = Config(env={"name": "matrix_game"})
+        for f in fields(Config):
+            assert any(getattr(c, f.name) != getattr(default, f.name)
+                       for c in configs), f.name
+        for c in configs:
+            assert Config.from_dict(c.to_dict()) == c
+            assert Config.from_dict(json.loads(json.dumps(c.to_dict()))) == c
 
     def test_snapshot_reparses_equivalently(self, tmp_path):
         path = _write_cfg(tmp_path)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from hypermix.envs import (CLIMBING_PAYOFF, LazyCoordinationGrid,
-                           OneStepMatrixGame, TwoStepGame,
-                           brute_force_optimal, make_env)
+from hypermix.envs import (BRANCH_A_PAYOFF, BRANCH_B_PAYOFF, CLIMBING_PAYOFF,
+                           LazyCoordinationGrid, OneStepMatrixGame,
+                           TwoStepGame, brute_force_optimal, make_env)
 from hypermix.errors import ConfigError, ContractError
 from hypermix.rng import Rng
 
@@ -214,10 +214,17 @@ class TestBruteForceOptimal:
         assert brute_force_optimal(env) == 0.0
 
     def test_two_step_matches_policy_enumeration(self):
-        env = TwoStepGame()
-        assert brute_force_optimal(env) == enumerate_two_step_policies(
-            env.payoff_a, env.payoff_b)
-        assert brute_force_optimal(env) == 8.0
+        # the first step pays 0 whichever branch agent 0 picks
+        cases = [
+            (BRANCH_A_PAYOFF, BRANCH_B_PAYOFF, 8.0),
+            (((9.0, 0.0), (2.0, 3.0)), ((1.0, 4.0), (5.0, 8.5)), 9.0),
+            (((-5.0, -3.0), (-4.0, -7.0)), ((-2.5, -6.0), (-9.0, -8.0)), -2.5),
+        ]
+        for payoff_a, payoff_b, best in cases:
+            env = TwoStepGame(payoff_a, payoff_b)
+            assert brute_force_optimal(env) == enumerate_two_step_policies(
+                payoff_a, payoff_b)
+            assert brute_force_optimal(env) == best
 
     def test_grid_always_reachable_at_desk_scale(self):
         env = LazyCoordinationGrid(n_agents=4, length=6)

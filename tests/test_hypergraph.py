@@ -8,10 +8,10 @@ block with the single-sample oracles in ``_oracles``.
 import numpy as np
 import pytest
 
-from hypermix.autodiff import Var, reduce_sum
-from hypermix.hypergraph import (build_hypergraph_rows, hgcn_layer_rows,
-                                 hgcn_transform_rows, mixing_matrix,
-                                 read_hypergraph_csv, write_hypergraph_csv)
+from hypermix.autodiff import Var, hgcn_conv, reduce_sum
+from hypermix.hypergraph import (build_hypergraph_rows, hgcn_transform_rows,
+                                 mixing_matrix, read_hypergraph_csv,
+                                 write_hypergraph_csv)
 from hypermix.rng import Rng
 
 from _helpers import check_gradients
@@ -97,15 +97,15 @@ class TestDegrees:
     def test_identity_incidence(self):
         # d = |w| and b = 1 per sample: every vertex keeps its own value
         x = np.array([[1.0], [-2.0], [3.0], [0.5]])
-        out = hgcn_layer_rows(x, np.tile(np.eye(2), (2, 1)),
-                              np.array([[3.0], [-0.5]]), 2)
+        out = hgcn_conv(x, np.tile(np.eye(2), (2, 1)),
+                        np.array([[3.0], [-0.5]]), 2)
         np.testing.assert_allclose(out.value, x, atol=1e-12)
 
     def test_hand_sum(self):
         # H = (1, 1)^T, w = 2: d = (2, 2), b = 2, so y_i = (x_1 + x_2) / 2
         for w in (2.0, -2.0):
-            out = hgcn_layer_rows(np.array([[1.0], [4.0]]),
-                                  np.array([[1.0], [1.0]]), np.array([[w]]), 2)
+            out = hgcn_conv(np.array([[1.0], [4.0]]),
+                            np.array([[1.0], [1.0]]), np.array([[w]]), 2)
             np.testing.assert_allclose(out.value, [[2.5], [2.5]], atol=1e-12)
 
     def test_matches_loop_oracle(self):
@@ -120,7 +120,7 @@ class TestDegrees:
             w = rng.normal((m, 1))
             x = np.concatenate([np.sqrt(degrees_loop(H[k * n:(k + 1) * n], w)[0])
                                 for k in range(S)]).reshape(-1, 1)
-            out = hgcn_layer_rows(x, H, w, n)
+            out = hgcn_conv(x, H, w, n)
             np.testing.assert_allclose(out.value, x, atol=1e-12)
 
 
@@ -143,17 +143,17 @@ class TestHgcnLayer:
                                 for _ in range(S)])
             w = rng.uniform(0.1, 2.0, (n, 1))
             x = rng.normal((S * n, 1))
-            out = hgcn_layer_rows(x, H, w, n)
+            out = hgcn_conv(x, H, w, n)
             np.testing.assert_allclose(out.value, x, atol=1e-12)
 
     def test_single_uniform_hyperedge_is_mean_pooling(self):
-        out = hgcn_layer_rows(np.array([[1.0], [2.0], [3.0]]), np.ones((3, 1)),
-                              np.array([[1.0]]), 3)
+        out = hgcn_conv(np.array([[1.0], [2.0], [3.0]]), np.ones((3, 1)),
+                        np.array([[1.0]]), 3)
         np.testing.assert_allclose(out.value, np.full((3, 1), 2.0), atol=1e-12)
 
     def test_golden_value(self):
-        out = hgcn_layer_rows(self.GOLDEN_INPUT["x"], self.GOLDEN_INPUT["H"],
-                              self.GOLDEN_INPUT["w"], 3)
+        out = hgcn_conv(self.GOLDEN_INPUT["x"], self.GOLDEN_INPUT["H"],
+                        self.GOLDEN_INPUT["w"], 3)
         np.testing.assert_allclose(out.value.ravel(), self.GOLDEN_OUTPUT,
                                    atol=1e-9)
 
@@ -166,7 +166,7 @@ class TestHgcnLayer:
             H = _incidences(rng, S, n, m, zero_column=trial % 3 == 0)
             w = rng.normal((m, 1))
             x = rng.normal((S * n, 1))
-            out = hgcn_layer_rows(x, H, w, n)
+            out = hgcn_conv(x, H, w, n)
             for xk, Hk, yk in zip(_blocks(x, n), _blocks(H, n),
                                   _blocks(out, n)):
                 np.testing.assert_allclose(yk, hgcn_layer_dense(xk, Hk, w),
@@ -179,8 +179,8 @@ class TestHgcnLayer:
             w = rng.uniform(0.2, 2.0, (2, 1))
             x = rng.normal((6, 1))
             check_gradients(
-                lambda xv, hv, wv: reduce_sum(hgcn_layer_rows(xv, hv, wv, 3)),
-                [x, H, w], label="hgcn_layer_rows")
+                lambda xv, hv, wv: reduce_sum(hgcn_conv(xv, hv, wv, 3)),
+                [x, H, w], label="hgcn_conv")
 
 
 class TestHgcnTransform:
@@ -256,7 +256,7 @@ class TestMixingMatrix:
         H = np.abs(rng.normal((4, 3)))
         w = rng.normal((3, 1))
         x = rng.normal((8, 1))
-        out = hgcn_layer_rows(x, np.tile(H, (2, 1)), w, 4)
+        out = hgcn_conv(x, np.tile(H, (2, 1)), w, 4)
         A = mixing_matrix(H, w)
         for xk, yk in zip(_blocks(x, 4), _blocks(out, 4)):
             np.testing.assert_allclose(A @ xk, yk, atol=1e-12)

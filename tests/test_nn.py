@@ -8,37 +8,19 @@ import pytest
 import hypermix.autodiff as ad
 from hypermix.autodiff import reduce_sum
 from hypermix.errors import CheckpointError, ConfigError, TrainingError
-from hypermix.nn import (MANIFEST_NAME, LayerSpec, ParameterStore,
-                         clip_grad_norm, gru_fwd, init_params, load_checkpoint,
-                         load_checkpoint_into, mlp_fwd, rmsprop_step,
-                         save_checkpoint)
+from hypermix.nn import (MANIFEST_NAME, ParameterStore, clip_grad_norm,
+                         gru_fwd, init_gru, init_linear, init_mlp,
+                         load_checkpoint, load_checkpoint_into, mlp_fwd,
+                         rmsprop_step, save_checkpoint)
 from hypermix.rng import Rng
 
 from _helpers import check_gradients
 
 
-class TestLayerSpec:
-    def test_rejects_bad_kind(self):
-        with pytest.raises(ConfigError):
-            LayerSpec("conv", 3, 3)
-
-    def test_rejects_nonpositive_dims(self):
-        with pytest.raises(ConfigError):
-            LayerSpec("linear", 0, 3)
-
-    def test_rejects_unknown_activation(self):
-        with pytest.raises(ConfigError):
-            LayerSpec("linear", 3, 3, activation="tanh")
-
-    def test_mlp_needs_hidden(self):
-        with pytest.raises(ConfigError):
-            LayerSpec("mlp", 3, 3)
-
-
 class TestInitParams:
     def test_linear_shapes_and_bound(self):
         store = ParameterStore()
-        init_params(store, "fc", LayerSpec("linear", 4, 2), Rng(0))
+        init_linear(store, "fc", 4, 2, Rng(0))
         w, b = store["fc.w"].value, store["fc.b"].value
         assert w.shape == (4, 2) and b.shape == (1, 2)
         assert (np.abs(w) < 0.5).all()  # k = 1/sqrt(4)
@@ -48,7 +30,7 @@ class TestInitParams:
         stores = []
         for _ in range(2):
             s = ParameterStore()
-            init_params(s, "fc", LayerSpec("mlp", 5, 3, hidden_dim=7), Rng(42))
+            init_mlp(s, "fc", 5, 7, 3, Rng(42))
             stores.append(s)
         for name in stores[0].names():
             np.testing.assert_array_equal(stores[0][name].value,
@@ -56,7 +38,7 @@ class TestInitParams:
 
     def test_gru_gate_blocks(self):
         store = ParameterStore()
-        init_params(store, "rnn", LayerSpec("gru-cell", 8, 16), Rng(1))
+        init_gru(store, "rnn", 8, 16, Rng(1))
         # three stacked gate blocks per side: 8x16 each and 16x16 each
         assert store["rnn.w_ih"].value.shape == (8, 48)
         assert store["rnn.w_hh"].value.shape == (16, 48)
@@ -65,9 +47,9 @@ class TestInitParams:
 
     def test_duplicate_name_rejected(self):
         store = ParameterStore()
-        init_params(store, "fc", LayerSpec("linear", 2, 2), Rng(0))
+        init_linear(store, "fc", 2, 2, Rng(0))
         with pytest.raises(ConfigError, match="duplicate"):
-            init_params(store, "fc", LayerSpec("linear", 2, 2), Rng(0))
+            init_linear(store, "fc", 2, 2, Rng(0))
 
 
 class TestLayerGradients:
@@ -86,7 +68,7 @@ class TestLayerGradients:
     def test_mlp_matches_finite_diff(self):
         rng = Rng(3)
         store = ParameterStore()
-        init_params(store, "m", LayerSpec("mlp", 3, 2, hidden_dim=5), Rng(9))
+        init_mlp(store, "m", 3, 5, 2, Rng(9))
         x = rng.normal((2, 3))
         names = store.names()
 
@@ -100,7 +82,7 @@ class TestLayerGradients:
     def test_gru_layer_matches_finite_diff(self):
         rng = Rng(4)
         store = ParameterStore()
-        init_params(store, "g", LayerSpec("gru-cell", 3, 4), Rng(8))
+        init_gru(store, "g", 3, 4, Rng(8))
         x = rng.normal((2, 3))
         h = rng.normal((2, 4))
         names = store.names()
@@ -189,7 +171,7 @@ class TestStoreLifecycle:
     def test_clone_and_copy_from_are_bit_exact(self):
         rng = Rng(6)
         store = ParameterStore()
-        init_params(store, "fc", LayerSpec("linear", 3, 3), rng)
+        init_linear(store, "fc", 3, 3, rng)
         target = store.clone()
         store["fc.w"].value = store["fc.w"].value + 0.5
         assert not np.array_equal(store["fc.w"].value, target["fc.w"].value)
@@ -200,7 +182,7 @@ class TestStoreLifecycle:
 class TestCheckpoint:
     def _store(self):
         store = ParameterStore()
-        init_params(store, "fc", LayerSpec("mlp", 4, 2, hidden_dim=3), Rng(17))
+        init_mlp(store, "fc", 4, 3, 2, Rng(17))
         # exercise exact binary values, including negatives and tiny floats
         store["fc.fc1.w"].value[0, 0] = -1e-300
         return store
@@ -217,7 +199,7 @@ class TestCheckpoint:
         store = self._store()
         save_checkpoint(store, tmp_path / "ckpt")
         other = ParameterStore()
-        init_params(other, "fc", LayerSpec("mlp", 4, 2, hidden_dim=5), Rng(0))
+        init_mlp(other, "fc", 4, 5, 2, Rng(0))
         with pytest.raises(CheckpointError, match="fc.fc1.w"):
             load_checkpoint_into(other, tmp_path / "ckpt")
 
