@@ -314,7 +314,9 @@ def gru_sequence(x, h0, w_ih, w_hh, b_ih, b_hh, steps: int = 1) -> Var:
     (reset, update, candidate) stacked along columns: ``w_ih`` is (in, 3H),
     ``w_hh`` is (H, 3H), biases are (1, 3H). Each step is the standard
     sigmoid/tanh update h' = (1 - z) * c + z * h. Backward walks the steps in
-    reverse with one step's gate gradients alive at a time.
+    reverse with one step's gate gradients alive at a time. Inside, each gate
+    is a contiguous (R x H) block: products use zero-copy gate-major (3, in,
+    H) views of the weights, which give the bits of the (R x 3H) products.
     """
     operands = tuple(map(_as_var, (x, h0, w_ih, w_hh, b_ih, b_hh)))
     xv, h0v, wiv, whv, biv, bhv = (v.value for v in operands)
@@ -329,59 +331,77 @@ def gru_sequence(x, h0, w_ih, w_hh, b_ih, b_hh, steps: int = 1) -> Var:
             raise DimensionError(
                 f"gru_sequence: {name} shape {v.shape}, expected {want}")
 
+    def gates(a):  # zero-copy (3, n, H) view of an (n, 3H) array
+        return a.reshape(len(a), 3, hid).transpose(1, 0, 2)
+    wig, whg, big, bhg = map(gates, (wiv, whv, biv, bhv))
     out = np.empty((steps * rows, hid))
-    # kept for backward, per step: reset and update gates side by side, the
-    # candidate c, and hn, the recurrent part of the candidate's input
-    rz_s = np.empty((steps, rows, 2 * hid))
-    c_s, hn_s = np.empty((steps, rows, hid)), np.empty((steps, rows, hid))
-    gi, gh = np.empty((rows, 3 * hid)), np.empty((rows, 3 * hid))
+    # kept for backward, per step: the candidate c, the reset and update
+    # gates r and z, and hn, the recurrent part of the candidate's input
+    s, gi = np.empty((steps, 4, rows, hid)), np.empty((3, rows, hid))
     hv = h0v
     for t in range(steps):
-        rz, c, hn = rz_s[t], c_s[t], hn_s[t]
-        np.add(np.matmul(xv[t * rows:(t + 1) * rows], wiv, out=gi), biv, out=gi)
-        np.add(np.matmul(hv, whv, out=gh), bhv, out=gh)
+        c, rz, hn = s[t, 0], s[t, 1:3], s[t, 3]
+        np.add(np.matmul(xv[t * rows:(t + 1) * rows], wig, out=gi), big, out=gi)
+        np.add(np.matmul(hv, whg, out=s[t, 1:]), bhg, out=s[t, 1:])
         # logistic exp(min(u, 0)) / (1 + exp(-|u|)): exp of u <= 0 only
-        u = np.add(gi[:, :2 * hid], gh[:, :2 * hid], out=rz)
-        d = np.exp(-np.abs(u)) + 1.0
+        u = np.add(gi[:2], rz, out=rz)
+        d = np.exp(np.negative(np.abs(u, out=gi[:2]), out=gi[:2]), out=gi[:2])
+        d += 1.0
         np.divide(np.exp(np.minimum(u, 0.0, out=rz), out=rz), d, out=rz)
-        hn[...] = gh[:, 2 * hid:]
-        np.tanh(np.add(gi[:, 2 * hid:], rz[:, :hid] * hn, out=c), out=c)
-        z = rz[:, hid:]
-        hv = out[t * rows:(t + 1) * rows] = (1.0 - z) * c + z * hv
+        np.tanh(np.add(gi[2], np.multiply(rz[0], hn, out=c), out=c), out=c)
+        hv = np.multiply(rz[1], hv, out=out[t * rows:(t + 1) * rows])
+        hv += np.multiply(np.subtract(1.0, rz[1], out=gi[0]), c, out=gi[0])
 
     def bwd(g, need):
-        dx, _, dw_ih, dw_hh, db_ih, db_hh = (
-            np.zeros_like(v) if n else None
-            for v, n in zip((xv, h0v, wiv, whv, biv, bhv), need))
-        d_rz = np.empty((rows, 2 * hid))
-        dgi, dgh = np.empty((rows, 3 * hid)), np.empty((rows, 3 * hid))
-        dh = None
+        dx = np.empty_like(xv) if need[0] else None
+        # weight gradients add up gate-major; p_* end as the (in, 3H) sums
+        dw_ih, dw_hh = (np.zeros((3, len(w), hid)) if n else None
+                        for w, n in ((wiv, need[2]), (whv, need[3])))
+        p_ih, p_hh = (None if a is None else np.empty_like(a) for a in (dw_ih, dw_hh))
+        # gradients of r, z, c, hn and their biases; b_hh shares r's and z's
+        dr, dz, dc, dhn = dgate = np.empty((4, rows, hid))
+        drz, dh, db = dgate[:2], np.empty((rows, hid)), np.zeros((4, 1, hid))
+        # dx and dh copy the gates into (R x 3H) rows for one product, in the
+        # row layout's summation order; the rows' memory first holds 1 - rz
+        work = np.empty((3, rows, hid))
+        row, tmp = work.reshape(rows, 3 * hid), work[:2]
         for t in reversed(range(steps)):
             lo, hi = t * rows, (t + 1) * rows
-            gt = g[lo:hi] if dh is None else g[lo:hi] + dh
-            rz, c, hn = rz_s[t], c_s[t], hn_s[t]
-            z = rz[:, hid:]
+            gt = g[lo:hi] if t == steps - 1 else np.add(g[lo:hi], dh, out=dh)
+            c, rz, hn = s[t, 0], s[t, 1:3], s[t, 3]
             hv = out[lo - rows:lo] if t else h0v
-            dpre_c = np.multiply(gt * (1.0 - z), 1.0 - c * c,
-                                 out=dgi[:, 2 * hid:])
-            np.multiply(dpre_c, hn, out=d_rz[:, :hid])
-            np.multiply(gt, hv - c, out=d_rz[:, hid:])
-            np.multiply(d_rz * rz, 1.0 - rz, out=dgi[:, :2 * hid])
-            dgh[:, :2 * hid] = dgi[:, :2 * hid]
-            np.multiply(dpre_c, rz[:, :hid], out=dgh[:, 2 * hid:])
-            if need[0]:
-                dx[lo:hi] = dgi @ wiv.T
+            # dc = gt * (1 - z) * (1 - c * c)
+            np.multiply(gt, np.subtract(1.0, rz[1], out=dr), out=dr)
+            np.multiply(dr, np.subtract(1.0, np.multiply(c, c, out=dz), out=dz),
+                        out=dc)
+            np.multiply(dc, hn, out=dr)
+            np.multiply(gt, np.subtract(hv, c, out=dz), out=dz)
+            np.multiply(np.multiply(drz, rz, out=drz),
+                        np.subtract(1.0, rz, out=tmp), out=drz)
+            np.multiply(dc, rz[0], out=dhn)
             if need[2]:
-                dw_ih += xv[lo:hi].T @ dgi
+                dw_ih += np.matmul(xv[lo:hi].T, dgate[:3], out=p_ih)
             if need[3]:
-                dw_hh += hv.T @ dgh
-            if need[4]:
-                db_ih += dgi.sum(axis=0, keepdims=True)
-            if need[5]:
-                db_hh += dgh.sum(axis=0, keepdims=True)
+                np.matmul(hv.T, drz, out=p_hh[:2])
+                np.matmul(hv.T, dhn, out=p_hh[2])
+                dw_hh += p_hh
+            if need[4] or need[5]:
+                db += dgate.sum(axis=1, keepdims=True)
+            gates(row)[:2] = drz
+            if need[0]:
+                gates(row)[2] = dc
+                np.matmul(row, wiv.T, out=dx[lo:hi])
             if t or need[1]:
-                dh = dgh @ whv.T + gt * z
-        return dx, dh if need[1] else None, dw_ih, dw_hh, db_ih, db_hh
+                gates(row)[2] = dhn
+                gz = np.multiply(gt, rz[1], out=dr)  # gt may live in dh: read it first
+                np.add(np.matmul(row, whv.T, out=dh), gz, out=dh)
+        for acc, p in ((dw_ih, p_ih), (dw_hh, p_hh)):
+            if acc is not None:
+                gates(p.reshape(-1, 3 * hid))[...] = acc
+        return (dx, dh if need[1] else None,
+                *(None if p is None else p.reshape(-1, 3 * hid) for p in (p_ih, p_hh)),
+                db[:3].reshape(1, 3 * hid) if need[4] else None,
+                db[[0, 1, 3]].reshape(1, 3 * hid) if need[5] else None)
 
     return _emit("gru_sequence", operands, out, bwd)
 

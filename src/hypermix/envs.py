@@ -30,8 +30,6 @@ CLIMBING_PAYOFF = ((11.0, -30.0, 0.0), (-30.0, 7.0, 6.0), (0.0, 0.0, 5.0))
 BRANCH_A_PAYOFF = ((7.0, 7.0), (7.0, 7.0))
 BRANCH_B_PAYOFF = ((0.0, 1.0), (1.0, 8.0))
 
-ENUMERATION_LIMIT = 1_000_000
-
 
 @dataclass(frozen=True)
 class EnvSpec:
@@ -262,26 +260,18 @@ def make_env(env_cfg: dict):
 def brute_force_optimal(env) -> float:
     """Exact optimal expected episode return.
 
-    The one-step game's optimum is its largest payoff; it refuses payoff
-    tensors beyond ``ENUMERATION_LIMIT`` entries. In the two-step game the
-    first step pays 0 and agent 0's action picks the branch, so the optimum
-    is the largest entry of either second-step payoff. For the corridor
-    environment the agents' dynamics are independent, so the expected
-    optimum over random layouts is the product over agents of the
-    probability that a (position, target) pair is reachable within the
-    episode limit under single-agent shortest paths, a closed form costing
-    O(length^2) for any number of agents.
+    The one-step game's optimum is its largest payoff. In the two-step game
+    the first step pays 0 and agent 0's action picks the branch, so the
+    optimum is the largest entry of either second-step payoff. In the
+    corridor each agent walks to its own target along a shortest path and
+    stays there; ``episode_limit`` = 2 * length exceeds every distance
+    |p - t| <= length - 1, so every layout is solved and the optimum is 1.0
+    for any number of agents.
     """
     if isinstance(env, OneStepMatrixGame):
-        if env.payoff.size > ENUMERATION_LIMIT:
-            raise ValueError("joint action space too large to enumerate")
         return float(env.payoff.max())
     if isinstance(env, TwoStepGame):
         return float(max(env.payoff_a.max(), env.payoff_b.max()))
     if isinstance(env, LazyCoordinationGrid):
-        length = env.length
-        pairs = length * length
-        ok = sum(1 for p in range(length) for t in range(length)
-                 if abs(p - t) <= env.spec.episode_limit)
-        return float((ok / pairs) ** env.spec.n_agents)
+        return 1.0
     raise ValueError(f"no optimal-return oracle for {type(env).__name__}")

@@ -3,8 +3,9 @@
 Everything here is written straight-line against the mathematical
 definitions, deliberately sharing no code with the library: dense
 matrix-product hypergraph convolution, loop-based degree sums, a
-second GRU, a per-sample TD-target loop, and joint-state search for
-the corridor environment.
+second GRU, the row-layout GRU sequence with its backward, a
+per-sample TD-target loop, and joint-state search for the corridor
+environment.
 """
 
 import itertools
@@ -78,6 +79,77 @@ def gru_step_reference(x, h, w_ih, w_hh, b_ih, b_hh) -> np.ndarray:
     z = sigmoid(gi[:, hid:2 * hid] + gh[:, hid:2 * hid])
     c = np.tanh(gi[:, 2 * hid:] + r * gh[:, 2 * hid:])
     return (1.0 - z) * c + z * h
+
+
+def gru_sequence_reference(x, h0, w_ih, w_hh, b_ih, b_hh, steps, g,
+                           need=(True,) * 6):
+    """The row-layout GRU recurrence and its backward, op for op.
+
+    Every gate is a column slice of an (R x 3H) array, as in the library's
+    original ``gru_sequence``. Returns the (steps*R x H) output and the six
+    gradients for the output seed ``g``, None where ``need`` is False. The
+    library's gate-major version must match it bit for bit.
+    """
+    out, saved = _gru_rows_forward(x, h0, w_ih, w_hh, b_ih, b_hh, steps)
+    return out, _gru_rows_backward(x, h0, w_ih, w_hh, b_ih, b_hh, out, saved,
+                                   g, need)
+
+
+def _gru_rows_forward(x, h0, w_ih, w_hh, b_ih, b_hh, steps):
+    rows, hid = h0.shape
+    out = np.empty((steps * rows, hid))
+    rz_s = np.empty((steps, rows, 2 * hid))
+    c_s, hn_s = np.empty((steps, rows, hid)), np.empty((steps, rows, hid))
+    gi, gh = np.empty((rows, 3 * hid)), np.empty((rows, 3 * hid))
+    hv = h0
+    for t in range(steps):
+        rz, c, hn = rz_s[t], c_s[t], hn_s[t]
+        np.add(np.matmul(x[t * rows:(t + 1) * rows], w_ih, out=gi), b_ih, out=gi)
+        np.add(np.matmul(hv, w_hh, out=gh), b_hh, out=gh)
+        u = np.add(gi[:, :2 * hid], gh[:, :2 * hid], out=rz)
+        d = np.exp(-np.abs(u)) + 1.0
+        np.divide(np.exp(np.minimum(u, 0.0, out=rz), out=rz), d, out=rz)
+        hn[...] = gh[:, 2 * hid:]
+        np.tanh(np.add(gi[:, 2 * hid:], rz[:, :hid] * hn, out=c), out=c)
+        z = rz[:, hid:]
+        hv = out[t * rows:(t + 1) * rows] = (1.0 - z) * c + z * hv
+    return out, (rz_s, c_s, hn_s)
+
+
+def _gru_rows_backward(x, h0, w_ih, w_hh, b_ih, b_hh, out, saved, g, need):
+    (rows, hid), steps = h0.shape, len(saved[0])
+    rz_s, c_s, hn_s = saved
+    dx, _, dw_ih, dw_hh, db_ih, db_hh = (
+        np.zeros_like(v) if n else None
+        for v, n in zip((x, h0, w_ih, w_hh, b_ih, b_hh), need))
+    d_rz = np.empty((rows, 2 * hid))
+    dgi, dgh = np.empty((rows, 3 * hid)), np.empty((rows, 3 * hid))
+    dh = None
+    for t in reversed(range(steps)):
+        lo, hi = t * rows, (t + 1) * rows
+        gt = g[lo:hi] if dh is None else g[lo:hi] + dh
+        rz, c, hn = rz_s[t], c_s[t], hn_s[t]
+        z = rz[:, hid:]
+        hv = out[lo - rows:lo] if t else h0
+        dpre_c = np.multiply(gt * (1.0 - z), 1.0 - c * c, out=dgi[:, 2 * hid:])
+        np.multiply(dpre_c, hn, out=d_rz[:, :hid])
+        np.multiply(gt, hv - c, out=d_rz[:, hid:])
+        np.multiply(d_rz * rz, 1.0 - rz, out=dgi[:, :2 * hid])
+        dgh[:, :2 * hid] = dgi[:, :2 * hid]
+        np.multiply(dpre_c, rz[:, :hid], out=dgh[:, 2 * hid:])
+        if need[0]:
+            dx[lo:hi] = dgi @ w_ih.T
+        if need[2]:
+            dw_ih += x[lo:hi].T @ dgi
+        if need[3]:
+            dw_hh += hv.T @ dgh
+        if need[4]:
+            db_ih += dgi.sum(axis=0, keepdims=True)
+        if need[5]:
+            db_hh += dgh.sum(axis=0, keepdims=True)
+        if t or need[1]:
+            dh = dgh @ w_hh.T + gt * z
+    return dx, dh if need[1] else None, dw_ih, dw_hh, db_ih, db_hh
 
 
 def agent_forward_reference(params: dict, inputs, hidden):

@@ -1,6 +1,7 @@
 """Tape, primitives, gradients, and the finite-difference oracle."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypermix.errors import DimensionError, TapeError
 from hypermix.rng import Rng
 
 from _helpers import assert_grad_close, check_gradients, shift_from_kinks
-from _oracles import gru_step_reference, hgcn_layer_dense
+from _oracles import (gru_sequence_reference, gru_step_reference,
+                      hgcn_layer_dense)
 
 
 def _spy_on_backward(tape):
@@ -574,3 +576,53 @@ class TestGruForward:
                                            w_ih, w_hh, b_ih, b_hh)
                     np.testing.assert_allclose(got[t * rows:(t + 1) * rows],
                                                h, atol=1e-12)
+
+
+def _gru_case(seed, rows, hid, steps, din):
+    rng = Rng(seed)
+    args = [rng.normal((steps * rows, din)), rng.normal((rows, hid)),
+            0.3 * rng.normal((din, 3 * hid)), 0.3 * rng.normal((hid, 3 * hid)),
+            rng.normal((1, 3 * hid)), rng.normal((1, 3 * hid))]
+    return args, rng.normal((steps * rows, hid))
+
+
+def _gru_primitive(args, g, steps, need):
+    tape = Tape()
+    vs = [tape.var(a) if n else Var(a) for a, n in zip(args, need)]
+    out = gru_sequence(*vs, steps=steps)
+    gradient(tape, {out: g})
+    return out.value, [v.grad for v in vs]
+
+
+class TestGruSequenceLayout:
+    """The gate-major kernel against the row-layout recurrence, bit for bit."""
+
+    @pytest.mark.parametrize("rows, hid, steps, din",
+                             [(3, 16, 1, 16), (96, 16, 8, 16), (128, 64, 12, 64)])
+    @pytest.mark.parametrize("need", [(True,) * 6, (False, False) + (True,) * 4],
+                             ids=["all-traced", "x-h0-constant"])
+    def test_bit_identical_to_row_layout(self, rows, hid, steps, din, need):
+        args, g = _gru_case(rows + steps, rows, hid, steps, din)
+        want_out, want_grads = gru_sequence_reference(*args, steps, g, need)
+        got_out, got_grads = _gru_primitive(args, g, steps, need)
+        assert np.array_equal(got_out, want_out)
+        for i, (got, want) in enumerate(zip(got_grads, want_grads)):
+            if want is None:
+                assert got is None, i
+            else:
+                assert got.shape == want.shape and np.array_equal(got, want), i
+
+    def test_peak_memory_within_row_layout(self):
+        # paper shape: 32 episodes x 4 agents, agent_hidden 64, 12 steps
+        rows, hid, steps, din = 128, 64, 12, 64
+        args, g = _gru_case(9, rows, hid, steps, din)
+        peaks = []
+        for run in (lambda: _gru_primitive(args, g, steps, (True,) * 6),
+                    lambda: gru_sequence_reference(*args, steps, g)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], peaks
