@@ -207,30 +207,34 @@ def load_checkpoint(directory) -> ParameterStore:
         raise CheckpointError(f"checkpoint files missing under {directory}")
     try:
         manifest = json.loads(manifest_path.read_text())
-        entries = manifest["params"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        entries = [(e.get("name"), e.get("rows"), e.get("cols"))
+                   for e in manifest["params"]]
+    except (json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
         raise CheckpointError(f"unreadable checkpoint manifest: {exc}") from exc
+    for e in entries:
+        if tuple(map(type, e)) != (str, int, int) or min(e[1:]) < 0:
+            raise CheckpointError(f"bad checkpoint manifest entry {e}: need"
+                                  " (name str, rows int >= 0, cols int >= 0)")
     blob = blob_path.read_bytes()
-    expected = sum(e["rows"] * e["cols"] for e in entries) * 8
+    expected = sum(rows * cols for _, rows, cols in entries) * 8
     if len(blob) != expected:
         raise CheckpointError(
             f"checkpoint blob has {len(blob)} bytes, manifest expects {expected}"
         )
     store = ParameterStore()
     offset = 0
-    for e in entries:
-        count = e["rows"] * e["cols"]
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        value = arr.reshape(e["rows"], e["cols"]).astype(np.float64)
+    for name, rows, cols in entries:
+        arr = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=offset)
+        offset += rows * cols * 8
+        value = arr.reshape(rows, cols).astype(np.float64)
         if not np.isfinite(value).all():
-            raise CheckpointError(f"non-finite values in parameter {e['name']!r}")
-        store.add(e["name"], value)
+            raise CheckpointError(f"non-finite values in parameter {name!r}")
+        store.add(name, value)
     return store
 
 
 def load_checkpoint_into(store: ParameterStore, directory) -> None:
-    """Load values into an existing store, verifying names and shapes."""
+    """Load values into a store; checks all names and shapes before writing."""
     loaded = load_checkpoint(directory)
     for name, p in store.items():
         if name not in loaded:
@@ -241,7 +245,8 @@ def load_checkpoint_into(store: ParameterStore, directory) -> None:
                 f"shape mismatch for parameter {name!r}:"
                 f" checkpoint {lv.shape}, expected {p.value.shape}"
             )
-        p.value = lv.copy()
     extra = set(loaded.names()) - set(store.names())
     if extra:
         raise CheckpointError(f"checkpoint has unexpected parameters {sorted(extra)}")
+    for name, p in store.items():
+        p.value = loaded[name].value

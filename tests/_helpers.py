@@ -1,4 +1,8 @@
-"""Shared test utilities: gradient checking and tiny model setups."""
+"""Shared test utilities: gradient checking, tiny model setups and spoiled
+checkpoints."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -86,3 +90,30 @@ def composite_param_grads(store, kind, Z, s, actions, dims):
     qtot = composite_qtot(pv, kind, Z, s, actions, dims)
     ad.gradient(tape, qtot)
     return {name: pv[name].grad for name in store.names()}
+
+
+BAD_MANIFEST_ENTRIES = ("missing rows", "negative rows", "float rows",
+                        "int name", "list entry")
+
+
+def break_manifest(directory, case):
+    """Spoil the first entry of a saved checkpoint's manifest (one of
+    ``BAD_MANIFEST_ENTRIES``); the blob keeps the size the manifest implies."""
+    path = Path(directory) / nn.MANIFEST_NAME
+    manifest = json.loads(path.read_text())
+    entry = manifest["params"][0]
+    if case == "missing rows":
+        del entry["rows"]
+    elif case == "negative rows":
+        # rows * cols becomes 0, so drop the entry's bytes from the blob
+        blob = Path(directory) / nn.BLOB_NAME
+        blob.write_bytes(blob.read_bytes()[8 * entry["rows"] * entry["cols"]:])
+        entry["rows"], entry["cols"] = -1, 0
+    elif case == "float rows":
+        entry["rows"] = float(entry["rows"])
+    elif case == "int name":
+        entry["name"] = 5
+    else:
+        assert case == "list entry", case
+        manifest["params"][0] = [entry["name"], entry["rows"], entry["cols"]]
+    path.write_text(json.dumps(manifest))

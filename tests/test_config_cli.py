@@ -13,6 +13,8 @@ from hypermix.config import Config, load_config
 from hypermix.errors import ConfigError
 from hypermix.hypergraph import read_hypergraph_csv
 
+from _helpers import break_manifest
+
 
 def _write_cfg(tmp_path, name="cfg.json", **overrides):
     body = {
@@ -191,6 +193,16 @@ class TestEvalCommand:
         code = main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg)])
         assert code == 1
         assert "bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["missing rows", "negative rows"])
+    def test_malformed_manifest_clean_error(self, tmp_path, capsys, case):
+        cfg, ckpt = self._train(tmp_path)
+        break_manifest(ckpt, case)
+        code = main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bad checkpoint manifest entry" in err
+        assert "'agent.fc1.w'" in err and "Traceback" not in err
 
     def test_shape_mismatch_names_parameter(self, tmp_path, capsys):
         cfg, ckpt = self._train(tmp_path)

@@ -14,7 +14,7 @@ from hypermix.nn import (MANIFEST_NAME, ParameterStore, clip_grad_norm,
                          rmsprop_step, save_checkpoint)
 from hypermix.rng import Rng
 
-from _helpers import check_gradients
+from _helpers import BAD_MANIFEST_ENTRIES, break_manifest, check_gradients
 
 
 class TestInitParams:
@@ -240,3 +240,38 @@ class TestCheckpoint:
     def test_missing_files_is_clean_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="missing"):
             load_checkpoint(tmp_path / "nope")
+
+    @pytest.mark.parametrize("case", BAD_MANIFEST_ENTRIES)
+    def test_malformed_manifest_entry_is_clean_error(self, tmp_path, case):
+        save_checkpoint(self._store(), tmp_path / "ckpt")
+        break_manifest(tmp_path / "ckpt", case)
+        with pytest.raises(CheckpointError, match="manifest"):
+            load_checkpoint(tmp_path / "ckpt")
+
+    LOAD_INTO_ERRORS = {"missing": "missing parameter 'fc.fc2.b'",
+                        "shape": "shape mismatch for parameter 'fc.fc2.b'",
+                        "extra": r"unexpected parameters \['zz.w'\]"}
+
+    @pytest.mark.parametrize("case", sorted(LOAD_INTO_ERRORS))
+    def test_failed_load_into_leaves_store_unchanged(self, tmp_path, case):
+        store = self._store()
+        arrays = {name: p.value for name, p in store.items()}
+        before = {name: a.copy() for name, a in arrays.items()}
+        values = {name: value + 1.0 for name, value in before.items()}
+        # the mismatch is in the last parameter, after every other matched
+        last = store.names()[-1]
+        if case == "missing":
+            del values[last]
+        elif case == "shape":
+            values[last] = np.ones((1, 3))
+        else:
+            values["zz.w"] = np.ones((1, 1))
+        saved = ParameterStore()
+        for name, value in values.items():
+            saved.add(name, value)
+        save_checkpoint(saved, tmp_path / "ckpt")
+        with pytest.raises(CheckpointError, match=self.LOAD_INTO_ERRORS[case]):
+            load_checkpoint_into(store, tmp_path / "ckpt")
+        for name, p in store.items():
+            assert p.value is arrays[name]
+            assert np.array_equal(p.value, before[name])

@@ -1,10 +1,15 @@
 """Episode collection, replay, TD targets, training steps, evaluation."""
 
+import ctypes
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,8 @@ from hypermix.training import (Episode, ReplayBuffer, Schedule, _batch_inputs,
 from _helpers import tiny_mixer_store
 from _oracles import (agent_forward_reference, hgcn_mix_reference,
                       state_module_reference, store_values, td_targets_loop)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _zeroed(store):
@@ -561,6 +568,57 @@ class TestTrainStep:
                        agent_hidden=4)
         for name, p in target.items():
             np.testing.assert_array_equal(p.value, frozen[name])
+
+    # grid4 paper-width hgcn-mix and qmix steps, alternating on one replay:
+    # with the heap top trimmed after each step, the next one faults about
+    # 950 pages back in; with it kept, a step takes a handful
+    FAULT_SCRIPT = """
+import resource, statistics
+from hypermix import training
+from hypermix.config import Config
+from hypermix.envs import make_env
+from hypermix.rng import Rng
+
+cfg = Config(env={"name": "grid", "n_agents": 4, "length": 6})
+env = make_env(cfg.env)
+stores = {m: training.init_run_stores(cfg.replace(mixer=m), env, 0)
+          for m in ("hgcn-mix", "qmix")}
+root = Rng(0)
+env_rng, explore_rng, buffer_rng = (root.split(k)
+                                    for k in ("env", "explore", "buffer"))
+buffer = training.ReplayBuffer(cfg.buffer_capacity)
+for _ in range(64):
+    buffer.add(training.collect_episode(env, stores["hgcn-mix"][0], 1.0,
+                                        env_rng, explore_rng, cfg.agent_hidden))
+faults = []
+for step in range(20):
+    for mixer, (store, target) in stores.items():
+        batch = buffer.sample(cfg.batch_size, buffer_rng)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        training.train_step(batch, store, target, mixer, cfg.gamma, cfg.embed,
+                            cfg.agent_hidden)
+        if mixer == "hgcn-mix":
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                          - before)
+        if (step + 1) % 5 == 0:
+            training.update_target(store, target)
+print(statistics.median(faults[4:]))
+"""
+
+    def test_steady_train_steps_take_no_page_fault_storm(self):
+        try:
+            ctypes.CDLL(None).mallopt
+        except (AttributeError, OSError, TypeError):
+            pytest.skip("the C library has no mallopt")
+        # a fresh process, so the rest of the suite does not shape its heap
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in (env.get("PYTHONPATH"),) if p])
+        done = subprocess.run([sys.executable, "-c", self.FAULT_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert float(done.stdout) <= 100
 
 
 class TestUpdateTarget:
