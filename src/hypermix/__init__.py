@@ -28,7 +28,7 @@ from .mixers import MIXER_KINDS, igm_check, mix_batch, state_module, vdn_mix
 from .nn import ParameterStore, rmsprop_step
 from .rng import Rng
 from .training import (Episode, ReplayBuffer, Schedule, collect_episode,
-                       evaluate_policy, run_training, td_targets, train_step,
-                       update_target)
+                       evaluate_policy, run_training, stack_episodes,
+                       td_targets, train_step, update_target)
 
 __version__ = "0.1.0"

@@ -52,15 +52,17 @@ def initial_hidden(rows: int, hidden: int = 64) -> np.ndarray:
 def build_agent_inputs(obs: np.ndarray, last_actions, n_actions: int) -> np.ndarray:
     """Stack per-agent input rows: obs ++ last-action one-hot ++ id one-hot.
 
-    ``last_actions`` holds ints, or None for the first step of an episode.
+    ``obs`` is (..., n, obs_dim) and ``last_actions`` (..., n) ints, where -1
+    means no last action (the first step of an episode, or past its end);
+    the rows come out (..., n, d) in the order of the leading axes.
     """
     obs = np.asarray(obs, dtype=np.float64)
-    n, obs_dim = obs.shape
-    out = np.zeros((n, obs_dim + n_actions + n))
-    out[:, :obs_dim] = obs
-    if last_actions is not None:
-        out[np.arange(n), obs_dim + np.asarray(last_actions, dtype=np.intp)] = 1.0
-    out[:, obs_dim + n_actions:] = np.eye(n)
+    n, obs_dim = obs.shape[-2:]
+    out = np.zeros(obs.shape[:-1] + (obs_dim + n_actions + n,))
+    out[..., :obs_dim] = obs
+    out[..., obs_dim:obs_dim + n_actions] = (
+        np.asarray(last_actions)[..., None] == np.arange(n_actions))
+    out[..., obs_dim + n_actions:] = np.eye(n)
     return out
 
 

@@ -176,6 +176,8 @@ def cmd_compare(args) -> int:
             " evaluation to compare"
         )
     mixers = [m.strip() for m in args.mixers.split(",") if m.strip()]
+    if not mixers:
+        raise ConfigError(f"--mixers: no mixer kind in {args.mixers!r}")
     for m in mixers:
         mx.validate_mixer_kind(m)
     seeds = list(range(args.seeds))

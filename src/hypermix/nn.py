@@ -68,7 +68,7 @@ class ParameterStore:
                 p = self._params[name]
                 p.grad = p.grad + var.grad
 
-    def memo(self, key) -> weakref.WeakKeyDictionary:
+    def memo(self, key) -> dict:
         """Entries valid for ``key`` and the current value arrays (held weakly,
         made read-only); emptied when either changes."""
         arrays = [p.value for p in self._params.values()]
@@ -77,8 +77,7 @@ class ParameterStore:
                 or any(r() is not a for r, a in zip(held[1], arrays))):
             for a in arrays:
                 a.flags.writeable = False
-            held = self._memo = (key, [weakref.ref(a) for a in arrays],
-                                 weakref.WeakKeyDictionary())
+            held = self._memo = (key, [weakref.ref(a) for a in arrays], {})
         return held[2]
 
     def clone(self) -> "ParameterStore":
@@ -211,10 +210,15 @@ def load_checkpoint(directory) -> ParameterStore:
                    for e in manifest["params"]]
     except (json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
         raise CheckpointError(f"unreadable checkpoint manifest: {exc}") from exc
+    seen = set()
     for e in entries:
         if tuple(map(type, e)) != (str, int, int) or min(e[1:]) < 0:
             raise CheckpointError(f"bad checkpoint manifest entry {e}: need"
                                   " (name str, rows int >= 0, cols int >= 0)")
+        if e[0] in seen:
+            raise CheckpointError(f"bad checkpoint manifest entry {e}: name"
+                                  f" {e[0]!r} is listed twice")
+        seen.add(e[0])
     blob = blob_path.read_bytes()
     expected = sum(rows * cols for _, rows, cols in entries) * 8
     if len(blob) != expected:

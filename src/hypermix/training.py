@@ -9,9 +9,10 @@ is exact for mixers satisfying the individual-global-max property.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +42,15 @@ class Schedule:
         return self.eps_start + (self.eps_end - self.eps_start) * frac
 
 
-@dataclass(eq=False)
+_stamps = itertools.count()
+
+
+@dataclass
 class Episode:
     """One rollout with a trailing observation slot for bootstrapping.
 
-    Slots beyond ``length`` stay zero; ``length`` is the validity mask.
+    Slots beyond ``length`` stay zero (-1 in ``actions``); ``length`` is the
+    validity mask. ``stamp``, unique in the process, keys the target memo.
     """
 
     obs: np.ndarray          # (T+1, n, obs_dim)
@@ -55,6 +60,7 @@ class Episode:
     reward: np.ndarray       # (T,)
     terminated: np.ndarray   # (T,) bool
     length: int
+    stamp: int = field(default_factory=_stamps.__next__, init=False)
 
     @classmethod
     def empty(cls, limit: int, n: int, obs_dim: int, state_dim: int,
@@ -63,7 +69,7 @@ class Episode:
             obs=np.zeros((limit + 1, n, obs_dim)),
             state=np.zeros((limit + 1, state_dim)),
             avail=np.zeros((limit + 1, n, n_actions), dtype=bool),
-            actions=np.zeros((limit, n), dtype=np.intp),
+            actions=np.full((limit, n), -1, dtype=np.intp),
             reward=np.zeros(limit),
             terminated=np.zeros(limit, dtype=bool),
             length=0,
@@ -74,31 +80,44 @@ class Episode:
         return float(self.reward[:self.length].sum())
 
 
+def stack_episodes(episodes: list[Episode]) -> dict[str, np.ndarray]:
+    """One batch of episodes: each field stacked episode-major, (B, ...).
+
+    The episodes' arrays become read-only, since :func:`td_targets` memoizes
+    their targets by stamp.
+    """
+    for ep in episodes:
+        for value in vars(ep).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+    return {f.name: np.array([getattr(ep, f.name) for ep in episodes])
+            for f in fields(Episode)}
+
+
 class ReplayBuffer:
     """Ring buffer of episodes with uniform without-replacement sampling."""
 
     def __init__(self, capacity: int = 5000):
         self.capacity = capacity
         self._episodes: list[Episode] = []
-        self._next = 0
         self.inserted = 0
 
     def add(self, episode: Episode) -> None:
         if len(self._episodes) < self.capacity:
             self._episodes.append(episode)
         else:
-            self._episodes[self._next] = episode
-        self._next = (self._next + 1) % self.capacity
+            self._episodes[self.inserted % self.capacity] = episode
         self.inserted += 1
 
     def __len__(self) -> int:
         return len(self._episodes)
 
-    def sample(self, batch_size: int, rng: Rng) -> list[Episode]:
+    def sample(self, batch_size: int, rng: Rng) -> dict[str, np.ndarray]:
+        """A :func:`stack_episodes` batch of distinct episodes."""
         if batch_size > len(self._episodes):
             raise ValueError("not enough episodes buffered")
         idx = rng.sample_without_replacement(len(self._episodes), batch_size)
-        return [self._episodes[i] for i in idx]
+        return stack_episodes([self._episodes[i] for i in idx])
 
 
 def collect_episode(env, store: ParameterStore, eps: float, env_rng: Rng,
@@ -111,13 +130,13 @@ def collect_episode(env, store: ParameterStore, eps: float, env_rng: Rng,
     obs, state = env.reset(env_rng)
     avail = env.avail_actions()
     hidden = ag.initial_hidden(spec.n_agents, agent_hidden)
-    last_actions = None
     t = 0
     while True:
         ep.obs[t] = obs
         ep.state[t] = state
         ep.avail[t] = avail
-        inputs = ag.build_agent_inputs(obs, last_actions, spec.n_actions)
+        # at t = 0, ep.actions[-1] still holds the -1 padding: no last action
+        inputs = ag.build_agent_inputs(obs, ep.actions[t - 1], spec.n_actions)
         q, hidden = ag.agent_forward(pv, Var(inputs), hidden)
         actions = [ag.select_action(q.value[a], avail[a], eps, explore_rng)
                    for a in range(spec.n_agents)]
@@ -125,7 +144,6 @@ def collect_episode(env, store: ParameterStore, eps: float, env_rng: Rng,
         ep.actions[t] = actions
         ep.reward[t] = res.reward
         ep.terminated[t] = res.terminated
-        last_actions = actions
         obs, state, avail = res.obs, res.state, res.avail
         t += 1
         if res.terminated or t >= spec.episode_limit:
@@ -137,31 +155,13 @@ def collect_episode(env, store: ParameterStore, eps: float, env_rng: Rng,
     return ep
 
 
-def _batch_inputs(batch: list[Episode], n_actions: int) -> np.ndarray:
-    """Agent input rows of every step of the batch, (T+1, B*n, d).
-
-    Step t stacks each episode's n agent rows in batch order; rows past an
-    episode's end carry zero observations and no last action.
-    """
-    t_max = max(ep.length for ep in batch)
-    n, obs_dim = batch[0].obs.shape[1:]
-    out = np.zeros((t_max + 1, len(batch), n, obs_dim + n_actions + n))
-    out[..., :obs_dim] = np.stack([ep.obs[:t_max + 1] for ep in batch], axis=1)
-    out[..., obs_dim + n_actions:] = np.eye(n)
-    agents = np.arange(n)
-    for e, ep in enumerate(batch):
-        steps = np.arange(1, ep.length + 1)[:, None]
-        out[steps, e, agents, obs_dim + ep.actions[:ep.length]] = 1.0
-    return out.reshape(t_max + 1, len(batch) * n, -1)
-
-
-def _steps(batch: list[Episode]) -> tuple[np.ndarray, np.ndarray]:
+def _steps(batch: dict) -> tuple[np.ndarray, np.ndarray]:
     """Pairs (t, e) with t < length of episode e.
 
     Ordered by step, then episode: the order of the rows of the agent
     pass.
     """
-    lengths = np.array([ep.length for ep in batch])
+    lengths = batch["length"]
     return np.nonzero(np.arange(lengths.max())[:, None] < lengths)
 
 
@@ -172,48 +172,45 @@ def _sample_rows(t: np.ndarray, e: np.ndarray, n_episodes: int,
     return ((t * n_episodes + e)[:, None] * n + np.arange(n)).ravel()
 
 
-def _stacked(batch: list[Episode], field: str) -> np.ndarray:
-    return np.stack([getattr(ep, field) for ep in batch])
-
-
-def _agent_pass(pv: dict[str, Var], inputs: np.ndarray,
+def _agent_pass(pv: dict[str, Var], batch: dict, steps: int,
                 agent_hidden: int) -> Var:
-    """Agent Q values of every step of ``inputs`` (T, B*n, d) from a zero
-    hidden state, in one agent call: (T*B*n x n_actions), step-major."""
-    steps, rows = inputs.shape[:2]
+    """Agent Q values of the first ``steps`` steps of every episode of
+    ``batch`` from a zero hidden state, in one agent call:
+    (steps*B*n x n_actions), step-major."""
+    actions = batch["actions"].swapaxes(0, 1)
+    last = np.full((steps,) + actions.shape[1:], -1)
+    last[1:] = actions[:steps - 1]
+    inputs = ag.build_agent_inputs(batch["obs"][:, :steps].swapaxes(0, 1),
+                                   last, batch["avail"].shape[-1])
+    rows = inputs.shape[1] * inputs.shape[2]
     q, _ = ag.agent_forward(pv, Var(inputs.reshape(steps * rows, -1)),
                             ag.initial_hidden(rows, agent_hidden), steps)
     return q
 
 
-def _mix_steps(kind: str, pv: dict[str, Var], chosen, batch: list[Episode],
+def _mix_steps(kind: str, pv: dict[str, Var], chosen, batch: dict,
                t: np.ndarray, e: np.ndarray, embed: int) -> Var:
     """Joint values of the (t, e) samples, in one mixer call."""
-    n = batch[0].obs.shape[1]
-    Z = _stacked(batch, "obs")[e, t].reshape(t.size * n, -1)
-    return mx.mix_batch(kind, pv, chosen, Z, _stacked(batch, "state")[e, t],
-                        n, embed)
+    n = batch["obs"].shape[2]
+    Z = batch["obs"][e, t].reshape(t.size * n, -1)
+    return mx.mix_batch(kind, pv, chosen, Z, batch["state"][e, t], n, embed)
 
 
-def _fresh_targets(batch: list[Episode], target_store: ParameterStore,
-                   kind: str, gamma: float, embed: int, agent_hidden: int,
-                   inputs: np.ndarray | None) -> np.ndarray:
+def _fresh_targets(batch: dict, target_store: ParameterStore, kind: str,
+                   gamma: float, embed: int, agent_hidden: int) -> np.ndarray:
     """:func:`td_targets` of every episode of ``batch``, without the memo."""
-    n = batch[0].obs.shape[1]
-    n_actions = batch[0].avail.shape[2]
+    n, n_actions = batch["avail"].shape[2:]
     t, e = _steps(batch)
-    targets = np.zeros((t.max() + 1, len(batch)))
-    targets[t, e] = _stacked(batch, "reward")[e, t]
-    boot = ~_stacked(batch, "terminated")[e, t]
+    targets = np.zeros((t.max() + 1, len(batch["length"])))
+    targets[t, e] = batch["reward"][e, t]
+    boot = ~batch["terminated"][e, t]
     if not boot.any():
         return targets
     t, e = t[boot] + 1, e[boot]
-    if inputs is None:
-        inputs = _batch_inputs(batch, n_actions)
     pv = target_store.bind(None)
-    q = _agent_pass(pv, inputs[:t.max() + 1], agent_hidden)
-    q_rows = q.value[_sample_rows(t, e, len(batch), n)]
-    avail = _stacked(batch, "avail")[e, t].reshape(-1, n_actions)
+    q = _agent_pass(pv, batch, t.max() + 1, agent_hidden)
+    q_rows = q.value[_sample_rows(t, e, len(batch["length"]), n)]
+    avail = batch["avail"][e, t].reshape(-1, n_actions)
     greedy = ag.greedy_actions(q_rows, avail)
     chosen = Var(q_rows[np.arange(q_rows.shape[0]), greedy].reshape(-1, 1))
     qtot = _mix_steps(kind, pv, chosen, batch, t, e, embed)
@@ -221,40 +218,33 @@ def _fresh_targets(batch: list[Episode], target_store: ParameterStore,
     return targets
 
 
-def td_targets(batch: list[Episode], target_store: ParameterStore, kind: str,
-               gamma: float, embed: int, agent_hidden: int = 64,
-               inputs: np.ndarray | None = None) -> np.ndarray:
+def td_targets(batch: dict, target_store: ParameterStore, kind: str,
+               gamma: float, embed: int, agent_hidden: int = 64) -> np.ndarray:
     """One-step TD targets from the frozen target parameters, as (T x B).
 
-    Entry [t, e] is the target of step t of episode e; entries past an
-    episode's length are zero. Terminal steps take the raw reward (so does a
-    time-limit step the environment marks terminal, as the corridor does:
-    no state feature carries the time left); other steps bootstrap from the
-    target joint value at the per-agent greedy actions of the next step.
-    ``inputs`` may pass in this batch's :func:`_batch_inputs`.
+    ``batch`` is a :func:`stack_episodes` batch. Entry [t, e] is the target
+    of step t of episode e; entries past an episode's length are zero.
+    Terminal steps take the raw reward (so does a time-limit step the
+    environment marks terminal, as the corridor does: no state feature
+    carries the time left); other steps bootstrap from the target joint
+    value at the per-agent greedy actions of the next step.
 
     Each episode's targets are memoized in ``target_store.memo`` under
-    (kind, gamma, embed, agent_hidden) by episode identity, and its arrays
-    become read-only; a new key or target parameter array empties the memo.
-    Missed episodes share one target agent and mixer call; hits make none.
+    (kind, gamma, embed, agent_hidden) by episode stamp; a new key or target
+    parameter array empties the memo. Missed episodes share one target agent
+    and mixer call; hits make none.
     """
     memo = target_store.memo((kind, gamma, embed, agent_hidden))
-    missed = [k for k, ep in enumerate(batch) if ep not in memo]
+    stamps, lengths = batch["stamp"].tolist(), batch["length"]
+    missed = [k for k, stamp in enumerate(stamps) if stamp not in memo]
     if missed:
-        sub = [batch[k] for k in missed]
-        if inputs is not None:
-            cols = inputs.reshape(len(inputs), len(batch), -1, inputs.shape[2])
-            inputs = cols[:, missed].reshape(len(inputs), -1, inputs.shape[2])
-        fresh = _fresh_targets(sub, target_store, kind, gamma, embed,
-                               agent_hidden, inputs)
-        for k, ep in enumerate(sub):
-            memo[ep] = fresh[:ep.length, k].copy()
-            for value in (*vars(ep).values(), memo[ep]):
-                if isinstance(value, np.ndarray):
-                    value.flags.writeable = False
-    targets = np.zeros((max(ep.length for ep in batch), len(batch)))
-    for k, ep in enumerate(batch):
-        targets[:ep.length, k] = memo[ep]
+        fresh = _fresh_targets({f: v[missed] for f, v in batch.items()},
+                               target_store, kind, gamma, embed, agent_hidden)
+        for col, k in enumerate(missed):
+            memo[stamps[k]] = fresh[:lengths[k], col].copy()
+    targets = np.zeros((lengths.max(), len(stamps)))
+    for k, stamp in enumerate(stamps):
+        targets[:lengths[k], k] = memo[stamp]
     return targets
 
 
@@ -270,20 +260,18 @@ def train_step(batch: list[Episode], store: ParameterStore,
     edge weights, and the hypernetworks, but not into the targets. One agent
     call covers every step of the batch and one mixer call every valid step,
     so the tape holds one GRU record however long the episodes are.
+    ``batch`` is a :func:`stack_episodes` batch.
     """
-    n = batch[0].obs.shape[1]
-    n_actions = batch[0].avail.shape[2]
-    inputs = _batch_inputs(batch, n_actions)
-    targets = td_targets(batch, target_store, kind, gamma, embed, agent_hidden,
-                         inputs=inputs)
-    t_max = len(inputs) - 1
+    n, n_actions = batch["avail"].shape[2:]
+    n_episodes, t_max = len(batch["length"]), batch["length"].max()
+    targets = td_targets(batch, target_store, kind, gamma, embed, agent_hidden)
 
     tape = Tape()
     pv = store.bind(tape)
-    q = _agent_pass(pv, inputs[:t_max], agent_hidden)
+    q = _agent_pass(pv, batch, t_max, agent_hidden)
     t, e = _steps(batch)
-    rows = _sample_rows(t, e, len(batch), n)
-    actions = _stacked(batch, "actions")[e, t].ravel()
+    rows = _sample_rows(t, e, n_episodes, n)
+    actions = batch["actions"][e, t].ravel()
     q_flat = reshape(q, q.value.size, 1)
     chosen = select_rows(q_flat, rows * n_actions + actions)
     qtot = _mix_steps(kind, pv, chosen, batch, t, e, embed)
@@ -292,7 +280,7 @@ def train_step(batch: list[Episode], store: ParameterStore,
     loss_value = float(loss.value[0, 0])
     if not np.isfinite(loss_value):
         raise TrainingError(
-            f"non-finite loss {loss_value} (mixer={kind}, batch={len(batch)},"
+            f"non-finite loss {loss_value} (mixer={kind}, batch={n_episodes},"
             f" t_max={t_max})"
         )
     gradient(tape, loss)

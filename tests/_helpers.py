@@ -68,7 +68,7 @@ def tiny_mixer_store(kind, seed=0, n=2, obs_dim=3, state_dim=2, n_actions=2,
 def composite_qtot(pv, kind, Z, s, actions, dims):
     """Traced agent forward + mixer for one sample; returns the 1x1 joint value."""
     n, n_actions = dims["n"], dims["n_actions"]
-    inputs = agents.build_agent_inputs(Z, None, n_actions)
+    inputs = agents.build_agent_inputs(Z, np.full(n, -1), n_actions)
     hidden = agents.initial_hidden(n, dims["agent_hidden"])
     q, _ = agents.agent_forward(pv, ad.Var(inputs), hidden)
     onehot = np.zeros((n, n_actions))
@@ -93,7 +93,7 @@ def composite_param_grads(store, kind, Z, s, actions, dims):
 
 
 BAD_MANIFEST_ENTRIES = ("missing rows", "negative rows", "float rows",
-                        "int name", "list entry")
+                        "int name", "list entry", "repeated name")
 
 
 def break_manifest(directory, case):
@@ -113,6 +113,8 @@ def break_manifest(directory, case):
         entry["rows"] = float(entry["rows"])
     elif case == "int name":
         entry["name"] = 5
+    elif case == "repeated name":
+        manifest["params"][1]["name"] = entry["name"]
     else:
         assert case == "list entry", case
         manifest["params"][0] = [entry["name"], entry["rows"], entry["cols"]]

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from hypermix import autodiff as ad
-from hypermix.agents import agent_forward, initial_hidden
 from hypermix.autodiff import hgcn_conv, reduce_sum
 from hypermix.config import Config
 from hypermix.envs import make_env
@@ -21,7 +20,8 @@ from hypermix.mixers import igm_check, init_mixer_params, make_qtot_fn
 from hypermix.nn import (ParameterStore, gru_fwd, init_gru, init_mlp,
                          load_checkpoint, mlp_fwd)
 from hypermix.rng import Rng
-from hypermix.training import _batch_inputs, collect_episode, run_training
+from hypermix.training import (_agent_pass, collect_episode, run_training,
+                               stack_episodes)
 
 from _helpers import (assert_grad_close, check_gradients,
                       composite_param_grads, composite_qtot_value,
@@ -271,9 +271,7 @@ def test_criterion_9_trained_monotonicity_and_igm(tmp_path):
         ep = collect_episode(env, store, 0.0, rng.split(f"env{k}"),
                              rng.split(f"explore{k}"), cfg.agent_hidden)
         steps = ep.length
-        inputs = _batch_inputs([ep], n_actions)[:steps].reshape(steps * n, -1)
-        q, _ = agent_forward(pv, ad.Var(inputs),
-                             initial_hidden(n, cfg.agent_hidden), steps=steps)
+        q = _agent_pass(pv, stack_episodes([ep]), steps, cfg.agent_hidden)
         tables = q.value.reshape(steps, n, n_actions)
         for t in range(steps):
             H, _ = build_hypergraph_rows(ep.obs[t], pv["mix.gen.w"],

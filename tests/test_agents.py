@@ -23,7 +23,7 @@ class TestAgentForward:
         store = _store()
         for name, p in store.items():
             p.value = np.zeros_like(p.value)
-        inputs = ag.build_agent_inputs(np.ones((2, 3)), None, 2)
+        inputs = ag.build_agent_inputs(np.ones((2, 3)), [-1, -1], 2)
         q, h = ag.agent_forward(store.bind(None), Var(inputs),
                                 ag.initial_hidden(2, 4))
         np.testing.assert_array_equal(q.value, np.zeros((2, 2)))
@@ -52,7 +52,7 @@ class TestAgentForward:
     def test_hidden_state_carries_history(self):
         store = _store(seed=5)
         pv = store.bind(None)
-        inputs = ag.build_agent_inputs(np.ones((2, 3)), None, 2)
+        inputs = ag.build_agent_inputs(np.ones((2, 3)), [-1, -1], 2)
         _, h1 = ag.agent_forward(pv, Var(inputs), ag.initial_hidden(2, 4))
         q_a, _ = ag.agent_forward(pv, Var(inputs), h1)
         q_b, _ = ag.agent_forward(pv, Var(inputs), ag.initial_hidden(2, 4))
@@ -87,9 +87,18 @@ class TestBuildInputs:
         np.testing.assert_array_equal(rows[1], [0.3, 0.4, 1, 0, 0, 0, 1])
 
     def test_episode_start_has_zero_action_block(self):
-        rows = ag.build_agent_inputs(np.zeros((2, 2)), None, 3)
+        rows = ag.build_agent_inputs(np.zeros((2, 2)), [-1, -1], 3)
         assert rows[:, 2:5].sum() == 0.0
         assert rows[0, 5] == 1.0 and rows[1, 6] == 1.0
+
+    def test_leading_axes_stack_the_rows_of_each_index(self):
+        obs = Rng(4).normal((3, 2, 2, 5))
+        last = np.array([-1, 0, 2, 1, -1, 2, 0, 0, 1, -1, -1, 2]).reshape(3, 2, 2)
+        rows = ag.build_agent_inputs(obs, last, 3)
+        assert rows.shape == (3, 2, 2, 10) and rows.flags.c_contiguous
+        for idx in np.ndindex(3, 2):
+            np.testing.assert_array_equal(
+                rows[idx], ag.build_agent_inputs(obs[idx], last[idx], 3))
 
 
 class TestSelectAction:

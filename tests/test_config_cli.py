@@ -194,7 +194,8 @@ class TestEvalCommand:
         assert code == 1
         assert "bytes" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["missing rows", "negative rows"])
+    @pytest.mark.parametrize("case", ["missing rows", "negative rows",
+                                      "repeated name"])
     def test_malformed_manifest_clean_error(self, tmp_path, capsys, case):
         cfg, ckpt = self._train(tmp_path)
         break_manifest(ckpt, case)
@@ -308,6 +309,14 @@ class TestCompareCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "training.eval_interval" in err and "Traceback" not in err
+
+    def test_no_mixer_kind_exits_2_naming_the_flag(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path)
+        code = main(["compare", "--config", str(cfg), "--mixers", ",",
+                     "--seeds", "1", "--out", str(tmp_path / "cmp.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--mixers" in err and "Traceback" not in err
 
     def test_mismatched_eval_grids_alignment_error(self, tmp_path):
         a = tmp_path / "a"

@@ -250,7 +250,8 @@ class TestCheckpoint:
 
     LOAD_INTO_ERRORS = {"missing": "missing parameter 'fc.fc2.b'",
                         "shape": "shape mismatch for parameter 'fc.fc2.b'",
-                        "extra": r"unexpected parameters \['zz.w'\]"}
+                        "extra": r"unexpected parameters \['zz.w'\]",
+                        "repeated": "name 'fc.fc1.w' is listed twice"}
 
     @pytest.mark.parametrize("case", sorted(LOAD_INTO_ERRORS))
     def test_failed_load_into_leaves_store_unchanged(self, tmp_path, case):
@@ -264,12 +265,14 @@ class TestCheckpoint:
             del values[last]
         elif case == "shape":
             values[last] = np.ones((1, 3))
-        else:
+        elif case == "extra":
             values["zz.w"] = np.ones((1, 1))
         saved = ParameterStore()
         for name, value in values.items():
             saved.add(name, value)
         save_checkpoint(saved, tmp_path / "ckpt")
+        if case == "repeated":
+            break_manifest(tmp_path / "ckpt", "repeated name")
         with pytest.raises(CheckpointError, match=self.LOAD_INTO_ERRORS[case]):
             load_checkpoint_into(store, tmp_path / "ckpt")
         for name, p in store.items():

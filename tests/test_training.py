@@ -22,10 +22,10 @@ from hypermix.config import Config
 from hypermix.envs import OneStepMatrixGame, TwoStepGame, make_env
 from hypermix.nn import load_checkpoint_into, rmsprop_step, save_checkpoint
 from hypermix.rng import Rng
-from hypermix.training import (Episode, ReplayBuffer, Schedule, _batch_inputs,
+from hypermix.training import (Episode, ReplayBuffer, Schedule,
                                collect_episode, evaluate_policy,
-                               init_run_stores, run_training, td_targets,
-                               train_step, update_target)
+                               init_run_stores, run_training, stack_episodes,
+                               td_targets, train_step, update_target)
 
 from _helpers import tiny_mixer_store
 from _oracles import (agent_forward_reference, hgcn_mix_reference,
@@ -83,7 +83,7 @@ class TestReplayBuffer:
         for i in range(10):
             buf.add(self._ep(i))
         batch = buf.sample(10, Rng(0))
-        assert sorted(e.reward[0] for e in batch) == list(range(10))
+        assert sorted(batch["reward"][:, 0]) == list(range(10))
 
     def test_refuses_underfull_sampling(self):
         buf = ReplayBuffer(capacity=10)
@@ -141,7 +141,9 @@ class TestCollectEpisode:
         ep = collect_episode(env, store, 1.0, Rng(3).split("env"),
                              Rng(3).split("x"), agent_hidden=4)
         assert ep.length > 1 and len(used) == ep.length
-        replayed = _batch_inputs([ep], spec.n_actions)
+        training._agent_pass(store.bind(None), stack_episodes([ep]),
+                             ep.length + 1, agent_hidden=4)
+        replayed = used[-1][:, 0]  # (steps, episode, n, d): one episode
         for t in range(ep.length):
             np.testing.assert_array_equal(replayed[t], used[t])
         np.testing.assert_array_equal(
@@ -154,7 +156,7 @@ def _reference_q(params, ep, t, dims):
     """Agent values at step t of one episode, by the reference network."""
     hidden = np.zeros((dims["n"], dims["agent_hidden"]))
     for step in range(t + 1):
-        last = ep.actions[step - 1] if step > 0 else None
+        last = ep.actions[step - 1] if step > 0 else np.full(dims["n"], -1)
         inputs = ag.build_agent_inputs(ep.obs[step], last, dims["n_actions"])
         q, hidden = agent_forward_reference(params, inputs, hidden)
     return q
@@ -250,8 +252,8 @@ class TestTdTargets:
         env = OneStepMatrixGame()
         ep = collect_episode(env, store, 0.0, Rng(2).split("env"),
                              Rng(2).split("x"), agent_hidden=4)
-        y = td_targets([ep], store, "vdn", gamma=0.99, embed=dims["embed"],
-                       agent_hidden=4)
+        y = td_targets(stack_episodes([ep]), store, "vdn", gamma=0.99,
+                       embed=dims["embed"], agent_hidden=4)
         assert y[0, 0] == ep.reward[0]
 
     def test_bootstrap_arithmetic(self):
@@ -261,8 +263,8 @@ class TestTdTargets:
         ep = collect_episode(env, store, 1.0, Rng(3).split("env"),
                              Rng(3).split("x"), agent_hidden=4)
         assert ep.length == 2
-        y = td_targets([ep], store, "vdn", gamma=0.99, embed=dims["embed"],
-                       agent_hidden=4)
+        y = td_targets(stack_episodes([ep]), store, "vdn", gamma=0.99,
+                       embed=dims["embed"], agent_hidden=4)
         ref = _reference_td_targets([ep], store, "vdn", 0.99, dims)
         np.testing.assert_allclose(_columns(y, [ep])[0], ref[0], atol=1e-10)
         assert y[0, 0] != ep.reward[0]  # really bootstrapped
@@ -273,8 +275,8 @@ class TestTdTargets:
                                        state_dim=12, hyperedges=2, embed=3)
         batch = self._batch(store, {"name": "grid", "n_agents": 2,
                                     "length": 3}, count=4, seed=10)
-        got = td_targets(batch, store, kind, gamma=0.9, embed=dims["embed"],
-                         agent_hidden=4)
+        got = td_targets(stack_episodes(batch), store, kind, gamma=0.9,
+                         embed=dims["embed"], agent_hidden=4)
         want = _reference_td_targets(batch, store, kind, 0.9, dims)
         for g, w in zip(_columns(got, batch), want):
             np.testing.assert_allclose(g, w, atol=1e-9)
@@ -284,8 +286,8 @@ class TestTdTargets:
         store, dims = tiny_mixer_store(kind, n=3, obs_dim=4, n_actions=3,
                                        state_dim=5, hyperedges=2, embed=3)
         batch = _mixed_length_batch(dims, seed=40)
-        got = td_targets(batch, store, kind, gamma=0.9, embed=dims["embed"],
-                         agent_hidden=dims["agent_hidden"])
+        got = td_targets(stack_episodes(batch), store, kind, gamma=0.9,
+                         embed=dims["embed"], agent_hidden=dims["agent_hidden"])
         want = _reference_td_targets(batch, store, kind, 0.9, dims)
         for g, w in zip(_columns(got, batch), want):
             np.testing.assert_allclose(g, w, atol=1e-9)
@@ -302,8 +304,8 @@ class TestTdTargets:
             return mix_batch(*args)
 
         monkeypatch.setattr(mx, "mix_batch", spy)
-        td_targets(batch, store, "qmix", gamma=0.9, embed=dims["embed"],
-                   agent_hidden=dims["agent_hidden"])
+        td_targets(stack_episodes(batch), store, "qmix", gamma=0.9,
+                   embed=dims["embed"], agent_hidden=dims["agent_hidden"])
         # four of the five episodes end terminated
         assert samples == [sum(ep.length for ep in batch) - 4]
 
@@ -320,8 +322,8 @@ class TestTdTargets:
 
         monkeypatch.setattr(ag, "agent_forward", unexpected)
         monkeypatch.setattr(mx, "mix_batch", unexpected)
-        y = td_targets(batch, store, "qmix", gamma=0.9, embed=dims["embed"],
-                       agent_hidden=4)
+        y = td_targets(stack_episodes(batch), store, "qmix", gamma=0.9,
+                       embed=dims["embed"], agent_hidden=4)
         np.testing.assert_array_equal(y, [[ep.reward[0] for ep in batch]])
 
     def test_time_limit_step_takes_raw_reward(self):
@@ -334,8 +336,8 @@ class TestTdTargets:
         cut = [ep for ep in batch
                if ep.length == limit and ep.reward[limit - 1] == 0.0]
         assert cut, "no episode reached the time limit"
-        y = td_targets(cut, store, "qmix", gamma=0.9, embed=dims["embed"],
-                       agent_hidden=4)
+        y = td_targets(stack_episodes(cut), store, "qmix", gamma=0.9,
+                       embed=dims["embed"], agent_hidden=4)
         for k, ep in enumerate(cut):
             assert ep.terminated[limit - 1]
             assert y[limit - 1, k] == 0.0
@@ -362,19 +364,30 @@ class TestTargetMemo:
         return store, dims, _mixed_length_batch(dims, seed=40)
 
     def _targets(self, batch, store, dims, kind="hgcn-mix", gamma=0.9):
+        if isinstance(batch, list):
+            batch = stack_episodes(batch)
         return td_targets(batch, store, kind, gamma=gamma, embed=dims["embed"],
                           agent_hidden=dims["agent_hidden"])
 
     @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix", "hgcn-mix-oh"])
-    @pytest.mark.parametrize("pass_inputs", [False, True])
-    def test_memoized_and_new_episodes_match_oracle(self, kind, pass_inputs):
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_memoized_and_new_episodes_match_oracle(self, kind, sampled):
+        # the batch is stacked in a chosen order, or drawn from a replay
+        # buffer in the order its sampler picks; the stamps name its episodes
         store, dims, old = self._setup(kind)
         self._targets(old[:3], store, dims, kind)
         new = _mixed_length_batch(dims, seed=41)
         batch = [new[0], old[1], new[1], old[0], new[3], old[2], new[4]]
-        inputs = _batch_inputs(batch, dims["n_actions"]) if pass_inputs else None
-        got = td_targets(batch, store, kind, gamma=0.9, embed=dims["embed"],
-                         agent_hidden=dims["agent_hidden"], inputs=inputs)
+        if sampled:
+            buf = ReplayBuffer(capacity=len(batch))
+            for ep in batch:
+                buf.add(ep)
+            stacked = buf.sample(len(batch), Rng(0))
+            by_stamp = {ep.stamp: ep for ep in batch}
+            batch = [by_stamp[stamp] for stamp in stacked["stamp"]]
+        else:
+            stacked = stack_episodes(batch)
+        got = self._targets(stacked, store, dims, kind)
         want = _reference_td_targets(batch, store, kind, 0.9, dims)
         for g, w in zip(_columns(got, batch), want):
             np.testing.assert_allclose(g, w, atol=1e-9)
@@ -433,12 +446,14 @@ class TestTargetMemo:
             after, self._targets(batch, store.clone(), dims, **change))
 
     def test_in_place_writes_raise(self):
+        # stacking guards the episodes, memoizing the target parameters
         store, dims, batch = self._setup("hgcn-mix")
-        self._targets(batch, store, dims)
+        stack_episodes(batch)
         with pytest.raises(ValueError, match="read-only"):
             batch[0].reward[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             batch[1].obs[0, 0, 0] = 1.0
+        store.memo(("hgcn-mix", 0.9, dims["embed"], dims["agent_hidden"]))
         with pytest.raises(ValueError, match="read-only"):
             store["agent.fc1.w"].value[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
@@ -451,19 +466,42 @@ class TestTargetMemo:
             buf.add(ep)
         sample = buf.sample(len(batch), Rng(0))
         self._targets(sample, store, dims)
-        memo = store.memo(("hgcn-mix", 0.9, dims["embed"],
-                           dims["agent_hidden"]))
-        assert len(memo) == len(batch)
+        key = ("hgcn-mix", 0.9, dims["embed"], dims["agent_hidden"])
+        entries = len(store.memo(key))
+        assert entries == len(batch)
         episode = weakref.ref(batch[0])
         array = weakref.ref(store["mix.gen.w"].value)
         for ep in _mixed_length_batch(dims, seed=43):
             buf.add(ep)  # evicts every episode of the first batch
         del batch, sample, ep
         gc.collect()
-        assert episode() is None and len(memo) == 0
+        # the memo holds stamps, not episodes: its entries stay until the
+        # next change of target parameters drops them
+        assert episode() is None and len(store.memo(key)) == entries
         update_target(self._online(store), store)
         gc.collect()
-        assert array() is None
+        assert array() is None and len(store.memo(key)) == 0
+
+    def test_episodes_never_share_a_stamp(self):
+        # two buffers' episodes and hand-built ones on one target store: a
+        # shared stamp would hand one episode another's memoized targets
+        store, dims = tiny_mixer_store("qmix", n=2, obs_dim=6, n_actions=3,
+                                       state_dim=12, embed=3)
+        env = make_env({"name": "grid", "n_agents": 2, "length": 3})
+        buffers = [ReplayBuffer(capacity=4), ReplayBuffer(capacity=4)]
+        for k in range(8):
+            buffers[k % 2].add(collect_episode(env, store, 1.0,
+                                               Rng(k).split("env"),
+                                               Rng(k).split("x"),
+                                               agent_hidden=4))
+        batches = [buf.sample(4, Rng(0)) for buf in buffers]
+        batches.append(stack_episodes(_mixed_length_batch(dims)))
+        stamps = np.concatenate([b["stamp"] for b in batches]).tolist()
+        assert len(set(stamps)) == len(stamps) == 13
+        for b in batches:
+            np.testing.assert_array_equal(
+                self._targets(b, store, dims, "qmix"),
+                self._targets(b, store.clone(), dims, "qmix"))
 
     def test_fresh_store_starts_empty(self):
         store, dims, batch = self._setup("qmix")
@@ -480,9 +518,11 @@ class TestTrainStep:
         _zeroed(store)
         target = store.clone()
         env = OneStepMatrixGame(np.zeros((2, 2)))
-        batch = [collect_episode(env, store, 1.0, Rng(k).split("env"),
-                                 Rng(k).split("x"), agent_hidden=4)
-                 for k in range(4)]
+        batch = stack_episodes([collect_episode(env, store, 1.0,
+                                                Rng(k).split("env"),
+                                                Rng(k).split("x"),
+                                                agent_hidden=4)
+                                for k in range(4)])
         before = store_values(store)
         loss = train_step(batch, store, target, "vdn", 0.99, dims["embed"],
                           agent_hidden=4)
@@ -496,8 +536,10 @@ class TestTrainStep:
         _zeroed(store)
         target = store.clone()
         env = OneStepMatrixGame(np.ones((2, 2)))
-        batch = [collect_episode(env, store, 1.0, Rng(7).split("env"),
-                                 Rng(7).split("x"), agent_hidden=4)]
+        batch = stack_episodes([collect_episode(env, store, 1.0,
+                                                Rng(7).split("env"),
+                                                Rng(7).split("x"),
+                                                agent_hidden=4)])
         loss = train_step(batch, store, target, "vdn", 0.99, dims["embed"],
                           agent_hidden=4)
         assert loss == pytest.approx(0.5)
@@ -508,9 +550,11 @@ class TestTrainStep:
                                        state_dim=1, hyperedges=2, embed=3)
         target = store.clone()
         env = OneStepMatrixGame()
-        batch = [collect_episode(env, store, 1.0, Rng(k).split("env"),
-                                 Rng(k).split("x"), agent_hidden=4)
-                 for k in range(8)]
+        batch = stack_episodes([collect_episode(env, store, 1.0,
+                                                Rng(k).split("env"),
+                                                Rng(k).split("x"),
+                                                agent_hidden=4)
+                                for k in range(8)])
         losses = []
         for step in range(60):
             losses.append(train_step(batch, store, target, kind, 0.99,
@@ -524,8 +568,8 @@ class TestTrainStep:
                                        state_dim=5, hyperedges=2, embed=3)
         batch = _mixed_length_batch(dims, seed=41)
         want = _reference_loss(batch, store, kind, 0.9, dims)
-        loss = train_step(batch, store, store.clone(), kind, 0.9,
-                          dims["embed"], agent_hidden=dims["agent_hidden"])
+        loss = train_step(stack_episodes(batch), store, store.clone(), kind,
+                          0.9, dims["embed"], agent_hidden=dims["agent_hidden"])
         assert loss == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("kind,total", [("hgcn-mix", 50),
@@ -537,9 +581,11 @@ class TestTrainStep:
                      mixer=kind)
         env = make_env(cfg.env)
         store, target = init_run_stores(cfg, env, 0)
-        batch = [collect_episode(env, store, 1.0, Rng(k).split("env"),
-                                 Rng(k).split("x"), cfg.agent_hidden)
-                 for k in range(4)]
+        batch = stack_episodes([collect_episode(env, store, 1.0,
+                                                Rng(k).split("env"),
+                                                Rng(k).split("x"),
+                                                cfg.agent_hidden)
+                                for k in range(4)])
         counts = []
 
         def spy(tape, seeds):
@@ -560,9 +606,11 @@ class TestTrainStep:
         target = store.clone()
         frozen = store_values(target)
         env = OneStepMatrixGame()
-        batch = [collect_episode(env, store, 1.0, Rng(k).split("env"),
-                                 Rng(k).split("x"), agent_hidden=4)
-                 for k in range(4)]
+        batch = stack_episodes([collect_episode(env, store, 1.0,
+                                                Rng(k).split("env"),
+                                                Rng(k).split("x"),
+                                                agent_hidden=4)
+                                for k in range(4)])
         for _ in range(5):
             train_step(batch, store, target, "qmix", 0.99, dims["embed"],
                        agent_hidden=4)
@@ -627,9 +675,11 @@ class TestUpdateTarget:
                                        state_dim=1, embed=3)
         target = store.clone()
         env = OneStepMatrixGame()
-        batch = [collect_episode(env, store, 1.0, Rng(k).split("env"),
-                                 Rng(k).split("x"), agent_hidden=4)
-                 for k in range(4)]
+        batch = stack_episodes([collect_episode(env, store, 1.0,
+                                                Rng(k).split("env"),
+                                                Rng(k).split("x"),
+                                                agent_hidden=4)
+                                for k in range(4)])
         train_step(batch, store, target, "qmix", 0.99, dims["embed"],
                    agent_hidden=4)
         assert any(not np.array_equal(store[n].value, target[n].value)
