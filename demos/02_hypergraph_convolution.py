@@ -39,7 +39,8 @@ print("effective mixing matrix (all entries >= 0):")
 print(np.round(A, 3), "\n")
 
 # Two special cases pin down the algebra:
-# 1. identity incidence (the one-hot ablation) leaves values untouched;
+# 1. identity incidence leaves values untouched (so hgcn-mix with no learned
+#    hyperedges is qmix);
 q_id = hgcn_transform_rows(q, np.eye(n_agents), np.ones((n_agents, 1)),
                            np.ones((n_agents, 1)), n_agents)
 print("identity incidence max |q' - q|:",

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mixers as mx
 from .config import Config, load_config
 from .envs import make_env
 from .errors import (CheckpointError, ConfigError, ContractError,
@@ -99,7 +98,7 @@ def cmd_eval(args) -> int:
 
 def cmd_dump_hypergraph(args) -> int:
     cfg, env, store = _load_run(args.config, args.checkpoint)
-    if cfg.mixer not in ("hgcn-mix", "hgcn-mix-oh"):
+    if cfg.mixer != "hgcn-mix":
         raise UnsupportedMixerError(
             f"mixer {cfg.mixer!r} has no hypergraph to dump"
         )
@@ -109,15 +108,11 @@ def cmd_dump_hypergraph(args) -> int:
     ep = collect_episode(env, store, 0.0, rng.split("env"), rng.split("explore"),
                          cfg.agent_hidden)
     n, steps = env.spec.n_agents, ep.length
-    if cfg.mixer == "hgcn-mix-oh":
-        hs = [np.eye(n)] * steps
-    else:
-        pv = store.bind(None)
-        H, _ = build_hypergraph_rows(ep.obs[:steps].reshape(steps * n, -1),
-                                     pv["mix.gen.w"], pv["mix.gen.b"], n)
-        hs = H.value.reshape(steps, n, -1)
+    pv = store.bind(None)
+    H, _ = build_hypergraph_rows(ep.obs[:steps].reshape(steps * n, -1),
+                                 pv["mix.gen.w"], pv["mix.gen.b"], n)
     written = []
-    for t, h in enumerate(hs):
+    for t, h in enumerate(H.value.reshape(steps, n, -1)):
         path = out / f"step_{t:04d}.csv"
         write_hypergraph_csv(path, h)
         written.append(str(path))
@@ -178,15 +173,14 @@ def cmd_compare(args) -> int:
     mixers = [m.strip() for m in args.mixers.split(",") if m.strip()]
     if not mixers:
         raise ConfigError(f"--mixers: no mixer kind in {args.mixers!r}")
-    for m in mixers:
-        mx.validate_mixer_kind(m)
     seeds = list(range(args.seeds))
+    # every mixer is validated before the first run starts
+    subs = [(m, cfg.replace(mixer=m, seeds=seeds, stop_on_success=False,
+                            hyperedge_sweep=None)) for m in mixers]
     out_csv = Path(args.out)
     work = out_csv.parent / (out_csv.stem + "_runs")
     all_rows = []
-    for mixer in mixers:
-        sub = cfg.replace(mixer=mixer, seeds=seeds, stop_on_success=False,
-                          hyperedge_sweep=None)
+    for mixer, sub in subs:
         jobs = [(seed, work / mixer / f"seed_{seed}") for seed in seeds]
         _train_runs(sub, jobs, args.workers)
         all_rows += aggregate_metrics([out for _, out in jobs], mixer)

@@ -95,6 +95,12 @@ class Config:
             make_env(self.env)
         except ConfigError as exc:
             raise ConfigError(f"env: {exc}") from None
+        # with the identity incidence each convolution is the identity, so
+        # the one-hot variant and hgcn-mix without learned hyperedges are qmix
+        if self.mixer == "hgcn-mix-oh" or (self.mixer == "hgcn-mix" and
+                                           self.hyperedges == 0 and
+                                           self.hyperedge_sweep is None):
+            self.mixer = "qmix"
         require(self.mixer in MIXER_KINDS, "mixer",
                 f"must be one of {list(MIXER_KINDS)}")
         require(self.hyperedges >= 0, "model.hyperedges", "must be >= 0")
@@ -133,9 +139,6 @@ class Config:
             # other mixers have no hyperedges: every run would be the same
             require(self.mixer == "hgcn-mix", "hyperedge_sweep",
                     f"needs mixer 'hgcn-mix', got {self.mixer!r}")
-        # zero learned hyperedges degenerates to the one-hot mixer
-        elif self.mixer == "hgcn-mix" and self.hyperedges == 0:
-            self.mixer = "hgcn-mix-oh"
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":

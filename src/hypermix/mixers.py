@@ -1,15 +1,12 @@
-"""Joint-value mixing heads: additive, state-conditioned monotone, and
-hypergraph-convolution variants.
+"""Joint-value mixing heads: additive, state-conditioned monotone, hypergraph.
 
 All heads consume the per-agent chosen-action values for a batch of samples
 and produce one joint value per sample. The state-conditioned head generates
 its mixing weights from the global state through hypernetworks and takes
 their absolute value, so the joint value is nondecreasing in every agent
 value and the individual-global-max property holds by construction. The
-hypergraph variants first pass the agent values through two convolution
-layers whose incidence matrix is generated from the current observations
-("hgcn-mix") or fixed to the identity ("hgcn-mix-oh", which reduces exactly
-to the plain state-conditioned head).
+hypergraph head first passes the agent values through two convolution
+layers whose incidence matrix is generated from the current observations.
 """
 
 from __future__ import annotations
@@ -25,13 +22,12 @@ from .hypergraph import build_hypergraph_rows, hgcn_transform_rows
 from .nn import ParameterStore, init_linear, init_mlp, linear_fwd, mlp_fwd
 from .rng import Rng
 
-MIXER_KINDS = ("vdn", "qmix", "hgcn-mix", "hgcn-mix-oh")
+MIXER_KINDS = ("vdn", "qmix", "hgcn-mix")
 
 
-def validate_mixer_kind(kind: str) -> str:
+def validate_mixer_kind(kind: str) -> None:
     if kind not in MIXER_KINDS:
         raise ConfigError(f"unknown mixer kind {kind!r}, expected one of {MIXER_KINDS}")
-    return kind
 
 
 def init_mixer_params(store: ParameterStore, kind: str, n_agents: int,
@@ -53,13 +49,8 @@ def init_mixer_params(store: ParameterStore, kind: str, n_agents: int,
     init_mlp(store, "mix.v", state_dim, hh, 1, rng)
     if kind == "hgcn-mix":
         init_linear(store, "mix.gen", obs_dim, hyperedges, rng)
-        edges = hyperedges + n_agents
-    elif kind == "hgcn-mix-oh":
-        edges = n_agents
-    else:
-        return
-    store.add("mix.edge_w1", np.ones((edges, 1)))
-    store.add("mix.edge_w2", np.ones((edges, 1)))
+        store.add("mix.edge_w1", np.ones((hyperedges + n_agents, 1)))
+        store.add("mix.edge_w2", np.ones((hyperedges + n_agents, 1)))
 
 
 def vdn_mix(q_rows) -> Var:
@@ -103,12 +94,9 @@ def mix_batch(kind: str, pv: dict[str, Var], chosen: Var, Z: np.ndarray,
         return vdn_mix(reshape(chosen, n_samples, n_agents))
     if kind == "qmix":
         return state_module(chosen, s, pv, n_agents, embed)
-    if kind == "hgcn-mix-oh":
-        h_rows = np.tile(np.eye(n_agents), (n_samples, 1))
-    else:
-        h_rows, _ = build_hypergraph_rows(np.asarray(Z, dtype=np.float64),
-                                          pv["mix.gen.w"], pv["mix.gen.b"],
-                                          n_agents)
+    h_rows, _ = build_hypergraph_rows(np.asarray(Z, dtype=np.float64),
+                                      pv["mix.gen.w"], pv["mix.gen.b"],
+                                      n_agents)
     qp = hgcn_transform_rows(chosen, h_rows, pv["mix.edge_w1"],
                              pv["mix.edge_w2"], n_agents)
     return state_module(qp, s, pv, n_agents, embed)
@@ -121,7 +109,6 @@ def make_qtot_fn(kind: str, store: ParameterStore, Z, s, n_agents: int,
     Returns a callable mapping an n-vector of chosen agent values to a float;
     it runs :func:`mix_batch` on a single sample.
     """
-    validate_mixer_kind(kind)
     pv = store.bind(None)
     s = np.atleast_2d(np.asarray(s, dtype=np.float64)) if s is not None else None
 

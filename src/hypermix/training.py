@@ -79,6 +79,13 @@ class Episode:
     def episode_return(self) -> float:
         return float(self.reward[:self.length].sum())
 
+    def freeze(self) -> None:
+        """Make every array read-only, once: the target memo keys on stamps."""
+        if self.obs.flags.writeable:
+            for value in vars(self).values():
+                if isinstance(value, np.ndarray):
+                    value.setflags(write=False)
+
 
 def stack_episodes(episodes: list[Episode]) -> dict[str, np.ndarray]:
     """One batch of episodes: each field stacked episode-major, (B, ...).
@@ -87,9 +94,7 @@ def stack_episodes(episodes: list[Episode]) -> dict[str, np.ndarray]:
     their targets by stamp.
     """
     for ep in episodes:
-        for value in vars(ep).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+        ep.freeze()
     return {f.name: np.array([getattr(ep, f.name) for ep in episodes])
             for f in fields(Episode)}
 
@@ -103,6 +108,7 @@ class ReplayBuffer:
         self.inserted = 0
 
     def add(self, episode: Episode) -> None:
+        episode.freeze()
         if len(self._episodes) < self.capacity:
             self._episodes.append(episode)
         else:
@@ -248,7 +254,7 @@ def td_targets(batch: dict, target_store: ParameterStore, kind: str,
     return targets
 
 
-def train_step(batch: list[Episode], store: ParameterStore,
+def train_step(batch: dict, store: ParameterStore,
                target_store: ParameterStore, kind: str, gamma: float,
                embed: int, agent_hidden: int = 64, lr: float = 5e-4,
                rms_decay: float = 0.99, rms_eps: float = 1e-5,

@@ -186,13 +186,9 @@ def state_module_reference(params: dict, q_prime, s, n: int, embed: int) -> floa
     return float((w2.T @ hidden)[0, 0]) + v
 
 
-def hgcn_mix_reference(params: dict, q, Z, s, n: int, embed: int,
-                       onehot: bool = False) -> float:
+def hgcn_mix_reference(params: dict, q, Z, s, n: int, embed: int) -> float:
     """Composition of the dense-convolution and state-head oracles."""
-    if onehot:
-        H = np.eye(n)
-    else:
-        H, _ = build_hypergraph_dense(Z, params["mix.gen.w"], params["mix.gen.b"])
+    H, _ = build_hypergraph_dense(Z, params["mix.gen.w"], params["mix.gen.b"])
     qp = hgcn_transform_dense(np.asarray(q, dtype=np.float64).reshape(n, 1), H,
                               params["mix.edge_w1"], params["mix.edge_w2"])
     return state_module_reference(params, qp, s, n, embed)

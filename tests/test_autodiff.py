@@ -311,7 +311,7 @@ class TestGradientExamples:
     @pytest.mark.parametrize("traced", [(0,), (1,), (2,), (0, 2), (1, 2),
                                         (0, 1, 2)])
     def test_hgcn_conv_constant_operands_get_no_gradient_work(self, traced):
-        # (0, 2) is hgcn-mix-oh's case: a constant incidence
+        # (0, 2): a constant incidence
         rng = Rng(8)
         tape = Tape()
         operands = [rng.normal((6, 1)), np.abs(rng.normal((6, 4))),

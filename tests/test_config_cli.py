@@ -12,6 +12,8 @@ from hypermix.cli import aggregate_metrics, main
 from hypermix.config import Config, load_config
 from hypermix.errors import ConfigError
 from hypermix.hypergraph import read_hypergraph_csv
+from hypermix.mixers import MIXER_KINDS
+from hypermix.nn import load_checkpoint, save_checkpoint
 
 from _helpers import break_manifest
 
@@ -80,9 +82,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown fields"):
             load_config(_write_cfg(tmp_path, training={"episodess": 1}))
 
-    def test_zero_hyperedges_forces_onehot_variant(self, tmp_path):
-        path = _write_cfg(tmp_path, mixer="hgcn-mix", model={"hyperedges": 0})
-        assert load_config(path).mixer == "hgcn-mix-oh"
+    def test_old_onehot_spellings_load_as_qmix(self, tmp_path):
+        # with the identity incidence each convolution is the identity
+        assert "hgcn-mix-oh" not in MIXER_KINDS
+        for overrides in ({"mixer": "hgcn-mix-oh"},
+                          {"mixer": "hgcn-mix", "model": {"hyperedges": 0}}):
+            cfg = load_config(_write_cfg(tmp_path, **overrides))
+            assert cfg.mixer == "qmix"
+            assert cfg.to_dict()["mixer"] == "qmix"
+        swept = Config(env={"name": "matrix_game"}, hyperedge_sweep=[0, 2])
+        assert swept.mixer == "hgcn-mix"
+        assert swept.replace(hyperedges=0, hyperedge_sweep=None).mixer == "qmix"
 
     def test_missing_env_section(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -109,8 +119,7 @@ class TestConfig:
         files = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
         assert {f.name for f in files} >= {"matrix_hgcn.json", "grid_hgcn.json"}
         for f in files:
-            assert load_config(f).mixer in ("vdn", "qmix", "hgcn-mix",
-                                            "hgcn-mix-oh")
+            assert load_config(f).mixer in MIXER_KINDS
 
     def test_invalid_json_is_config_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -213,6 +222,20 @@ class TestEvalCommand:
         assert code == 1
         assert "agent.fc1.w" in capsys.readouterr().err
 
+    def test_old_onehot_checkpoint_names_its_edge_weights(self, tmp_path,
+                                                          capsys):
+        # a one-hot run saved qmix's parameters plus two unit edge weights
+        cfg, ckpt = self._train(tmp_path, mixer="hgcn-mix-oh")
+        store = load_checkpoint(ckpt)
+        for name in ("mix.edge_w1", "mix.edge_w2"):
+            store.add(name, np.ones((2, 1)))
+        save_checkpoint(store, ckpt)
+        code = main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unexpected parameters" in err and "'mix.edge_w1'" in err
+        assert "Traceback" not in err
+
 
 class TestDumpHypergraph:
     def _grid_cfg(self, tmp_path, **extra):
@@ -245,6 +268,20 @@ class TestDumpHypergraph:
                      "--out", str(tmp_path / "dump")])
         assert code == 1
         assert "hypergraph" in capsys.readouterr().err
+
+    def test_zero_hyperedges_runs_as_qmix_with_nothing_to_dump(self, tmp_path,
+                                                               capsys):
+        cfg = _write_cfg(tmp_path, mixer="hgcn-mix", model={"hyperedges": 0})
+        main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        run = tmp_path / "out" / "seed_0"
+        assert json.loads((run / "config.json").read_text())["mixer"] == "qmix"
+        code = main(["dump-hypergraph", "--checkpoint", str(run / "checkpoint"),
+                     "--config", str(cfg), "--seed", "0",
+                     "--out", str(tmp_path / "dump")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'qmix' has no hypergraph" in err and "Traceback" not in err
+        assert not (tmp_path / "dump").exists()
 
     def test_frozen_agents_yield_duplicate_learned_rows(self, tmp_path):
         cfg = self._grid_cfg(tmp_path, freeze=True)

@@ -169,8 +169,7 @@ def _reference_qtot(params, kind, chosen, ep, t, dims):
         return float(chosen.sum())
     if kind == "qmix":
         return state_module_reference(params, chosen, ep.state[t], n, embed)
-    return hgcn_mix_reference(params, chosen, ep.obs[t], ep.state[t], n,
-                              embed, onehot=kind == "hgcn-mix-oh")
+    return hgcn_mix_reference(params, chosen, ep.obs[t], ep.state[t], n, embed)
 
 
 def _reference_td_targets(batch, target_store, kind, gamma, dims):
@@ -269,7 +268,7 @@ class TestTdTargets:
         np.testing.assert_allclose(_columns(y, [ep])[0], ref[0], atol=1e-10)
         assert y[0, 0] != ep.reward[0]  # really bootstrapped
 
-    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix", "hgcn-mix-oh"])
+    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix"])
     def test_matches_slow_loop_oracle(self, kind):
         store, dims = tiny_mixer_store(kind, n=2, obs_dim=6, n_actions=3,
                                        state_dim=12, hyperedges=2, embed=3)
@@ -281,7 +280,7 @@ class TestTdTargets:
         for g, w in zip(_columns(got, batch), want):
             np.testing.assert_allclose(g, w, atol=1e-9)
 
-    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix", "hgcn-mix-oh"])
+    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix"])
     def test_mixed_episode_lengths_match_slow_loop_oracle(self, kind):
         store, dims = tiny_mixer_store(kind, n=3, obs_dim=4, n_actions=3,
                                        state_dim=5, hyperedges=2, embed=3)
@@ -369,7 +368,7 @@ class TestTargetMemo:
         return td_targets(batch, store, kind, gamma=gamma, embed=dims["embed"],
                           agent_hidden=dims["agent_hidden"])
 
-    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix", "hgcn-mix-oh"])
+    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix"])
     @pytest.mark.parametrize("sampled", [False, True])
     def test_memoized_and_new_episodes_match_oracle(self, kind, sampled):
         # the batch is stacked in a chosen order, or drawn from a replay
@@ -394,7 +393,7 @@ class TestTargetMemo:
         fresh = self._targets(batch, store.clone(), dims, kind)
         np.testing.assert_allclose(got, fresh, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix", "hgcn-mix-oh"])
+    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix"])
     def test_repeat_call_runs_no_target_pass(self, kind, monkeypatch):
         store, dims, batch = self._setup(kind)
         first = self._targets(batch, store, dims, kind)
@@ -446,13 +445,22 @@ class TestTargetMemo:
             after, self._targets(batch, store.clone(), dims, **change))
 
     def test_in_place_writes_raise(self):
-        # stacking guards the episodes, memoizing the target parameters
+        # buffering or stacking guards the episodes, memoizing the target
+        # parameters
         store, dims, batch = self._setup("hgcn-mix")
-        stack_episodes(batch)
+        buf = ReplayBuffer(capacity=2)
+        buf.add(batch[2])
+        buf.add(batch[3])
+        with pytest.raises(ValueError, match="read-only"):
+            batch[2].actions[0, 0] = 1
+        stack_episodes(batch[:2])
         with pytest.raises(ValueError, match="read-only"):
             batch[0].reward[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             batch[1].obs[0, 0, 0] = 1.0
+        buf.sample(2, Rng(0))
+        with pytest.raises(ValueError, match="read-only"):
+            batch[3].terminated[0] = True
         store.memo(("hgcn-mix", 0.9, dims["embed"], dims["agent_hidden"]))
         with pytest.raises(ValueError, match="read-only"):
             store["agent.fc1.w"].value[0, 0] = 1.0
@@ -544,7 +552,7 @@ class TestTrainStep:
                           agent_hidden=4)
         assert loss == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix", "hgcn-mix-oh"])
+    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix"])
     def test_loss_decreases_on_fixed_buffer(self, kind):
         store, dims = tiny_mixer_store(kind, n=2, obs_dim=2, n_actions=3,
                                        state_dim=1, hyperedges=2, embed=3)
@@ -562,7 +570,7 @@ class TestTrainStep:
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
         assert all(np.isfinite(losses))
 
-    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix", "hgcn-mix-oh"])
+    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix"])
     def test_mixed_episode_lengths_first_loss_matches_reference(self, kind):
         store, dims = tiny_mixer_store(kind, n=3, obs_dim=4, n_actions=3,
                                        state_dim=5, hyperedges=2, embed=3)
@@ -572,8 +580,7 @@ class TestTrainStep:
                           0.9, dims["embed"], agent_hidden=dims["agent_hidden"])
         assert loss == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("kind,total", [("hgcn-mix", 50),
-                                            ("hgcn-mix-oh", 41)])
+    @pytest.mark.parametrize("kind,total", [("hgcn-mix", 50)])
     def test_tape_records_per_step_at_paper_widths(self, kind, total,
                                                    monkeypatch):
         # each hypergraph convolution layer is one hgcn_conv record
@@ -773,8 +780,7 @@ class TestRunTraining:
     # order, at paper widths: a renamed parameter, a changed shape or a
     # changed order of random draws changes the digest
     INIT_DIGESTS = {"vdn": "da52c78bcd65212d", "qmix": "55dc5e302c1fb1b5",
-                    "hgcn-mix": "f4d71e084ff95b42",
-                    "hgcn-mix-oh": "c8898e1d656260f9"}
+                    "hgcn-mix": "f4d71e084ff95b42"}
 
     @pytest.mark.parametrize("mixer", sorted(INIT_DIGESTS))
     def test_init_stores_golden_digest(self, mixer):
