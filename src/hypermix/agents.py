@@ -1,9 +1,10 @@
-"""Per-agent recurrent Q-networks, action selection, and dead-agent masking.
+"""Per-agent recurrent Q-networks and action selection.
 
 One parameter-shared network serves all agents; each agent's input row is
 its own observation, its previous action one-hot (zeros at episode start),
-and its agent-id one-hot. Execution stays decentralized: action selection
-sees a single agent's value row and availability mask only.
+and its agent-id one-hot. Execution stays decentralized: one chooser call
+acts for a whole block of rows, but each row's action depends only on that
+row's values and availability mask (and, when exploring, its own draws).
 """
 
 from __future__ import annotations
@@ -66,27 +67,22 @@ def build_agent_inputs(obs: np.ndarray, last_actions, n_actions: int) -> np.ndar
     return out
 
 
-def select_action(q_values: np.ndarray, avail: np.ndarray, epsilon: float,
-                  rng: Rng) -> int:
-    """Epsilon-greedy over available actions; greedy ties break to lowest index."""
-    q_values = np.asarray(q_values, dtype=np.float64).ravel()
-    avail = np.asarray(avail, dtype=bool).ravel()
-    candidates = np.flatnonzero(avail)
-    if candidates.size == 0:
+def select_action(q_rows: np.ndarray, avail_rows: np.ndarray, epsilon: float,
+                  rng: Rng | None = None) -> np.ndarray:
+    """Epsilon-greedy action of each row over its available actions.
+
+    Greedy picks are the masked argmax, ties broken to the lowest index.
+    Only when ``epsilon`` > 0 are draws made: the rows in order, each one
+    ``rng.random()`` and, if it explores, one ``rng.integers`` over its
+    available actions, as a row-by-row loop would draw them.
+    """
+    avail_rows = np.asarray(avail_rows, dtype=bool)
+    if not avail_rows.any(axis=1).all():
         raise ContractError("no available action for agent")
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(candidates[rng.integers(candidates.size)])
-    masked = np.where(avail, q_values, -np.inf)
-    return int(np.argmax(masked))
-
-
-def greedy_actions(q_rows: np.ndarray, avail_rows: np.ndarray) -> np.ndarray:
-    """Row-wise greedy action indices under availability masks."""
-    masked = np.where(np.asarray(avail_rows, dtype=bool),
-                      np.asarray(q_rows, dtype=np.float64), -np.inf)
-    return masked.argmax(axis=1)
-
-
-def mask_dead_agent(obs: np.ndarray) -> np.ndarray:
-    """Replace a dead/frozen agent's observation with the fixed mask value -1."""
-    return np.full_like(np.asarray(obs, dtype=np.float64), -1.0)
+    actions = np.where(avail_rows, q_rows, -np.inf).argmax(axis=1)
+    if epsilon > 0.0:
+        for row, avail in enumerate(avail_rows):
+            if rng.random() < epsilon:
+                candidates = np.flatnonzero(avail)
+                actions[row] = candidates[rng.integers(candidates.size)]
+    return actions

@@ -124,15 +124,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return g
 
 
-def _check_broadcast(name: str, a: np.ndarray, b: np.ndarray) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise DimensionError(
-            f"{name}: shapes {a.shape} and {b.shape} do not broadcast"
-        ) from None
-
-
 # ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
@@ -166,29 +157,35 @@ def matmul(a, b, row_blocks: int = 1) -> Var:
 def add(a, b) -> Var:
     """Elementwise sum with numpy broadcasting over size-1 axes."""
     a, b = _as_var(a), _as_var(b)
-    _check_broadcast("add", a.value, b.value)
-
     a_shape, b_shape = a.value.shape, b.value.shape
+    try:
+        out = a.value + b.value
+    except ValueError:
+        raise DimensionError(
+            f"add: shapes {a_shape} and {b_shape} do not broadcast") from None
 
     def bwd(g, need):
         return (_unbroadcast(g, a_shape) if need[0] else None,
                 _unbroadcast(g, b_shape) if need[1] else None)
 
-    return _emit("add", (a, b), a.value + b.value, bwd)
+    return _emit("add", (a, b), out, bwd)
 
 
 def mul(a, b) -> Var:
     """Elementwise product with numpy broadcasting over size-1 axes."""
     a, b = _as_var(a), _as_var(b)
-    _check_broadcast("mul", a.value, b.value)
-
     av, bv = a.value, b.value
+    try:
+        out = av * bv
+    except ValueError:
+        raise DimensionError(
+            f"mul: shapes {av.shape} and {bv.shape} do not broadcast") from None
 
     def bwd(g, need):
         return (_unbroadcast(g * bv, av.shape) if need[0] else None,
                 _unbroadcast(g * av, bv.shape) if need[1] else None)
 
-    return _emit("mul", (a, b), av * bv, bwd)
+    return _emit("mul", (a, b), out, bwd)
 
 
 def relu(x) -> Var:

@@ -104,8 +104,7 @@ def cmd_dump_hypergraph(args) -> int:
         )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rng = Rng(args.seed)
-    ep = collect_episode(env, store, 0.0, rng.split("env"), rng.split("explore"),
+    ep = collect_episode(env, store, 0.0, Rng(args.seed).split("env"), None,
                          cfg.agent_hidden)
     n, steps = env.spec.n_agents, ep.length
     pv = store.bind(None)

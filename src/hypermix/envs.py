@@ -18,11 +18,10 @@ scalar reward per step, and terminate at their episode limit at the latest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import mask_dead_agent
 from .errors import ConfigError, ContractError
 from .rng import Rng
 
@@ -57,7 +56,6 @@ class StepResult:
     obs: np.ndarray            # (n, obs_dim)
     state: np.ndarray          # (state_dim,)
     avail: np.ndarray          # (n, n_actions) bool
-    frozen: np.ndarray = field(default=None)  # (n,) bool, optional
 
 
 def _check_actions(actions, avail: np.ndarray) -> np.ndarray:
@@ -166,6 +164,7 @@ class LazyCoordinationGrid:
     """
 
     STAY, LEFT, RIGHT = 0, 1, 2
+    MOVES = np.array([0, -1, 1])  # position change, indexed by action
 
     def __init__(self, n_agents: int = 4, length: int = 6, freeze: bool = False):
         if n_agents < 1 or length < 2:
@@ -188,37 +187,29 @@ class LazyCoordinationGrid:
         self._done = False
         return self._obs(), self._state()
 
-    def _one_hot_pair(self, agent: int) -> np.ndarray:
-        row = np.zeros(2 * self.length)
-        row[self._pos[agent]] = 1.0
-        row[self.length + self._target[agent]] = 1.0
-        return row
+    def _pairs(self) -> np.ndarray:
+        """Each agent's position one-hot ++ target one-hot, (n, 2*length)."""
+        rows = np.zeros((self.spec.n_agents, 2 * self.length))
+        agents = np.arange(self.spec.n_agents)
+        rows[agents, self._pos] = 1.0
+        rows[agents, self.length + self._target] = 1.0
+        return rows
 
     def _obs(self) -> np.ndarray:
-        rows = []
-        for a in range(self.spec.n_agents):
-            row = self._one_hot_pair(a)
-            if self._frozen[a]:
-                row = mask_dead_agent(row)
-            rows.append(row)
-        return np.stack(rows)
+        obs = self._pairs()
+        obs[self._frozen] = -1.0  # the dead-agent mask value
+        return obs
 
     def _state(self) -> np.ndarray:
         # global state stays unmasked; masking applies to observations only
-        return np.concatenate([self._one_hot_pair(a)
-                               for a in range(self.spec.n_agents)])
+        return self._pairs().ravel()
 
     def avail_actions(self) -> np.ndarray:
-        n = self.spec.n_agents
-        avail = np.zeros((n, 3), dtype=bool)
+        avail = np.empty((self.spec.n_agents, 3), dtype=bool)
+        moving = ~self._frozen
         avail[:, self.STAY] = True
-        for a in range(n):
-            if self._frozen[a]:
-                continue
-            if self._pos[a] > 0:
-                avail[a, self.LEFT] = True
-            if self._pos[a] < self.length - 1:
-                avail[a, self.RIGHT] = True
+        avail[:, self.LEFT] = moving & (self._pos > 0)
+        avail[:, self.RIGHT] = moving & (self._pos < self.length - 1)
         return avail
 
     def step(self, actions) -> StepResult:
@@ -226,10 +217,8 @@ class LazyCoordinationGrid:
             raise ContractError("step() called on a finished episode")
         actions = _check_actions(actions, self.avail_actions())
         self._steps += 1
-        delta = {self.STAY: 0, self.LEFT: -1, self.RIGHT: 1}
-        for a, act in enumerate(actions):
-            if not self._frozen[a]:
-                self._pos[a] += delta[int(act)]
+        # a frozen agent's only available action is STAY, which moves 0
+        self._pos += self.MOVES[actions]
         if self.freeze:
             self._frozen |= self._pos == self._target
         success = bool((self._pos == self._target).all())
@@ -237,8 +226,7 @@ class LazyCoordinationGrid:
         terminated = success or self._steps >= self.spec.episode_limit
         self._done = terminated
         return StepResult(reward=reward, terminated=terminated, obs=self._obs(),
-                          state=self._state(), avail=self.avail_actions(),
-                          frozen=self._frozen.copy())
+                          state=self._state(), avail=self.avail_actions())
 
 
 def make_env(env_cfg: dict):

@@ -127,8 +127,12 @@ class ReplayBuffer:
 
 
 def collect_episode(env, store: ParameterStore, eps: float, env_rng: Rng,
-                    explore_rng: Rng, agent_hidden: int = 64) -> Episode:
-    """Roll one episode; each agent acts from its own inputs only."""
+                    explore_rng: Rng | None, agent_hidden: int = 64) -> Episode:
+    """Roll one episode; each agent acts from its own inputs only.
+
+    At ``eps`` = 0 nothing is drawn for exploration, so ``explore_rng`` may
+    be None.
+    """
     spec = env.spec
     ep = Episode.empty(spec.episode_limit, spec.n_agents, spec.obs_dim,
                        spec.state_dim, spec.n_actions)
@@ -144,8 +148,7 @@ def collect_episode(env, store: ParameterStore, eps: float, env_rng: Rng,
         # at t = 0, ep.actions[-1] still holds the -1 padding: no last action
         inputs = ag.build_agent_inputs(obs, ep.actions[t - 1], spec.n_actions)
         q, hidden = ag.agent_forward(pv, Var(inputs), hidden)
-        actions = [ag.select_action(q.value[a], avail[a], eps, explore_rng)
-                   for a in range(spec.n_agents)]
+        actions = ag.select_action(q.value, avail, eps, explore_rng)
         res = env.step(actions)
         ep.actions[t] = actions
         ep.reward[t] = res.reward
@@ -217,7 +220,7 @@ def _fresh_targets(batch: dict, target_store: ParameterStore, kind: str,
     q = _agent_pass(pv, batch, t.max() + 1, agent_hidden)
     q_rows = q.value[_sample_rows(t, e, len(batch["length"]), n)]
     avail = batch["avail"][e, t].reshape(-1, n_actions)
-    greedy = ag.greedy_actions(q_rows, avail)
+    greedy = ag.select_action(q_rows, avail, 0.0)
     chosen = Var(q_rows[np.arange(q_rows.shape[0]), greedy].reshape(-1, 1))
     qtot = _mix_steps(kind, pv, chosen, batch, t, e, embed)
     targets[t - 1, e] += gamma * qtot.value[:, 0]
@@ -311,8 +314,8 @@ def evaluate_policy(env, store: ParameterStore, episodes: int, rng: Rng,
         optimal = brute_force_optimal(env)
     returns = []
     for k in range(episodes):
-        ep = collect_episode(env, store, 0.0, rng.split(f"ep{k}"),
-                             rng.split(f"explore{k}"), agent_hidden)
+        ep = collect_episode(env, store, 0.0, rng.split(f"ep{k}"), None,
+                             agent_hidden)
         returns.append(ep.episode_return)
     returns = np.asarray(returns)
     success = float((np.abs(returns - optimal) <= 1e-9).mean())

@@ -4,8 +4,8 @@ Everything here is written straight-line against the mathematical
 definitions, deliberately sharing no code with the library: dense
 matrix-product hypergraph convolution, loop-based degree sums, a
 second GRU, the row-layout GRU sequence with its backward, a
-per-sample TD-target loop, and joint-state search for the corridor
-environment.
+per-sample TD-target loop, a per-agent action chooser, and joint-state
+search for the corridor environment.
 """
 
 import itertools
@@ -162,6 +162,23 @@ def agent_forward_reference(params: dict, inputs, hidden):
                            params["agent.rnn.b_hh"])
     q = h @ params["agent.fc2.w"] + params["agent.fc2.b"]
     return q, h
+
+
+def select_action_reference(q_values, avail, epsilon: float, rng) -> int:
+    """One agent's epsilon-greedy action: one ``rng.random()`` when epsilon
+    > 0 and, if it explores, one ``rng.integers`` over the available
+    actions; otherwise the first available action of largest value."""
+    q_values = np.asarray(q_values, dtype=np.float64).ravel()
+    candidates = np.flatnonzero(np.asarray(avail, dtype=bool).ravel())
+    if candidates.size == 0:
+        raise ValueError("no available action")
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return int(candidates[rng.integers(candidates.size)])
+    best = candidates[0]
+    for a in candidates:
+        if q_values[a] > q_values[best]:
+            best = a
+    return int(best)
 
 
 def elu(x):

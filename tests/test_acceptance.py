@@ -276,8 +276,8 @@ def test_criterion_9_trained_monotonicity_and_igm(tmp_path):
     h = 1e-6
     worst_partial, states, zero_columns = np.inf, 0, 0
     for k in range(8):
-        ep = collect_episode(env, store, 0.0, rng.split(f"env{k}"),
-                             rng.split(f"explore{k}"), cfg.agent_hidden)
+        ep = collect_episode(env, store, 0.0, rng.split(f"env{k}"), None,
+                             cfg.agent_hidden)
         steps = ep.length
         q = _agent_pass(pv, stack_episodes([ep]), steps, cfg.agent_hidden)
         tables = q.value.reshape(steps, n, n_actions)

@@ -1,4 +1,4 @@
-"""Agent network forward pass, action selection, and dead-agent masking."""
+"""Agent network forward pass and action selection."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,8 @@ from hypermix.errors import ContractError
 from hypermix.nn import ParameterStore
 from hypermix.rng import Rng
 
-from _oracles import agent_forward_reference, store_values
+from _oracles import (agent_forward_reference, select_action_reference,
+                      store_values)
 
 
 def _store(obs_dim=3, n_actions=2, n=2, hidden=4, seed=0):
@@ -101,84 +102,97 @@ class TestBuildInputs:
                 rows[idx], ag.build_agent_inputs(obs[idx], last[idx], 3))
 
 
+def _rows(*rows):
+    return np.array(rows, dtype=np.float64)
+
+
+def _all_available(rows, actions=3):
+    return np.ones((rows, actions), dtype=bool)
+
+
 class TestSelectAction:
     def test_greedy_argmax(self):
-        assert ag.select_action(np.array([1.0, 5.0, 3.0]),
-                                np.ones(3, dtype=bool), 0.0, Rng(0)) == 1
+        assert ag.select_action(_rows([1.0, 5.0, 3.0]), _all_available(1),
+                                0.0).tolist() == [1]
 
     def test_masked_argmax(self):
-        mask = np.array([True, False, True])
-        assert ag.select_action(np.array([1.0, 5.0, 3.0]), mask, 0.0,
-                                Rng(0)) == 2
+        mask = np.array([[True, False, True]])
+        assert ag.select_action(_rows([1.0, 5.0, 3.0]), mask,
+                                0.0).tolist() == [2]
 
     def test_unavailable_never_chosen_under_full_exploration(self):
-        rng = Rng(8)
-        mask = np.array([True, False, True, True])
-        picks = {ag.select_action(np.zeros(4), mask, 1.0, rng)
-                 for _ in range(500)}
+        mask = np.tile([True, False, True, True], (500, 1))
+        picks = set(ag.select_action(np.zeros((500, 4)), mask, 1.0,
+                                     Rng(8)).tolist())
         assert 1 not in picks and picks == {0, 2, 3}
 
     def test_uniform_exploration_frequencies_within_3_sigma(self):
-        rng = Rng(9)
         draws = 100_000
-        counts = np.zeros(3)
-        mask = np.ones(3, dtype=bool)
-        q = np.array([9.0, 1.0, 1.0])
-        for _ in range(draws):
-            counts[ag.select_action(q, mask, 1.0, rng)] += 1
+        q = np.tile([9.0, 1.0, 1.0], (draws, 1))
+        picks = ag.select_action(q, _all_available(draws), 1.0, Rng(9))
+        counts = np.bincount(picks, minlength=3)
         p = 1.0 / 3.0
         sigma = np.sqrt(draws * p * (1 - p))
         assert (np.abs(counts - draws * p) <= 3 * sigma).all()
 
     def test_empty_mask_is_contract_error(self):
+        mask = np.array([[True, True, True], [False, False, False]])
         with pytest.raises(ContractError):
-            ag.select_action(np.zeros(3), np.zeros(3, dtype=bool), 0.0, Rng(0))
+            ag.select_action(np.zeros((2, 3)), mask, 0.0)
 
     def test_tie_breaks_to_lowest_index(self):
-        q = np.array([2.0, 2.0, 1.0])
-        assert ag.select_action(q, np.ones(3, dtype=bool), 0.0, Rng(0)) == 0
+        assert ag.select_action(_rows([2.0, 2.0, 1.0]), _all_available(1),
+                                0.0).tolist() == [0]
 
     def test_greedy_is_permutation_equivariant(self):
         rng = Rng(10)
-        for _ in range(200):
-            q = rng.normal((5,)).ravel()
-            mask = rng.uniform(0, 1, 5) > 0.3
-            if not mask.any():
-                mask[rng.integers(5)] = True
-            # make the masked argmax unique so the permuted pick must follow it
-            avail_idx = np.flatnonzero(mask)
-            q[avail_idx[0]] += 10.0
-            pick = ag.select_action(q, mask, 0.0, Rng(0))
-            perm = rng.permutation(5)
-            pick_p = ag.select_action(q[perm], mask[perm], 0.0, Rng(0))
-            assert perm[pick_p] == pick
+        rows = 200
+        q = rng.normal((rows, 5))
+        mask = rng.uniform(0, 1, (rows, 5)) > 0.3
+        mask[~mask.any(axis=1), 0] = True
+        # make each masked argmax unique so the permuted pick must follow it
+        q[np.arange(rows), mask.argmax(axis=1)] += 10.0
+        pick = ag.select_action(q, mask, 0.0)
+        perm = np.array([rng.permutation(5) for _ in range(rows)])
+        pick_p = ag.select_action(np.take_along_axis(q, perm, axis=1),
+                                  np.take_along_axis(mask, perm, axis=1), 0.0)
+        np.testing.assert_array_equal(perm[np.arange(rows), pick_p], pick)
+
+
+class TestSelectActionMatchesReference:
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+    def test_rows_match_per_agent_chooser_and_its_draws(self, epsilon):
+        data = Rng(12)
+        for trial in range(60):
+            rows = 1 + data.integers(8)
+            # integer values make ties common
+            q = np.round(2.0 * data.normal((rows, 4)))
+            mask = data.uniform(0, 1, (rows, 4)) > 0.4
+            mask[~mask.any(axis=1), data.integers(4)] = True
+            rng, ref_rng = Rng(trial).split("x"), Rng(trial).split("x")
+            want = [select_action_reference(q[r], mask[r], epsilon, ref_rng)
+                    for r in range(rows)]
+            got = ag.select_action(q, mask, epsilon, rng)
+            assert got.tolist() == want
+            assert rng.random() == ref_rng.random()
+            if epsilon == 0.0:
+                assert ag.select_action(q, mask, 0.0).tolist() == want
 
 
 class TestGreedyActions:
     def test_rowwise_masked_argmax(self):
         q = np.array([[1.0, 5.0, 3.0], [9.0, 0.0, 2.0]])
         avail = np.array([[True, False, True], [False, True, True]])
-        np.testing.assert_array_equal(ag.greedy_actions(q, avail), [2, 2])
+        np.testing.assert_array_equal(ag.select_action(q, avail, 0.0), [2, 2])
 
 
 class TestMaskDeadAgent:
-    def test_masks_to_minus_one(self):
-        np.testing.assert_array_equal(ag.mask_dead_agent(np.array([0.2, 0.7])),
-                                      [-1.0, -1.0])
-
-    def test_alive_agents_unchanged_elsewhere(self):
-        obs = np.array([0.2, 0.7])
-        masked = ag.mask_dead_agent(obs)
-        np.testing.assert_array_equal(obs, [0.2, 0.7])  # no in-place change
-        assert masked.shape == obs.shape
-
     def test_two_dead_agents_have_identical_generator_rows(self):
         from hypermix.hypergraph import build_hypergraph_rows
         rng = Rng(11)
         gen_w = rng.normal((4, 3))
         gen_b = rng.normal((1, 3))
         obs = rng.normal((3, 4))
-        obs[0] = ag.mask_dead_agent(obs[0])
-        obs[2] = ag.mask_dead_agent(obs[2])
+        obs[[0, 2]] = -1.0  # the corridor's dead-agent mask value
         H, _ = build_hypergraph_rows(obs, gen_w, gen_b, 3)
         np.testing.assert_array_equal(H.value[0, :3], H.value[2, :3])

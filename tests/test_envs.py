@@ -1,5 +1,7 @@
 """Environment contracts, dynamics, and brute-force optimal returns."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -193,13 +195,47 @@ class TestGrid:
         env._target = np.array([2, 3])
         env._frozen = np.zeros(2, dtype=bool)
         res = env.step([env.RIGHT, env.STAY])  # agent 0 arrives and freezes
-        assert res.frozen[0] and not res.frozen[1]
         np.testing.assert_array_equal(res.obs[0], np.full(8, -1.0))
+        assert (res.obs[1] != -1.0).all()
         avail = env.avail_actions()
         assert avail[0].tolist() == [True, False, False]
         # frozen agents ignore nothing: only stay is available
         res2 = env.step([env.STAY, env.RIGHT])
         assert env._pos[0] == 2
+
+    # sha256 prefixes of 30 episodes' bytes under a fixed random-action
+    # stream, taken from the per-agent loop code before the array corridor
+    TRAJECTORY_DIGESTS = {
+        (3, False): "cea15841ff6e15e3",
+        (3, True): "97a222de1a67251f",
+        (8, False): "cf82183ad20d0b89",
+        (8, True): "b879036e3b3bfa74",
+    }
+
+    @pytest.mark.parametrize("n,freeze", sorted(TRAJECTORY_DIGESTS))
+    def test_trajectory_bytes_match_golden(self, n, freeze):
+        env = LazyCoordinationGrid(n_agents=n, length=4, freeze=freeze)
+        reset_rng, act_rng = Rng(5).split("reset"), Rng(5).split("act")
+        h = hashlib.sha256()
+
+        def feed(*arrays):
+            for a in map(np.asarray, arrays):
+                h.update(f"{a.dtype}{a.shape}".encode())
+                h.update(a.tobytes())
+
+        for _ in range(30):
+            obs, state = env.reset(reset_rng)
+            avail = env.avail_actions()
+            feed(obs, state, avail)
+            terminated = False
+            while not terminated:
+                acts = [int(np.flatnonzero(row)[act_rng.integers(int(row.sum()))])
+                        for row in avail]
+                res = env.step(acts)
+                feed(res.obs, res.state, res.avail, res.reward, res.terminated)
+                np.testing.assert_array_equal(env.avail_actions(), res.avail)
+                avail, terminated = res.avail, res.terminated
+        assert h.hexdigest()[:16] == self.TRAJECTORY_DIGESTS[n, freeze]
 
 
 class TestBruteForceOptimal:

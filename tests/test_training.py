@@ -129,6 +129,19 @@ class TestCollectEpisode:
         assert ep.avail[1].all()
         np.testing.assert_array_equal(ep.obs[1], np.eye(2))
 
+    def test_greedy_episode_draws_no_exploration(self):
+        store, _ = tiny_mixer_store("vdn", n=3, obs_dim=8, n_actions=3)
+        env = make_env({"name": "grid", "n_agents": 3, "length": 4})
+        explore = Rng(6).split("x")
+        drawn = collect_episode(env, store, 0.0, Rng(6).split("env"), explore,
+                                agent_hidden=4)
+        undrawn = collect_episode(env, store, 0.0, Rng(6).split("env"), None,
+                                  agent_hidden=4)
+        for name in ("obs", "state", "avail", "actions", "reward", "terminated"):
+            np.testing.assert_array_equal(getattr(drawn, name),
+                                          getattr(undrawn, name))
+        assert explore.random() == Rng(6).split("x").random()
+
     def test_replayed_inputs_are_the_collector_inputs(self, monkeypatch):
         env = make_env({"name": "grid", "n_agents": 3, "length": 4})
         spec = env.spec
