@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Var, relu
+from .autodiff import Var
 from .errors import ContractError
 from .nn import ParameterStore, gru_fwd, init_gru, init_linear, linear_fwd
 from .rng import Rng
@@ -39,7 +39,7 @@ def agent_forward(pv: dict[str, Var], inputs, hidden, steps: int = 1):
     forward, so one call gives bit for bit the values of ``steps`` chained
     one-step calls.
     """
-    x = relu(linear_fwd(inputs, pv, "agent.fc1", steps))
+    x = linear_fwd(inputs, pv, "agent.fc1", steps, rectify=True)
     h = gru_fwd(x, hidden, pv, "agent.rnn", steps)
     q = linear_fwd(h, pv, "agent.fc2", steps)
     return q, h

@@ -2,14 +2,15 @@
 
 Every value is a 2-D row-major float64 numpy array. Applying a primitive to
 traced variables computes the forward value eagerly and appends a record to
-the owning :class:`Tape`; :func:`gradient` then walks the records in strict
-reverse order to accumulate exact gradients for every traced input, and
-drops the records once done. Plain numpy arrays (or variables without a
+the owning :class:`Tape`; :func:`gradient` then pops the records in strict
+reverse order to accumulate exact gradients for every traced input, freeing
+each record as its backward runs. Plain numpy arrays (or variables without a
 tape) act as constants: backward computes no gradient for them.
 
-Subgradient conventions at kinks: relu'(0) = 0, abs'(0) = 0, elu uses
-alpha = 1. The hypergraph convolution's degree pseudo-inverses are exactly 0
-at or below ``SAFE_EPS``, so zero degrees stay finite.
+Subgradient conventions at kinks: relu'(0) = 0 (``linear`` with
+``rectify``), abs'(0) = 0, elu uses alpha = 1. The hypergraph convolution's
+degree pseudo-inverses are exactly 0 at or below ``SAFE_EPS``, so zero
+degrees stay finite.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def ones_col(n: int) -> np.ndarray:
 
 
 class Var:
-    """A (possibly traced) matrix value; ``grad`` is filled by gradient()."""
+    """A (possibly traced) matrix value; gradient() fills ``grad`` on leaves."""
 
     __slots__ = ("value", "tape", "grad", "__weakref__")
 
@@ -128,30 +129,51 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 # primitives
 # ---------------------------------------------------------------------------
 
-def matmul(a, b, row_blocks: int = 1) -> Var:
-    """Matrix product.
-
-    ``row_blocks`` > 1 runs the forward one equal block of rows at a time, so
-    each block is bit for bit the product of that block alone (BLAS may round
-    a row differently depending on the rows stacked around it).
-    """
+def matmul(a, b) -> Var:
+    """Matrix product."""
     a, b = _as_var(a), _as_var(b)
     lhs, rhs = a.value, b.value
     if lhs.shape[1] != rhs.shape[0]:
         raise DimensionError(
             f"matmul: inner dimensions differ, {lhs.shape} x {rhs.shape}")
-    if row_blocks <= 0 or lhs.shape[0] % row_blocks:
-        raise DimensionError(
-            f"matmul: {lhs.shape[0]} rows do not split into {row_blocks} blocks"
-        )
 
     def bwd(g, need):
         return (g @ rhs.T if need[0] else None,
                 lhs.T @ g if need[1] else None)
 
-    out = lhs @ rhs if row_blocks == 1 else (
-        lhs.reshape(row_blocks, -1, lhs.shape[1]) @ rhs).reshape(-1, rhs.shape[1])
-    return _emit("matmul", (a, b), out, bwd)
+    return _emit("matmul", (a, b), lhs @ rhs, bwd)
+
+
+def linear(x, w, b, row_blocks: int = 1, rectify: bool = False) -> Var:
+    """Affine layer x @ w + b, rectified (ReLU) if ``rectify``, as one record.
+
+    ``b`` is one (1 x out) row. ``row_blocks`` > 1 runs the product one equal
+    block of rows at a time, so each block is bit for bit the product of that
+    block alone (BLAS may round a row differently depending on the rows
+    stacked around it). The bias and the rectifier act in place on the
+    product; backward masks by the output, > 0 exactly where the
+    rectifier's input is, so the record keeps no other array.
+    """
+    x, w, b = operands = tuple(map(_as_var, (x, w, b)))
+    xv, wv = x.value, w.value
+    if (xv.shape[1] != wv.shape[0] or b.value.shape != (1, wv.shape[1])
+            or row_blocks <= 0 or xv.shape[0] % row_blocks):
+        raise DimensionError(f"linear: x {xv.shape}, w {wv.shape}, b {b.value.shape}"
+                             f" do not fit x @ w + b, b one row, x in {row_blocks}"
+                             " equal row blocks")
+    out = xv @ wv if row_blocks == 1 else (
+        xv.reshape(row_blocks, -1, xv.shape[1]) @ wv).reshape(-1, wv.shape[1])
+    out += b.value
+    if rectify:
+        np.maximum(out, 0.0, out=out)
+
+    def bwd(g, need):
+        if rectify:
+            g = g * (out > 0.0)
+        return (g @ wv.T if need[0] else None, xv.T @ g if need[1] else None,
+                _unbroadcast(g, b.value.shape) if need[2] else None)
+
+    return _emit("linear", operands, out, bwd)
 
 
 def add(a, b) -> Var:
@@ -186,16 +208,6 @@ def mul(a, b) -> Var:
                 _unbroadcast(g * av, bv.shape) if need[1] else None)
 
     return _emit("mul", (a, b), out, bwd)
-
-
-def relu(x) -> Var:
-    x = _as_var(x)
-    xv = x.value
-
-    def bwd(g, need):
-        return (g * (xv > 0.0),)
-
-    return _emit("relu", (x,), np.maximum(xv, 0.0), bwd)
 
 
 def elu(x) -> Var:
@@ -288,7 +300,7 @@ def select_rows(x, rows) -> Var:
     n = x.value.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise DimensionError(f"select_rows: index out of range for {n} rows")
-    unique = idx.size == np.unique(idx).size
+    unique = not idx.size or np.bincount(idx, minlength=n).max() <= 1
     shape = x.value.shape
 
     def bwd(g, need):
@@ -333,13 +345,16 @@ def gru_sequence(x, h0, w_ih, w_hh, b_ih, b_hh, steps: int = 1) -> Var:
     wig, whg, big, bhg = map(gates, (wiv, whv, biv, bhv))
     out = np.empty((steps * rows, hid))
     # kept for backward, per step: the candidate c, the reset and update
-    # gates r and z, and hn, the recurrent part of the candidate's input
-    s, gi = np.empty((steps, 4, rows, hid)), np.empty((3, rows, hid))
+    # gates r and z, and hn, the recurrent part of the candidate's input;
+    # untraced, one step's slot is reused
+    kept = steps if _tape_of("gru_sequence", *operands) is not None else 1
+    s, gi = np.empty((kept, 4, rows, hid)), np.empty((3, rows, hid))
     hv = h0v
     for t in range(steps):
-        c, rz, hn = s[t, 0], s[t, 1:3], s[t, 3]
+        st = s[t % kept]
+        c, rz, hn = st[0], st[1:3], st[3]
         np.add(np.matmul(xv[t * rows:(t + 1) * rows], wig, out=gi), big, out=gi)
-        np.add(np.matmul(hv, whg, out=s[t, 1:]), bhg, out=s[t, 1:])
+        np.add(np.matmul(hv, whg, out=st[1:]), bhg, out=st[1:])
         # logistic exp(min(u, 0)) / (1 + exp(-|u|)): exp of u <= 0 only
         u = np.add(gi[:2], rz, out=rz)
         d = np.exp(np.negative(np.abs(u, out=gi[:2]), out=gi[:2]), out=gi[:2])
@@ -485,14 +500,15 @@ def gradient(tape: Tape, seeds) -> dict:
     """Reverse sweep over a tape; returns leaf-variable gradients.
 
     ``seeds`` is either a single output Var (seeded with ones) or a mapping
-    from output Var to its seed matrix. Every variable reached by the sweep
-    gets its ``grad`` attribute set; the returned dict maps the remaining
-    leaf variables (inputs and parameters) to their accumulated gradients.
-    Variables that do not influence any seeded output keep ``grad = None``
-    (a zero gradient). Each record's backward is told which of its operands
-    are traced and skips the work for the others. The sweep ends by
-    dropping the tape's records, so the graph is freed as soon as the
-    caller lets go of its outputs.
+    from output Var to its seed matrix. The returned dict maps the leaf
+    variables reached by the sweep (inputs and parameters: those no record
+    produced) to their accumulated gradients, and each gets its ``grad``
+    attribute set; record outputs do not. Leaves that do not influence any
+    seeded output keep ``grad = None`` (a zero gradient). Each record's
+    backward is told which of its operands are traced and skips the work
+    for the others. The sweep pops each record before its backward runs, so
+    a record, its output's gradient and whatever of the graph the caller no
+    longer holds are freed as the sweep passes them.
     """
     if tape.consumed:
         raise TapeError("gradient: tape already consumed by a previous backward pass")
@@ -507,18 +523,16 @@ def gradient(tape: Tape, seeds) -> dict:
                 f"gradient: seed shape {s.shape} != output shape {v.value.shape}"
             )
         acc[v] = acc[v] + s if v in acc else s
-    for rec in reversed(tape.records):
+    records = tape.records
+    while records:
+        rec = records.pop()
         g = acc.pop(rec.out, None)
         if g is None:
             continue
-        rec.out.grad = g
         need = tuple(v.tape is tape for v in rec.inputs)
         for v, gi in zip(rec.inputs, rec.bwd(g, need)):
-            if gi is None:
-                continue
-            prev = acc.get(v)
-            acc[v] = gi if prev is None else prev + gi
-    tape.records.clear()
+            if gi is not None:
+                acc[v] = acc[v] + gi if v in acc else gi
     for v, g in acc.items():
         v.grad = g
     return acc

@@ -64,9 +64,11 @@ def _check_actions(actions, avail: np.ndarray) -> np.ndarray:
         raise ContractError(
             f"expected {avail.shape[0]} actions, got {actions.shape[0]}"
         )
-    for a, act in enumerate(actions):
-        if act < 0 or act >= avail.shape[1] or not avail[a, act]:
-            raise ContractError(f"agent {a} chose unavailable action {int(act)}")
+    known = (actions >= 0) & (actions < avail.shape[1])
+    ok = known & avail[np.arange(actions.size), np.where(known, actions, 0)]
+    if not ok.all():
+        a = int(ok.argmin())
+        raise ContractError(f"agent {a} chose unavailable action {int(actions[a])}")
     return actions
 
 
@@ -185,27 +187,23 @@ class LazyCoordinationGrid:
             self._frozen = self._pos == self._target
         self._steps = 0
         self._done = False
-        return self._obs(), self._state()
+        self._avail = None
+        return self._observe()
 
-    def _pairs(self) -> np.ndarray:
-        """Each agent's position one-hot ++ target one-hot, (n, 2*length)."""
-        rows = np.zeros((self.spec.n_agents, 2 * self.length))
+    def _observe(self) -> tuple[np.ndarray, np.ndarray]:
+        """Observations and the global state, both from each agent's position
+        one-hot ++ target one-hot. The state stays unmasked; a frozen agent's
+        observation takes the dead-agent mask value -1."""
+        pairs = np.zeros((self.spec.n_agents, 2 * self.length))
         agents = np.arange(self.spec.n_agents)
-        rows[agents, self._pos] = 1.0
-        rows[agents, self.length + self._target] = 1.0
-        return rows
-
-    def _obs(self) -> np.ndarray:
-        obs = self._pairs()
-        obs[self._frozen] = -1.0  # the dead-agent mask value
-        return obs
-
-    def _state(self) -> np.ndarray:
-        # global state stays unmasked; masking applies to observations only
-        return self._pairs().ravel()
+        pairs[agents, self._pos] = 1.0
+        pairs[agents, self.length + self._target] = 1.0
+        return np.where(self._frozen[:, None], -1.0, pairs), pairs.ravel()
 
     def avail_actions(self) -> np.ndarray:
-        avail = np.empty((self.spec.n_agents, 3), dtype=bool)
+        """(n, 3) mask of available actions; the next step checks its
+        actions against the mask last returned."""
+        avail = self._avail = np.empty((self.spec.n_agents, 3), dtype=bool)
         moving = ~self._frozen
         avail[:, self.STAY] = True
         avail[:, self.LEFT] = moving & (self._pos > 0)
@@ -215,7 +213,9 @@ class LazyCoordinationGrid:
     def step(self, actions) -> StepResult:
         if self._pos is None or self._done:
             raise ContractError("step() called on a finished episode")
-        actions = _check_actions(actions, self.avail_actions())
+        if self._avail is None:
+            self.avail_actions()
+        actions = _check_actions(actions, self._avail)
         self._steps += 1
         # a frozen agent's only available action is STAY, which moves 0
         self._pos += self.MOVES[actions]
@@ -225,8 +225,9 @@ class LazyCoordinationGrid:
         reward = 1.0 if success else 0.0
         terminated = success or self._steps >= self.spec.episode_limit
         self._done = terminated
-        return StepResult(reward=reward, terminated=terminated, obs=self._obs(),
-                          state=self._state(), avail=self.avail_actions())
+        obs, state = self._observe()
+        return StepResult(reward=reward, terminated=terminated, obs=obs,
+                          state=state, avail=self.avail_actions())
 
 
 def make_env(env_cfg: dict):

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (Var, add, block_sum, concat_cols, hgcn_conv, matmul,
-                       mul, ones_col, relu, reshape)
+from .autodiff import (Var, block_sum, concat_cols, hgcn_conv, linear, matmul,
+                       mul, ones_col, reshape)
 
 
 def build_hypergraph_rows(Z_rows, gen_w, gen_b, n: int):
@@ -31,7 +31,7 @@ def build_hypergraph_rows(Z_rows, gen_w, gen_b, n: int):
     part times the identity. Returns the stacked incidence (S*n x (m+n))
     and the per-sample means (S x 1).
     """
-    h1 = relu(add(matmul(Z_rows, gen_w), gen_b))           # S*n x m
+    h1 = linear(Z_rows, gen_w, gen_b, rectify=True)       # S*n x m
     rows, m = h1.shape
     mu = mul(block_sum(matmul(h1, ones_col(m)), n),
              np.array([[1.0 / (n * m)]]))                 # S x 1

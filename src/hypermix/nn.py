@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var, add, gru_sequence, matmul, relu
+from .autodiff import Var, gru_sequence, linear
 from .errors import CheckpointError, ConfigError, TrainingError
 from .rng import Rng
 
@@ -124,13 +124,13 @@ def init_gru(store: ParameterStore, name: str, in_dim: int, hidden: int,
     store.add(f"{name}.b_hh", np.zeros((1, 3 * hidden)))
 
 
-def linear_fwd(x, pv: dict[str, Var], name: str, row_blocks: int = 1) -> Var:
-    return add(matmul(x, pv[f"{name}.w"], row_blocks=row_blocks),
-               pv[f"{name}.b"])
+def linear_fwd(x, pv: dict[str, Var], name: str, row_blocks: int = 1,
+               rectify: bool = False) -> Var:
+    return linear(x, pv[f"{name}.w"], pv[f"{name}.b"], row_blocks, rectify)
 
 
 def mlp_fwd(x, pv: dict[str, Var], name: str) -> Var:
-    h = relu(linear_fwd(x, pv, f"{name}.fc1"))
+    h = linear_fwd(x, pv, f"{name}.fc1", rectify=True)
     return linear_fwd(h, pv, f"{name}.fc2")
 
 

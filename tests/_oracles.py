@@ -2,8 +2,9 @@
 
 Everything here is written straight-line against the mathematical
 definitions, deliberately sharing no code with the library: dense
-matrix-product hypergraph convolution, loop-based degree sums, a
-second GRU, the row-layout GRU sequence with its backward, a
+matrix-product hypergraph convolution, loop-based degree sums, the
+affine layer as separate product, bias and rectifier steps, a second
+GRU, the row-layout GRU sequence with its backward, a
 per-sample TD-target loop, a per-agent action chooser, and joint-state
 search for the corridor environment.
 """
@@ -62,6 +63,25 @@ def build_hypergraph_dense(Z, gen_w, gen_b):
     h1 = np.maximum(Z @ gen_w + gen_b, 0.0)
     mu = h1.mean() if h1.size else 1.0
     return np.concatenate([h1, mu * np.eye(Z.shape[0])], axis=1), mu
+
+
+def linear_reference(x, w, b, g, row_blocks=1, rectify=False):
+    """The affine layer as the three separate steps it was once recorded as,
+    forward and backward: the product (the stacked row blocks, one GEMM per
+    block), the bias sum broadcast over rows (its gradient summed over rows
+    unless there is one row), and the rectifier with relu'(0) = 0.
+
+    Returns the output and the gradients of x, w and b for the output
+    gradient ``g``.
+    """
+    rows, cols = x.shape[0], w.shape[1]
+    prod = x @ w if row_blocks == 1 else (
+        x.reshape(row_blocks, -1, x.shape[1]) @ w).reshape(rows, cols)
+    pre = prod + b
+    out = np.maximum(pre, 0.0) if rectify else pre
+    g_pre = g * (pre > 0.0) if rectify else g
+    g_b = g_pre if rows == 1 else g_pre.sum(axis=0, keepdims=True)
+    return out, (g_pre @ w.T, x.T @ g_pre, g_b)
 
 
 def sigmoid(x):

@@ -9,14 +9,14 @@ import pytest
 
 from hypermix.autodiff import (SAFE_EPS, Tape, Var, absval, add, block_sum,
                                concat_cols, elu, evaluate, finite_diff,
-                               gradient, gru_sequence, hgcn_conv, matmul, mul,
-                               reduce_sum, relu, reshape, select_rows)
+                               gradient, gru_sequence, hgcn_conv, linear,
+                               matmul, mul, reduce_sum, reshape, select_rows)
 from hypermix.errors import DimensionError, TapeError
 from hypermix.rng import Rng
 
 from _helpers import assert_grad_close, check_gradients, shift_from_kinks
 from _oracles import (gru_sequence_reference, gru_step_reference,
-                      hgcn_layer_dense)
+                      hgcn_layer_dense, linear_reference)
 
 
 def _spy_on_backward(tape):
@@ -54,17 +54,26 @@ class TestForwardValues:
         out = matmul(Var(a), Var(b))
         np.testing.assert_array_equal(out.value, [[3.0], [7.0]])
 
-    def test_matmul_row_blocks_equal_products_of_each_block(self):
+    def test_linear_row_blocks_equal_products_of_each_block(self):
         rng = Rng(3)
         a, b = rng.normal((18, 64)), rng.normal((64, 3))
-        out = matmul(Var(a), Var(b), row_blocks=3)
+        out = linear(Var(a), Var(b), np.zeros((1, 3)), row_blocks=3)
         np.testing.assert_array_equal(
             out.value, np.concatenate([a[k:k + 6] @ b for k in (0, 6, 12)]))
-        with pytest.raises(DimensionError, match="matmul"):
-            matmul(Var(a), Var(b), row_blocks=4)
+        with pytest.raises(DimensionError, match="linear"):
+            linear(Var(a), Var(b), np.zeros((1, 3)), row_blocks=4)
 
-    def test_relu_definition(self):
-        out = relu(Var(np.array([-1.0, 0.0, 2.0])))
+    def test_linear_shapes_validated(self):
+        x, w = np.ones((4, 3)), np.ones((3, 2))
+        for b in (np.ones((4, 2)), np.ones((1, 3)), np.ones((2, 1))):
+            with pytest.raises(DimensionError, match="linear"):
+                linear(x, w, b)
+        with pytest.raises(DimensionError, match="linear"):
+            linear(x, np.ones((2, 2)), np.ones((1, 2)))
+
+    def test_linear_rectify_definition(self):
+        out = linear(Var(np.array([-1.0, 0.0, 2.0])), np.eye(3),
+                     np.zeros((1, 3)), rectify=True)
         np.testing.assert_array_equal(out.value, [[0.0, 0.0, 2.0]])
 
     def test_elu_definition(self):
@@ -124,7 +133,7 @@ class TestForwardValues:
         w = rng.normal((3, 2))
 
         def build(xv, wv):
-            return reduce_sum(relu(matmul(xv, wv)))
+            return reduce_sum(linear(xv, wv, np.zeros((1, 2)), rectify=True))
 
         out1, _, _ = evaluate(build, x, w)
         out2, _, _ = evaluate(build, x, w)
@@ -217,7 +226,8 @@ class TestTape:
         try:
             tape = Tape()
             x = tape.var(rng.normal((3, 2)))
-            hidden = relu(matmul(x, rng.normal((2, 4))))
+            hidden = linear(x, rng.normal((2, 4)), np.zeros((1, 4)),
+                            rectify=True)
             out = reduce_sum(mul(hidden, hidden))
             alive = weakref.ref(hidden)
             gradient(tape, out)
@@ -225,6 +235,38 @@ class TestTape:
             assert x.grad is not None
             del hidden, out
             assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_sweep_frees_later_records_before_earlier_backwards(self):
+        # when the first record's backward runs, the records after it, their
+        # closures and the outputs the caller does not hold are gone, by
+        # reference counting alone
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tape = Tape()
+            x = tape.var(Rng(5).normal((4, 3)))
+            chain = [linear(x, np.ones((3, 3)), np.zeros((1, 3)), rectify=True)]
+            for op in (elu, absval, elu):
+                chain.append(op(chain[-1]))
+            out = reduce_sum(chain[-1])
+            later = [weakref.ref(v) for v in chain[1:]]
+            later += [weakref.ref(r.bwd) for r in tape.records[1:]]
+            del chain
+            first, seen = tape.records[0], []
+            bwd = first.bwd
+
+            def spy(g, need):
+                seen.append([r() is None for r in later])
+                return bwd(g, need)
+
+            first.bwd = spy
+            del first
+            gradient(tape, out)
+            assert seen == [[True] * len(later)]
+            assert x.grad is not None and out.grad is None
         finally:
             if was_enabled:
                 gc.enable()
@@ -242,9 +284,12 @@ class TestTape:
 
 
 class TestGradientExamples:
-    def test_sum_relu_subgradient_at_zero_is_zero(self):
-        out, tape, (x,) = evaluate(lambda v: reduce_sum(relu(v)),
-                                   np.array([-1.0, 0.0, 2.0]))
+    def test_sum_rectified_linear_subgradient_at_zero_is_zero(self):
+        # relu'(0) = 0, on the rectifier of an identity layer
+        out, tape, (x,) = evaluate(
+            lambda v: reduce_sum(linear(v, np.eye(3), np.zeros((1, 3)),
+                                        rectify=True)),
+            np.array([-1.0, 0.0, 2.0]))
         gradient(tape, out)
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
@@ -354,6 +399,78 @@ class TestGradientExamples:
             gradient(tape, {out: np.ones((2, 1))})
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _linear_grads(x, w, b, g, row_blocks, rectify, traced=(0, 1, 2)):
+    tape = Tape()
+    vs = [tape.var(a) if i in traced else Var(a) for i, a in enumerate((x, w, b))]
+    out = linear(*vs, row_blocks, rectify)
+    gradient(tape, {out: g})
+    return out.value, [v.grad for v in vs]
+
+
+class TestLinear:
+    """One affine record against the separate product, bias and rectifier
+    steps, bit for bit in the value and in all three gradients."""
+
+    @pytest.mark.parametrize("rectify", [False, True])
+    @pytest.mark.parametrize("row_blocks", [1, 3])
+    def test_bit_identical_to_separate_steps(self, row_blocks, rectify):
+        # integer-valued operands give exact zeros at the rectifier, ties,
+        # and zero output gradients of either sign
+        rng = Rng(120 + row_blocks)
+        for trial in range(40):
+            rows = row_blocks * (1 + trial % 7)
+            k, m = 1 + trial % 5, 1 + (trial * 3) % 6
+            x, w, b, g = (np.round(rng.uniform(-2.0, 2.0, shape))
+                          for shape in ((rows, k), (k, m), (1, m), (rows, m)))
+            want_out, want_grads = linear_reference(x, w, b, g, row_blocks,
+                                                    rectify)
+            got_out, got_grads = _linear_grads(x, w, b, g, row_blocks, rectify)
+            assert _same_bits(got_out, want_out), trial
+            for i, (got, want) in enumerate(zip(got_grads, want_grads)):
+                assert _same_bits(got, want), (trial, i)
+
+    def test_nan_input_to_the_rectifier_gets_no_gradient(self):
+        x, w = np.array([[1.0, 1.0], [-1.0, 2.0]]), np.eye(2)
+        b, g = np.array([[np.nan, 0.0]]), np.full((2, 2), 3.0)
+        want_out, want_grads = linear_reference(x, w, b, g, 1, True)
+        got_out, got_grads = _linear_grads(x, w, b, g, 1, True)
+        assert _same_bits(got_out, want_out)
+        for got, want in zip(got_grads, want_grads):
+            assert np.array_equal(got, want, equal_nan=True)
+        np.testing.assert_array_equal(got_grads[0], [[0.0, 3.0], [0.0, 3.0]])
+
+    def test_unrectified_equals_add_of_matmul(self):
+        rng = Rng(125)
+        x, w, b = rng.normal((5, 4)), rng.normal((4, 3)), rng.normal((1, 3))
+        g = rng.normal((5, 3))
+        tape = Tape()
+        vs = [tape.var(a) for a in (x, w, b)]
+        out = add(matmul(vs[0], vs[1]), vs[2])
+        gradient(tape, {out: g})
+        got_out, got_grads = _linear_grads(x, w, b, g, 1, False)
+        assert _same_bits(got_out, out.value)
+        for got, v in zip(got_grads, vs):
+            assert _same_bits(got, v.grad)
+
+    @pytest.mark.parametrize("traced", [(0,), (1,), (2,), (1, 2), (0, 1, 2)])
+    def test_constant_operands_get_no_gradient_work(self, traced):
+        rng = Rng(126)
+        tape = Tape()
+        operands = [rng.normal((6, 4)), rng.normal((4, 3)), rng.normal((1, 3))]
+        operands = [tape.var(a) if i in traced else a
+                    for i, a in enumerate(operands)]
+        out = linear(*operands, 3, True)
+        computed = _spy_on_backward(tape)
+        gradient(tape, reduce_sum(out))
+        (grads,) = computed
+        for i, grad in enumerate(grads):
+            assert (grad is not None) == (i in traced)
+
+
 class TestFiniteDiff:
     def test_sum_of_squares(self):
         g = finite_diff(lambda x: float((x ** 2).sum()), np.array([3.0]))
@@ -379,10 +496,6 @@ class TestGradCheckPrimitives:
             check_gradients(lambda x, y: reduce_sum(matmul(x, y)),
                             [rng.normal((3, 4)), rng.normal((4, 2))],
                             label="matmul")
-        weight = rng.normal((6, 2))
-        check_gradients(
-            lambda x, y: reduce_sum(mul(matmul(x, y, row_blocks=3), weight)),
-            [rng.normal((6, 4)), rng.normal((4, 2))], label="matmul row_blocks")
 
     def test_add_mul_with_broadcast(self):
         rng = Rng(101)
@@ -396,7 +509,25 @@ class TestGradCheckPrimitives:
                 check_gradients(lambda x, y: reduce_sum(mul(x, y)), [a, b],
                                 label=f"mul {sa}x{sb}")
 
-    @pytest.mark.parametrize("op", [relu, elu, absval])
+    @pytest.mark.parametrize("rectify", [False, True])
+    @pytest.mark.parametrize("row_blocks", [1, 3])
+    def test_linear(self, row_blocks, rectify):
+        # rectified points are redrawn until no input to the rectifier lies
+        # within 1e-3 of the kink
+        rng = Rng(110)
+        for _ in range(self.N_POINTS // 4):
+            while True:
+                x, w, b = rng.normal((6, 4)), rng.normal((4, 3)), rng.normal((1, 3))
+                if not rectify or np.abs(x @ w + b).min() > 1e-3:
+                    break
+            weight = rng.normal((6, 3))
+            check_gradients(
+                lambda *vs: reduce_sum(mul(linear(*vs, row_blocks, rectify),
+                                           weight)),
+                [x, w, b], label=f"linear row_blocks={row_blocks}"
+                                 f" rectify={rectify}")
+
+    @pytest.mark.parametrize("op", [elu, absval])
     def test_kinked_activations(self, op):
         rng = Rng(102)
         for _ in range(self.N_POINTS):
@@ -558,6 +689,15 @@ class TestGruForward:
                            np.zeros((hid, 3 * hid)), np.zeros((1, 3 * hid)),
                            np.zeros((1, 3 * hid)), steps=2)
         np.testing.assert_allclose(out.value, [0.5 * h[0], 0.25 * h[0]])
+
+    @pytest.mark.parametrize("rows, hid, steps, din",
+                             [(5, 6, 4, 3), (128, 64, 12, 64)])
+    def test_untraced_forward_matches_traced_bits(self, rows, hid, steps, din):
+        # with no operand traced, every step reuses one slot of gates
+        args, _ = _gru_case(rows + steps, rows, hid, steps, din)
+        tape = Tape()
+        traced = gru_sequence(*map(tape.var, args), steps=steps).value
+        assert _same_bits(gru_sequence(*args, steps=steps).value, traced)
 
     def test_matches_independent_reference(self):
         rng = Rng(106)

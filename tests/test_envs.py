@@ -99,8 +99,7 @@ class TestGrid:
 
     def test_observation_is_own_position_and_target(self):
         env = LazyCoordinationGrid(n_agents=2, length=4)
-        env.reset(Rng(1))
-        obs = env._obs()
+        obs, _ = env.reset(Rng(1))
         for a in range(2):
             row = obs[a]
             assert row[:4].sum() == 1.0 and row[4:].sum() == 1.0
@@ -115,6 +114,22 @@ class TestGrid:
         assert avail[0, env.STAY] and not avail[0, env.LEFT] and avail[0, env.RIGHT]
         with pytest.raises(ContractError):
             env.step([env.LEFT])
+
+    def test_bad_actions_name_the_first_bad_agent(self):
+        # out-of-range actions are caught before they index the mask
+        env = LazyCoordinationGrid(n_agents=3, length=3)
+        env.reset(Rng(0))
+        env._pos[:] = 0
+        env.avail_actions()
+        for acts, bad in (([0, 5, -1], (1, 5)), ([2, 0, -1], (2, -1)),
+                          ([1, 3, 0], (0, 1)), ([0, 2, 1], (2, 1))):
+            with pytest.raises(ContractError,
+                               match=f"^agent {bad[0]} chose unavailable"
+                                     f" action {bad[1]}$"):
+                env.step(acts)
+        with pytest.raises(ContractError, match="expected 3 actions, got 2"):
+            env.step([0, 0])
+        assert env.step([0, 2, 2]).obs.shape == (3, 6)
 
     def test_masks_always_admit_an_action(self):
         rng = Rng(2)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -593,10 +594,10 @@ class TestTrainStep:
                           0.9, dims["embed"], agent_hidden=dims["agent_hidden"])
         assert loss == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("kind,total", [("hgcn-mix", 50)])
-    def test_tape_records_per_step_at_paper_widths(self, kind, total,
-                                                   monkeypatch):
-        # each hypergraph convolution layer is one hgcn_conv record
+    @staticmethod
+    def _paper_width_step(kind, episodes, spy, monkeypatch):
+        """One grid4 train step at the paper's widths, with ``spy`` in place
+        of ``training.gradient``."""
         cfg = Config(env={"name": "grid", "n_agents": 4, "length": 6},
                      mixer=kind)
         env = make_env(cfg.env)
@@ -605,20 +606,52 @@ class TestTrainStep:
                                                 Rng(k).split("env"),
                                                 Rng(k).split("x"),
                                                 cfg.agent_hidden)
-                                for k in range(4)])
+                                for k in range(episodes)])
+        monkeypatch.setattr(training, "gradient", spy)
+        train_step(batch, store, target, kind, cfg.gamma, cfg.embed,
+                   cfg.agent_hidden)
+
+    @pytest.mark.parametrize("kind,total", [("hgcn-mix", 35), ("qmix", 26)])
+    def test_tape_records_per_step_at_paper_widths(self, kind, total,
+                                                   monkeypatch):
+        # each hypergraph convolution layer is one hgcn_conv record, and each
+        # affine layer, with its ReLU if it has one, one linear record: the
+        # agent's fc1 and fc2, the generator, and the seven hypernetwork
+        # layers
         counts = []
 
         def spy(tape, seeds):
             counts.append(Counter(r.name for r in tape.records))
             return gradient(tape, seeds)
 
-        monkeypatch.setattr(training, "gradient", spy)
-        train_step(batch, store, target, kind, cfg.gamma, cfg.embed,
-                   cfg.agent_hidden)
+        self._paper_width_step(kind, 4, spy, monkeypatch)
         (count,) = counts
-        assert count["hgcn_conv"] == 2
-        assert not {"safe_rsqrt", "safe_recip", "repeat_rows"} & set(count)
+        assert count["hgcn_conv"] == (2 if kind == "hgcn-mix" else 0)
+        assert count["linear"] == (10 if kind == "hgcn-mix" else 9)
+        assert not {"safe_rsqrt", "safe_recip", "repeat_rows", "relu"} & set(count)
         assert sum(count.values()) == total
+
+    def test_backward_frees_the_tape_as_it_sweeps(self, monkeypatch):
+        # a paper-width hgcn-mix step on 32 episodes: the sweep's traced peak
+        # stays within 2 MB of the memory live at its entry. Holding every
+        # record and every intermediate gradient to the end of the sweep
+        # rose 6.8 MB
+        rises = []
+
+        def spy(tape, seeds):
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            grads = gradient(tape, seeds)
+            rises.append(tracemalloc.get_traced_memory()[1] - entry)
+            return grads
+
+        tracemalloc.start()
+        try:
+            self._paper_width_step("hgcn-mix", 32, spy, monkeypatch)
+        finally:
+            tracemalloc.stop()
+        (rise,) = rises
+        assert rise <= 2 * 2 ** 20, rise
 
     def test_targets_not_touched_by_training(self):
         store, dims = tiny_mixer_store("qmix", n=2, obs_dim=2, n_actions=3,
