@@ -40,35 +40,29 @@ def _setup_logging() -> None:
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
 
-def _run_one_seed(args) -> dict:
-    cfg_dict, seed, out_dir = args
-    cfg = Config.from_dict(cfg_dict)
-    return run_training(cfg, seed, out_dir)
+def _out_path(path, is_dir: bool) -> Path:
+    """--out as a Path, checked before any work is done."""
+    out = Path(path)
+    if out.exists() and out.is_dir() != is_dir:
+        raise ConfigError(f"--out: {out} exists and is not a"
+                          f" {'directory' if is_dir else 'file'}")
+    return out
 
 
-def _train_runs(cfg: Config, jobs: list[tuple[int, Path]], workers: int) -> list[dict]:
-    payload = [(cfg.to_dict(), seed, str(out)) for seed, out in jobs]
-    if workers <= 1 or len(payload) == 1:
-        return [_run_one_seed(p) for p in payload]
+def _train_runs(jobs: list[tuple[Config, int, Path]], workers: int) -> list[dict]:
+    if workers <= 1 or len(jobs) == 1:
+        return [run_training(*job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one_seed, payload))
+        return list(pool.map(run_training, *zip(*jobs)))
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = cfg.replace(seeds=[args.seed])
-    out = Path(args.out)
-    sweep = cfg.hyperedge_sweep
-    results = []
-    if sweep:
-        for m in sweep:
-            sub = cfg.replace(hyperedges=m, hyperedge_sweep=None)
-            jobs = [(seed, out / f"m_{m}" / f"seed_{seed}") for seed in sub.seeds]
-            results += _train_runs(sub, jobs, args.workers)
-    else:
-        jobs = [(seed, out / f"seed_{seed}") for seed in cfg.seeds]
-        results = _train_runs(cfg, jobs, args.workers)
+    out = _out_path(args.out, is_dir=True)
+    results = _train_runs([(cfg, seed, out / f"seed_{seed}") for seed in cfg.seeds],
+                          args.workers)
     for res in results:
         log.info("seed %s finished after %s episodes (%.1fs): %s",
                  res["seed"], res["episodes"], res["wall_seconds"], res["final"])
@@ -97,12 +91,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dump_hypergraph(args) -> int:
+    out = _out_path(args.out, is_dir=True)
     cfg, env, store = _load_run(args.config, args.checkpoint)
     if cfg.mixer != "hgcn-mix":
         raise UnsupportedMixerError(
             f"mixer {cfg.mixer!r} has no hypergraph to dump"
         )
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ep = collect_episode(env, store, 0.0, Rng(args.seed).split("env"), None,
                          cfg.agent_hidden)
@@ -119,24 +113,15 @@ def cmd_dump_hypergraph(args) -> int:
     return 0
 
 
-def _percentiles(values: np.ndarray) -> tuple[float, float, float]:
-    # linear-interpolation percentiles over the seed axis
-    return (float(np.percentile(values, 50)),
-            float(np.percentile(values, 25)),
-            float(np.percentile(values, 75)))
-
-
-def aggregate_metrics(run_dirs: list[Path], mixer: str) -> list[dict]:
-    """Median and 25-75 percentile of success rate across seed runs."""
-    series = []
-    for run in run_dirs:
-        records = [json.loads(line)
-                   for line in (run / "metrics.jsonl").read_text().splitlines()]
-        series.append(records)
+def aggregate_metrics(run_dirs: list[Path], arm: str) -> list[dict]:
+    """Median and 25-75 percentile of success rate across one arm's seed runs."""
+    series = [[json.loads(line)
+               for line in (run / "metrics.jsonl").read_text().splitlines()]
+              for run in run_dirs]
     lengths = {len(s) for s in series}
     if len(lengths) != 1:
         raise ConfigError(
-            f"mismatched eval grids across seeds for mixer {mixer!r}:"
+            f"mismatched eval grids across seeds for arm {arm!r}:"
             f" lengths {sorted(lengths)}"
         )
     rows = []
@@ -144,13 +129,13 @@ def aggregate_metrics(run_dirs: list[Path], mixer: str) -> list[dict]:
         episodes = {s[i]["episode"] for s in series}
         if len(episodes) != 1:
             raise ConfigError(
-                f"mismatched eval grids for mixer {mixer!r} at index {i}"
+                f"mismatched eval grids for arm {arm!r} at index {i}"
             )
         success = np.array([s[i]["success_rate"] for s in series])
         returns = np.array([s[i]["mean_return"] for s in series])
-        med, p25, p75 = _percentiles(success)
+        # linear-interpolation percentiles over the seed axis
+        med, p25, p75 = np.percentile(success, [50, 25, 75]).tolist()
         rows.append({
-            "mixer": mixer,
             "episode": episodes.pop(),
             "step_median": float(np.median([s[i]["step"] for s in series])),
             "success_median": med,
@@ -163,6 +148,8 @@ def aggregate_metrics(run_dirs: list[Path], mixer: str) -> list[dict]:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
+    out_csv = _out_path(args.out, is_dir=False)
+    work = _out_path(out_csv.parent / (out_csv.stem + "_runs"), is_dir=True)
     if cfg.episodes < cfg.eval_interval:
         raise ConfigError(
             f"training.eval_interval: {cfg.eval_interval} exceeds"
@@ -172,24 +159,40 @@ def cmd_compare(args) -> int:
     mixers = [m.strip() for m in args.mixers.split(",") if m.strip()]
     if not mixers:
         raise ConfigError(f"--mixers: no mixer kind in {args.mixers!r}")
+    if args.hyperedges and "hgcn-mix" not in mixers:
+        raise ConfigError("--hyperedges: needs 'hgcn-mix' in --mixers")
     seeds = list(range(args.seeds))
-    # every mixer is validated before the first run starts
-    subs = [(m, cfg.replace(mixer=m, seeds=seeds, stop_on_success=False,
-                            hyperedge_sweep=None)) for m in mixers]
-    out_csv = Path(args.out)
-    work = out_csv.parent / (out_csv.stem + "_runs")
+    # arms resolve before any run starts: hgcn-mix at 0 hyperedges is qmix
+    arms = {}
+    for mixer in mixers:
+        counts = args.hyperedges if mixer == "hgcn-mix" else None
+        for count in counts or [cfg.hyperedges]:
+            sub = cfg.replace(mixer=mixer, hyperedges=count, seeds=seeds,
+                              stop_on_success=False)
+            learned = sub.hyperedges if sub.mixer == "hgcn-mix" else 0
+            arm = f"hgcn-mix_m{learned}" if learned else sub.mixer
+            if arm in arms:
+                flag = "--hyperedges" if counts else "--mixers"
+                raise ConfigError(f"{flag}: arm {arm!r} would run twice")
+            arms[arm] = (sub, learned)
+    _train_runs([(sub, seed, work / arm / f"seed_{seed}")
+                 for arm, (sub, _) in arms.items() for seed in seeds],
+                args.workers)
     all_rows = []
-    for mixer, sub in subs:
-        jobs = [(seed, work / mixer / f"seed_{seed}") for seed in seeds]
-        _train_runs(sub, jobs, args.workers)
-        all_rows += aggregate_metrics([out for _, out in jobs], mixer)
-    out_csv.parent.mkdir(parents=True, exist_ok=True)
+    for arm, (sub, learned) in arms.items():
+        runs = [work / arm / f"seed_{s}" for s in seeds]
+        all_rows += [{"mixer": sub.mixer, "hyperedges": learned, **row}
+                     for row in aggregate_metrics(runs, arm)]
     with out_csv.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(all_rows[0].keys()))
         writer.writeheader()
         writer.writerows(all_rows)
     print(json.dumps({"csv": str(out_csv), "rows": len(all_rows)}))
     return 0
+
+
+def _counts(text: str) -> list[int]:
+    return [int(c) for c in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,10 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.set_defaults(fn=cmd_dump_hypergraph)
 
     p_cmp = sub.add_parser("compare",
-                           help="train mixers across seeds and aggregate a CSV")
+                           help="train arms across seeds and aggregate a CSV")
     p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--mixers", required=True,
                        help="comma-separated mixer kinds")
+    p_cmp.add_argument("--hyperedges", type=_counts, default=None,
+                       help="comma-separated learned hyperedge counts, one"
+                            " hgcn-mix arm each (default: model.hyperedges)")
     p_cmp.add_argument("--seeds", type=int, required=True,
                        help="number of seeds (0..k-1)")
     p_cmp.add_argument("--out", required=True)

@@ -12,7 +12,7 @@ from .errors import ConfigError
 from .mixers import MIXER_KINDS
 
 # top-level JSON keys, each named after its Config attribute
-_TOP_LEVEL = ("env", "mixer", "seeds", "hyperedge_sweep")
+_TOP_LEVEL = ("env", "mixer", "seeds")
 # config sections: JSON key -> Config attribute
 _SECTIONS = {
     "model": {"hyperedges": "hyperedges", "embed": "embed",
@@ -74,7 +74,6 @@ class Config:
     target_interval: int = 200
     stop_on_success: bool = False
     seeds: list[int] = field(default_factory=lambda: [0])
-    hyperedge_sweep: list[int] | None = None
 
     def __post_init__(self):
         self.validate()
@@ -98,8 +97,7 @@ class Config:
         # with the identity incidence each convolution is the identity, so
         # the one-hot variant and hgcn-mix without learned hyperedges are qmix
         if self.mixer == "hgcn-mix-oh" or (self.mixer == "hgcn-mix" and
-                                           self.hyperedges == 0 and
-                                           self.hyperedge_sweep is None):
+                                           self.hyperedges == 0):
             self.mixer = "qmix"
         require(self.mixer in MIXER_KINDS, "mixer",
                 f"must be one of {list(MIXER_KINDS)}")
@@ -130,20 +128,15 @@ class Config:
                 "seeds", "must be a non-empty list")
         require(all(_has_type(s, "int") for s in self.seeds),
                 "seeds", f"must be integers, got {self.seeds!r}")
-        if self.hyperedge_sweep is not None:
-            require(isinstance(self.hyperedge_sweep, list) and
-                    len(self.hyperedge_sweep) > 0 and
-                    all(_has_type(m, "int") and m >= 0
-                        for m in self.hyperedge_sweep),
-                    "hyperedge_sweep", "must be non-empty non-negative ints")
-            # other mixers have no hyperedges: every run would be the same
-            require(self.mixer == "hgcn-mix", "hyperedge_sweep",
-                    f"needs mixer 'hgcn-mix', got {self.mixer!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
+        if "hyperedge_sweep" in data:
+            raise ConfigError("hyperedge_sweep: removed; run the counts as"
+                              " arms of `hypermix compare --mixers hgcn-mix"
+                              " --hyperedges m1,m2,...`")
         unknown = set(data) - set(_TOP_LEVEL) - set(_SECTIONS)
         if unknown:
             raise ConfigError(f"unknown config sections {sorted(unknown)}")
@@ -166,8 +159,7 @@ class Config:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
-        out = {key: copy.deepcopy(getattr(self, key)) for key in _TOP_LEVEL
-               if getattr(self, key) is not None}
+        out = {key: copy.deepcopy(getattr(self, key)) for key in _TOP_LEVEL}
         for section, mapping in _SECTIONS.items():
             out[section] = {key: getattr(self, attr)
                             for key, attr in mapping.items()}
@@ -185,9 +177,11 @@ class Config:
 def load_config(path) -> Config:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path}: not UTF-8 ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return Config.from_dict(data)

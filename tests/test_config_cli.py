@@ -2,13 +2,15 @@
 
 import csv
 import json
+import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hypermix.cli import aggregate_metrics, main
+from hypermix.cli import aggregate_metrics, build_parser, main
 from hypermix.config import Config, load_config
 from hypermix.errors import ConfigError
 from hypermix.hypergraph import read_hypergraph_csv
@@ -39,31 +41,21 @@ def _write_cfg(tmp_path, name="cfg.json", **overrides):
 
 
 class TestConfig:
-    def test_round_trip(self, tmp_path):
-        path = _write_cfg(tmp_path, mixer="hgcn-mix",
-                          optimizer={"lr": 1e-3, "clip_norm": 5.0},
-                          schedule={"anneal_steps": 100})
-        cfg = load_config(path)
-        assert Config.from_dict(cfg.to_dict()) == cfg
-        # every field off its default; a sweep needs mixer "hgcn-mix", so
-        # the mixer and the sweep leave their defaults in separate configs
-        off = dict(env={"name": "grid", "n_agents": 3, "length": 4,
-                        "freeze": True},
-                   hyperedges=5, embed=7, agent_hidden=9, hypernet_hidden=11,
-                   lr=1e-3, rms_decay=0.95, rms_eps=1e-6, clip_norm=5.0,
-                   eps_start=0.9, eps_end=0.1, anneal_steps=100, gamma=0.9,
-                   episodes=10, eval_interval=5, eval_episodes=3,
-                   buffer_capacity=50, batch_size=8, train_every=2,
-                   target_interval=20, stop_on_success=True, seeds=[3, 4])
-        configs = [Config(mixer="qmix", **off),
-                   Config(hyperedge_sweep=[2, 6], **off)]
+    def test_round_trip(self):
+        cfg = Config(env={"name": "grid", "n_agents": 3, "length": 4,
+                          "freeze": True},
+                     mixer="qmix", hyperedges=5, embed=7, agent_hidden=9,
+                     hypernet_hidden=11, lr=1e-3, rms_decay=0.95, rms_eps=1e-6,
+                     clip_norm=5.0, eps_start=0.9, eps_end=0.1,
+                     anneal_steps=100, gamma=0.9, episodes=10, eval_interval=5,
+                     eval_episodes=3, buffer_capacity=50, batch_size=8,
+                     train_every=2, target_interval=20, stop_on_success=True,
+                     seeds=[3, 4])
         default = Config(env={"name": "matrix_game"})
         for f in fields(Config):
-            assert any(getattr(c, f.name) != getattr(default, f.name)
-                       for c in configs), f.name
-        for c in configs:
-            assert Config.from_dict(c.to_dict()) == c
-            assert Config.from_dict(json.loads(json.dumps(c.to_dict()))) == c
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        assert Config.from_dict(cfg.to_dict()) == cfg
+        assert Config.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_snapshot_reparses_equivalently(self, tmp_path):
         path = _write_cfg(tmp_path)
@@ -90,9 +82,28 @@ class TestConfig:
             cfg = load_config(_write_cfg(tmp_path, **overrides))
             assert cfg.mixer == "qmix"
             assert cfg.to_dict()["mixer"] == "qmix"
-        swept = Config(env={"name": "matrix_game"}, hyperedge_sweep=[0, 2])
-        assert swept.mixer == "hgcn-mix"
-        assert swept.replace(hyperedges=0, hyperedge_sweep=None).mixer == "qmix"
+
+    def test_hyperedge_sweep_names_compare_flag(self, tmp_path):
+        path = _write_cfg(tmp_path, mixer="hgcn-mix", hyperedge_sweep=[2, 4])
+        with pytest.raises(ConfigError,
+                           match="hyperedge_sweep: .*hypermix compare .*--hyperedges"):
+            load_config(path)
+
+    @pytest.mark.parametrize("case", ["directory", "binary"])
+    def test_unreadable_config_exits_2_naming_the_path(self, tmp_path, capsys,
+                                                       case):
+        path = tmp_path / "cfg"
+        if case == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{\x00\x80")
+        code = main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: config file {path}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_env_section(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -162,14 +173,16 @@ class TestTrainCommand:
         assert code == 2
         assert "optimizer.lr" in capsys.readouterr().err
 
-    def test_hyperedge_sweep_produces_run_dirs(self, tmp_path):
-        cfg = _write_cfg(tmp_path, mixer="hgcn-mix",
-                         hyperedge_sweep=[2, 4])
-        code = main(["train", "--config", str(cfg),
-                     "--out", str(tmp_path / "sweep")])
-        assert code == 0
-        assert (tmp_path / "sweep" / "m_2" / "seed_0" / "metrics.jsonl").exists()
-        assert (tmp_path / "sweep" / "m_4" / "seed_0" / "metrics.jsonl").exists()
+    def test_out_that_is_a_file_exits_2_before_training(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        code = main(["train", "--config", str(_write_cfg(tmp_path)),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "Traceback" not in err
+        assert out.read_text() == ""
 
 
 class TestEvalCommand:
@@ -259,6 +272,18 @@ class TestDumpHypergraph:
             assert (H >= 0.0).all()
             assert H.shape == (3, 2 + 3)
 
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        cfg = self._grid_cfg(tmp_path)
+        main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        dump = tmp_path / "dump"
+        dump.write_text("")
+        code = main(["dump-hypergraph",
+                     "--checkpoint", str(tmp_path / "out" / "seed_0" / "checkpoint"),
+                     "--config", str(cfg), "--out", str(dump)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "Traceback" not in err
+
     def test_unsupported_mixer_error(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, mixer="vdn")
         main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -337,6 +362,72 @@ class TestCompareCommand:
             assert float(row["success_median"]) == rec["success_rate"]
             assert float(row["success_p25"]) == rec["success_rate"]
 
+    def test_arms_are_train_runs(self, tmp_path):
+        # hgcn-mix at 0 learned hyperedges is the qmix arm
+        cfg = _write_cfg(tmp_path, mixer="hgcn-mix")
+        out_csv = tmp_path / "arms.csv"
+        code = main(["compare", "--config", str(cfg), "--mixers", "vdn,hgcn-mix",
+                     "--hyperedges", "0,2,4", "--seeds", "1",
+                     "--out", str(out_csv)])
+        assert code == 0
+        runs = tmp_path / "arms_runs"
+        arms = {"vdn": ("vdn", 2), "qmix": ("hgcn-mix", 0),
+                "hgcn-mix_m2": ("hgcn-mix", 2), "hgcn-mix_m4": ("hgcn-mix", 4)}
+        assert {p.name for p in runs.iterdir()} == set(arms)
+        for arm, (mixer, count) in arms.items():
+            alone = _write_cfg(tmp_path, name=f"{arm}.json", mixer=mixer,
+                               model={"hyperedges": count},
+                               training={"stop_on_success": False})
+            main(["train", "--config", str(alone),
+                  "--out", str(tmp_path / arm)])
+            assert ((runs / arm / "seed_0" / "metrics.jsonl").read_bytes() ==
+                    (tmp_path / arm / "seed_0" / "metrics.jsonl").read_bytes())
+        with out_csv.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert {(r["mixer"], r["hyperedges"]) for r in rows} == {
+            ("vdn", "0"), ("qmix", "0"), ("hgcn-mix", "2"), ("hgcn-mix", "4")}
+
+    def test_worker_pool_runs_every_arm_as_serial(self, tmp_path):
+        cfg = _write_cfg(tmp_path)
+        for name, workers in (("serial", "1"), ("pool", "2")):
+            main(["compare", "--config", str(cfg),
+                  "--mixers", "qmix,hgcn-mix", "--hyperedges", "2,4",
+                  "--seeds", "1", "--out", str(tmp_path / f"{name}.csv"),
+                  "--workers", workers])
+        assert ((tmp_path / "serial.csv").read_bytes() ==
+                (tmp_path / "pool.csv").read_bytes())
+        for arm in ("qmix", "hgcn-mix_m2", "hgcn-mix_m4"):
+            serial, pool = (tmp_path / f"{name}_runs" / arm / "seed_0"
+                            / "metrics.jsonl" for name in ("serial", "pool"))
+            assert serial.read_bytes() == pool.read_bytes()
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--mixers", "vdn,vdn"], "--mixers"),
+        (["--mixers", "hgcn-mix-oh,qmix"], "--mixers"),
+        (["--mixers", "qmix,hgcn-mix", "--hyperedges", "0"], "--hyperedges"),
+        (["--mixers", "hgcn-mix", "--hyperedges", "2,2"], "--hyperedges"),
+        (["--mixers", "vdn,qmix", "--hyperedges", "2"], "--hyperedges"),
+        (["--mixers", "vdn", "--out", "."], "--out"),
+    ])
+    def test_bad_arms_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                            flags, flag):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write_cfg(tmp_path)
+        code = main(["compare", "--config", str(cfg), "--seeds", "1",
+                     "--out", "cmp.csv", *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: {flag}" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_hyperedges_not_counts_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--config", str(_write_cfg(tmp_path)),
+                  "--mixers", "hgcn-mix", "--hyperedges", "2,x", "--seeds", "1",
+                  "--out", str(tmp_path / "cmp.csv")])
+        assert exc.value.code == 2
+        assert "--hyperedges" in capsys.readouterr().err
+
     def test_no_eval_reached_exits_2_naming_eval_interval(self, tmp_path,
                                                           capsys):
         cfg = _write_cfg(tmp_path, training={"episodes": 3,
@@ -374,3 +465,25 @@ class TestLogging:
         code = main(["train", "--config", "x", "--out", "y"])
         assert code == 2
         assert "HYPERMIX_LOG" in capsys.readouterr().err
+
+
+class TestReadme:
+    def test_command_line_examples_parse(self, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1]
+        block = block.split("```bash", 1)[1].split("```", 1)[0]
+        # optional arguments are shown in brackets
+        commands = [shlex.split(line.replace("[", "").replace("]", ""))[1:]
+                    for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("hypermix ")]
+        assert {c[0] for c in commands} == {"train", "eval", "dump-hypergraph",
+                                            "compare"}
+        assert any("--hyperedges" in c for c in commands)
+        for command in commands:
+            build_parser().parse_args(command)
+            # a flag is spelled in full, not as an abbreviation argparse takes
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command[0], "--help"])
+            usage = capsys.readouterr().out
+            for flag in (t for t in command if t.startswith("--")):
+                assert re.search(rf"{flag}\b", usage), (command, flag)
