@@ -12,6 +12,7 @@ import csv
 import json
 import logging
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -46,6 +47,9 @@ def _out_path(path, is_dir: bool) -> Path:
     if out.exists() and out.is_dir() != is_dir:
         raise ConfigError(f"--out: {out} exists and is not a"
                           f" {'directory' if is_dir else 'file'}")
+    ancestor = next((p for p in out.absolute().parents if p.exists()), out)
+    if not ancestor.is_dir():
+        raise ConfigError(f"--out: {ancestor} is not a directory")
     return out
 
 
@@ -79,8 +83,6 @@ def _load_run(config_path, checkpoint_path):
 
 
 def cmd_eval(args) -> int:
-    if args.episodes < 1:
-        raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     cfg, env, store = _load_run(args.config, args.checkpoint)
     rng = Rng(args.seed).split("cli-eval")
     stats = evaluate_policy(env, store, args.episodes, rng, cfg.agent_hidden)
@@ -191,8 +193,19 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type for integers >= ``low``: its errors name the flag."""
+    def count(text: str) -> int:
+        value = int(text) if re.fullmatch(r"\s*[+-]?\d+\s*", text) else None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low},"
+                                             f" got {text!r}")
+        return value
+    return count
+
+
 def _counts(text: str) -> list[int]:
-    return [int(c) for c in text.split(",")]
+    return [_at_least(0)(c) for c in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,13 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--seed", type=int, default=None,
                          help="run only this seed")
-    p_train.add_argument("--workers", type=int, default=1)
+    p_train.add_argument("--workers", type=_at_least(1), default=1)
     p_train.set_defaults(fn=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint greedily")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--config", required=True)
-    p_eval.add_argument("--episodes", type=int, default=32)
+    p_eval.add_argument("--episodes", type=_at_least(1), default=32)
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.set_defaults(fn=cmd_eval)
 
@@ -233,10 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--hyperedges", type=_counts, default=None,
                        help="comma-separated learned hyperedge counts, one"
                             " hgcn-mix arm each (default: model.hyperedges)")
-    p_cmp.add_argument("--seeds", type=int, required=True,
+    p_cmp.add_argument("--seeds", type=_at_least(1), required=True,
                        help="number of seeds (0..k-1)")
     p_cmp.add_argument("--out", required=True)
-    p_cmp.add_argument("--workers", type=int, default=1)
+    p_cmp.add_argument("--workers", type=_at_least(1), default=1)
     p_cmp.set_defaults(fn=cmd_compare)
     return parser
 

@@ -15,84 +15,71 @@ from .errors import CheckpointError, ConfigError, TrainingError
 from .rng import Rng
 
 
-class _Param:
-    __slots__ = ("value", "grad", "sq_avg")
-
-    def __init__(self, value: np.ndarray):
-        self.value = value
-        self.grad = np.zeros_like(value)
-        self.sq_avg = np.zeros_like(value)
-
-
 class ParameterStore:
-    """Named flat parameter matrices with gradient and RMSProp-moment slots."""
+    """Named parameter matrices end to end in one flat float64 array, ``value``,
+    in insertion order as in the checkpoint blob; ``store[name]`` is a view of
+    it. ``sq_avg`` (the RMSProp moment) and a step's gradient share the layout.
+    Updates assign a new ``value``, so bound variables and the memo keep theirs.
+    """
 
     def __init__(self):
-        self._params: dict[str, _Param] = {}
-        self._memo = None  # (key, weak refs to the value arrays, entries)
+        self.value, self.sq_avg = np.zeros(0), np.zeros(0)
+        self._layout: dict[str, tuple[slice, tuple[int, int]]] = {}
+        self._memo = None  # (key, weak ref to the value array, entries)
 
     def add(self, name: str, value) -> None:
-        if name in self._params:
+        if name in self._layout:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        self._params[name] = _Param(ad.as_matrix(value).copy())
+        value = ad.as_matrix(value)
+        start = self.value.size
+        self._layout[name] = (slice(start, start + value.size), value.shape)
+        self.value = np.append(self.value, value)
+        self.sq_avg = np.append(self.sq_avg, np.zeros(value.size))
 
-    def __getitem__(self, name: str) -> _Param:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
+    def __getitem__(self, name: str) -> np.ndarray:
+        span, shape = self._layout[name]
+        return self.value[span].reshape(shape)
 
     def names(self) -> list[str]:
-        return list(self._params)
+        return list(self._layout)
 
-    def items(self):
-        return self._params.items()
-
-    def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.grad = np.zeros_like(p.value)
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """``flat``, laid out like ``value``, as named (rows x cols) views."""
+        return {name: flat[span].reshape(shape)
+                for name, (span, shape) in self._layout.items()}
 
     def bind(self, tape: ad.Tape | None) -> dict[str, Var]:
-        """Create one (traced) variable per parameter for a forward pass."""
-        if tape is None:
-            return {k: Var(p.value) for k, p in self._params.items()}
-        return {k: tape.var(p.value) for k, p in self._params.items()}
-
-    def accumulate_grads(self, bound: dict[str, Var]) -> None:
-        """Add gradients from bound variables into the grad slots."""
-        for name, var in bound.items():
-            if var.grad is not None:
-                p = self._params[name]
-                p.grad = p.grad + var.grad
+        """Create one (traced) variable per parameter, in store order."""
+        wrap = Var if tape is None else tape.var
+        return {k: wrap(v) for k, v in self.views(self.value).items()}
 
     def memo(self, key) -> dict:
-        """Entries valid for ``key`` and the current value arrays (held weakly,
+        """Entries valid for ``key`` and the current value array (held weakly,
         made read-only); emptied when either changes."""
-        arrays = [p.value for p in self._params.values()]
         held = self._memo
-        if (held is None or held[0] != key or len(held[1]) != len(arrays)
-                or any(r() is not a for r, a in zip(held[1], arrays))):
-            for a in arrays:
-                a.flags.writeable = False
-            held = self._memo = (key, [weakref.ref(a) for a in arrays], {})
+        if held is None or held[0] != key or held[1]() is not self.value:
+            self.value.flags.writeable = False
+            held = self._memo = (key, weakref.ref(self.value), {})
         return held[2]
 
     def clone(self) -> "ParameterStore":
         other = ParameterStore()
-        for name, p in self._params.items():
-            other._params[name] = _Param(p.value.copy())
-            other._params[name].sq_avg = p.sq_avg.copy()
+        other._layout = dict(self._layout)
+        other.value = self.value.copy()
+        other.sq_avg = self.sq_avg.copy()
         return other
 
     def copy_from(self, source: "ParameterStore") -> None:
         """Bit-exact copy of values from ``source`` (e.g. target-net sync)."""
-        if source.names() != self.names():
+        if source._layout != self._layout:
             raise ConfigError("parameter stores have different layouts")
-        for name, p in source.items():
-            self._params[name].value = p.value.copy()
+        self.value = source.value.copy()
+
+
+def _first_nonfinite(store: ParameterStore, flat: np.ndarray) -> str:
+    """The first parameter of ``store`` not all finite in ``flat``."""
+    return next(name for name, v in store.views(flat).items()
+                if not np.isfinite(v).all())
 
 
 def _uniform(rng: Rng, rows: int, cols: int) -> np.ndarray:
@@ -139,35 +126,37 @@ def gru_fwd(x, h, pv: dict[str, Var], name: str, steps: int = 1) -> Var:
                         pv[f"{name}.b_ih"], pv[f"{name}.b_hh"], steps)
 
 
-def rmsprop_step(store: ParameterStore, lr: float = 5e-4, decay: float = 0.99,
-                 eps: float = 1e-5) -> None:
-    """One RMSProp update: v <- d*v + (1-d)*g^2; p <- p - lr*g/(sqrt(v)+eps)."""
-    for name, p in store.items():
-        g = p.grad
-        if not np.isfinite(g).all():
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        p.sq_avg = decay * p.sq_avg + (1.0 - decay) * (g * g)
-        p.value = p.value - lr * g / (np.sqrt(p.sq_avg) + eps)
+def rmsprop_step(store: ParameterStore, grad: np.ndarray, lr: float = 5e-4,
+                 decay: float = 0.99, eps: float = 1e-5) -> None:
+    """One RMSProp update of ``store`` from ``grad``, laid out like its
+    ``value``: v <- d*v + (1-d)*g^2; p <- p - lr*g/(sqrt(v)+eps)."""
+    if not np.isfinite(grad).all():
+        raise TrainingError("non-finite gradient for parameter"
+                            f" {_first_nonfinite(store, grad)!r}")
+    store.sq_avg = decay * store.sq_avg + (1.0 - decay) * (grad * grad)
+    store.value = store.value - lr * grad / (np.sqrt(store.sq_avg) + eps)
 
 
-def clip_grad_norm(store: ParameterStore, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
+def clip_grad_norm(store: ParameterStore, grad: np.ndarray,
+                   max_norm: float) -> float:
+    """Scale ``grad``, laid out like ``store.value``, in place to a global L2
+    norm of at most ``max_norm``; returns the norm before clipping. The
+    squares are summed per parameter, in store order: one flat sum would
+    round differently."""
     total = 0.0
-    for _, p in store.items():
-        total += float((p.grad * p.grad).sum())
+    for squares in store.views(grad * grad).values():
+        total += float(squares.sum())
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for _, p in store.items():
-            p.grad = p.grad * scale
+        grad *= max_norm / norm
     return norm
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: manifest.json + params.bin (little-endian float64 blobs
-# concatenated in manifest order); round-trips are bit-exact. Both files are
-# written under temporary names first and then renamed into place, blob
-# before manifest, so a failed save leaves the previous checkpoint loadable.
+# checkpoint format: manifest.json + params.bin (``store.value`` as little-
+# endian float64); round-trips are bit-exact. Both files are written under
+# temporary names first and then renamed into place, blob before manifest,
+# so a failed save leaves the previous checkpoint loadable.
 # ---------------------------------------------------------------------------
 
 MANIFEST_NAME = "manifest.json"
@@ -181,15 +170,11 @@ def save_checkpoint(store: ParameterStore, directory) -> None:
         "format": "hypermix-checkpoint",
         "dtype": "<f8",
         "params": [
-            {"name": name, "rows": p.value.shape[0], "cols": p.value.shape[1]}
-            for name, p in store.items()
+            {"name": name, "rows": v.shape[0], "cols": v.shape[1]}
+            for name, v in store.views(store.value).items()
         ],
     }
-    blob = b"".join(
-        np.ascontiguousarray(p.value, dtype="<f8").tobytes()
-        for _, p in store.items()
-    )
-    files = ((BLOB_NAME, blob),
+    files = ((BLOB_NAME, store.value.astype("<f8").tobytes()),
              (MANIFEST_NAME, json.dumps(manifest, indent=2).encode()))
     for name, data in files:
         (directory / f"{name}.tmp").write_bytes(data)
@@ -226,31 +211,30 @@ def load_checkpoint(directory) -> ParameterStore:
             f"checkpoint blob has {len(blob)} bytes, manifest expects {expected}"
         )
     store = ParameterStore()
-    offset = 0
     for name, rows, cols in entries:
-        arr = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=offset)
-        offset += rows * cols * 8
-        value = arr.reshape(rows, cols).astype(np.float64)
-        if not np.isfinite(value).all():
-            raise CheckpointError(f"non-finite values in parameter {name!r}")
-        store.add(name, value)
+        store.add(name, np.zeros((rows, cols)))
+    store.value = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    if not np.isfinite(store.value).all():
+        raise CheckpointError("non-finite values in parameter"
+                              f" {_first_nonfinite(store, store.value)!r}")
     return store
 
 
 def load_checkpoint_into(store: ParameterStore, directory) -> None:
-    """Load values into a store; checks all names and shapes before writing."""
+    """Load values into a store by name; checks all names and shapes first."""
     loaded = load_checkpoint(directory)
-    for name, p in store.items():
-        if name not in loaded:
+    got = loaded.views(loaded.value)
+    value = np.empty_like(store.value)
+    for name, view in store.views(value).items():
+        if name not in got:
             raise CheckpointError(f"checkpoint is missing parameter {name!r}")
-        lv = loaded[name].value
-        if lv.shape != p.value.shape:
+        if got[name].shape != view.shape:
             raise CheckpointError(
                 f"shape mismatch for parameter {name!r}:"
-                f" checkpoint {lv.shape}, expected {p.value.shape}"
+                f" checkpoint {got[name].shape}, expected {view.shape}"
             )
-    extra = set(loaded.names()) - set(store.names())
+        view[...] = got[name]
+    extra = set(got) - set(store.names())
     if extra:
         raise CheckpointError(f"checkpoint has unexpected parameters {sorted(extra)}")
-    for name, p in store.items():
-        p.value = loaded[name].value
+    store.value = value

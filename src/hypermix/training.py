@@ -293,10 +293,11 @@ def train_step(batch: dict, store: ParameterStore,
             f" t_max={t_max})"
         )
     gradient(tape, loss)
-    store.zero_grads()
-    store.accumulate_grads(pv)
-    clip_grad_norm(store, clip_norm)
-    rmsprop_step(store, lr=lr, decay=rms_decay, eps=rms_eps)
+    # the gradient in the store's layout: zero where the sweep did not reach
+    grad = np.concatenate([np.zeros(v.value.size) if v.grad is None
+                           else v.grad.ravel() for v in pv.values()])
+    clip_grad_norm(store, grad, clip_norm)
+    rmsprop_step(store, grad, lr=lr, decay=rms_decay, eps=rms_eps)
     return loss_value
 
 

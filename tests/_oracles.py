@@ -5,8 +5,9 @@ definitions, deliberately sharing no code with the library: dense
 matrix-product hypergraph convolution, loop-based degree sums, the
 affine layer as separate product, bias and rectifier steps, a second
 GRU, the row-layout GRU sequence with its backward, a
-per-sample TD-target loop, a per-agent action chooser, and joint-state
-search for the corridor environment.
+per-sample TD-target loop, a per-agent action chooser, a per-parameter
+clip and RMSProp loop, and joint-state search for the corridor
+environment.
 """
 
 import itertools
@@ -232,7 +233,38 @@ def hgcn_mix_reference(params: dict, q, Z, s, n: int, embed: int) -> float:
 
 
 def store_values(store) -> dict:
-    return {name: p.value.copy() for name, p in store.items()}
+    return {name: v.copy() for name, v in store.views(store.value).items()}
+
+
+def clip_rmsprop_reference(values: dict, sq_avgs: dict, grads: dict,
+                           max_norm: float, lr: float, decay: float,
+                           eps: float) -> tuple[dict, dict, float]:
+    """One optimizer step, parameter by parameter, in the dicts' order.
+
+    ``grads[name]`` is None for a parameter the backward sweep did not
+    reach. Each gradient is added into a zero slot, the squares are summed
+    per parameter into the global norm, every gradient is scaled when the
+    norm exceeds ``max_norm``, and then each parameter takes its RMSProp
+    step. Returns the new values, the new moments and the pre-clip norm.
+    """
+    slots = {}
+    for name, value in values.items():
+        slot = np.zeros_like(value)
+        if grads[name] is not None:
+            slot = slot + grads[name]
+        slots[name] = slot
+    total = 0.0
+    for g in slots.values():
+        total += float((g * g).sum())
+    norm = float(np.sqrt(total))
+    if norm > max_norm and norm > 0.0:
+        scale = max_norm / norm
+        slots = {name: g * scale for name, g in slots.items()}
+    new_values, new_sq = {}, {}
+    for name, g in slots.items():
+        new_sq[name] = decay * sq_avgs[name] + (1.0 - decay) * (g * g)
+        new_values[name] = values[name] - lr * g / (np.sqrt(new_sq[name]) + eps)
+    return new_values, new_sq, norm
 
 
 def td_targets_loop(batch, qtot_next_fn, gamma: float):

@@ -125,7 +125,7 @@ def test_criterion_4_gradient_suite():
     names = store.names()
     for _ in range(100):
         args = [shift_from_kinks(rng.normal((2, 3)))] + \
-               [store[n].value + 0.01 * rng.normal(store[n].value.shape)
+               [store[n] + 0.01 * rng.normal(store[n].shape)
                 for n in names]
         check_gradients(
             lambda x, *ps: reduce_sum(mlp_fwd(x, dict(zip(names, ps)), "m")),
@@ -137,7 +137,7 @@ def test_criterion_4_gradient_suite():
     gnames = gstore.names()
     for _ in range(100):
         args = [rng.normal((2, 3)), rng.normal((2, 4))] + \
-               [gstore[n].value + 0.01 * rng.normal(gstore[n].value.shape)
+               [gstore[n] + 0.01 * rng.normal(gstore[n].shape)
                 for n in gnames]
         check_gradients(
             lambda x, h, *ps: reduce_sum(
@@ -162,11 +162,11 @@ def test_criterion_4_gradient_suite():
         Z = rng.normal((dims["n"], dims["obs_dim"]))
         s = rng.normal((1, dims["state_dim"]))
         actions = [rng.integers(dims["n_actions"]) for _ in range(dims["n"])]
-        for _, p in store.items():
-            p.value = p.value + 0.02 * rng.normal(p.value.shape)
+        for v in store.views(store.value).values():
+            v += 0.02 * rng.normal(v.shape)
         grads = composite_param_grads(store, "hgcn-mix", Z, s, actions, dims)
         name = store.names()[point % len(store.names())]
-        base = store[name].value
+        base = store[name]
         fd = np.zeros_like(base)
         flat, fd_flat = base.ravel(), fd.ravel()
         for i in range(flat.size):

@@ -22,8 +22,7 @@ def _store(obs_dim=3, n_actions=2, n=2, hidden=4, seed=0):
 class TestAgentForward:
     def test_zero_params_give_zero_q(self):
         store = _store()
-        for name, p in store.items():
-            p.value = np.zeros_like(p.value)
+        store.value = np.zeros_like(store.value)
         inputs = ag.build_agent_inputs(np.ones((2, 3)), [-1, -1], 2)
         q, h = ag.agent_forward(store.bind(None), Var(inputs),
                                 ag.initial_hidden(2, 4))

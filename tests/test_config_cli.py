@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypermix.cli import aggregate_metrics, build_parser, main
+from hypermix.cli import _out_path, aggregate_metrics, build_parser, main
 from hypermix.config import Config, load_config
 from hypermix.errors import ConfigError
 from hypermix.hypergraph import read_hypergraph_csv
@@ -139,6 +139,59 @@ class TestConfig:
             load_config(path)
 
 
+class TestFlagErrors:
+    # each flag error is argparse's: exit 2, the flag named, before any work
+    @pytest.mark.parametrize("argv, flag", [
+        (["compare", "--mixers", "vdn", "--seeds", "0"], "--seeds"),
+        (["compare", "--mixers", "vdn", "--seeds", "x"], "--seeds"),
+        (["compare", "--mixers", "hgcn-mix", "--hyperedges", "-1",
+          "--seeds", "1"], "--hyperedges"),
+        (["compare", "--mixers", "hgcn-mix", "--hyperedges", "2,x",
+          "--seeds", "1"], "--hyperedges"),
+        (["compare", "--mixers", "vdn", "--seeds", "1", "--workers", "0"],
+         "--workers"),
+        (["compare", "--mixers", "vdn", "--seeds", "1", "--workers", "-3"],
+         "--workers"),
+        (["train", "--workers", "0"], "--workers"),
+        (["train", "--workers", "-3"], "--workers"),
+        (["eval", "--checkpoint", "ckpt", "--episodes", "0"], "--episodes"),
+        (["eval", "--checkpoint", "ckpt", "--episodes", "-1"], "--episodes"),
+    ])
+    def test_bad_count_exits_2_naming_the_flag(self, tmp_path, capsys,
+                                               monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write_cfg(tmp_path)
+        if argv[0] != "eval":
+            argv = argv + ["--out", "out"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["train", "dump-hypergraph",
+                                         "compare"])
+    def test_out_below_a_file_exits_2(self, tmp_path, capsys, command):
+        cfg = _write_cfg(tmp_path)
+        (tmp_path / "file").write_text("")
+        extra = {"train": [],
+                 "dump-hypergraph": ["--checkpoint", str(tmp_path / "ckpt")],
+                 "compare": ["--mixers", "vdn", "--seeds", "1"]}[command]
+        code = main([command, "--config", str(cfg), *extra,
+                     "--out", str(tmp_path / "file" / "sub" / "out.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: --out:" in err and "is not a directory" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                              "file"]
+
+    def test_out_at_the_root_is_a_directory(self):
+        # the root has no parent to check
+        assert _out_path("/", is_dir=True) == Path("/")
+
+
 class TestTrainCommand:
     def test_smoke_metrics_and_checkpoint(self, tmp_path):
         cfg = _write_cfg(tmp_path)
@@ -202,9 +255,10 @@ class TestEvalCommand:
 
     def test_zero_episodes_exits_2_naming_the_flag(self, tmp_path, capsys):
         cfg, ckpt = self._train(tmp_path)
-        code = main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg),
-                     "--episodes", "0"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg),
+                  "--episodes", "0"])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--episodes" in err and "Traceback" not in err
 

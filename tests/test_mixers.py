@@ -30,9 +30,9 @@ def _mixer_store(kind, n=2, obs_dim=3, state_dim=2, m=2, embed=3, seed=0,
 
 
 def _zero_state_module(store):
-    for name, p in store.items():
+    for name, v in store.views(store.value).items():
         if name.startswith("mix.hyper") or name.startswith("mix.v"):
-            p.value = np.zeros_like(p.value)
+            v[...] = 0.0
 
 
 class TestVdn:
@@ -63,8 +63,8 @@ class TestStateModule:
         # n = 1, embed = 1: generated w1 = w2 = 1, biases/V zero -> elu(q)
         store = _mixer_store("qmix", n=1, state_dim=2, embed=1)
         _zero_state_module(store)
-        store["mix.hyper_w1.fc2.b"].value = np.ones((1, 1))
-        store["mix.hyper_w2.fc2.b"].value = np.ones((1, 1))
+        store["mix.hyper_w1.fc2.b"][...] = 1.0
+        store["mix.hyper_w2.fc2.b"][...] = 1.0
         for q in (-2.0, -0.5, 0.0, 0.7, 3.0):
             out = state_module(Var([[q]]), np.zeros((1, 2)), store.bind(None),
                                n_agents=1, embed=1)
@@ -222,7 +222,7 @@ class TestEndToEndGradients:
         grads = composite_param_grads(store, kind, Z, s, actions, dims)
         h = 1e-5
         for name in store.names():
-            base = store[name].value
+            base = store[name]
             fd = np.zeros_like(base)
             flat = base.ravel()
             fd_flat = fd.ravel()
@@ -244,4 +244,4 @@ class TestKindValidation:
 
     def test_vdn_adds_no_parameters(self):
         store = _mixer_store("vdn")
-        assert len(store) == 0
+        assert store.names() == []

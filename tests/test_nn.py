@@ -1,5 +1,6 @@
 """Layers, initialization, RMSProp, and checkpoint round-trips."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ class TestInitParams:
     def test_linear_shapes_and_bound(self):
         store = ParameterStore()
         init_linear(store, "fc", 4, 2, Rng(0))
-        w, b = store["fc.w"].value, store["fc.b"].value
+        w, b = store["fc.w"], store["fc.b"]
         assert w.shape == (4, 2) and b.shape == (1, 2)
         assert (np.abs(w) < 0.5).all()  # k = 1/sqrt(4)
         assert (b == 0).all()
@@ -33,17 +34,16 @@ class TestInitParams:
             init_mlp(s, "fc", 5, 7, 3, Rng(42))
             stores.append(s)
         for name in stores[0].names():
-            np.testing.assert_array_equal(stores[0][name].value,
-                                          stores[1][name].value)
+            np.testing.assert_array_equal(stores[0][name], stores[1][name])
 
     def test_gru_gate_blocks(self):
         store = ParameterStore()
         init_gru(store, "rnn", 8, 16, Rng(1))
         # three stacked gate blocks per side: 8x16 each and 16x16 each
-        assert store["rnn.w_ih"].value.shape == (8, 48)
-        assert store["rnn.w_hh"].value.shape == (16, 48)
-        assert store["rnn.b_ih"].value.shape == (1, 48)
-        assert store["rnn.b_hh"].value.shape == (1, 48)
+        assert store["rnn.w_ih"].shape == (8, 48)
+        assert store["rnn.w_hh"].shape == (16, 48)
+        assert store["rnn.b_ih"].shape == (1, 48)
+        assert store["rnn.b_hh"].shape == (1, 48)
 
     def test_duplicate_name_rejected(self):
         store = ParameterStore()
@@ -76,7 +76,7 @@ class TestLayerGradients:
             pv = dict(zip(names, param_vars))
             return reduce_sum(mlp_fwd(xv, pv, "m"))
 
-        check_gradients(build, [x] + [store[n].value for n in names],
+        check_gradients(build, [x] + [store[n] for n in names],
                         label="mlp")
 
     def test_gru_layer_matches_finite_diff(self):
@@ -91,92 +91,136 @@ class TestLayerGradients:
             pv = dict(zip(names, param_vars))
             return reduce_sum(gru_fwd(xv, hv, pv, "g"))
 
-        check_gradients(build, [x, h] + [store[n].value for n in names],
+        check_gradients(build, [x, h] + [store[n] for n in names],
                         label="gru layer")
 
 
 class TestRmsprop:
-    def _scalar_store(self, p, g, v=0.0):
+    def _scalar_store(self, p, v=0.0):
         store = ParameterStore()
         store.add("p", [[p]])
-        store["p"].grad = np.array([[g]])
-        store["p"].sq_avg = np.array([[v]])
+        store.sq_avg = np.array([v])
         return store
 
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        store = self._scalar_store(1.5, 0.0, v=0.3)
-        rmsprop_step(store)
-        assert store["p"].value[0, 0] == 1.5
+        store = self._scalar_store(1.5, v=0.3)
+        rmsprop_step(store, np.zeros(1))
+        assert store["p"][0, 0] == 1.5
 
     def test_one_step_arithmetic(self):
-        store = self._scalar_store(1.0, 1.0)
-        rmsprop_step(store, lr=5e-4, decay=0.99, eps=1e-5)
-        assert store["p"].sq_avg[0, 0] == pytest.approx(0.01)
-        assert store["p"].value[0, 0] == pytest.approx(0.995000499950005,
-                                                       abs=1e-12)
+        store = self._scalar_store(1.0)
+        rmsprop_step(store, np.ones(1), lr=5e-4, decay=0.99, eps=1e-5)
+        assert store.sq_avg[0] == pytest.approx(0.01)
+        assert store["p"][0, 0] == pytest.approx(0.995000499950005, abs=1e-12)
 
     def test_monotone_descent_on_quadratic(self):
         store = ParameterStore()
         store.add("p", [[3.0]])
         last = 9.0
         for _ in range(100):
-            p = store["p"].value[0, 0]
-            store["p"].grad = np.array([[2.0 * p]])
-            rmsprop_step(store, lr=5e-4)
-            f = store["p"].value[0, 0] ** 2
+            rmsprop_step(store, 2.0 * store.value, lr=5e-4)
+            f = store["p"][0, 0] ** 2
             assert f < last
             last = f
 
     def test_nonfinite_gradient_names_parameter(self):
-        store = self._scalar_store(1.0, np.nan)
-        with pytest.raises(TrainingError, match="'p'"):
-            rmsprop_step(store)
+        store = ParameterStore()
+        for name in ("a", "b", "c"):
+            store.add(name, np.ones((2, 2)))
+        before = store.value
+        grad = np.zeros(12)
+        grad[[6, 11]] = [np.nan, np.inf]
+        with pytest.raises(TrainingError, match="parameter 'b'"):
+            rmsprop_step(store, grad)
+        assert store.value is before and not store.sq_avg.any()
 
     def test_shapes_preserved_and_finite(self):
         rng = Rng(5)
         store = ParameterStore()
         store.add("w", rng.normal((4, 3)))
         for _ in range(50):
-            store["w"].grad = rng.normal((4, 3)) * 100.0
-            rmsprop_step(store)
-            assert store["w"].value.shape == (4, 3)
-            assert np.isfinite(store["w"].value).all()
+            rmsprop_step(store, rng.normal((4, 3)).ravel() * 100.0)
+            assert store["w"].shape == (4, 3)
+            assert np.isfinite(store["w"]).all()
+
+    def test_update_assigns_new_arrays(self):
+        # bound variables and the target memo hold the old value array
+        store = ParameterStore()
+        store.add("w", np.ones((2, 2)))
+        value, sq_avg = store.value, store.sq_avg
+        bound = store.bind(None)["w"].value
+        rmsprop_step(store, np.ones(4))
+        assert store.value is not value and store.sq_avg is not sq_avg
+        assert (value == 1.0).all() and (bound == 1.0).all()
+        assert (store["w"] < 1.0).all()
 
 
 class TestClipGradNorm:
     def test_scales_down_large_gradients(self):
         store = ParameterStore()
         store.add("a", np.zeros((2, 2)))
-        store["a"].grad = np.full((2, 2), 10.0)  # norm 20
-        norm = clip_grad_norm(store, 10.0)
+        grad = np.full(4, 10.0)  # norm 20
+        norm = clip_grad_norm(store, grad, 10.0)
         assert norm == pytest.approx(20.0)
-        assert np.sqrt((store["a"].grad ** 2).sum()) == pytest.approx(10.0)
+        assert np.sqrt((grad ** 2).sum()) == pytest.approx(10.0)
 
     def test_leaves_small_gradients_alone(self):
         store = ParameterStore()
         store.add("a", np.zeros((2, 2)))
-        store["a"].grad = np.ones((2, 2))
-        clip_grad_norm(store, 10.0)
-        np.testing.assert_array_equal(store["a"].grad, np.ones((2, 2)))
+        grad = np.ones(4)
+        assert clip_grad_norm(store, grad, 10.0) == 2.0
+        np.testing.assert_array_equal(grad, np.ones(4))
+
+
+class TestStoreLayout:
+    def test_named_views_of_one_flat_array_in_insertion_order(self):
+        store = ParameterStore()
+        store.add("a", np.arange(6.0).reshape(2, 3))
+        store.add("b", [[7.0]])
+        store.add("c", np.zeros((0, 4)))
+        store.add("d", [[8.0], [9.0]])
+        np.testing.assert_array_equal(store.value, [0, 1, 2, 3, 4, 5, 7, 8, 9])
+        assert store.value.dtype == np.float64 and store.sq_avg.shape == (9,)
+        assert store.names() == ["a", "b", "c", "d"]
+        assert store["c"].shape == (0, 4) and store["d"].shape == (2, 1)
+        store["a"][1, 2] = -1.0
+        assert store.value[5] == -1.0
+        views = store.views(np.arange(9.0))
+        assert list(views) == store.names()
+        np.testing.assert_array_equal(views["d"], [[7.0], [8.0]])
+
+    def test_bind_wraps_views_in_store_order(self):
+        store = ParameterStore()
+        init_mlp(store, "fc", 3, 4, 2, Rng(0))
+        bound = store.bind(ad.Tape())
+        assert list(bound) == store.names()
+        for name, var in bound.items():
+            assert var.tape is not None
+            assert np.shares_memory(var.value, store.value)
+            np.testing.assert_array_equal(var.value, store[name])
 
 
 class TestStoreLifecycle:
-    def test_zero_grads_resets_exactly(self):
-        store = ParameterStore()
-        store.add("a", np.ones((2, 2)))
-        store["a"].grad = np.ones((2, 2))
-        store.zero_grads()
-        assert (store["a"].grad == 0.0).all()
-
     def test_clone_and_copy_from_are_bit_exact(self):
         rng = Rng(6)
         store = ParameterStore()
         init_linear(store, "fc", 3, 3, rng)
+        store.sq_avg = store.sq_avg + 0.25
         target = store.clone()
-        store["fc.w"].value = store["fc.w"].value + 0.5
-        assert not np.array_equal(store["fc.w"].value, target["fc.w"].value)
+        np.testing.assert_array_equal(target.sq_avg, store.sq_avg)
+        store.value = store.value + 0.5
+        assert not np.array_equal(store["fc.w"], target["fc.w"])
         target.copy_from(store)
-        assert np.array_equal(store["fc.w"].value, target["fc.w"].value)
+        assert np.array_equal(store.value, target.value)
+        assert target.value is not store.value
+
+    def test_copy_from_rejects_another_layout(self):
+        store = ParameterStore()
+        init_linear(store, "fc", 3, 3, Rng(0))
+        other = ParameterStore()
+        init_linear(other, "fc", 3, 2, Rng(0))
+        with pytest.raises(ConfigError, match="layouts"):
+            other.copy_from(store)
 
 
 class TestCheckpoint:
@@ -184,7 +228,7 @@ class TestCheckpoint:
         store = ParameterStore()
         init_mlp(store, "fc", 4, 3, 2, Rng(17))
         # exercise exact binary values, including negatives and tiny floats
-        store["fc.fc1.w"].value[0, 0] = -1e-300
+        store["fc.fc1.w"][0, 0] = -1e-300
         return store
 
     def test_round_trip_bit_exact(self, tmp_path):
@@ -193,7 +237,28 @@ class TestCheckpoint:
         loaded = load_checkpoint(tmp_path / "ckpt")
         assert loaded.names() == store.names()
         for name in store.names():
-            assert np.array_equal(loaded[name].value, store[name].value)
+            assert np.array_equal(loaded[name], store[name])
+        assert loaded.value.tobytes() == store.value.tobytes()
+
+    def test_blob_is_the_flat_value_array(self, tmp_path):
+        store = self._store()
+        save_checkpoint(store, tmp_path / "ckpt")
+        blob = (tmp_path / "ckpt" / "params.bin").read_bytes()
+        assert blob == store.value.astype("<f8").tobytes()
+        manifest = json.loads((tmp_path / "ckpt" / MANIFEST_NAME).read_text())
+        assert [(e["name"], e["rows"], e["cols"]) for e in manifest["params"]] \
+            == [(name, *store[name].shape) for name in store.names()]
+
+    def test_load_into_follows_names_not_manifest_order(self, tmp_path):
+        store = self._store()
+        reordered = ParameterStore()
+        for name in reversed(store.names()):
+            reordered.add(name, store[name] * 2.0)
+        save_checkpoint(reordered, tmp_path / "ckpt")
+        load_checkpoint_into(store, tmp_path / "ckpt")
+        for name in store.names():
+            assert np.array_equal(store[name], reordered[name])
+        assert not np.array_equal(store.value, reordered.value)
 
     def test_load_into_checks_shapes(self, tmp_path):
         store = self._store()
@@ -215,9 +280,8 @@ class TestCheckpoint:
                                                    monkeypatch):
         store = self._store()
         save_checkpoint(store, tmp_path / "ckpt")
-        old = {name: p.value.copy() for name, p in store.items()}
-        for _, p in store.items():
-            p.value = p.value + 1.0
+        old = store.value.copy()
+        store.value = store.value + 1.0
         write_bytes = Path.write_bytes
 
         def fail_on_manifest(path, data):
@@ -229,13 +293,10 @@ class TestCheckpoint:
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(store, tmp_path / "ckpt")
         monkeypatch.undo()
-        loaded = load_checkpoint(tmp_path / "ckpt")
-        for name in store.names():
-            assert np.array_equal(loaded[name].value, old[name])
+        assert np.array_equal(load_checkpoint(tmp_path / "ckpt").value, old)
         save_checkpoint(store, tmp_path / "ckpt")
-        loaded = load_checkpoint(tmp_path / "ckpt")
-        for name, p in store.items():
-            assert np.array_equal(loaded[name].value, p.value)
+        assert np.array_equal(load_checkpoint(tmp_path / "ckpt").value,
+                              store.value)
 
     def test_missing_files_is_clean_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="missing"):
@@ -256,9 +317,10 @@ class TestCheckpoint:
     @pytest.mark.parametrize("case", sorted(LOAD_INTO_ERRORS))
     def test_failed_load_into_leaves_store_unchanged(self, tmp_path, case):
         store = self._store()
-        arrays = {name: p.value for name, p in store.items()}
-        before = {name: a.copy() for name, a in arrays.items()}
-        values = {name: value + 1.0 for name, value in before.items()}
+        array = store.value
+        before = array.copy()
+        values = {name: value + 1.0
+                  for name, value in store.views(before).items()}
         # the mismatch is in the last parameter, after every other matched
         last = store.names()[-1]
         if case == "missing":
@@ -275,6 +337,5 @@ class TestCheckpoint:
             break_manifest(tmp_path / "ckpt", "repeated name")
         with pytest.raises(CheckpointError, match=self.LOAD_INTO_ERRORS[case]):
             load_checkpoint_into(store, tmp_path / "ckpt")
-        for name, p in store.items():
-            assert p.value is arrays[name]
-            assert np.array_equal(p.value, before[name])
+        assert store.value is array
+        assert np.array_equal(store.value, before)

@@ -29,15 +29,15 @@ from hypermix.training import (Episode, ReplayBuffer, Schedule,
                                td_targets, train_step, update_target)
 
 from _helpers import tiny_mixer_store
-from _oracles import (agent_forward_reference, hgcn_mix_reference,
-                      state_module_reference, store_values, td_targets_loop)
+from _oracles import (agent_forward_reference, clip_rmsprop_reference,
+                      hgcn_mix_reference, state_module_reference, store_values,
+                      td_targets_loop)
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def _zeroed(store):
-    for _, p in store.items():
-        p.value = np.zeros_like(p.value)
+    store.value = np.zeros_like(store.value)
     return store
 
 
@@ -418,8 +418,7 @@ class TestTargetMemo:
 
     def _online(self, target):
         online = target.clone()
-        for _, p in online.items():
-            p.value = p.value + 0.25
+        online.value = online.value + 0.25
         return online
 
     @pytest.mark.parametrize("event", ["update_target", "rmsprop_step",
@@ -431,14 +430,14 @@ class TestTargetMemo:
         if event == "update_target":
             update_target(self._online(store), store)
         elif event == "rmsprop_step":
-            for _, p in store.items():
-                p.grad = np.ones_like(p.value)
-            rmsprop_step(store, lr=0.05)
+            rmsprop_step(store, np.ones_like(store.value), lr=0.05)
         elif event == "load_checkpoint_into":
             save_checkpoint(self._online(store), tmp_path / "ckpt")
             load_checkpoint_into(store, tmp_path / "ckpt")
         else:
-            store["mix.v.fc2.b"].value = store["mix.v.fc2.b"].value + 1.0
+            value = store.value.copy()
+            store.views(value)["mix.v.fc2.b"][...] += 1.0
+            store.value = value
         calls = _spy_target_pass(monkeypatch)
         after = self._targets(batch, store, dims)
         assert calls == {"agent_forward": 1, "mix_batch": 1}
@@ -477,9 +476,9 @@ class TestTargetMemo:
             batch[3].terminated[0] = True
         store.memo(("hgcn-mix", 0.9, dims["embed"], dims["agent_hidden"]))
         with pytest.raises(ValueError, match="read-only"):
-            store["agent.fc1.w"].value[0, 0] = 1.0
+            store["agent.fc1.w"][0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            store["mix.edge_w1"].value += 1.0
+            store.value += 1.0
 
     def test_evicted_episodes_and_replaced_arrays_are_freed(self):
         store, dims, batch = self._setup("hgcn-mix")
@@ -492,7 +491,7 @@ class TestTargetMemo:
         entries = len(store.memo(key))
         assert entries == len(batch)
         episode = weakref.ref(batch[0])
-        array = weakref.ref(store["mix.gen.w"].value)
+        array = weakref.ref(store.value)
         for ep in _mixed_length_batch(dims, seed=43):
             buf.add(ep)  # evicts every episode of the first batch
         del batch, sample, ep
@@ -549,8 +548,8 @@ class TestTrainStep:
         loss = train_step(batch, store, target, "vdn", 0.99, dims["embed"],
                           agent_hidden=4)
         assert loss == 0.0
-        for name, p in store.items():
-            np.testing.assert_array_equal(p.value, before[name])
+        for name in store.names():
+            np.testing.assert_array_equal(store[name], before[name])
 
     def test_single_step_half_squared_error(self):
         # y = 1 (terminal unit payoff), Qtot = 0 -> loss = 0.5
@@ -593,6 +592,42 @@ class TestTrainStep:
         loss = train_step(stack_episodes(batch), store, store.clone(), kind,
                           0.9, dims["embed"], agent_hidden=dims["agent_hidden"])
         assert loss == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_flat_optimizer_matches_per_parameter_reference(self,
+                                                            monkeypatch):
+        # 50 hgcn-mix steps, the clip active on even steps and not on odd
+        # ones; "spare" is bound but no forward reads it, so the sweep never
+        # reaches it and its gradient is zero
+        store, dims = tiny_mixer_store("hgcn-mix", n=3, obs_dim=4,
+                                       n_actions=3, state_dim=5, embed=3)
+        store.add("spare", Rng(1).normal((2, 3)))
+        target = store.clone()
+        batch = stack_episodes(_mixed_length_batch(dims, seed=44))
+        bound, bind = [], store.bind
+
+        def spy(tape):
+            bound.append(bind(tape))
+            return bound[-1]
+
+        monkeypatch.setattr(store, "bind", spy)
+        clipped = []
+        for step in range(50):
+            values = store_values(store)
+            sq_avgs = store.views(store.sq_avg.copy())
+            clip = 1e-3 if step % 2 == 0 else 1e6
+            train_step(batch, store, target, "hgcn-mix", 0.9, dims["embed"],
+                       agent_hidden=dims["agent_hidden"], lr=5e-3,
+                       clip_norm=clip)
+            grads = {name: var.grad for name, var in bound[-1].items()}
+            assert grads["spare"] is None
+            want_values, want_sq, norm = clip_rmsprop_reference(
+                values, sq_avgs, grads, clip, 5e-3, 0.99, 1e-5)
+            clipped.append(norm > clip)
+            for name in store.names():
+                assert store[name].tobytes() == want_values[name].tobytes()
+                assert store.views(store.sq_avg)[name].tobytes() \
+                    == want_sq[name].tobytes()
+        assert clipped == [step % 2 == 0 for step in range(50)]
 
     @staticmethod
     def _paper_width_step(kind, episodes, spy, monkeypatch):
@@ -667,8 +702,8 @@ class TestTrainStep:
         for _ in range(5):
             train_step(batch, store, target, "qmix", 0.99, dims["embed"],
                        agent_hidden=4)
-        for name, p in target.items():
-            np.testing.assert_array_equal(p.value, frozen[name])
+        for name in target.names():
+            np.testing.assert_array_equal(target[name], frozen[name])
 
     # grid4 paper-width hgcn-mix and qmix steps, alternating on one replay:
     # with the heap top trimmed after each step, the next one faults about
@@ -735,11 +770,11 @@ class TestUpdateTarget:
                                 for k in range(4)])
         train_step(batch, store, target, "qmix", 0.99, dims["embed"],
                    agent_hidden=4)
-        assert any(not np.array_equal(store[n].value, target[n].value)
+        assert any(not np.array_equal(store[n], target[n])
                    for n in store.names())
         update_target(store, target)
         for name in store.names():
-            assert np.array_equal(store[name].value, target[name].value)
+            assert np.array_equal(store[name], target[name])
 
 
 class TestEvaluatePolicy:
@@ -747,7 +782,7 @@ class TestEvaluatePolicy:
         store, _ = tiny_mixer_store("vdn", n=2, obs_dim=2, n_actions=3)
         _zeroed(store)
         # bias the head toward action 0 for every agent: joint (0,0) pays 11
-        store["agent.fc2.b"].value = np.array([[10.0, 0.0, 0.0]])
+        store["agent.fc2.b"][...] = [[10.0, 0.0, 0.0]]
         env = OneStepMatrixGame()
         stats = evaluate_policy(env, store, 8, Rng(0), agent_hidden=4)
         assert stats["success_rate"] == 1.0
@@ -819,8 +854,8 @@ class TestRunTraining:
         s1, t1 = init_run_stores(cfg, env, seed=4)
         s2, _ = init_run_stores(cfg, env, seed=4)
         for name in s1.names():
-            np.testing.assert_array_equal(s1[name].value, s2[name].value)
-            np.testing.assert_array_equal(s1[name].value, t1[name].value)
+            np.testing.assert_array_equal(s1[name], s2[name])
+            np.testing.assert_array_equal(s1[name], t1[name])
 
     # sha256 over each parameter's name bytes then value bytes, in store
     # order, at paper widths: a renamed parameter, a changed shape or a
@@ -834,7 +869,7 @@ class TestRunTraining:
                      mixer=mixer)
         store, _ = init_run_stores(cfg, make_env(cfg.env), 0)
         digest = hashlib.sha256()
-        for name, p in store.items():
+        for name in store.names():
             digest.update(name.encode())
-            digest.update(p.value.tobytes())
+            digest.update(store[name].tobytes())
         assert digest.hexdigest()[:16] == self.INIT_DIGESTS[mixer]
