@@ -21,7 +21,6 @@ cfg = Config(
     eval_interval=200,
     eval_episodes=1,
     anneal_steps=2000,
-    eps_end=0.05,
     buffer_capacity=512,
     stop_on_success=True,
     seeds=[3],

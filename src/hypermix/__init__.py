@@ -27,7 +27,7 @@ from .hypergraph import build_hypergraph_rows, hgcn_transform_rows
 from .mixers import MIXER_KINDS, igm_check, mix_batch, state_module, vdn_mix
 from .nn import ParameterStore, rmsprop_step
 from .rng import Rng
-from .training import (Episode, ReplayBuffer, Schedule, collect_episode,
+from .training import (Episode, ReplayBuffer, collect_episode, epsilon,
                        evaluate_policy, run_training, stack_episodes,
                        td_targets, train_step, update_target)
 

@@ -21,8 +21,7 @@ import numpy as np
 
 from .config import Config, load_config
 from .envs import make_env
-from .errors import (CheckpointError, ConfigError, ContractError,
-                     TrainingError, UnsupportedMixerError)
+from .errors import CheckpointError, ConfigError, ContractError, TrainingError
 from .hypergraph import build_hypergraph_rows, write_hypergraph_csv
 from .nn import load_checkpoint_into
 from .rng import Rng
@@ -74,16 +73,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_run(config_path, checkpoint_path):
-    cfg = load_config(config_path)
+def _load_run(cfg: Config, checkpoint_path):
     env = make_env(cfg.env)
     store, _ = init_run_stores(cfg, env, seed=cfg.seeds[0])
     load_checkpoint_into(store, checkpoint_path)
-    return cfg, env, store
+    return env, store
 
 
 def cmd_eval(args) -> int:
-    cfg, env, store = _load_run(args.config, args.checkpoint)
+    cfg = load_config(args.config)
+    env, store = _load_run(cfg, args.checkpoint)
     rng = Rng(args.seed).split("cli-eval")
     stats = evaluate_policy(env, store, args.episodes, rng, cfg.agent_hidden)
     print(f"mean_return={stats['mean_return']:.6f} "
@@ -94,11 +93,10 @@ def cmd_eval(args) -> int:
 
 def cmd_dump_hypergraph(args) -> int:
     out = _out_path(args.out, is_dir=True)
-    cfg, env, store = _load_run(args.config, args.checkpoint)
+    cfg = load_config(args.config)
     if cfg.mixer != "hgcn-mix":
-        raise UnsupportedMixerError(
-            f"mixer {cfg.mixer!r} has no hypergraph to dump"
-        )
+        raise ConfigError(f"mixer: {cfg.mixer!r} has no hypergraph to dump")
+    env, store = _load_run(cfg, args.checkpoint)
     out.mkdir(parents=True, exist_ok=True)
     ep = collect_episode(env, store, 0.0, Rng(args.seed).split("env"), None,
                          cfg.agent_hidden)
@@ -262,8 +260,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CheckpointError, UnsupportedMixerError, ContractError,
-            TrainingError) as exc:
+    except (CheckpointError, ContractError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

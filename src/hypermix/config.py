@@ -20,14 +20,12 @@ _SECTIONS = {
               "hypernet_hidden": "hypernet_hidden"},
     "optimizer": {"lr": "lr", "decay": "rms_decay", "eps": "rms_eps",
                   "clip_norm": "clip_norm"},
-    "schedule": {"eps_start": "eps_start", "eps_end": "eps_end",
-                 "anneal_steps": "anneal_steps"},
+    "schedule": {"anneal_steps": "anneal_steps"},
     "training": {"gamma": "gamma", "episodes": "episodes",
                  "eval_interval": "eval_interval",
                  "eval_episodes": "eval_episodes",
                  "buffer_capacity": "buffer_capacity",
                  "batch_size": "batch_size",
-                 "train_every": "train_every",
                  "target_interval": "target_interval",
                  "stop_on_success": "stop_on_success"},
 }
@@ -60,8 +58,6 @@ class Config:
     rms_eps: float = 1e-5
     clip_norm: float = 10.0
     # schedule
-    eps_start: float = 1.0
-    eps_end: float = 0.05
     anneal_steps: int = 50_000
     # training
     gamma: float = 0.99
@@ -70,7 +66,6 @@ class Config:
     eval_episodes: int = 32
     buffer_capacity: int = 5000
     batch_size: int = 32
-    train_every: int = 1
     target_interval: int = 200
     stop_on_success: bool = False
     seeds: list[int] = field(default_factory=lambda: [0])
@@ -110,8 +105,6 @@ class Config:
         require(0.0 < self.rms_decay < 1.0, "optimizer.decay", "must be in (0, 1)")
         require(self.rms_eps > 0, "optimizer.eps", "must be positive")
         require(self.clip_norm > 0, "optimizer.clip_norm", "must be positive")
-        require(0.0 <= self.eps_end <= self.eps_start <= 1.0,
-                "schedule", "needs 0 <= eps_end <= eps_start <= 1")
         require(self.anneal_steps >= 1, "schedule.anneal_steps", "must be >= 1")
         require(0.0 <= self.gamma < 1.0, "training.gamma", "must be in [0, 1)")
         for path, value in (("training.episodes", self.episodes),
@@ -119,7 +112,6 @@ class Config:
                             ("training.eval_episodes", self.eval_episodes),
                             ("training.buffer_capacity", self.buffer_capacity),
                             ("training.batch_size", self.batch_size),
-                            ("training.train_every", self.train_every),
                             ("training.target_interval", self.target_interval)):
             require(value >= 1, path, "must be >= 1")
         require(self.batch_size <= self.buffer_capacity,

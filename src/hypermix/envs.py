@@ -169,6 +169,12 @@ class LazyCoordinationGrid:
     MOVES = np.array([0, -1, 1])  # position change, indexed by action
 
     def __init__(self, n_agents: int = 4, length: int = 6, freeze: bool = False):
+        # as in the config, a bool is not a count
+        for name, value in (("n_agents", n_agents), ("length", length)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(freeze, bool):
+            raise ConfigError(f"freeze must be true or false, got {freeze!r}")
         if n_agents < 1 or length < 2:
             raise ConfigError("grid needs n_agents >= 1 and length >= 2")
         self.length = length

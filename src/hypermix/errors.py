@@ -23,7 +23,3 @@ class CheckpointError(RuntimeError):
 
 class ContractError(RuntimeError):
     """An environment interaction violated the step/availability contract."""
-
-
-class UnsupportedMixerError(RuntimeError):
-    """The requested operation does not apply to this mixer kind."""

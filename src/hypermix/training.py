@@ -27,19 +27,12 @@ from .nn import (ParameterStore, clip_grad_norm, rmsprop_step, save_checkpoint)
 from .rng import Rng
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Linear exploration annealing over environment steps."""
-
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    anneal_steps: int = 50_000
-
-    def value(self, t: int) -> float:
-        if t >= self.anneal_steps:
-            return self.eps_end
-        frac = t / self.anneal_steps
-        return self.eps_start + (self.eps_end - self.eps_start) * frac
+def epsilon(t: int, anneal_steps: int) -> float:
+    """Exploration rate after ``t`` environment steps: PyMARL's linear anneal
+    from 1.0 to 0.05 over ``anneal_steps``."""
+    if t >= anneal_steps:
+        return 0.05
+    return 1.0 + (0.05 - 1.0) * (t / anneal_steps)
 
 
 _stamps = itertools.count()
@@ -356,24 +349,22 @@ def run_training(cfg, seed: int, out_dir) -> dict:
     explore_rng = root.split("explore")
     buffer_rng = root.split("buffer")
     buffer = ReplayBuffer(cfg.buffer_capacity)
-    schedule = Schedule(cfg.eps_start, cfg.eps_end, cfg.anneal_steps)
 
     env_steps = 0
     train_steps = 0
     eval_count = 0
     losses: list[float] = []
-    started = time.time()
+    started = time.perf_counter()
     final_stats = None
     metrics_path = out_dir / "metrics.jsonl"
     with metrics_path.open("w") as metrics:
         for episode_idx in range(cfg.episodes):
-            eps = schedule.value(env_steps)
+            eps = epsilon(env_steps, cfg.anneal_steps)
             ep = collect_episode(env, store, eps, env_rng, explore_rng,
                                  cfg.agent_hidden)
             buffer.add(ep)
             env_steps += ep.length
-            if (len(buffer) >= cfg.batch_size
-                    and episode_idx % cfg.train_every == 0):
+            if len(buffer) >= cfg.batch_size:
                 batch = buffer.sample(cfg.batch_size, buffer_rng)
                 loss = train_step(batch, store, target_store, cfg.mixer,
                                   cfg.gamma, cfg.embed, cfg.agent_hidden,
@@ -409,7 +400,7 @@ def run_training(cfg, seed: int, out_dir) -> dict:
         "episodes": episode_idx + 1,
         "env_steps": env_steps,
         "train_steps": train_steps,
-        "wall_seconds": time.time() - started,
+        "wall_seconds": time.perf_counter() - started,
         "final": final_stats,
         "metrics_path": str(metrics_path),
         "checkpoint": str(out_dir / "checkpoint"),

@@ -46,10 +46,9 @@ class TestConfig:
                           "freeze": True},
                      mixer="qmix", hyperedges=5, embed=7, agent_hidden=9,
                      hypernet_hidden=11, lr=1e-3, rms_decay=0.95, rms_eps=1e-6,
-                     clip_norm=5.0, eps_start=0.9, eps_end=0.1,
-                     anneal_steps=100, gamma=0.9, episodes=10, eval_interval=5,
-                     eval_episodes=3, buffer_capacity=50, batch_size=8,
-                     train_every=2, target_interval=20, stop_on_success=True,
+                     clip_norm=5.0, anneal_steps=100, gamma=0.9, episodes=10,
+                     eval_interval=5, eval_episodes=3, buffer_capacity=50,
+                     batch_size=8, target_interval=20, stop_on_success=True,
                      seeds=[3, 4])
         default = Config(env={"name": "matrix_game"})
         for f in fields(Config):
@@ -116,6 +115,14 @@ class TestConfig:
         ({"training": {"episodes": "2"}}, "training.episodes"),
         ({"env": {"name": "matrix_game", "payoff": [["a"]]}}, "env"),
         ({"mixer": "vdn", "hyperedge_sweep": [2]}, "hyperedge_sweep"),
+        ({"schedule": {"eps_start": 0.5}}, "schedule"),
+        ({"training": {"train_every": 2}}, "training"),
+        ({"env": {"name": "grid", "length": 4.0}},
+         "env: bad options for env 'grid': length must be an integer, got 4.0"),
+        ({"env": {"name": "grid", "n_agents": True}},
+         "env: bad options for env 'grid': n_agents must be an integer, got True"),
+        ({"env": {"name": "grid", "freeze": "no"}},
+         "env: bad options for env 'grid': freeze must be true or false, got 'no'"),
     ])
     def test_cli_exits_2_with_field_and_no_traceback(self, tmp_path, capsys,
                                                      overrides, field):
@@ -345,8 +352,18 @@ class TestDumpHypergraph:
         code = main(["dump-hypergraph", "--checkpoint", str(ckpt),
                      "--config", str(cfg), "--seed", "0",
                      "--out", str(tmp_path / "dump")])
-        assert code == 1
-        assert "hypergraph" in capsys.readouterr().err
+        assert code == 2
+        assert "config error: mixer: 'vdn' has no hypergraph" in capsys.readouterr().err
+
+    def test_unsupported_mixer_is_reported_before_the_checkpoint_is_read(
+            self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, mixer="qmix")
+        code = main(["dump-hypergraph", "--checkpoint", str(tmp_path / "none"),
+                     "--config", str(cfg), "--out", str(tmp_path / "dump")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: mixer: 'qmix' has no hypergraph" in err
+        assert "Traceback" not in err and not (tmp_path / "dump").exists()
 
     def test_zero_hyperedges_runs_as_qmix_with_nothing_to_dump(self, tmp_path,
                                                                capsys):
@@ -357,7 +374,7 @@ class TestDumpHypergraph:
         code = main(["dump-hypergraph", "--checkpoint", str(run / "checkpoint"),
                      "--config", str(cfg), "--seed", "0",
                      "--out", str(tmp_path / "dump")])
-        assert code == 1
+        assert code == 2
         err = capsys.readouterr().err
         assert "'qmix' has no hypergraph" in err and "Traceback" not in err
         assert not (tmp_path / "dump").exists()

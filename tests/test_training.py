@@ -23,10 +23,10 @@ from hypermix.config import Config
 from hypermix.envs import OneStepMatrixGame, TwoStepGame, make_env
 from hypermix.nn import load_checkpoint_into, rmsprop_step, save_checkpoint
 from hypermix.rng import Rng
-from hypermix.training import (Episode, ReplayBuffer, Schedule,
-                               collect_episode, evaluate_policy,
-                               init_run_stores, run_training, stack_episodes,
-                               td_targets, train_step, update_target)
+from hypermix.training import (Episode, ReplayBuffer, collect_episode,
+                               epsilon, evaluate_policy, init_run_stores,
+                               run_training, stack_episodes, td_targets,
+                               train_step, update_target)
 
 from _helpers import tiny_mixer_store
 from _oracles import (agent_forward_reference, clip_rmsprop_reference,
@@ -52,15 +52,13 @@ def _grid_cfg(**overrides):
 
 class TestSchedule:
     def test_endpoints_and_midpoint(self):
-        sched = Schedule()
-        assert sched.value(0) == 1.0
-        assert sched.value(50_000) == 0.05
-        assert sched.value(25_000) == pytest.approx(0.525)
-        assert sched.value(80_000) == 0.05
+        assert epsilon(0, 50_000) == 1.0
+        assert epsilon(25_000, 50_000) == pytest.approx(0.525)
+        assert epsilon(50_000, 50_000) == 0.05
+        assert epsilon(80_000, 50_000) == 0.05
 
     def test_monotone_nonincreasing(self):
-        sched = Schedule()
-        values = [sched.value(t) for t in range(0, 60_000, 500)]
+        values = [epsilon(t, 50_000) for t in range(0, 60_000, 500)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -839,6 +837,14 @@ class TestRunTraining:
         a = (tmp_path / "a" / "metrics.jsonl").read_bytes()
         b = (tmp_path / "b" / "metrics.jsonl").read_bytes()
         assert a == b and len(a) > 0
+
+    def test_wall_seconds_ignore_a_system_clock_set_back(self, tmp_path,
+                                                         monkeypatch):
+        # each read of the system clock is an hour before the last
+        clock = iter(range(10**9, 0, -3600))
+        monkeypatch.setattr(training.time, "time", lambda: float(next(clock)))
+        summary = run_training(_grid_cfg(), seed=0, out_dir=tmp_path / "run")
+        assert summary["wall_seconds"] >= 0
 
     def test_different_seeds_diverge(self, tmp_path):
         cfg = _grid_cfg(episodes=12, eval_interval=4)
