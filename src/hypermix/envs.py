@@ -12,8 +12,11 @@ Three environments stress different coordination pressures at desk scale:
   same step. The ``freeze`` variant locks agents in place once they arrive
   and masks their observations with the fixed dead-agent value.
 
-All environments are deterministic given the reset stream, emit one shared
-scalar reward per step, and terminate at their episode limit at the latest.
+Each is read as in SMAC: ``reset(rng)``, then ``observe()`` for the
+observations, state and action mask of the current step, and
+``step(actions)`` for the shared scalar reward and the termination flag.
+All are deterministic given the reset stream and terminate at their episode
+limit at the latest.
 """
 
 from __future__ import annotations
@@ -47,17 +50,6 @@ class EnvSpec:
             raise ConfigError("n_actions must be >= 2")
 
 
-@dataclass
-class StepResult:
-    """Outcome of one joint step: shared reward plus next-step context."""
-
-    reward: float
-    terminated: bool
-    obs: np.ndarray            # (n, obs_dim)
-    state: np.ndarray          # (state_dim,)
-    avail: np.ndarray          # (n, n_actions) bool
-
-
 def _check_actions(actions, avail: np.ndarray) -> np.ndarray:
     actions = np.asarray(actions, dtype=np.intp).ravel()
     if actions.shape[0] != avail.shape[0]:
@@ -72,11 +64,31 @@ def _check_actions(actions, avail: np.ndarray) -> np.ndarray:
     return actions
 
 
+def _numbers(value) -> bool:
+    """Whether every entry is an int or a float; a bool or a string is not,
+    though numpy would read either as a number."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if isinstance(value, (list, tuple)):
+        return all(map(_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _payoff(name: str, value) -> np.ndarray:
+    """The payoff option ``name`` as an array of finite floats."""
+    payoff = np.asarray(value, dtype=np.float64) if _numbers(value) else None
+    if payoff is None or not np.isfinite(payoff).all():
+        raise ConfigError(f"{name} entries must be finite numbers, got {value!r}")
+    if payoff.ndim == 0:
+        raise ConfigError(f"{name} must be a nested list, got the scalar {value!r}")
+    return payoff
+
+
 class OneStepMatrixGame:
     """One-shot shared-payoff game; the payoff tensor has one axis per agent."""
 
     def __init__(self, payoff=CLIMBING_PAYOFF):
-        self.payoff = np.asarray(payoff, dtype=np.float64)
+        self.payoff = _payoff("payoff", payoff)
         n = self.payoff.ndim
         sizes = set(self.payoff.shape)
         if len(sizes) != 1:
@@ -85,27 +97,21 @@ class OneStepMatrixGame:
                             obs_dim=n, state_dim=1, episode_limit=1)
         self._done = True
 
-    def reset(self, rng: Rng):
+    def reset(self, rng: Rng) -> None:
         self._done = False
-        return self._obs(), self._state()
 
-    def _obs(self):
-        return np.eye(self.spec.n_agents)
+    def observe(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Agent-id one-hots, a unit state and an all-true mask."""
+        n = self.spec.n_agents
+        return (np.eye(n), np.ones(1),
+                np.ones((n, self.spec.n_actions), dtype=bool))
 
-    def _state(self):
-        return np.ones(1)
-
-    def avail_actions(self) -> np.ndarray:
-        return np.ones((self.spec.n_agents, self.spec.n_actions), dtype=bool)
-
-    def step(self, actions) -> StepResult:
+    def step(self, actions) -> tuple[float, bool]:
         if self._done:
             raise ContractError("step() called on a finished episode")
-        actions = _check_actions(actions, self.avail_actions())
+        actions = _check_actions(actions, self.observe()[2])
         self._done = True
-        return StepResult(reward=float(self.payoff[tuple(actions)]),
-                          terminated=True, obs=self._obs(), state=self._state(),
-                          avail=self.avail_actions())
+        return float(self.payoff[tuple(actions)]), True
 
 
 class TwoStepGame:
@@ -114,43 +120,35 @@ class TwoStepGame:
     _FIRST, _BRANCH_A, _BRANCH_B = 0, 1, 2
 
     def __init__(self, payoff_a=BRANCH_A_PAYOFF, payoff_b=BRANCH_B_PAYOFF):
-        self.payoff_a = np.asarray(payoff_a, dtype=np.float64)
-        self.payoff_b = np.asarray(payoff_b, dtype=np.float64)
+        self.payoff_a = _payoff("payoff_a", payoff_a)
+        self.payoff_b = _payoff("payoff_b", payoff_b)
         if self.payoff_a.shape != (2, 2) or self.payoff_b.shape != (2, 2):
             raise ConfigError("two-step payoffs must be 2x2")
         self.spec = EnvSpec(n_agents=2, n_actions=2, obs_dim=3, state_dim=3,
                             episode_limit=2)
         self._phase = None
 
-    def reset(self, rng: Rng):
+    def reset(self, rng: Rng) -> None:
         self._phase = self._FIRST
-        return self._obs(), self._state()
 
-    def _state(self):
-        s = np.zeros(3)
-        s[self._phase] = 1.0
-        return s
+    def observe(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Both agents see the state, a one-hot of the phase (all zeros once
+        the episode is over), and may take either action."""
+        state = np.zeros(3)
+        if self._phase is not None:
+            state[self._phase] = 1.0
+        return np.tile(state, (2, 1)), state, np.ones((2, 2), dtype=bool)
 
-    def _obs(self):
-        return np.tile(self._state(), (2, 1))
-
-    def avail_actions(self) -> np.ndarray:
-        return np.ones((2, 2), dtype=bool)
-
-    def step(self, actions) -> StepResult:
+    def step(self, actions) -> tuple[float, bool]:
         if self._phase is None:
             raise ContractError("step() called on a finished episode")
-        actions = _check_actions(actions, self.avail_actions())
+        actions = _check_actions(actions, self.observe()[2])
         if self._phase == self._FIRST:
             self._phase = self._BRANCH_A if actions[0] == 0 else self._BRANCH_B
-            return StepResult(reward=0.0, terminated=False, obs=self._obs(),
-                              state=self._state(), avail=self.avail_actions())
+            return 0.0, False
         payoff = self.payoff_a if self._phase == self._BRANCH_A else self.payoff_b
         self._phase = None
-        reward = float(payoff[actions[0], actions[1]])
-        obs = np.zeros((2, 3))
-        return StepResult(reward=reward, terminated=True, obs=obs,
-                          state=np.zeros(3), avail=self.avail_actions())
+        return float(payoff[actions[0], actions[1]]), True
 
 
 class LazyCoordinationGrid:
@@ -184,7 +182,7 @@ class LazyCoordinationGrid:
                             episode_limit=2 * length)
         self._pos = None
 
-    def reset(self, rng: Rng):
+    def reset(self, rng: Rng) -> None:
         n = self.spec.n_agents
         self._pos = np.array([rng.integers(self.length) for _ in range(n)])
         self._target = np.array([rng.integers(self.length) for _ in range(n)])
@@ -194,46 +192,36 @@ class LazyCoordinationGrid:
         self._steps = 0
         self._done = False
         self._avail = None
-        return self._observe()
 
-    def _observe(self) -> tuple[np.ndarray, np.ndarray]:
-        """Observations and the global state, both from each agent's position
-        one-hot ++ target one-hot. The state stays unmasked; a frozen agent's
-        observation takes the dead-agent mask value -1."""
+    def observe(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Observations and state from each agent's position one-hot ++
+        target one-hot, and the (n, 3) action mask that the next step checks
+        against. The state stays unmasked; a frozen agent's observation
+        takes the dead-agent mask value -1."""
         pairs = np.zeros((self.spec.n_agents, 2 * self.length))
         agents = np.arange(self.spec.n_agents)
         pairs[agents, self._pos] = 1.0
         pairs[agents, self.length + self._target] = 1.0
-        return np.where(self._frozen[:, None], -1.0, pairs), pairs.ravel()
+        avail = self._avail = np.ones((self.spec.n_agents, 3), dtype=bool)
+        avail[:, self.LEFT] = ~self._frozen & (self._pos > 0)
+        avail[:, self.RIGHT] = ~self._frozen & (self._pos < self.length - 1)
+        return np.where(self._frozen[:, None], -1.0, pairs), pairs.ravel(), avail
 
-    def avail_actions(self) -> np.ndarray:
-        """(n, 3) mask of available actions; the next step checks its
-        actions against the mask last returned."""
-        avail = self._avail = np.empty((self.spec.n_agents, 3), dtype=bool)
-        moving = ~self._frozen
-        avail[:, self.STAY] = True
-        avail[:, self.LEFT] = moving & (self._pos > 0)
-        avail[:, self.RIGHT] = moving & (self._pos < self.length - 1)
-        return avail
-
-    def step(self, actions) -> StepResult:
+    def step(self, actions) -> tuple[float, bool]:
         if self._pos is None or self._done:
             raise ContractError("step() called on a finished episode")
         if self._avail is None:
-            self.avail_actions()
+            self.observe()
         actions = _check_actions(actions, self._avail)
+        self._avail = None  # the state moves below: the mask goes stale
         self._steps += 1
         # a frozen agent's only available action is STAY, which moves 0
         self._pos += self.MOVES[actions]
         if self.freeze:
             self._frozen |= self._pos == self._target
         success = bool((self._pos == self._target).all())
-        reward = 1.0 if success else 0.0
-        terminated = success or self._steps >= self.spec.episode_limit
-        self._done = terminated
-        obs, state = self._observe()
-        return StepResult(reward=reward, terminated=terminated, obs=obs,
-                          state=state, avail=self.avail_actions())
+        self._done = success or self._steps >= self.spec.episode_limit
+        return (1.0 if success else 0.0), self._done
 
 
 def make_env(env_cfg: dict):

@@ -130,29 +130,18 @@ def collect_episode(env, store: ParameterStore, eps: float, env_rng: Rng,
     ep = Episode.empty(spec.episode_limit, spec.n_agents, spec.obs_dim,
                        spec.state_dim, spec.n_actions)
     pv = store.bind(None)
-    obs, state = env.reset(env_rng)
-    avail = env.avail_actions()
+    env.reset(env_rng)
     hidden = ag.initial_hidden(spec.n_agents, agent_hidden)
-    t = 0
-    while True:
-        ep.obs[t] = obs
-        ep.state[t] = state
-        ep.avail[t] = avail
-        # at t = 0, ep.actions[-1] still holds the -1 padding: no last action
-        inputs = ag.build_agent_inputs(obs, ep.actions[t - 1], spec.n_actions)
-        q, hidden = ag.agent_forward(pv, Var(inputs), hidden)
-        actions = ag.select_action(q.value, avail, eps, explore_rng)
-        res = env.step(actions)
-        ep.actions[t] = actions
-        ep.reward[t] = res.reward
-        ep.terminated[t] = res.terminated
-        obs, state, avail = res.obs, res.state, res.avail
-        t += 1
-        if res.terminated or t >= spec.episode_limit:
+    for t in range(spec.episode_limit + 1):
+        ep.obs[t], ep.state[t], ep.avail[t] = env.observe()
+        # at t = 0, ep.terminated[-1] and ep.actions[-1] still hold their
+        # padding: not terminated, no last action
+        if t == spec.episode_limit or ep.terminated[t - 1]:
             break
-    ep.obs[t] = obs
-    ep.state[t] = state
-    ep.avail[t] = avail
+        inputs = ag.build_agent_inputs(ep.obs[t], ep.actions[t - 1], spec.n_actions)
+        q, hidden = ag.agent_forward(pv, Var(inputs), hidden)
+        ep.actions[t] = ag.select_action(q.value, ep.avail[t], eps, explore_rng)
+        ep.reward[t], ep.terminated[t] = env.step(ep.actions[t])
     ep.length = t
     return ep
 

@@ -123,6 +123,29 @@ class TestConfig:
          "env: bad options for env 'grid': n_agents must be an integer, got True"),
         ({"env": {"name": "grid", "freeze": "no"}},
          "env: bad options for env 'grid': freeze must be true or false, got 'no'"),
+        # json reads NaN and Infinity; numpy reads bools and numeric
+        # strings as numbers
+        ({"env": {"name": "matrix_game", "payoff": [["1", "2"], ["3", "4"]]}},
+         "env: bad options for env 'matrix_game': payoff entries must be"
+         " finite numbers"),
+        ({"env": {"name": "matrix_game",
+                  "payoff": [[True, False], [False, True]]}},
+         "env: bad options for env 'matrix_game': payoff entries must be"
+         " finite numbers"),
+        ({"env": {"name": "matrix_game",
+                  "payoff": [[float("nan"), 1], [1, 1]]}},
+         "env: bad options for env 'matrix_game': payoff entries must be"
+         " finite numbers"),
+        ({"env": {"name": "matrix_game", "payoff": 5}},
+         "env: bad options for env 'matrix_game': payoff must be a nested"
+         " list, got the scalar 5"),
+        ({"env": {"name": "two_step", "payoff_b": [["0", "1"], ["1", "8"]]}},
+         "env: bad options for env 'two_step': payoff_b entries must be"
+         " finite numbers"),
+        ({"env": {"name": "two_step",
+                  "payoff_a": [[float("inf"), 1], [1, 1]]}},
+         "env: bad options for env 'two_step': payoff_a entries must be"
+         " finite numbers"),
     ])
     def test_cli_exits_2_with_field_and_no_traceback(self, tmp_path, capsys,
                                                      overrides, field):

@@ -10,23 +10,104 @@ from hypermix.envs import (BRANCH_A_PAYOFF, BRANCH_B_PAYOFF, CLIMBING_PAYOFF,
                            TwoStepGame, brute_force_optimal, make_env)
 from hypermix.errors import ConfigError, ContractError
 from hypermix.rng import Rng
+from hypermix.training import collect_episode
 
+from _helpers import tiny_mixer_store
 from _oracles import (enumerate_matrix_policies, enumerate_two_step_policies,
                       grid_joint_bfs)
+
+
+def assert_step_refuses_masked_actions(env, avail):
+    """The next step enforces ``avail``: each action it rules out is refused,
+    with every other agent on STAY, which is always available. A refused
+    step changes nothing, so the caller's trajectory goes on unaltered."""
+    for agent, action in zip(*np.nonzero(~avail)):
+        acts = np.zeros(len(avail), dtype=int)
+        acts[agent] = action
+        with pytest.raises(ContractError,
+                           match=f"^agent {agent} chose unavailable"
+                                 f" action {action}$"):
+            env.step(acts)
+
+
+ENV_CONFIGS = {
+    "matrix_game": {"name": "matrix_game"},
+    "two_step": {"name": "two_step"},
+    "frozen_grid": {"name": "grid", "n_agents": 3, "length": 4,
+                    "freeze": True},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENV_CONFIGS))
+class TestContract:
+    """reset(rng) -> None, observe() -> (obs, state, avail) and
+    step(actions) -> (reward, terminated), the same for every environment."""
+
+    def check_observation(self, env):
+        spec = env.spec
+        obs, state, avail = env.observe()
+        assert obs.dtype == np.float64 and obs.shape == (spec.n_agents,
+                                                          spec.obs_dim)
+        assert state.dtype == np.float64 and state.shape == (spec.state_dim,)
+        assert avail.dtype == bool and avail.shape == (spec.n_agents,
+                                                       spec.n_actions)
+        assert avail.any(axis=1).all()
+        return avail
+
+    def test_observe_and_step_types_match_the_spec(self, name):
+        env = make_env(ENV_CONFIGS[name])
+        rng = Rng(11)
+        for k in range(5):
+            assert env.reset(rng.split(f"reset{k}")) is None
+            terminated = False
+            while not terminated:
+                avail = self.check_observation(env)
+                acts = [int(np.flatnonzero(row)[-1]) for row in avail]
+                reward, terminated = env.step(acts)
+                assert type(reward) is float and type(terminated) is bool
+            self.check_observation(env)
+
+    def test_trailing_slot_is_observe_after_the_last_step(self, name):
+        env = make_env(ENV_CONFIGS[name])
+        spec = env.spec
+        store, _ = tiny_mixer_store("vdn", n=spec.n_agents,
+                                    obs_dim=spec.obs_dim,
+                                    state_dim=spec.state_dim,
+                                    n_actions=spec.n_actions)
+        ep = collect_episode(env, store, 1.0, Rng(4).split("env"),
+                             Rng(4).split("explore"), agent_hidden=4)
+        assert ep.terminated[ep.length - 1]
+        obs, state, avail = env.observe()
+        np.testing.assert_array_equal(ep.obs[ep.length], obs)
+        np.testing.assert_array_equal(ep.state[ep.length], state)
+        np.testing.assert_array_equal(ep.avail[ep.length], avail)
+        if name == "two_step":
+            # the episode is over: no phase is tagged
+            assert not obs.any() and not state.any()
+
+    def test_step_after_the_end_is_contract_error(self, name):
+        env = make_env(ENV_CONFIGS[name])
+        env.reset(Rng(2))
+        terminated = False
+        while not terminated:
+            _, terminated = env.step([0] * env.spec.n_agents)
+        with pytest.raises(ContractError, match="finished episode"):
+            env.step([0] * env.spec.n_agents)
 
 
 class TestMatrixGame:
     def test_reset_gives_id_onehots_and_unit_state(self):
         env = OneStepMatrixGame()
-        obs, state = env.reset(Rng(0))
+        env.reset(Rng(0))
+        obs, state, _ = env.observe()
         np.testing.assert_array_equal(obs, np.eye(2))
         np.testing.assert_array_equal(state, [1.0])
 
     def test_climbing_payoff_step(self):
         env = OneStepMatrixGame()
         env.reset(Rng(0))
-        res = env.step([0, 0])
-        assert res.reward == 11.0 and res.terminated
+        reward, terminated = env.step([0, 0])
+        assert reward == 11.0 and terminated
 
     def test_all_cells_match_configured_payoff(self):
         payoff = np.asarray(CLIMBING_PAYOFF)
@@ -34,7 +115,7 @@ class TestMatrixGame:
             for a1 in range(3):
                 env = OneStepMatrixGame()
                 env.reset(Rng(0))
-                assert env.step([a0, a1]).reward == payoff[a0, a1]
+                assert env.step([a0, a1])[0] == payoff[a0, a1]
 
     def test_step_after_done_is_contract_error(self):
         env = OneStepMatrixGame()
@@ -48,28 +129,41 @@ class TestMatrixGame:
         env = OneStepMatrixGame(payoff)
         assert env.spec.n_agents == 3
         env.reset(Rng(0))
-        assert env.step([1, 0, 1]).reward == payoff[1, 0, 1]
+        assert env.step([1, 0, 1])[0] == payoff[1, 0, 1]
 
     def test_rejects_ragged_payoff(self):
         with pytest.raises(ConfigError):
             OneStepMatrixGame(np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("payoff", [
+        [[1, True], [0, 0]], [[1.0, "2"], [0, 0]], np.eye(2, dtype=bool),
+        np.array([[1.0, -np.inf], [0.0, 0.0]]), [[1, None], [0, 0]],
+    ])
+    def test_rejects_entries_that_are_not_finite_numbers(self, payoff):
+        with pytest.raises(ConfigError,
+                           match="^payoff entries must be finite numbers"):
+            OneStepMatrixGame(payoff)
+
+    def test_integer_payoff_loads_as_floats(self):
+        env = OneStepMatrixGame(np.array([[1, 2], [3, 4]]))
+        assert env.payoff.dtype == np.float64
+        assert brute_force_optimal(env) == 4.0
+
 
 class TestTwoStepGame:
     def test_reset_state_tag_is_first(self):
         env = TwoStepGame()
-        obs, state = env.reset(Rng(0))
+        env.reset(Rng(0))
+        obs, state, _ = env.observe()
         np.testing.assert_array_equal(state, [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(obs[0], obs[1])
 
     def test_branch_a_pays_seven(self):
         env = TwoStepGame()
         env.reset(Rng(0))
-        first = env.step([0, 1])
-        assert first.reward == 0.0 and not first.terminated
-        np.testing.assert_array_equal(first.state, [0.0, 1.0, 0.0])
-        final = env.step([1, 0])
-        assert final.reward == 7.0 and final.terminated
+        assert env.step([0, 1]) == (0.0, False)
+        np.testing.assert_array_equal(env.observe()[1], [0.0, 1.0, 0.0])
+        assert env.step([1, 0]) == (7.0, True)
 
     def test_branch_b_payoff_matrix(self):
         expected = [[0.0, 1.0], [1.0, 8.0]]
@@ -78,13 +172,13 @@ class TestTwoStepGame:
                 env = TwoStepGame()
                 env.reset(Rng(0))
                 env.step([1, 0])  # agent 0 commits to branch B
-                assert env.step([a0, a1]).reward == expected[a0][a1]
+                assert env.step([a0, a1])[0] == expected[a0][a1]
 
     def test_second_agent_cannot_pick_branch(self):
         env = TwoStepGame()
         env.reset(Rng(0))
-        res = env.step([0, 1])  # agent 1's action must not matter
-        np.testing.assert_array_equal(res.state, [0.0, 1.0, 0.0])
+        env.step([0, 1])  # agent 1's action must not matter
+        np.testing.assert_array_equal(env.observe()[1], [0.0, 1.0, 0.0])
 
 
 class TestGrid:
@@ -92,14 +186,16 @@ class TestGrid:
         layouts = []
         for _ in range(2):
             env = LazyCoordinationGrid(n_agents=3, length=5)
-            obs, state = env.reset(Rng(99).split("env"))
+            env.reset(Rng(99).split("env"))
+            obs, state, _ = env.observe()
             layouts.append((obs.copy(), state.copy()))
         np.testing.assert_array_equal(layouts[0][0], layouts[1][0])
         np.testing.assert_array_equal(layouts[0][1], layouts[1][1])
 
     def test_observation_is_own_position_and_target(self):
         env = LazyCoordinationGrid(n_agents=2, length=4)
-        obs, _ = env.reset(Rng(1))
+        env.reset(Rng(1))
+        obs = env.observe()[0]
         for a in range(2):
             row = obs[a]
             assert row[:4].sum() == 1.0 and row[4:].sum() == 1.0
@@ -110,17 +206,35 @@ class TestGrid:
         env = LazyCoordinationGrid(n_agents=1, length=3)
         env.reset(Rng(0))
         env._pos[0] = 0
-        avail = env.avail_actions()
+        avail = env.observe()[2]
         assert avail[0, env.STAY] and not avail[0, env.LEFT] and avail[0, env.RIGHT]
         with pytest.raises(ContractError):
             env.step([env.LEFT])
+
+    def test_step_without_observe_checks_the_current_mask(self):
+        # with no observe() since reset, step builds the mask of the
+        # position it moves from
+        env = LazyCoordinationGrid(n_agents=1, length=3)
+        env.reset(Rng(0))
+        env._pos[0] = 0
+        with pytest.raises(ContractError,
+                           match="^agent 0 chose unavailable action 1$"):
+            env.step([env.LEFT])
+        # the same holds after a step: it drops the mask it checked
+        env._target[0] = 2
+        env.observe()
+        env.step([env.RIGHT])
+        env._pos[0] = 2
+        with pytest.raises(ContractError,
+                           match="^agent 0 chose unavailable action 2$"):
+            env.step([env.RIGHT])
 
     def test_bad_actions_name_the_first_bad_agent(self):
         # out-of-range actions are caught before they index the mask
         env = LazyCoordinationGrid(n_agents=3, length=3)
         env.reset(Rng(0))
         env._pos[:] = 0
-        env.avail_actions()
+        env.observe()
         for acts, bad in (([0, 5, -1], (1, 5)), ([2, 0, -1], (2, -1)),
                           ([1, 3, 0], (0, 1)), ([0, 2, 1], (2, 1))):
             with pytest.raises(ContractError,
@@ -129,7 +243,8 @@ class TestGrid:
                 env.step(acts)
         with pytest.raises(ContractError, match="expected 3 actions, got 2"):
             env.step([0, 0])
-        assert env.step([0, 2, 2]).obs.shape == (3, 6)
+        assert env.step([0, 2, 2]) in ((0.0, False), (1.0, True))
+        assert env.observe()[0].shape == (3, 6)
 
     def test_masks_always_admit_an_action(self):
         rng = Rng(2)
@@ -138,28 +253,25 @@ class TestGrid:
             env.reset(rng.split("r"))
             done = False
             while not done:
-                avail = env.avail_actions()
+                avail = env.observe()[2]
                 assert avail.any(axis=1).all()
                 acts = [int(np.flatnonzero(avail[a])[rng.integers(
                     int(avail[a].sum()))]) for a in range(3)]
-                res = env.step(acts)
-                done = res.terminated
+                _, done = env.step(acts)
 
     def test_reward_only_on_simultaneous_targets(self):
         env = LazyCoordinationGrid(n_agents=2, length=4)
         env.reset(Rng(3))
         env._pos = np.array([0, 0])
         env._target = np.array([1, 0])
-        res = env.step([env.RIGHT, env.STAY])
-        assert res.reward == 1.0 and res.terminated
+        assert env.step([env.RIGHT, env.STAY]) == (1.0, True)
 
     def test_partial_arrival_gives_zero(self):
         env = LazyCoordinationGrid(n_agents=2, length=4)
         env.reset(Rng(3))
         env._pos = np.array([0, 0])
         env._target = np.array([1, 3])
-        res = env.step([env.RIGHT, env.STAY])
-        assert res.reward == 0.0 and not res.terminated
+        assert env.step([env.RIGHT, env.STAY]) == (0.0, False)
 
     def test_episode_limit_respected(self):
         env = LazyCoordinationGrid(n_agents=2, length=3)
@@ -169,9 +281,8 @@ class TestGrid:
         steps = 0
         done = False
         while not done:
-            res = env.step([env.STAY, env.STAY])  # never succeed
+            _, done = env.step([env.STAY, env.STAY])  # never succeed
             steps += 1
-            done = res.terminated
         assert steps == env.spec.episode_limit
 
     def test_greedy_policy_reaches_target_within_max_distance(self):
@@ -197,10 +308,9 @@ class TestGrid:
                         acts.append(env.LEFT)
                     else:
                         acts.append(env.STAY)
-                res = env.step(acts)
+                reward, done = env.step(acts)
                 steps += 1
-                done = res.terminated
-            assert res.reward == 1.0
+            assert reward == 1.0
             assert steps == max(1, dist)
 
     def test_freeze_variant_locks_and_masks(self):
@@ -209,13 +319,13 @@ class TestGrid:
         env._pos = np.array([1, 0])
         env._target = np.array([2, 3])
         env._frozen = np.zeros(2, dtype=bool)
-        res = env.step([env.RIGHT, env.STAY])  # agent 0 arrives and freezes
-        np.testing.assert_array_equal(res.obs[0], np.full(8, -1.0))
-        assert (res.obs[1] != -1.0).all()
-        avail = env.avail_actions()
+        env.step([env.RIGHT, env.STAY])  # agent 0 arrives and freezes
+        obs, _, avail = env.observe()
+        np.testing.assert_array_equal(obs[0], np.full(8, -1.0))
+        assert (obs[1] != -1.0).all()
         assert avail[0].tolist() == [True, False, False]
         # frozen agents ignore nothing: only stay is available
-        res2 = env.step([env.STAY, env.RIGHT])
+        env.step([env.STAY, env.RIGHT])
         assert env._pos[0] == 2
 
     # sha256 prefixes of 30 episodes' bytes under a fixed random-action
@@ -239,17 +349,17 @@ class TestGrid:
                 h.update(a.tobytes())
 
         for _ in range(30):
-            obs, state = env.reset(reset_rng)
-            avail = env.avail_actions()
+            env.reset(reset_rng)
+            obs, state, avail = env.observe()
             feed(obs, state, avail)
             terminated = False
             while not terminated:
+                assert_step_refuses_masked_actions(env, avail)
                 acts = [int(np.flatnonzero(row)[act_rng.integers(int(row.sum()))])
                         for row in avail]
-                res = env.step(acts)
-                feed(res.obs, res.state, res.avail, res.reward, res.terminated)
-                np.testing.assert_array_equal(env.avail_actions(), res.avail)
-                avail, terminated = res.avail, res.terminated
+                reward, terminated = env.step(acts)
+                obs, state, avail = env.observe()
+                feed(obs, state, avail, reward, terminated)
         assert h.hexdigest()[:16] == self.TRAJECTORY_DIGESTS[n, freeze]
 
 
@@ -308,8 +418,8 @@ class TestSharedRewardContract:
     def test_single_scalar_reward_per_step(self):
         env = TwoStepGame()
         env.reset(Rng(0))
-        res = env.step([0, 0])
-        assert np.isscalar(res.reward) and np.isfinite(res.reward)
+        reward, _ = env.step([0, 0])
+        assert np.isscalar(reward) and np.isfinite(reward)
 
     def test_determinism_seed_plus_actions(self):
         results = []
@@ -319,12 +429,11 @@ class TestSharedRewardContract:
             trace = []
             done = False
             while not done:
-                res = env.step([env.STAY, env.RIGHT]
-                               if env.avail_actions()[1, env.RIGHT]
-                               else [env.STAY, env.STAY])
-                trace.append((res.reward, res.terminated, res.obs.copy(),
-                              res.state.copy()))
-                done = res.terminated
+                reward, done = env.step([env.STAY, env.RIGHT]
+                                        if env.observe()[2][1, env.RIGHT]
+                                        else [env.STAY, env.STAY])
+                obs, state, _ = env.observe()
+                trace.append((reward, done, obs.copy(), state.copy()))
             results.append(trace)
         assert len(results[0]) == len(results[1])
         for (r1, d1, o1, s1), (r2, d2, o2, s2) in zip(*results):
