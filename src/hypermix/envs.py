@@ -75,12 +75,20 @@ def _numbers(value) -> bool:
 
 
 def _payoff(name: str, value) -> np.ndarray:
-    """The payoff option ``name`` as an array of finite floats."""
-    payoff = np.asarray(value, dtype=np.float64) if _numbers(value) else None
+    """The payoff option ``name`` as an array of finite floats with at least
+    2 actions on every axis."""
+    try:
+        payoff = np.asarray(value, dtype=np.float64) if _numbers(value) else None
+    except ValueError:  # ragged: numpy cannot build one array from it
+        raise ConfigError(f"{name} must be a rectangular nested list,"
+                          f" got {value!r}") from None
     if payoff is None or not np.isfinite(payoff).all():
         raise ConfigError(f"{name} entries must be finite numbers, got {value!r}")
     if payoff.ndim == 0:
         raise ConfigError(f"{name} must be a nested list, got the scalar {value!r}")
+    if min(payoff.shape) < 2:
+        raise ConfigError(f"{name} must give each agent at least 2 actions,"
+                          f" got the shape {payoff.shape}")
     return payoff
 
 

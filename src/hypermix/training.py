@@ -156,13 +156,6 @@ def _steps(batch: dict) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(np.arange(lengths.max())[:, None] < lengths)
 
 
-def _sample_rows(t: np.ndarray, e: np.ndarray, n_episodes: int,
-                 n: int) -> np.ndarray:
-    """Row indices, in the step-major agent pass, of the n agents of each
-    (t, e) sample."""
-    return ((t * n_episodes + e)[:, None] * n + np.arange(n)).ravel()
-
-
 def _agent_pass(pv: dict[str, Var], batch: dict, steps: int,
                 agent_hidden: int) -> Var:
     """Agent Q values of the first ``steps`` steps of every episode of
@@ -179,18 +172,27 @@ def _agent_pass(pv: dict[str, Var], batch: dict, steps: int,
     return q
 
 
-def _mix_steps(kind: str, pv: dict[str, Var], chosen, batch: dict,
-               t: np.ndarray, e: np.ndarray, embed: int) -> Var:
-    """Joint values of the (t, e) samples, in one mixer call."""
-    n = batch["obs"].shape[2]
-    Z = batch["obs"][e, t].reshape(t.size * n, -1)
+def _joint_values(pv: dict[str, Var], batch: dict, t: np.ndarray,
+                  e: np.ndarray, kind: str, embed: int, agent_hidden: int,
+                  actions: np.ndarray | None = None) -> Var:
+    """Joint values (S x 1) of the (t, e) samples: one agent pass over the
+    first ``t.max() + 1`` steps and one mixer call, each agent valued at
+    ``actions`` (S*n ints, sample-major) or, if None, its greedy action."""
+    n, n_actions = batch["avail"].shape[2:]
+    q = _agent_pass(pv, batch, t.max() + 1, agent_hidden)
+    # rows of the n agents of each sample in the step-major agent pass
+    rows = ((t * len(batch["length"]) + e)[:, None] * n + np.arange(n)).ravel()
+    if actions is None:
+        actions = ag.select_action(
+            q.value[rows], batch["avail"][e, t].reshape(-1, n_actions), 0.0)
+    chosen = select_rows(reshape(q, q.value.size, 1), rows * n_actions + actions)
+    Z = batch["obs"][e, t].reshape(rows.size, -1)
     return mx.mix_batch(kind, pv, chosen, Z, batch["state"][e, t], n, embed)
 
 
 def _fresh_targets(batch: dict, target_store: ParameterStore, kind: str,
                    gamma: float, embed: int, agent_hidden: int) -> np.ndarray:
     """:func:`td_targets` of every episode of ``batch``, without the memo."""
-    n, n_actions = batch["avail"].shape[2:]
     t, e = _steps(batch)
     targets = np.zeros((t.max() + 1, len(batch["length"])))
     targets[t, e] = batch["reward"][e, t]
@@ -198,13 +200,8 @@ def _fresh_targets(batch: dict, target_store: ParameterStore, kind: str,
     if not boot.any():
         return targets
     t, e = t[boot] + 1, e[boot]
-    pv = target_store.bind(None)
-    q = _agent_pass(pv, batch, t.max() + 1, agent_hidden)
-    q_rows = q.value[_sample_rows(t, e, len(batch["length"]), n)]
-    avail = batch["avail"][e, t].reshape(-1, n_actions)
-    greedy = ag.select_action(q_rows, avail, 0.0)
-    chosen = Var(q_rows[np.arange(q_rows.shape[0]), greedy].reshape(-1, 1))
-    qtot = _mix_steps(kind, pv, chosen, batch, t, e, embed)
+    qtot = _joint_values(target_store.bind(None), batch, t, e, kind, embed,
+                         agent_hidden)
     targets[t - 1, e] += gamma * qtot.value[:, 0]
     return targets
 
@@ -239,6 +236,18 @@ def td_targets(batch: dict, target_store: ParameterStore, kind: str,
     return targets
 
 
+def td_loss(batch: dict, pv: dict[str, Var], targets: np.ndarray, kind: str,
+            embed: int, agent_hidden: int = 64) -> Var:
+    """Half the mean squared TD error over valid timesteps, (1 x 1): the
+    joint values under ``pv`` at the taken actions against ``targets``, the
+    :func:`td_targets` of ``batch``."""
+    t, e = _steps(batch)
+    qtot = _joint_values(pv, batch, t, e, kind, embed, agent_hidden,
+                         batch["actions"][e, t].ravel())
+    diff = add(qtot, -targets[t, e].reshape(-1, 1))
+    return mul(reduce_sum(mul(diff, diff)), np.array([[0.5 / t.size]]))
+
+
 def train_step(batch: dict, store: ParameterStore,
                target_store: ParameterStore, kind: str, gamma: float,
                embed: int, agent_hidden: int = 64, lr: float = 5e-4,
@@ -246,33 +255,21 @@ def train_step(batch: dict, store: ParameterStore,
                clip_norm: float = 10.0) -> float:
     """One optimization step on a batch of episodes; returns the loss.
 
-    The loss is the mean over valid timesteps of half the squared TD error;
-    gradients flow through the agent networks, the hypergraph generator and
-    edge weights, and the hypernetworks, but not into the targets. One agent
-    call covers every step of the batch and one mixer call every valid step,
-    so the tape holds one GRU record however long the episodes are.
-    ``batch`` is a :func:`stack_episodes` batch.
+    The loss is :func:`td_loss`; gradients flow through the agent networks,
+    the hypergraph generator and edge weights, and the hypernetworks, but
+    not into the targets. One agent call covers every step of the batch and
+    one mixer call every valid step, so the tape holds one GRU record however
+    long the episodes are. ``batch`` is a :func:`stack_episodes` batch.
     """
-    n, n_actions = batch["avail"].shape[2:]
-    n_episodes, t_max = len(batch["length"]), batch["length"].max()
     targets = td_targets(batch, target_store, kind, gamma, embed, agent_hidden)
-
     tape = Tape()
     pv = store.bind(tape)
-    q = _agent_pass(pv, batch, t_max, agent_hidden)
-    t, e = _steps(batch)
-    rows = _sample_rows(t, e, n_episodes, n)
-    actions = batch["actions"][e, t].ravel()
-    q_flat = reshape(q, q.value.size, 1)
-    chosen = select_rows(q_flat, rows * n_actions + actions)
-    qtot = _mix_steps(kind, pv, chosen, batch, t, e, embed)
-    diff = add(qtot, -targets[t, e].reshape(-1, 1))
-    loss = mul(reduce_sum(mul(diff, diff)), np.array([[0.5 / t.size]]))
+    loss = td_loss(batch, pv, targets, kind, embed, agent_hidden)
     loss_value = float(loss.value[0, 0])
     if not np.isfinite(loss_value):
         raise TrainingError(
-            f"non-finite loss {loss_value} (mixer={kind}, batch={n_episodes},"
-            f" t_max={t_max})"
+            f"non-finite loss {loss_value} (mixer={kind},"
+            f" batch={len(batch['length'])}, t_max={batch['length'].max()})"
         )
     gradient(tape, loss)
     # the gradient in the store's layout: zero where the sweep did not reach

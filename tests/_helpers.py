@@ -71,9 +71,8 @@ def composite_qtot(pv, kind, Z, s, actions, dims):
     inputs = agents.build_agent_inputs(Z, np.full(n, -1), n_actions)
     hidden = agents.initial_hidden(n, dims["agent_hidden"])
     q, _ = agents.agent_forward(pv, ad.Var(inputs), hidden)
-    onehot = np.zeros((n, n_actions))
-    onehot[np.arange(n), actions] = 1.0
-    chosen = ad.matmul(ad.mul(q, onehot), np.ones((n_actions, 1)))
+    chosen = ad.select_rows(ad.reshape(q, n * n_actions, 1),
+                            np.arange(n) * n_actions + np.asarray(actions))
     return mixers.mix_batch(kind, pv, chosen, np.asarray(Z, dtype=np.float64),
                             np.atleast_2d(s), n, dims["embed"])
 

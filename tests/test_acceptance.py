@@ -21,8 +21,9 @@ from hypermix.mixers import (igm_check, init_mixer_params, make_qtot_fn,
 from hypermix.nn import (ParameterStore, gru_fwd, init_gru, init_mlp,
                          load_checkpoint, mlp_fwd)
 from hypermix.rng import Rng
-from hypermix.training import (_agent_pass, collect_episode, run_training,
-                               stack_episodes)
+from hypermix.training import (_agent_pass, collect_episode,
+                               init_run_stores, run_training, stack_episodes,
+                               td_loss, td_targets)
 
 from _helpers import (assert_grad_close, check_gradients,
                       composite_param_grads, composite_qtot_value,
@@ -108,16 +109,25 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_gradient_suite():
     """Every layer and the full joint-value composite match central finite
-    differences (h = 1e-5, relative error <= 1e-4) at 100 points each."""
+    differences (h = 1e-5, relative error <= 1e-4) at 100 points each, and
+    the whole TD loss's gradient matches its central difference at every
+    parameter coordinate for vdn, qmix and hgcn-mix (h = 1e-6, scale-free
+    error <= 1e-4)."""
     rng = Rng(1004)
     start = time.perf_counter()
 
-    # linear layer
+    # linear layer, plain and rectified; a rectified point is redrawn until
+    # every pre-activation is at least 1e-3 from the kink
+    kinks = rng.split("linear kinks")
     for _ in range(100):
+        args = [rng.normal((2, 3)), rng.normal((3, 2)), rng.normal((1, 2))]
+        check_gradients(lambda x, w, b: reduce_sum(ad.linear(x, w, b)), args,
+                        label="linear")
+        while (np.abs(args[0] @ args[1] + args[2]) < 1e-3).any():
+            args = [kinks.normal(a.shape) for a in args]
         check_gradients(
-            lambda x, w, b: reduce_sum(ad.add(ad.matmul(x, w), b)),
-            [rng.normal((2, 3)), rng.normal((3, 2)), rng.normal((1, 2))],
-            label="linear")
+            lambda x, w, b: reduce_sum(ad.linear(x, w, b, rectify=True)),
+            args, label="rectified linear")
 
     # mlp layer (relu hidden, shifted off kinks)
     store = ParameterStore()
@@ -178,10 +188,61 @@ def test_criterion_4_gradient_suite():
             flat[i] = orig
             fd_flat[i] = (up - down) / (2 * h)
         assert_grad_close(grads[name], fd, label=f"composite:{name}")
+
+    # the whole train step's TD loss, every coordinate of the store
+    whole = {}
+    for kind in ("vdn", "qmix", "hgcn-mix"):
+        err = _td_loss_gradient_errors(kind)
+        whole[kind] = (err.max(), err.size)
+        assert err.max() <= 1e-4, (
+            f"td_loss gradient of {kind}: worst error {err.max():.2e} on"
+            f" {(err > 1e-4).sum()} of {err.size} coordinates")
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
-    _report(4, "linear/mlp/gru/hgcn layers + full composite, 100 points each",
+    _report(4, "linear/mlp/gru/hgcn layers + full composite, 100 points each;"
+               " td_loss worst error " + ", ".join(
+                   f"{k} {w:.1e} over {c}" for k, (w, c) in whole.items()),
             elapsed, 120)
+
+
+def _td_loss_gradient_errors(kind):
+    """|fd - g| / max(1e-6, |fd| + |g|) per store coordinate, where g is the
+    gradient that :func:`train_step` gathers from :func:`td_loss` and fd its
+    central difference (h = 1e-6). Corridor n=3, length 3, small widths, one
+    batch of 6 episodes at epsilon 1; the online store sits 0.05 N(0, 1) off
+    the target store, so the targets bootstrap from another network."""
+    cfg = Config(env={"name": "grid", "n_agents": 3, "length": 3}, mixer=kind,
+                 agent_hidden=5, embed=3, hypernet_hidden=4, hyperedges=3)
+    env = make_env(cfg.env)
+    store, target_store = init_run_stores(cfg, env, 1004)
+    rng = Rng(1004).split(f"td_loss {kind}")
+    batch = stack_episodes([
+        collect_episode(env, target_store, 1.0, rng.split("env"),
+                        rng.split("explore"), cfg.agent_hidden)
+        for _ in range(6)])
+    targets = td_targets(batch, target_store, kind, cfg.gamma, cfg.embed,
+                         cfg.agent_hidden)
+    store.value = store.value + 0.05 * rng.normal(store.value.shape)
+
+    def loss(pv):
+        return td_loss(batch, pv, targets, kind, cfg.embed, cfg.agent_hidden)
+
+    tape = ad.Tape()
+    pv = store.bind(tape)
+    ad.gradient(tape, loss(pv))
+    g = np.concatenate([np.zeros(v.value.size) if v.grad is None
+                        else v.grad.ravel() for v in pv.values()])
+    flat, h = store.value, 1e-6
+    fd = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = float(loss(store.bind(None)).value[0, 0])
+        flat[i] = orig - h
+        down = float(loss(store.bind(None)).value[0, 0])
+        flat[i] = orig
+        fd[i] = (up - down) / (2 * h)
+    return np.abs(fd - g) / np.maximum(1e-6, np.abs(fd) + np.abs(g))
 
 
 def test_criterion_5_monotonicity_and_igm():

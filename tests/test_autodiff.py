@@ -580,12 +580,19 @@ class TestGradCheckPrimitives:
 
     def test_reductions_and_gather(self):
         rng = Rng(104)
+        weights = rng.split("weights")
         for _ in range(self.N_POINTS // 4):
             x = rng.normal((4, 3))
             check_gradients(lambda v: reduce_sum(v), [x], label="sum")
             check_gradients(
                 lambda v: reduce_sum(select_rows(v, [0, 2, 2, 1])), [x],
                 label="select_rows")
+            # distinct indices, the branch training takes, weighted so that
+            # each row's gradient differs
+            weight = weights.normal((3, 3))
+            check_gradients(
+                lambda v: reduce_sum(mul(select_rows(v, [2, 0, 3]), weight)),
+                [x], label="select_rows unique")
             y = rng.normal((4, 2))
             check_gradients(
                 lambda a, b: reduce_sum(mul(concat_cols(a, b),

@@ -146,6 +146,15 @@ class TestConfig:
                   "payoff_a": [[float("inf"), 1], [1, 1]]}},
          "env: bad options for env 'two_step': payoff_a entries must be"
          " finite numbers"),
+        ({"env": {"name": "matrix_game", "payoff": [[1, 2], [3]]}},
+         "env: bad options for env 'matrix_game': payoff must be a rectangular"
+         " nested list"),
+        ({"env": {"name": "matrix_game", "payoff": []}},
+         "env: bad options for env 'matrix_game': payoff must give each agent"
+         " at least 2 actions, got the shape (0,)"),
+        ({"env": {"name": "matrix_game", "payoff": [[1]]}},
+         "env: bad options for env 'matrix_game': payoff must give each agent"
+         " at least 2 actions, got the shape (1, 1)"),
     ])
     def test_cli_exits_2_with_field_and_no_traceback(self, tmp_path, capsys,
                                                      overrides, field):

@@ -135,6 +135,11 @@ class TestMatrixGame:
         with pytest.raises(ConfigError):
             OneStepMatrixGame(np.zeros((3, 2)))
 
+    def test_one_agent_game_is_valid(self):
+        env = OneStepMatrixGame([1, 2])
+        assert (env.spec.n_agents, env.spec.n_actions) == (1, 2)
+        assert brute_force_optimal(env) == 2.0
+
     @pytest.mark.parametrize("payoff", [
         [[1, True], [0, 0]], [[1.0, "2"], [0, 0]], np.eye(2, dtype=bool),
         np.array([[1.0, -np.inf], [0.0, 0.0]]), [[1, None], [0, 0]],
