@@ -26,7 +26,7 @@ def init_agent_params(store: ParameterStore, obs_dim: int, n_actions: int,
     init_linear(store, "agent.fc2", hidden, n_actions, rng)
 
 
-def agent_forward(pv: dict[str, Var], inputs, hidden, steps: int = 1):
+def agent_forward(pv: dict[str, Var], inputs, hidden, steps: int = 1, blocks: int = 1):
     """Run the agent network over ``steps`` steps of a row batch.
 
     ``inputs`` stacks the input rows of every step, (steps*R x d) with step
@@ -37,11 +37,12 @@ def agent_forward(pv: dict[str, Var], inputs, hidden, steps: int = 1):
     into the next call. fc1, the GRU and fc2 each run once over all rows
     (the GRU as one tape record), and every product runs step by step in its
     forward, so one call gives bit for bit the values of ``steps`` chained
-    one-step calls.
+    one-step calls. ``blocks`` > 1 splits each step's rows into that many
+    equal blocks, each with the bits of a call on its rows alone.
     """
-    x = linear_fwd(inputs, pv, "agent.fc1", steps, rectify=True)
-    h = gru_fwd(x, hidden, pv, "agent.rnn", steps)
-    q = linear_fwd(h, pv, "agent.fc2", steps)
+    x = linear_fwd(inputs, pv, "agent.fc1", steps * blocks, rectify=True)
+    h = gru_fwd(x, hidden, pv, "agent.rnn", steps, blocks)
+    q = linear_fwd(h, pv, "agent.fc2", steps * blocks)
     return q, h
 
 
@@ -83,6 +84,6 @@ def select_action(q_rows: np.ndarray, avail_rows: np.ndarray, epsilon: float,
     if epsilon > 0.0:
         for row, avail in enumerate(avail_rows):
             if rng.random() < epsilon:
-                candidates = np.flatnonzero(avail)
+                candidates = avail.nonzero()[0]
                 actions[row] = candidates[rng.integers(candidates.size)]
     return actions

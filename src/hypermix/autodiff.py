@@ -314,25 +314,28 @@ def select_rows(x, rows) -> Var:
     return _emit("select_rows", (x,), x.value[idx], bwd)
 
 
-def gru_sequence(x, h0, w_ih, w_hh, b_ih, b_hh, steps: int = 1) -> Var:
+def gru_sequence(x, h0, w_ih, w_hh, b_ih, b_hh, steps: int = 1,
+                 row_blocks: int = 1) -> Var:
     """GRU recurrence over ``steps`` steps of a row batch, as one record.
 
     ``x`` stacks the inputs of every step, (steps*R x in) with step t in
     rows t*R .. (t+1)*R; ``h0`` is the (R x H) initial state. Returns the
-    (steps*R x H) stack of the hidden states after each step. Gate layout is
-    (reset, update, candidate) stacked along columns: ``w_ih`` is (in, 3H),
-    ``w_hh`` is (H, 3H), biases are (1, 3H). Each step is the standard
-    sigmoid/tanh update h' = (1 - z) * c + z * h. Backward walks the steps in
-    reverse with one step's gate gradients alive at a time. Inside, each gate
-    is a contiguous (R x H) block: products use zero-copy gate-major (3, in,
-    H) views of the weights, which give the bits of the (R x 3H) products.
+    (steps*R x H) stack of the hidden states after each step. ``row_blocks``
+    > 1 runs each step's products one equal block of rows at a time, as
+    :func:`linear` does. Gate layout is (reset, update, candidate) stacked
+    along columns: ``w_ih`` is (in, 3H), ``w_hh`` is (H, 3H), biases are
+    (1, 3H). Each step is the standard sigmoid/tanh update h' = (1 - z) * c
+    + z * h. Backward walks the steps in reverse with one step's gate
+    gradients alive at a time. Inside, each gate is a contiguous (R x H)
+    block: products use zero-copy gate-major (3, in, H) views of the
+    weights, which give the bits of the (R x 3H) products.
     """
     operands = tuple(map(_as_var, (x, h0, w_ih, w_hh, b_ih, b_hh)))
     xv, h0v, wiv, whv, biv, bhv = (v.value for v in operands)
     rows, hid = h0v.shape
-    if steps <= 0 or xv.shape[0] != steps * rows:
-        raise DimensionError(f"gru_sequence: x {xv.shape} is not {steps} steps"
-                             f" of the {rows} rows of h0 {h0v.shape}")
+    if min(steps, row_blocks) <= 0 or xv.shape[0] != steps * rows or rows % row_blocks:
+        raise DimensionError(f"gru_sequence: x {xv.shape} is not {steps} steps of"
+                             f" {row_blocks} equal row blocks of h0 {h0v.shape}")
     for name, v, want in (("w_ih", wiv, (xv.shape[1], 3 * hid)),
                           ("w_hh", whv, (hid, 3 * hid)),
                           ("b_ih", biv, (1, 3 * hid)), ("b_hh", bhv, (1, 3 * hid))):
@@ -343,6 +346,13 @@ def gru_sequence(x, h0, w_ih, w_hh, b_ih, b_hh, steps: int = 1) -> Var:
     def gates(a):  # zero-copy (3, n, H) view of an (n, 3H) array
         return a.reshape(len(a), 3, hid).transpose(1, 0, 2)
     wig, whg, big, bhg = map(gates, (wiv, whv, biv, bhv))
+
+    def product(a, w, out):  # a @ w per row block into the (3, R, H) out
+        if row_blocks == 1:
+            return np.matmul(a, w, out=out)
+        np.matmul(a.reshape(row_blocks, -1, a.shape[1]), w[:, None],
+                  out=out.reshape(3, row_blocks, -1, hid))
+        return out
     out = np.empty((steps * rows, hid))
     # kept for backward, per step: the candidate c, the reset and update
     # gates r and z, and hn, the recurrent part of the candidate's input;
@@ -353,8 +363,8 @@ def gru_sequence(x, h0, w_ih, w_hh, b_ih, b_hh, steps: int = 1) -> Var:
     for t in range(steps):
         st = s[t % kept]
         c, rz, hn = st[0], st[1:3], st[3]
-        np.add(np.matmul(xv[t * rows:(t + 1) * rows], wig, out=gi), big, out=gi)
-        np.add(np.matmul(hv, whg, out=st[1:]), bhg, out=st[1:])
+        np.add(product(xv[t * rows:(t + 1) * rows], wig, gi), big, out=gi)
+        np.add(product(hv, whg, st[1:]), bhg, out=st[1:])
         # logistic exp(min(u, 0)) / (1 + exp(-|u|)): exp of u <= 0 only
         u = np.add(gi[:2], rz, out=rz)
         d = np.exp(np.negative(np.abs(u, out=gi[:2]), out=gi[:2]), out=gi[:2])

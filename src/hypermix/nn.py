@@ -121,9 +121,10 @@ def mlp_fwd(x, pv: dict[str, Var], name: str) -> Var:
     return linear_fwd(h, pv, f"{name}.fc2")
 
 
-def gru_fwd(x, h, pv: dict[str, Var], name: str, steps: int = 1) -> Var:
+def gru_fwd(x, h, pv: dict[str, Var], name: str, steps: int = 1,
+            row_blocks: int = 1) -> Var:
     return gru_sequence(x, h, pv[f"{name}.w_ih"], pv[f"{name}.w_hh"],
-                        pv[f"{name}.b_ih"], pv[f"{name}.b_hh"], steps)
+                        pv[f"{name}.b_ih"], pv[f"{name}.b_hh"], steps, row_blocks)
 
 
 def rmsprop_step(store: ParameterStore, grad: np.ndarray, lr: float = 5e-4,

@@ -9,6 +9,7 @@ is exact for mixers satisfying the individual-global-max property.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import time
@@ -119,31 +120,51 @@ class ReplayBuffer:
         return stack_episodes([self._episodes[i] for i in idx])
 
 
+def rollout(env, store: ParameterStore, eps: float, env_rngs: list[Rng],
+            explore_rng: Rng | None, agent_hidden: int = 64) -> list[Episode]:
+    """Roll one episode per stream of ``env_rngs`` in lockstep, in ``env`` and
+    copies of it; each agent acts from its own inputs only. The store is bound
+    once, and each step makes one agent call over the running episodes, one
+    product block each, so each episode has the bits it has alone. At ``eps``
+    = 0 nothing is drawn, and ``explore_rng`` may be None."""
+    spec = env.spec
+    n, limit = spec.n_agents, spec.episode_limit
+    envs = [copy.deepcopy(env) if k else env for k in range(len(env_rngs))]
+    episodes = [Episode.empty(limit, n, spec.obs_dim, spec.state_dim,
+                              spec.n_actions) for _ in envs]
+    for e, rng in zip(envs, env_rngs):
+        e.reset(rng)
+    pv = store.bind(None)
+    running = list(zip(envs, episodes))
+    hidden = Var(ag.initial_hidden(len(running) * n, agent_hidden))
+    for t in range(limit + 1):
+        for e, ep in running:
+            ep.obs[t], ep.state[t], ep.avail[t] = e.observe()
+        # at t = 0, terminated[-1] and actions[-1] hold padding: False and -1
+        going = [t < limit and not ep.terminated[t - 1] for _, ep in running]
+        if not all(going):
+            hidden = Var(hidden.value[np.repeat(going, n)])
+            running = list(itertools.compress(running, going))
+        if not running:
+            break
+        obs, last, avail = zip(*[(ep.obs[t], ep.actions[t - 1], ep.avail[t])
+                                 for _, ep in running])
+        inputs = ag.build_agent_inputs(obs, last, spec.n_actions)
+        q, hidden = ag.agent_forward(pv, Var(inputs.reshape(len(obs) * n, -1)),
+                                     hidden, 1, len(obs))
+        actions = ag.select_action(q.value, np.concatenate(avail), eps,
+                                   explore_rng).reshape(-1, n)
+        for (e, ep), a in zip(running, actions):
+            ep.actions[t] = a
+            ep.reward[t], ep.terminated[t] = e.step(a)
+            ep.length = t + 1
+    return episodes
+
+
 def collect_episode(env, store: ParameterStore, eps: float, env_rng: Rng,
                     explore_rng: Rng | None, agent_hidden: int = 64) -> Episode:
-    """Roll one episode; each agent acts from its own inputs only.
-
-    At ``eps`` = 0 nothing is drawn for exploration, so ``explore_rng`` may
-    be None.
-    """
-    spec = env.spec
-    ep = Episode.empty(spec.episode_limit, spec.n_agents, spec.obs_dim,
-                       spec.state_dim, spec.n_actions)
-    pv = store.bind(None)
-    env.reset(env_rng)
-    hidden = ag.initial_hidden(spec.n_agents, agent_hidden)
-    for t in range(spec.episode_limit + 1):
-        ep.obs[t], ep.state[t], ep.avail[t] = env.observe()
-        # at t = 0, ep.terminated[-1] and ep.actions[-1] still hold their
-        # padding: not terminated, no last action
-        if t == spec.episode_limit or ep.terminated[t - 1]:
-            break
-        inputs = ag.build_agent_inputs(ep.obs[t], ep.actions[t - 1], spec.n_actions)
-        q, hidden = ag.agent_forward(pv, Var(inputs), hidden)
-        ep.actions[t] = ag.select_action(q.value, ep.avail[t], eps, explore_rng)
-        ep.reward[t], ep.terminated[t] = env.step(ep.actions[t])
-    ep.length = t
-    return ep
+    """Roll one episode in ``env``: :func:`rollout` of one stream."""
+    return rollout(env, store, eps, [env_rng], explore_rng, agent_hidden)[0]
 
 
 def _steps(batch: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -292,12 +313,9 @@ def evaluate_policy(env, store: ParameterStore, episodes: int, rng: Rng,
         raise ValueError(f"evaluate_policy: episodes must be >= 1, got {episodes}")
     if optimal is None:
         optimal = brute_force_optimal(env)
-    returns = []
-    for k in range(episodes):
-        ep = collect_episode(env, store, 0.0, rng.split(f"ep{k}"), None,
-                             agent_hidden)
-        returns.append(ep.episode_return)
-    returns = np.asarray(returns)
+    streams = [rng.split(f"ep{k}") for k in range(episodes)]
+    returns = np.array([ep.episode_return for ep in
+                        rollout(env, store, 0.0, streams, None, agent_hidden)])
     success = float((np.abs(returns - optimal) <= 1e-9).mean())
     return {"mean_return": float(returns.mean()), "success_rate": success}
 
@@ -327,8 +345,7 @@ def run_training(cfg, seed: int, out_dir) -> dict:
     (out_dir / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2,
                                                     sort_keys=True))
     env = make_env(cfg.env)
-    eval_env = make_env(cfg.env)
-    optimal = brute_force_optimal(eval_env)
+    optimal = brute_force_optimal(env)
     store, target_store = init_run_stores(cfg, env, seed)
     root = Rng(seed)
     env_rng = root.split("env")
@@ -361,7 +378,7 @@ def run_training(cfg, seed: int, out_dir) -> dict:
                 if train_steps % cfg.target_interval == 0:
                     update_target(store, target_store)
             if (episode_idx + 1) % cfg.eval_interval == 0:
-                stats = evaluate_policy(eval_env, store, cfg.eval_episodes,
+                stats = evaluate_policy(env, store, cfg.eval_episodes,
                                         root.split(f"eval{eval_count}"),
                                         cfg.agent_hidden, optimal)
                 eval_count += 1

@@ -662,23 +662,23 @@ class TestGradCheckPrimitives:
     def test_gru_sequence(self):
         rng = Rng(105)
         hid, din, rows = 4, 3, 2
-        for steps in (1, 3):
+        for steps, blocks in ((1, 1), (3, 1), (3, 2)):
             for _ in range(8):
                 args = [rng.normal((steps * rows, din)), rng.normal((rows, hid)),
                         rng.normal((din, 3 * hid)), rng.normal((hid, 3 * hid)),
                         rng.normal((1, 3 * hid)), rng.normal((1, 3 * hid))]
                 weight = rng.normal((steps * rows, hid))
+                label = f"gru_sequence steps={steps} row_blocks={blocks}"
                 check_gradients(
-                    lambda *vs: reduce_sum(mul(gru_sequence(*vs, steps=steps),
+                    lambda *vs: reduce_sum(mul(gru_sequence(*vs, steps, blocks),
                                                weight)),
-                    args, label=f"gru_sequence steps={steps}")
+                    args, label=label)
                 x, h0 = args[:2]
                 check_gradients(
-                    lambda *ws: reduce_sum(mul(gru_sequence(x, h0, *ws,
-                                                            steps=steps),
+                    lambda *ws: reduce_sum(mul(gru_sequence(x, h0, *ws, steps,
+                                                            blocks),
                                                weight)),
-                    args[2:], label=f"gru_sequence steps={steps}, x and h0"
-                                    " constant")
+                    args[2:], label=f"{label}, x and h0 constant")
 
 
 class TestGruForward:
@@ -705,6 +705,24 @@ class TestGruForward:
         tape = Tape()
         traced = gru_sequence(*map(tape.var, args), steps=steps).value
         assert _same_bits(gru_sequence(*args, steps=steps).value, traced)
+
+    @pytest.mark.parametrize("rows, hid, steps, din, blocks",
+                             [(3, 16, 4, 16, 5), (4, 64, 3, 64, 8)])
+    def test_row_blocks_equal_one_block_calls(self, rows, hid, steps, din,
+                                              blocks):
+        # each block of a step's rows gets the bits of a call on it alone
+        args, _ = _gru_case(blocks, rows * blocks, hid, steps, din)
+        x, h0, weights = args[0], args[1], args[2:]
+        out = gru_sequence(*args, steps, blocks).value
+        for b in range(blocks):
+            mine = np.concatenate([np.arange(rows) + (t * blocks + b) * rows
+                                   for t in range(steps)])
+            alone = gru_sequence(x[mine], h0[b * rows:(b + 1) * rows],
+                                 *weights, steps).value
+            assert _same_bits(out[mine], alone), b
+        for bad in (0, rows * blocks + 1):
+            with pytest.raises(DimensionError, match="row blocks"):
+                gru_sequence(*args, steps, bad)
 
     def test_matches_independent_reference(self):
         rng = Rng(106)

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -157,7 +158,9 @@ class TestCollectEpisode:
                              ep.length + 1, agent_hidden=4)
         replayed = used[-1][:, 0]  # (steps, episode, n, d): one episode
         for t in range(ep.length):
-            np.testing.assert_array_equal(replayed[t], used[t])
+            # the collector's rows are (episode, n, d): one running episode
+            assert used[t].shape == (1,) + replayed[t].shape
+            np.testing.assert_array_equal(replayed[t], used[t][0])
         np.testing.assert_array_equal(
             replayed[ep.length],
             build(ep.obs[ep.length], ep.actions[ep.length - 1],
@@ -753,6 +756,86 @@ print(statistics.median(faults[4:]))
                               timeout=120)
         assert done.returncode == 0, done.stderr[-2000:]
         assert float(done.stdout) <= 100
+
+
+class TestRollout:
+    # K greedy episodes in lockstep against K one-episode calls, at n agents
+    # and GRU width H, with parameters moved off their initial values; each
+    # agent call's Q values are recorded. Prints the episode lengths per n,
+    # the number of (episode, step) blocks compared, and the mismatches.
+    LOCKSTEP_SCRIPT = """
+import json
+import numpy as np
+from hypermix import agents as ag
+from hypermix import training
+from hypermix.envs import make_env
+from hypermix.nn import ParameterStore
+from hypermix.rng import Rng
+
+K = 12
+recorded = []
+forward = ag.agent_forward
+
+
+def recording_forward(*args):
+    q, h = forward(*args)
+    recorded.append(q.value)
+    return q, h
+
+
+ag.agent_forward = recording_forward
+lengths, blocks, mismatched = {}, 0, []
+for n, hidden in ((3, 16), (4, 64), (5, 16), (8, 64)):
+    env = make_env({"name": "grid", "n_agents": n, "length": 3, "freeze": True})
+    spec, rng = env.spec, Rng(n)
+    store = ParameterStore()
+    ag.init_agent_params(store, spec.obs_dim, spec.n_actions, n,
+                         rng.split("agent"), hidden)
+    store.value = store.value + 0.5 * rng.split("moved").normal(store.value.shape)
+    recorded.clear()
+    together = training.rollout(env, store, 0.0,
+                                [rng.split(f"ep{k}") for k in range(K)], None,
+                                hidden)
+    stepped = list(recorded)
+    lengths[n] = [ep.length for ep in together]
+    for k, ep in enumerate(together):
+        recorded.clear()
+        alone = training.collect_episode(env, store, 0.0, rng.split(f"ep{k}"),
+                                         None, hidden)
+        for name in ("obs", "state", "avail", "actions", "reward",
+                     "terminated", "length"):
+            if not np.array_equal(getattr(ep, name), getattr(alone, name)):
+                mismatched.append(f"n={n} episode {k}: {name}")
+        for t, q in enumerate(recorded):
+            # episode k's block: after the running episodes before it
+            b = sum(other.length > t for other in together[:k])
+            blocks += 1
+            if stepped[t][b * n:(b + 1) * n].tobytes() != q.tobytes():
+                mismatched.append(f"n={n} episode {k} step {t}: Q rows")
+print(json.dumps({"lengths": lengths, "blocks": blocks,
+                  "mismatched": mismatched}))
+"""
+
+    @pytest.mark.parametrize("kernel", ["SkylakeX", "Sandybridge", "Haswell",
+                                        "Prescott"])
+    def test_lockstep_equals_one_episode_calls(self, kernel):
+        # BLAS may round a row by the rows stacked around it, differently
+        # per kernel, so each kernel runs in a fresh process
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in (env.get("PYTHONPATH"),) if p])
+        done = subprocess.run([sys.executable, "-c", self.LOCKSTEP_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        if done.returncode == -signal.SIGILL:
+            pytest.skip(f"this CPU cannot run the {kernel} kernel")
+        assert done.returncode == 0, done.stderr[-2000:]
+        result = json.loads(done.stdout)
+        assert result["mismatched"] == []
+        # episodes end at different steps, so running blocks drop out
+        for n, lengths in result["lengths"].items():
+            assert len(set(lengths)) > 2, (n, lengths)
+        assert result["blocks"] > 200
 
 
 class TestUpdateTarget:
