@@ -19,16 +19,5 @@ except (AttributeError, OSError, TypeError):
     pass  # no glibc mallopt (macOS, Windows, musl)
 
 from . import agents, autodiff, config, envs, hypergraph, mixers, nn, training
-from .autodiff import Tape, Var, evaluate, finite_diff, gradient
-from .config import Config, load_config
-from .envs import (LazyCoordinationGrid, OneStepMatrixGame, TwoStepGame,
-                   brute_force_optimal, make_env)
-from .hypergraph import build_hypergraph_rows, hgcn_transform_rows
-from .mixers import MIXER_KINDS, igm_check, mix_batch, state_module, vdn_mix
-from .nn import ParameterStore, rmsprop_step
-from .rng import Rng
-from .training import (Episode, ReplayBuffer, collect_episode, epsilon,
-                       evaluate_policy, run_training, stack_episodes,
-                       td_targets, train_step, update_target)
 
 __version__ = "0.1.0"

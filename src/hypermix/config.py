@@ -10,28 +10,21 @@ from pathlib import Path
 from .envs import make_env
 from .errors import ConfigError
 from .mixers import MIXER_KINDS
+from .nn import CLIP_NORM, RMS_DECAY, RMS_EPS
 
-# top-level JSON keys, each named after its Config attribute
+# top-level JSON keys and the keys of each config section, each named after
+# its Config field
 _TOP_LEVEL = ("env", "mixer", "seeds")
-# config sections: JSON key -> Config attribute
 _SECTIONS = {
-    "model": {"hyperedges": "hyperedges", "embed": "embed",
-              "agent_hidden": "agent_hidden",
-              "hypernet_hidden": "hypernet_hidden"},
-    "optimizer": {"lr": "lr", "decay": "rms_decay", "eps": "rms_eps",
-                  "clip_norm": "clip_norm"},
-    "schedule": {"anneal_steps": "anneal_steps"},
-    "training": {"gamma": "gamma", "episodes": "episodes",
-                 "eval_interval": "eval_interval",
-                 "eval_episodes": "eval_episodes",
-                 "buffer_capacity": "buffer_capacity",
-                 "batch_size": "batch_size",
-                 "target_interval": "target_interval",
-                 "stop_on_success": "stop_on_success"},
+    "model": ("hyperedges", "embed", "agent_hidden", "hypernet_hidden"),
+    "optimizer": ("lr",),
+    "schedule": ("anneal_steps",),
+    "training": ("gamma", "episodes", "eval_interval", "eval_episodes",
+                 "buffer_capacity", "batch_size", "target_interval",
+                 "stop_on_success"),
 }
-_PATHS = {attr: f"{section}.{key}"
-          for section, mapping in _SECTIONS.items()
-          for key, attr in mapping.items()}
+_PATHS = {name: f"{section}.{name}"
+          for section, names in _SECTIONS.items() for name in names}
 _TYPES = {"int": int, "float": (int, float), "bool": bool}
 
 
@@ -54,9 +47,10 @@ class Config:
     hypernet_hidden: int = 64
     # optimizer
     lr: float = 5e-4
-    rms_decay: float = 0.99
-    rms_eps: float = 1e-5
-    clip_norm: float = 10.0
+    # PyMARL's fixed optimizer constants (nn), not fields: no config sets them
+    rms_decay = RMS_DECAY
+    rms_eps = RMS_EPS
+    clip_norm = CLIP_NORM
     # schedule
     anneal_steps: int = 50_000
     # training
@@ -102,9 +96,6 @@ class Config:
                             ("model.hypernet_hidden", self.hypernet_hidden)):
             require(value > 0, path, "must be positive")
         require(self.lr > 0, "optimizer.lr", "must be positive")
-        require(0.0 < self.rms_decay < 1.0, "optimizer.decay", "must be in (0, 1)")
-        require(self.rms_eps > 0, "optimizer.eps", "must be positive")
-        require(self.clip_norm > 0, "optimizer.clip_norm", "must be positive")
         require(self.anneal_steps >= 1, "schedule.anneal_steps", "must be >= 1")
         require(0.0 <= self.gamma < 1.0, "training.gamma", "must be in [0, 1)")
         for path, value in (("training.episodes", self.episodes),
@@ -135,16 +126,14 @@ class Config:
         if "env" not in data:
             raise ConfigError("env: section is required")
         kwargs = {key: data[key] for key in _TOP_LEVEL if key in data}
-        for section, mapping in _SECTIONS.items():
+        for section, names in _SECTIONS.items():
             body = data.get(section, {})
             if not isinstance(body, dict):
                 raise ConfigError(f"{section}: must be an object")
-            unknown = set(body) - set(mapping)
+            unknown = set(body) - set(names)
             if unknown:
                 raise ConfigError(f"{section}: unknown fields {sorted(unknown)}")
-            for key, attr in mapping.items():
-                if key in body:
-                    kwargs[attr] = body[key]
+            kwargs.update(body)
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -152,9 +141,8 @@ class Config:
 
     def to_dict(self) -> dict:
         out = {key: copy.deepcopy(getattr(self, key)) for key in _TOP_LEVEL}
-        for section, mapping in _SECTIONS.items():
-            out[section] = {key: getattr(self, attr)
-                            for key, attr in mapping.items()}
+        for section, names in _SECTIONS.items():
+            out[section] = {name: getattr(self, name) for name in names}
         return out
 
     def replace(self, **changes) -> "Config":

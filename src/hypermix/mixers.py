@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import (Var, absval, add, block_sum, elu, matmul, mul,
                        ones_col, reshape)
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .hypergraph import build_hypergraph_rows, hgcn_transform_rows
 from .nn import ParameterStore, init_linear, init_mlp, linear_fwd, mlp_fwd
 from .rng import Rng
@@ -107,10 +107,13 @@ def make_qtot_fn(kind: str, store: ParameterStore, Z, s, n_agents: int,
     """Forward-only joint-value evaluator for fixed parameters and context.
 
     Returns a callable mapping an n-vector of chosen agent values to a float;
-    it runs :func:`mix_batch` on a single sample.
+    it runs :func:`mix_batch` on a single sample, so ``s`` is its state.
     """
+    if s is None:
+        raise DimensionError("make_qtot_fn: s must be the state of one"
+                             " sample, got None")
     pv = store.bind(None)
-    s = np.atleast_2d(np.asarray(s, dtype=np.float64)) if s is not None else None
+    s = np.atleast_2d(np.asarray(s, dtype=np.float64))
 
     def qtot(chosen) -> float:
         col = Var(np.asarray(chosen, dtype=np.float64).reshape(-1, 1))

@@ -127,8 +127,12 @@ def gru_fwd(x, h, pv: dict[str, Var], name: str, steps: int = 1,
                         pv[f"{name}.b_ih"], pv[f"{name}.b_hh"], steps, row_blocks)
 
 
+# PyMARL's fixed optimizer: RMSProp's decay and epsilon, the gradient clip
+RMS_DECAY, RMS_EPS, CLIP_NORM = 0.99, 1e-5, 10.0
+
+
 def rmsprop_step(store: ParameterStore, grad: np.ndarray, lr: float = 5e-4,
-                 decay: float = 0.99, eps: float = 1e-5) -> None:
+                 decay: float = RMS_DECAY, eps: float = RMS_EPS) -> None:
     """One RMSProp update of ``store`` from ``grad``, laid out like its
     ``value``: v <- d*v + (1-d)*g^2; p <- p - lr*g/(sqrt(v)+eps)."""
     if not np.isfinite(grad).all():

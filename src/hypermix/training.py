@@ -24,7 +24,8 @@ from .autodiff import (Tape, Var, add, gradient, mul, reduce_sum, reshape,
                        select_rows)
 from .envs import brute_force_optimal, make_env
 from .errors import TrainingError
-from .nn import (ParameterStore, clip_grad_norm, rmsprop_step, save_checkpoint)
+from .nn import (CLIP_NORM, RMS_DECAY, RMS_EPS, ParameterStore,
+                 clip_grad_norm, rmsprop_step, save_checkpoint)
 from .rng import Rng
 
 
@@ -272,8 +273,8 @@ def td_loss(batch: dict, pv: dict[str, Var], targets: np.ndarray, kind: str,
 def train_step(batch: dict, store: ParameterStore,
                target_store: ParameterStore, kind: str, gamma: float,
                embed: int, agent_hidden: int = 64, lr: float = 5e-4,
-               rms_decay: float = 0.99, rms_eps: float = 1e-5,
-               clip_norm: float = 10.0) -> float:
+               rms_decay: float = RMS_DECAY, rms_eps: float = RMS_EPS,
+               clip_norm: float = CLIP_NORM) -> float:
     """One optimization step on a batch of episodes; returns the loss.
 
     The loss is :func:`td_loss`; gradients flow through the agent networks,
@@ -371,8 +372,7 @@ def run_training(cfg, seed: int, out_dir) -> dict:
                 batch = buffer.sample(cfg.batch_size, buffer_rng)
                 loss = train_step(batch, store, target_store, cfg.mixer,
                                   cfg.gamma, cfg.embed, cfg.agent_hidden,
-                                  lr=cfg.lr, rms_decay=cfg.rms_decay,
-                                  rms_eps=cfg.rms_eps, clip_norm=cfg.clip_norm)
+                                  lr=cfg.lr)
                 losses.append(loss)
                 train_steps += 1
                 if train_steps % cfg.target_interval == 0:

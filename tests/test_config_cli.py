@@ -15,7 +15,8 @@ from hypermix.config import Config, load_config
 from hypermix.errors import ConfigError
 from hypermix.hypergraph import read_hypergraph_csv
 from hypermix.mixers import MIXER_KINDS
-from hypermix.nn import load_checkpoint, save_checkpoint
+from hypermix.nn import (CLIP_NORM, RMS_DECAY, RMS_EPS, load_checkpoint,
+                         save_checkpoint)
 
 from _helpers import break_manifest
 
@@ -45,16 +46,27 @@ class TestConfig:
         cfg = Config(env={"name": "grid", "n_agents": 3, "length": 4,
                           "freeze": True},
                      mixer="qmix", hyperedges=5, embed=7, agent_hidden=9,
-                     hypernet_hidden=11, lr=1e-3, rms_decay=0.95, rms_eps=1e-6,
-                     clip_norm=5.0, anneal_steps=100, gamma=0.9, episodes=10,
-                     eval_interval=5, eval_episodes=3, buffer_capacity=50,
-                     batch_size=8, target_interval=20, stop_on_success=True,
-                     seeds=[3, 4])
+                     hypernet_hidden=11, lr=1e-3, anneal_steps=100, gamma=0.9,
+                     episodes=10, eval_interval=5, eval_episodes=3,
+                     buffer_capacity=50, batch_size=8, target_interval=20,
+                     stop_on_success=True, seeds=[3, 4])
         default = Config(env={"name": "matrix_game"})
         for f in fields(Config):
             assert getattr(cfg, f.name) != getattr(default, f.name), f.name
         assert Config.from_dict(cfg.to_dict()) == cfg
         assert Config.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_optimizer_constants_are_pymarls_not_fields(self):
+        names = {f.name for f in fields(Config)}
+        assert not names & {"rms_decay", "rms_eps", "clip_norm"}
+        cfg = Config(env={"name": "matrix_game"})
+        assert ((cfg.rms_decay, cfg.rms_eps, cfg.clip_norm)
+                == (RMS_DECAY, RMS_EPS, CLIP_NORM) == (0.99, 1e-5, 10.0))
+        # each key of the file is the name of its field
+        out = cfg.to_dict()
+        sections = ("model", "optimizer", "schedule", "training")
+        assert set(out) == {"env", "mixer", "seeds", *sections}
+        assert {"env", "mixer", "seeds"}.union(*map(out.get, sections)) == names
 
     def test_snapshot_reparses_equivalently(self, tmp_path):
         path = _write_cfg(tmp_path)
@@ -155,6 +167,9 @@ class TestConfig:
         ({"env": {"name": "matrix_game", "payoff": [[1]]}},
          "env: bad options for env 'matrix_game': payoff must give each agent"
          " at least 2 actions, got the shape (1, 1)"),
+        ({"optimizer": {"decay": 0.99}}, "optimizer"),
+        ({"optimizer": {"eps": 1e-5}}, "optimizer"),
+        ({"optimizer": {"clip_norm": 10.0}}, "optimizer"),
     ])
     def test_cli_exits_2_with_field_and_no_traceback(self, tmp_path, capsys,
                                                      overrides, field):

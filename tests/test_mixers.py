@@ -7,7 +7,7 @@ import hypermix.autodiff as ad
 import hypermix.hypergraph as hg
 import hypermix.mixers as mx
 from hypermix.autodiff import Var
-from hypermix.errors import ConfigError
+from hypermix.errors import ConfigError, DimensionError
 from hypermix.mixers import (MIXER_KINDS, igm_check,
                              init_mixer_params, make_qtot_fn, mix_batch,
                              state_module, validate_mixer_kind, vdn_mix)
@@ -178,6 +178,13 @@ class TestHgcnMixHead:
                                   embed)
                 assert qtot.value[i, 0] == pytest.approx(
                     fn(chosen[i * n:(i + 1) * n].ravel()), abs=1e-10)
+
+    @pytest.mark.parametrize("kind", MIXER_KINDS)
+    def test_qtot_fn_without_state_names_s(self, kind):
+        store, dims = tiny_mixer_store(kind, n=3)
+        Z = np.zeros((3, dims["obs_dim"]))
+        with pytest.raises(DimensionError, match="make_qtot_fn: s "):
+            make_qtot_fn(kind, store, Z, None, 3, dims["embed"])
 
 
 class TestIgmCheck:
