@@ -15,7 +15,6 @@ degrees stay finite.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -38,12 +37,6 @@ def as_matrix(x) -> np.ndarray:
     if a.ndim == 1:
         return a.reshape(1, -1)
     raise DimensionError(f"expected at most 2 dimensions, got {a.ndim}")
-
-
-@lru_cache(maxsize=64)
-def ones_col(n: int) -> np.ndarray:
-    """Cached (n x 1) column of ones; right-multiplying by it sums each row."""
-    return np.ones((n, 1))
 
 
 class Var:
@@ -128,21 +121,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
-
-def matmul(a, b) -> Var:
-    """Matrix product."""
-    a, b = _as_var(a), _as_var(b)
-    lhs, rhs = a.value, b.value
-    if lhs.shape[1] != rhs.shape[0]:
-        raise DimensionError(
-            f"matmul: inner dimensions differ, {lhs.shape} x {rhs.shape}")
-
-    def bwd(g, need):
-        return (g @ rhs.T if need[0] else None,
-                lhs.T @ g if need[1] else None)
-
-    return _emit("matmul", (a, b), lhs @ rhs, bwd)
-
 
 def linear(x, w, b, row_blocks: int = 1, rectify: bool = False) -> Var:
     """Affine layer x @ w + b, rectified (ReLU) if ``rectify``, as one record.

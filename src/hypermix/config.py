@@ -95,7 +95,8 @@ class Config:
                             ("model.agent_hidden", self.agent_hidden),
                             ("model.hypernet_hidden", self.hypernet_hidden)):
             require(value > 0, path, "must be positive")
-        require(self.lr > 0, "optimizer.lr", "must be positive")
+        require(0 < self.lr < float("inf"), "optimizer.lr",
+                "must be positive and finite")
         require(self.anneal_steps >= 1, "schedule.anneal_steps", "must be >= 1")
         require(0.0 <= self.gamma < 1.0, "training.gamma", "must be in [0, 1)")
         for path, value in (("training.episodes", self.episodes),

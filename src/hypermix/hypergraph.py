@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (Var, block_sum, concat_cols, hgcn_conv, linear, matmul,
-                       mul, ones_col, reshape)
+from .autodiff import (Var, block_sum, concat_cols, hgcn_conv, linear, mul,
+                       reshape)
 
 
 def build_hypergraph_rows(Z_rows, gen_w, gen_b, n: int):
@@ -33,7 +33,7 @@ def build_hypergraph_rows(Z_rows, gen_w, gen_b, n: int):
     """
     h1 = linear(Z_rows, gen_w, gen_b, rectify=True)       # S*n x m
     rows, m = h1.shape
-    mu = mul(block_sum(matmul(h1, ones_col(m)), n),
+    mu = mul(block_sum(reshape(h1, rows * m, 1), n * m),
              np.array([[1.0 / (n * m)]]))                 # S x 1
     h2 = reshape(mul(mu, np.eye(n).reshape(1, n * n)), rows, n)  # S*n x n
     return concat_cols(h1, h2), mu

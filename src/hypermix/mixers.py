@@ -15,8 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .autodiff import (Var, absval, add, block_sum, elu, matmul, mul,
-                       ones_col, reshape)
+from .autodiff import Var, absval, add, block_sum, elu, mul, reshape
 from .errors import ConfigError, DimensionError
 from .hypergraph import build_hypergraph_rows, hgcn_transform_rows
 from .nn import ParameterStore, init_linear, init_mlp, linear_fwd, mlp_fwd
@@ -53,12 +52,6 @@ def init_mixer_params(store: ParameterStore, kind: str, n_agents: int,
         store.add("mix.edge_w2", np.ones((hyperedges + n_agents, 1)))
 
 
-def vdn_mix(q_rows) -> Var:
-    """Additive joint value: row-wise sum of agent values (S x n) -> (S x 1)."""
-    q_rows = q_rows if isinstance(q_rows, Var) else Var(q_rows)
-    return matmul(q_rows, ones_col(q_rows.shape[1]))
-
-
 def state_module(q, s, pv: dict[str, Var], n_agents: int, embed: int) -> Var:
     """State-conditioned monotone head: per-agent values -> (S x 1) joint.
 
@@ -76,7 +69,8 @@ def state_module(q, s, pv: dict[str, Var], n_agents: int, embed: int) -> Var:
     mixed = block_sum(mul(reshape(w1, n_samples * n_agents, embed), q_col),
                       n_agents)                   # S x embed
     hidden = elu(add(mixed, b1))
-    return add(matmul(mul(w2, hidden), ones_col(embed)), v)
+    weighted = reshape(mul(w2, hidden), n_samples * embed, 1)
+    return add(block_sum(weighted, embed), v)
 
 
 def mix_batch(kind: str, pv: dict[str, Var], chosen: Var, Z: np.ndarray,
@@ -89,9 +83,8 @@ def mix_batch(kind: str, pv: dict[str, Var], chosen: Var, Z: np.ndarray,
     """
     validate_mixer_kind(kind)
     s = np.asarray(s, dtype=np.float64)
-    n_samples = s.shape[0]
     if kind == "vdn":
-        return vdn_mix(reshape(chosen, n_samples, n_agents))
+        return block_sum(chosen, n_agents)
     if kind == "qmix":
         return state_module(chosen, s, pv, n_agents, embed)
     h_rows, _ = build_hypergraph_rows(np.asarray(Z, dtype=np.float64),

@@ -9,8 +9,8 @@ import pytest
 
 from hypermix.autodiff import (SAFE_EPS, Tape, Var, absval, add, block_sum,
                                concat_cols, elu, evaluate, finite_diff,
-                               gradient, gru_sequence, hgcn_conv, linear,
-                               matmul, mul, reduce_sum, reshape, select_rows)
+                               gradient, gru_sequence, hgcn_conv, linear, mul,
+                               reduce_sum, reshape, select_rows)
 from hypermix.errors import DimensionError, TapeError
 from hypermix.rng import Rng
 
@@ -47,12 +47,6 @@ class TestForwardValues:
     def test_identity_graph(self):
         out, tape, _ = evaluate(lambda x: x, np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(out.value, [[1.0, 2.0, 3.0]])
-
-    def test_matmul_hand_arithmetic(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[1.0], [1.0]])
-        out = matmul(Var(a), Var(b))
-        np.testing.assert_array_equal(out.value, [[3.0], [7.0]])
 
     def test_linear_row_blocks_equal_products_of_each_block(self):
         rng = Rng(3)
@@ -146,10 +140,10 @@ class TestForwardValues:
             w = rng.normal((3, 3))
 
             def build(xv, wv):
-                h = elu(matmul(xv, wv))
+                h = elu(linear(xv, wv, np.zeros((1, 3))))
                 h = add(mul(h, h), absval(xv))
-                h = hgcn_conv(matmul(h, np.ones((3, 1))), h,
-                              matmul(wv, np.ones((3, 1))), 3)
+                h = hgcn_conv(linear(h, np.ones((3, 1)), np.zeros((1, 1))), h,
+                              linear(wv, np.ones((3, 1)), np.zeros((1, 1))), 3)
                 return reduce_sum(h)
 
             out, tape, _ = evaluate(build, x, w)
@@ -159,10 +153,6 @@ class TestForwardValues:
 
 
 class TestShapeErrors:
-    def test_matmul_mismatch_names_primitive(self):
-        with pytest.raises(DimensionError, match="matmul"):
-            matmul(Var(np.ones((2, 3))), Var(np.ones((2, 3))))
-
     def test_add_mismatch_names_primitive(self):
         with pytest.raises(DimensionError, match="add"):
             add(Var(np.ones((2, 3))), Var(np.ones((4, 2))))
@@ -299,14 +289,6 @@ class TestGradientExamples:
         gradient(tape, out)
         np.testing.assert_array_equal(x.grad, [[-1.0, 0.0, 1.0]])
 
-    def test_matmul_linearity_gives_ones_pattern(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[1.0], [1.0]])
-        out, tape, (av, _) = evaluate(lambda a_, b_: reduce_sum(matmul(a_, b_)),
-                                      a, b)
-        gradient(tape, out)
-        np.testing.assert_array_equal(av.grad, [[1.0, 1.0], [1.0, 1.0]])
-
     def test_gradient_accumulates_over_reuse(self):
         out, tape, (x,) = evaluate(lambda v: reduce_sum(mul(v, v)),
                                    np.array([3.0]))
@@ -322,9 +304,10 @@ class TestGradientExamples:
         gradient(tape, out)
         assert y.grad is None
 
-    @pytest.mark.parametrize("name", ["matmul", "mul", "add"])
+    @pytest.mark.parametrize("name", ["linear", "mul", "add"])
     def test_constant_operand_gets_no_gradient_work(self, name):
-        op = {"matmul": matmul, "mul": mul, "add": add}[name]
+        op = {"linear": lambda a, b: linear(a, b, np.zeros((1, 3))),
+              "mul": mul, "add": add}[name]
         rng = Rng(6)
         for traced_side in (0, 1):
             tape = Tape()
@@ -377,8 +360,8 @@ class TestGradientExamples:
 
         def build(*vs):
             h = gru_sequence(*vs, steps=2)
-            return reduce_sum(mul(add(matmul(h, vs[3]), 1.0),
-                                  matmul(vs[0], vs[2])))
+            return reduce_sum(mul(add(linear(h, vs[3], np.zeros((1, 12))), 1.0),
+                                  linear(vs[0], vs[2], np.zeros((1, 12)))))
 
         def grads(traced):
             tape = Tape()
@@ -447,14 +430,10 @@ class TestLinear:
         rng = Rng(125)
         x, w, b = rng.normal((5, 4)), rng.normal((4, 3)), rng.normal((1, 3))
         g = rng.normal((5, 3))
-        tape = Tape()
-        vs = [tape.var(a) for a in (x, w, b)]
-        out = add(matmul(vs[0], vs[1]), vs[2])
-        gradient(tape, {out: g})
         got_out, got_grads = _linear_grads(x, w, b, g, 1, False)
-        assert _same_bits(got_out, out.value)
-        for got, v in zip(got_grads, vs):
-            assert _same_bits(got, v.grad)
+        assert _same_bits(got_out, x @ w + b)
+        for got, want in zip(got_grads, (g @ w.T, x.T @ g, g.sum(0, keepdims=True))):
+            assert _same_bits(got, want)
 
     @pytest.mark.parametrize("traced", [(0,), (1,), (2,), (1, 2), (0, 1, 2)])
     def test_constant_operands_get_no_gradient_work(self, traced):
@@ -489,13 +468,6 @@ class TestGradCheckPrimitives:
     """Analytic gradients match central differences at random points."""
 
     N_POINTS = 100
-
-    def test_matmul(self):
-        rng = Rng(100)
-        for _ in range(self.N_POINTS):
-            check_gradients(lambda x, y: reduce_sum(matmul(x, y)),
-                            [rng.normal((3, 4)), rng.normal((4, 2))],
-                            label="matmul")
 
     def test_add_mul_with_broadcast(self):
         rng = Rng(101)

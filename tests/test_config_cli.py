@@ -170,6 +170,7 @@ class TestConfig:
         ({"optimizer": {"decay": 0.99}}, "optimizer"),
         ({"optimizer": {"eps": 1e-5}}, "optimizer"),
         ({"optimizer": {"clip_norm": 10.0}}, "optimizer"),
+        ({"optimizer": {"lr": float("inf")}}, "optimizer.lr"),
     ])
     def test_cli_exits_2_with_field_and_no_traceback(self, tmp_path, capsys,
                                                      overrides, field):

@@ -10,7 +10,7 @@ from hypermix.autodiff import Var
 from hypermix.errors import ConfigError, DimensionError
 from hypermix.mixers import (MIXER_KINDS, igm_check,
                              init_mixer_params, make_qtot_fn, mix_batch,
-                             state_module, validate_mixer_kind, vdn_mix)
+                             state_module, validate_mixer_kind)
 from hypermix.nn import ParameterStore
 from hypermix.rng import Rng
 
@@ -35,18 +35,23 @@ def _zero_state_module(store):
             v[...] = 0.0
 
 
+def _vdn(chosen, n):
+    # vdn reads neither parameters, observations nor state
+    return mix_batch("vdn", {}, chosen, None, np.zeros((1, 1)), n, 1)
+
+
 class TestVdn:
     def test_sum(self):
-        out = vdn_mix(np.array([[1.0, 2.0, 3.0]]))
+        out = _vdn(Var([[1.0], [2.0], [3.0]]), 3)
         assert out.value[0, 0] == 6.0
 
     def test_zeros(self):
-        assert vdn_mix(np.zeros((1, 4))).value[0, 0] == 0.0
+        assert _vdn(Var(np.zeros((4, 1))), 4).value[0, 0] == 0.0
 
     def test_unit_partials(self):
-        out, tape, (q,) = ad.evaluate(lambda v: vdn_mix(v), np.ones((1, 3)))
+        out, tape, (q,) = ad.evaluate(lambda v: _vdn(v, 3), np.ones((3, 1)))
         ad.gradient(tape, out)
-        np.testing.assert_array_equal(q.grad, np.ones((1, 3)))
+        np.testing.assert_array_equal(q.grad, np.ones((3, 1)))
 
 
 class TestStateModule:

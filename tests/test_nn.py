@@ -61,7 +61,7 @@ class TestLayerGradients:
             b = rng.normal((1, 2))
 
             def build(xv, wv, bv):
-                return reduce_sum(ad.add(ad.matmul(xv, wv), bv))
+                return reduce_sum(ad.linear(xv, wv, bv))
 
             check_gradients(build, [x, w, b], label="linear")
 

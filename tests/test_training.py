@@ -647,7 +647,7 @@ class TestTrainStep:
         train_step(batch, store, target, kind, cfg.gamma, cfg.embed,
                    cfg.agent_hidden)
 
-    @pytest.mark.parametrize("kind,total", [("hgcn-mix", 35), ("qmix", 26)])
+    @pytest.mark.parametrize("kind,total", [("hgcn-mix", 36), ("qmix", 27)])
     def test_tape_records_per_step_at_paper_widths(self, kind, total,
                                                    monkeypatch):
         # each hypergraph convolution layer is one hgcn_conv record, and each
@@ -664,7 +664,8 @@ class TestTrainStep:
         (count,) = counts
         assert count["hgcn_conv"] == (2 if kind == "hgcn-mix" else 0)
         assert count["linear"] == (10 if kind == "hgcn-mix" else 9)
-        assert not {"safe_rsqrt", "safe_recip", "repeat_rows", "relu"} & set(count)
+        assert not {"safe_rsqrt", "safe_recip", "repeat_rows", "relu",
+                    "matmul"} & set(count)
         assert sum(count.values()) == total
 
     def test_backward_frees_the_tape_as_it_sweeps(self, monkeypatch):
