@@ -152,9 +152,8 @@ def cmd_compare(args) -> int:
     work = _out_path(out_csv.parent / (out_csv.stem + "_runs"), is_dir=True)
     if cfg.episodes < cfg.eval_interval:
         raise ConfigError(
-            f"training.eval_interval: {cfg.eval_interval} exceeds"
-            f" training.episodes ({cfg.episodes}), so no run reaches an"
-            " evaluation to compare"
+            f"eval_interval: {cfg.eval_interval} exceeds episodes"
+            f" ({cfg.episodes}), so no run reaches an evaluation to compare"
         )
     mixers = [m.strip() for m in args.mixers.split(",") if m.strip()]
     if not mixers:
@@ -243,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated mixer kinds")
     p_cmp.add_argument("--hyperedges", type=_counts, default=None,
                        help="comma-separated learned hyperedge counts, one"
-                            " hgcn-mix arm each (default: model.hyperedges)")
+                            " hgcn-mix arm each (default: the config's"
+                            " hyperedges)")
     p_cmp.add_argument("--seeds", type=_at_least(1), required=True,
                        help="number of seeds (0..k-1)")
     p_cmp.add_argument("--out", required=True)

@@ -1,10 +1,9 @@
-"""Experiment configuration: one JSON file with flat per-module sections."""
+"""Experiment configuration: one flat JSON object of Config's fields."""
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .envs import make_env
@@ -12,20 +11,10 @@ from .errors import ConfigError
 from .mixers import MIXER_KINDS
 from .nn import CLIP_NORM, RMS_DECAY, RMS_EPS
 
-# top-level JSON keys and the keys of each config section, each named after
-# its Config field
-_TOP_LEVEL = ("env", "mixer", "seeds")
-_SECTIONS = {
-    "model": ("hyperedges", "embed", "agent_hidden", "hypernet_hidden"),
-    "optimizer": ("lr",),
-    "schedule": ("anneal_steps",),
-    "training": ("gamma", "episodes", "eval_interval", "eval_episodes",
-                 "buffer_capacity", "batch_size", "target_interval",
-                 "stop_on_success"),
-}
-_PATHS = {name: f"{section}.{name}"
-          for section, names in _SECTIONS.items() for name in names}
 _TYPES = {"int": int, "float": (int, float), "bool": bool}
+_AT_LEAST_ONE = ("embed", "agent_hidden", "hypernet_hidden", "anneal_steps",
+                 "episodes", "eval_interval", "eval_episodes",
+                 "buffer_capacity", "batch_size", "target_interval")
 
 
 def _has_type(value, type_name: str) -> bool:
@@ -68,14 +57,14 @@ class Config:
         self.validate()
 
     def validate(self) -> None:
-        def require(cond, path, message):
+        def require(cond, name, message):
             if not cond:
-                raise ConfigError(f"{path}: {message}")
+                raise ConfigError(f"{name}: {message}")
 
         for f in fields(self):
-            if f.name in _PATHS:
+            if f.type in _TYPES:
                 value = getattr(self, f.name)
-                require(_has_type(value, f.type), _PATHS[f.name],
+                require(_has_type(value, f.type), f.name,
                         f"must be of type {f.type}, got {value!r}")
         require(isinstance(self.env, dict) and "name" in self.env,
                 "env", "must be an object with a 'name' field")
@@ -90,28 +79,19 @@ class Config:
             self.mixer = "qmix"
         require(self.mixer in MIXER_KINDS, "mixer",
                 f"must be one of {list(MIXER_KINDS)}")
-        require(self.hyperedges >= 0, "model.hyperedges", "must be >= 0")
-        for path, value in (("model.embed", self.embed),
-                            ("model.agent_hidden", self.agent_hidden),
-                            ("model.hypernet_hidden", self.hypernet_hidden)):
-            require(value > 0, path, "must be positive")
-        require(0 < self.lr < float("inf"), "optimizer.lr",
-                "must be positive and finite")
-        require(self.anneal_steps >= 1, "schedule.anneal_steps", "must be >= 1")
-        require(0.0 <= self.gamma < 1.0, "training.gamma", "must be in [0, 1)")
-        for path, value in (("training.episodes", self.episodes),
-                            ("training.eval_interval", self.eval_interval),
-                            ("training.eval_episodes", self.eval_episodes),
-                            ("training.buffer_capacity", self.buffer_capacity),
-                            ("training.batch_size", self.batch_size),
-                            ("training.target_interval", self.target_interval)):
-            require(value >= 1, path, "must be >= 1")
+        require(self.hyperedges >= 0, "hyperedges", "must be >= 0")
+        for name in _AT_LEAST_ONE:
+            require(getattr(self, name) >= 1, name, "must be >= 1")
+        require(0 < self.lr < float("inf"), "lr", "must be positive and finite")
+        require(0.0 <= self.gamma < 1.0, "gamma", "must be in [0, 1)")
         require(self.batch_size <= self.buffer_capacity,
-                "training.batch_size", "must not exceed buffer_capacity")
+                "batch_size", "must not exceed buffer_capacity")
         require(isinstance(self.seeds, list) and len(self.seeds) > 0,
                 "seeds", "must be a non-empty list")
         require(all(_has_type(s, "int") for s in self.seeds),
                 "seeds", f"must be integers, got {self.seeds!r}")
+        require(len(set(self.seeds)) == len(self.seeds),
+                "seeds", f"must be distinct, got {self.seeds!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
@@ -121,38 +101,19 @@ class Config:
             raise ConfigError("hyperedge_sweep: removed; run the counts as"
                               " arms of `hypermix compare --mixers hgcn-mix"
                               " --hyperedges m1,m2,...`")
-        unknown = set(data) - set(_TOP_LEVEL) - set(_SECTIONS)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
-            raise ConfigError(f"unknown config sections {sorted(unknown)}")
+            raise ConfigError(f"unknown config fields {sorted(unknown)}")
         if "env" not in data:
-            raise ConfigError("env: section is required")
-        kwargs = {key: data[key] for key in _TOP_LEVEL if key in data}
-        for section, names in _SECTIONS.items():
-            body = data.get(section, {})
-            if not isinstance(body, dict):
-                raise ConfigError(f"{section}: must be an object")
-            unknown = set(body) - set(names)
-            if unknown:
-                raise ConfigError(f"{section}: unknown fields {sorted(unknown)}")
-            kwargs.update(body)
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError("env: must be given")
+        return cls(**data)
 
     def to_dict(self) -> dict:
-        out = {key: copy.deepcopy(getattr(self, key)) for key in _TOP_LEVEL}
-        for section, names in _SECTIONS.items():
-            out[section] = {name: getattr(self, name) for name in names}
-        return out
+        return asdict(self)
 
     def replace(self, **changes) -> "Config":
         """Copy with updated fields (re-validated)."""
-        merged = {f: getattr(self, f) for f in self.__dataclass_fields__}
-        merged["env"] = dict(merged["env"])
-        merged["seeds"] = list(merged["seeds"])
-        merged.update(changes)
-        return Config(**merged)
+        return Config(**{**self.to_dict(), **changes})
 
 
 def load_config(path) -> Config:

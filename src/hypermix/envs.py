@@ -233,7 +233,7 @@ class LazyCoordinationGrid:
 
 
 def make_env(env_cfg: dict):
-    """Instantiate an environment from its config section."""
+    """Instantiate an environment from the config's ``env`` options."""
     cfg = dict(env_cfg)
     name = cfg.pop("name", None)
     try:

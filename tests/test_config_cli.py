@@ -25,10 +25,9 @@ def _write_cfg(tmp_path, name="cfg.json", **overrides):
     body = {
         "env": {"name": "matrix_game"},
         "mixer": "vdn",
-        "model": {"hyperedges": 2, "embed": 3, "agent_hidden": 4,
-                  "hypernet_hidden": 4},
-        "training": {"episodes": 8, "eval_interval": 4, "eval_episodes": 2,
-                     "buffer_capacity": 16, "batch_size": 4},
+        "hyperedges": 2, "embed": 3, "agent_hidden": 4, "hypernet_hidden": 4,
+        "episodes": 8, "eval_interval": 4, "eval_episodes": 2,
+        "buffer_capacity": 16, "batch_size": 4,
         "seeds": [0],
     }
     for key, value in overrides.items():
@@ -63,10 +62,7 @@ class TestConfig:
         assert ((cfg.rms_decay, cfg.rms_eps, cfg.clip_norm)
                 == (RMS_DECAY, RMS_EPS, CLIP_NORM) == (0.99, 1e-5, 10.0))
         # each key of the file is the name of its field
-        out = cfg.to_dict()
-        sections = ("model", "optimizer", "schedule", "training")
-        assert set(out) == {"env", "mixer", "seeds", *sections}
-        assert {"env", "mixer", "seeds"}.union(*map(out.get, sections)) == names
+        assert set(cfg.to_dict()) == names
 
     def test_snapshot_reparses_equivalently(self, tmp_path):
         path = _write_cfg(tmp_path)
@@ -76,20 +72,20 @@ class TestConfig:
         assert load_config(snap).to_dict() == cfg.to_dict()
 
     def test_field_level_error_messages(self, tmp_path):
-        with pytest.raises(ConfigError, match="optimizer.lr"):
-            load_config(_write_cfg(tmp_path, optimizer={"lr": -1.0}))
+        with pytest.raises(ConfigError, match="^lr: "):
+            load_config(_write_cfg(tmp_path, lr=-1.0))
         with pytest.raises(ConfigError, match="seeds"):
             load_config(_write_cfg(tmp_path, seeds=[]))
         with pytest.raises(ConfigError, match="mixer"):
             load_config(_write_cfg(tmp_path, mixer="qplex"))
-        with pytest.raises(ConfigError, match="unknown fields"):
-            load_config(_write_cfg(tmp_path, training={"episodess": 1}))
+        with pytest.raises(ConfigError, match="unknown config fields"):
+            load_config(_write_cfg(tmp_path, episodess=1))
 
     def test_old_onehot_spellings_load_as_qmix(self, tmp_path):
         # with the identity incidence each convolution is the identity
         assert "hgcn-mix-oh" not in MIXER_KINDS
         for overrides in ({"mixer": "hgcn-mix-oh"},
-                          {"mixer": "hgcn-mix", "model": {"hyperedges": 0}}):
+                          {"mixer": "hgcn-mix", "hyperedges": 0}):
             cfg = load_config(_write_cfg(tmp_path, **overrides))
             assert cfg.mixer == "qmix"
             assert cfg.to_dict()["mixer"] == "qmix"
@@ -124,11 +120,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("overrides, field", [
         ({"seeds": [True]}, "seeds"),
-        ({"training": {"episodes": "2"}}, "training.episodes"),
+        ({"episodes": "2"}, "episodes"),
         ({"env": {"name": "matrix_game", "payoff": [["a"]]}}, "env"),
         ({"mixer": "vdn", "hyperedge_sweep": [2]}, "hyperedge_sweep"),
-        ({"schedule": {"eps_start": 0.5}}, "schedule"),
-        ({"training": {"train_every": 2}}, "training"),
+        ({"eps_start": 0.5}, "unknown config fields ['eps_start']"),
+        ({"train_every": 2}, "unknown config fields ['train_every']"),
         ({"env": {"name": "grid", "length": 4.0}},
          "env: bad options for env 'grid': length must be an integer, got 4.0"),
         ({"env": {"name": "grid", "n_agents": True}},
@@ -167,10 +163,12 @@ class TestConfig:
         ({"env": {"name": "matrix_game", "payoff": [[1]]}},
          "env: bad options for env 'matrix_game': payoff must give each agent"
          " at least 2 actions, got the shape (1, 1)"),
-        ({"optimizer": {"decay": 0.99}}, "optimizer"),
-        ({"optimizer": {"eps": 1e-5}}, "optimizer"),
-        ({"optimizer": {"clip_norm": 10.0}}, "optimizer"),
-        ({"optimizer": {"lr": float("inf")}}, "optimizer.lr"),
+        ({"decay": 0.99}, "unknown config fields ['decay']"),
+        ({"eps": 1e-5}, "unknown config fields ['eps']"),
+        ({"clip_norm": 10.0}, "unknown config fields ['clip_norm']"),
+        ({"lr": float("inf")}, "lr: must be positive and finite"),
+        ({"seeds": [0, 0]}, "seeds: must be distinct, got [0, 0]"),
+        ({"model": {"embed": 3}}, "unknown config fields ['model']"),
     ])
     def test_cli_exits_2_with_field_and_no_traceback(self, tmp_path, capsys,
                                                      overrides, field):
@@ -275,11 +273,11 @@ class TestTrainCommand:
         assert (tmp_path / "out" / "seed_4").exists()
 
     def test_invalid_config_nonzero_exit(self, tmp_path, capsys):
-        cfg = _write_cfg(tmp_path, optimizer={"lr": -2.0})
+        cfg = _write_cfg(tmp_path, lr=-2.0)
         code = main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "optimizer.lr" in capsys.readouterr().err
+        assert "config error: lr:" in capsys.readouterr().err
 
     def test_out_that_is_a_file_exits_2_before_training(self, tmp_path,
                                                         capsys):
@@ -338,8 +336,7 @@ class TestEvalCommand:
 
     def test_shape_mismatch_names_parameter(self, tmp_path, capsys):
         cfg, ckpt = self._train(tmp_path)
-        other = _write_cfg(tmp_path, name="other.json",
-                           model={"agent_hidden": 6})
+        other = _write_cfg(tmp_path, name="other.json", agent_hidden=6)
         code = main(["eval", "--checkpoint", str(ckpt), "--config", str(other)])
         assert code == 1
         assert "agent.fc1.w" in capsys.readouterr().err
@@ -415,7 +412,7 @@ class TestDumpHypergraph:
 
     def test_zero_hyperedges_runs_as_qmix_with_nothing_to_dump(self, tmp_path,
                                                                capsys):
-        cfg = _write_cfg(tmp_path, mixer="hgcn-mix", model={"hyperedges": 0})
+        cfg = _write_cfg(tmp_path, mixer="hgcn-mix", hyperedges=0)
         main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
         run = tmp_path / "out" / "seed_0"
         assert json.loads((run / "config.json").read_text())["mixer"] == "qmix"
@@ -495,8 +492,7 @@ class TestCompareCommand:
         assert {p.name for p in runs.iterdir()} == set(arms)
         for arm, (mixer, count) in arms.items():
             alone = _write_cfg(tmp_path, name=f"{arm}.json", mixer=mixer,
-                               model={"hyperedges": count},
-                               training={"stop_on_success": False})
+                               hyperedges=count, stop_on_success=False)
             main(["train", "--config", str(alone),
                   "--out", str(tmp_path / arm)])
             assert ((runs / arm / "seed_0" / "metrics.jsonl").read_bytes() ==
@@ -549,13 +545,12 @@ class TestCompareCommand:
 
     def test_no_eval_reached_exits_2_naming_eval_interval(self, tmp_path,
                                                           capsys):
-        cfg = _write_cfg(tmp_path, training={"episodes": 3,
-                                             "eval_interval": 4})
+        cfg = _write_cfg(tmp_path, episodes=3, eval_interval=4)
         code = main(["compare", "--config", str(cfg), "--mixers", "vdn",
                      "--seeds", "1", "--out", str(tmp_path / "cmp.csv")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "training.eval_interval" in err and "Traceback" not in err
+        assert "config error: eval_interval:" in err and "Traceback" not in err
 
     def test_no_mixer_kind_exits_2_naming_the_flag(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path)
@@ -606,3 +601,11 @@ class TestReadme:
             usage = capsys.readouterr().out
             for flag in (t for t in command if t.startswith("--")):
                 assert re.search(rf"{flag}\b", usage), (command, flag)
+
+    def test_config_block_is_the_shipped_file(self):
+        root = Path(__file__).parent.parent
+        block = (root / "README.md").read_text().split("### Config file", 1)[1]
+        data = json.loads(block.split("```json", 1)[1].split("```", 1)[0])
+        Config.from_dict(data)
+        shipped = json.loads((root / "configs" / "grid_hgcn.json").read_text())
+        assert data == shipped
