@@ -12,11 +12,13 @@ Three environments stress different coordination pressures at desk scale:
   same step. The ``freeze`` variant locks agents in place once they arrive
   and masks their observations with the fixed dead-agent value.
 
-Each is read as in SMAC: ``reset(rng)``, then ``observe()`` for the
-observations, state and action mask of the current step, and
-``step(actions)`` for the shared scalar reward and the termination flag.
-All are deterministic given the reset stream and terminate at their episode
-limit at the latest.
+Each steps K episodes in lockstep, as PyMARL's parallel runner does:
+``reset(rngs)`` starts one per stream; ``observe()`` gives all K episodes'
+(K, n, obs_dim) observations, (K, state_dim) states and (K, n, n_actions)
+action masks, a finished one's final ones; ``step(actions)`` maps the (R,
+n) actions of the R running episodes, in episode order, to their (R,)
+shared rewards and termination flags. Given the reset streams all are
+deterministic, and each episode ends at the episode limit at the latest.
 """
 
 from __future__ import annotations
@@ -50,18 +52,21 @@ class EnvSpec:
             raise ConfigError("n_actions must be >= 2")
 
 
-def _check_actions(actions, avail: np.ndarray) -> np.ndarray:
+def _check_actions(actions, masks: np.ndarray, episodes) -> np.ndarray:
+    """``actions`` as (R, n) ints, each one available in ``masks``, the (R, n,
+    n_actions) action masks of the running ``episodes``."""
+    n, n_actions = masks.shape[1:]
+    masks = masks.reshape(-1, n_actions)
     actions = np.asarray(actions, dtype=np.intp).ravel()
-    if actions.shape[0] != avail.shape[0]:
-        raise ContractError(
-            f"expected {avail.shape[0]} actions, got {actions.shape[0]}"
-        )
-    known = (actions >= 0) & (actions < avail.shape[1])
-    ok = known & avail[np.arange(actions.size), np.where(known, actions, 0)]
-    if not ok.all():
-        a = int(ok.argmin())
-        raise ContractError(f"agent {a} chose unavailable action {int(actions[a])}")
-    return actions
+    if actions.size != len(masks):
+        raise ContractError(f"expected {len(masks)} actions, got {actions.size}")
+    known = actions.view(np.uintp) < n_actions  # a negative one wraps round
+    ok = known & masks[np.arange(len(masks)), np.where(known, actions, 0)]
+    if np.count_nonzero(ok) < len(masks):
+        r = int(ok.argmin())
+        raise ContractError(f"episode {episodes[r // n]} agent {r % n} chose"
+                            f" unavailable action {actions[r]}")
+    return actions.reshape(-1, n)
 
 
 def _numbers(value) -> bool:
@@ -103,29 +108,29 @@ class OneStepMatrixGame:
             raise ConfigError("payoff must have equal action counts per agent")
         self.spec = EnvSpec(n_agents=n, n_actions=self.payoff.shape[0],
                             obs_dim=n, state_dim=1, episode_limit=1)
-        self._done = True
+        self._k, self._done = 0, True
 
-    def reset(self, rng: Rng) -> None:
-        self._done = False
+    def reset(self, rngs: list[Rng]) -> None:
+        self._k, self._done = len(rngs), False
 
     def observe(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Agent-id one-hots, a unit state and an all-true mask."""
-        n = self.spec.n_agents
-        return (np.eye(n), np.ones(1),
-                np.ones((n, self.spec.n_actions), dtype=bool))
+        k, n = self._k, self.spec.n_agents
+        return (np.tile(np.eye(n), (k, 1, 1)), np.ones((k, 1)),
+                np.ones((k, n, self.spec.n_actions), dtype=bool))
 
-    def step(self, actions) -> tuple[float, bool]:
+    def step(self, actions) -> tuple[np.ndarray, np.ndarray]:
         if self._done:
             raise ContractError("step() called on a finished episode")
-        actions = _check_actions(actions, self.observe()[2])
+        actions = _check_actions(actions, self.observe()[2], range(self._k))
         self._done = True
-        return float(self.payoff[tuple(actions)]), True
+        return self.payoff[tuple(actions.T)], np.ones(self._k, dtype=bool)
 
 
 class TwoStepGame:
     """Commitment game: agent 0's first action picks the second-step payoff."""
 
-    _FIRST, _BRANCH_A, _BRANCH_B = 0, 1, 2
+    _OVER = 3  # the phase after the second step
 
     def __init__(self, payoff_a=BRANCH_A_PAYOFF, payoff_b=BRANCH_B_PAYOFF):
         self.payoff_a = _payoff("payoff_a", payoff_a)
@@ -134,29 +139,29 @@ class TwoStepGame:
             raise ConfigError("two-step payoffs must be 2x2")
         self.spec = EnvSpec(n_agents=2, n_actions=2, obs_dim=3, state_dim=3,
                             episode_limit=2)
-        self._phase = None
+        self._phase = np.zeros(0, dtype=np.intp)
 
-    def reset(self, rng: Rng) -> None:
-        self._phase = self._FIRST
+    def reset(self, rngs: list[Rng]) -> None:
+        self._phase = np.zeros(len(rngs), dtype=np.intp)
 
     def observe(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Both agents see the state, a one-hot of the phase (all zeros once
-        the episode is over), and may take either action."""
-        state = np.zeros(3)
-        if self._phase is not None:
-            state[self._phase] = 1.0
-        return np.tile(state, (2, 1)), state, np.ones((2, 2), dtype=bool)
+        """Both agents see the state, a one-hot of the phase (first step,
+        branch A or B; zeros once over), and may take either action."""
+        state = np.eye(self._OVER + 1)[self._phase, :self._OVER]
+        return (np.repeat(state[:, None], 2, axis=1), state,
+                np.ones((len(state), 2, 2), dtype=bool))
 
-    def step(self, actions) -> tuple[float, bool]:
-        if self._phase is None:
+    def step(self, actions) -> tuple[np.ndarray, np.ndarray]:
+        if (self._phase == self._OVER).all():
             raise ContractError("step() called on a finished episode")
-        actions = _check_actions(actions, self.observe()[2])
-        if self._phase == self._FIRST:
-            self._phase = self._BRANCH_A if actions[0] == 0 else self._BRANCH_B
-            return 0.0, False
-        payoff = self.payoff_a if self._phase == self._BRANCH_A else self.payoff_b
-        self._phase = None
-        return float(payoff[actions[0], actions[1]]), True
+        actions = _check_actions(actions, self.observe()[2],
+                                 range(len(self._phase)))
+        done = self._phase > 0  # the episodes step together: all or none
+        # phase 1 or 2 picks branch A or B; a first step's pick goes unpaid
+        payoff = np.stack((self.payoff_a, self.payoff_b))[
+            self._phase - 1, actions[:, 0], actions[:, 1]]
+        self._phase = np.where(done, self._OVER, 1 + actions[:, 0])
+        return np.where(done, payoff, 0.0), done
 
 
 class LazyCoordinationGrid:
@@ -188,48 +193,54 @@ class LazyCoordinationGrid:
         self.spec = EnvSpec(n_agents=n_agents, n_actions=3,
                             obs_dim=2 * length, state_dim=n_agents * 2 * length,
                             episode_limit=2 * length)
-        self._pos = None
+        self._eye = np.eye(length)
+        # the action mask of each cell, and in row ``length`` a frozen agent's
+        self._masks = np.ones((length + 1, 3), dtype=bool)
+        self._masks[[0, length - 1, length, length],
+                    [self.LEFT, self.RIGHT] * 2] = False
+        self._running = np.zeros(0, dtype=np.intp)
 
-    def reset(self, rng: Rng) -> None:
+    def reset(self, rngs: list[Rng]) -> None:
+        """Episode k draws n positions, then n targets, from ``rngs[k]``."""
         n = self.spec.n_agents
-        self._pos = np.array([rng.integers(self.length) for _ in range(n)])
-        self._target = np.array([rng.integers(self.length) for _ in range(n)])
-        self._frozen = np.zeros(n, dtype=bool)
-        if self.freeze:
-            self._frozen = self._pos == self._target
-        self._steps = 0
-        self._done = False
-        self._avail = None
+        draws = np.array([[rng.integers(self.length) for _ in range(2 * n)]
+                          for rng in rngs], dtype=np.intp).reshape(-1, 2, n)
+        self._pos, self._target = draws[:, 0].copy(), draws[:, 1]
+        self._frozen = (self._pos == self._target) & self.freeze
+        self._steps, self._avail = 0, None
+        self._running = np.arange(len(rngs))
 
     def observe(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Observations and state from each agent's position one-hot ++
-        target one-hot, and the (n, 3) action mask that the next step checks
-        against. The state stays unmasked; a frozen agent's observation
-        takes the dead-agent mask value -1."""
-        pairs = np.zeros((self.spec.n_agents, 2 * self.length))
-        agents = np.arange(self.spec.n_agents)
-        pairs[agents, self._pos] = 1.0
-        pairs[agents, self.length + self._target] = 1.0
-        avail = self._avail = np.ones((self.spec.n_agents, 3), dtype=bool)
-        avail[:, self.LEFT] = ~self._frozen & (self._pos > 0)
-        avail[:, self.RIGHT] = ~self._frozen & (self._pos < self.length - 1)
-        return np.where(self._frozen[:, None], -1.0, pairs), pairs.ravel(), avail
+        target one-hot, and the (K, n, 3) action masks that the next step
+        checks against. The state stays unmasked; a frozen agent's
+        observation takes the dead-agent mask value -1."""
+        pairs = np.concatenate((self._eye[self._pos], self._eye[self._target]),
+                               axis=2)
+        self._avail = self._masks[np.where(self._frozen, self.length, self._pos)]
+        return (np.where(self._frozen[..., None], -1.0, pairs),
+                pairs.reshape(len(pairs), -1), self._avail)
 
-    def step(self, actions) -> tuple[float, bool]:
-        if self._pos is None or self._done:
+    def step(self, actions) -> tuple[np.ndarray, np.ndarray]:
+        if not len(self._running):
             raise ContractError("step() called on a finished episode")
+        # the running episodes' rows: a slice while every episode runs
+        rows = self._running if len(self._running) < len(self._pos) else slice(None)
         if self._avail is None:
             self.observe()
-        actions = _check_actions(actions, self._avail)
+        actions = _check_actions(actions, self._avail[rows], self._running)
         self._avail = None  # the state moves below: the mask goes stale
         self._steps += 1
         # a frozen agent's only available action is STAY, which moves 0
-        self._pos += self.MOVES[actions]
+        self._pos[rows] += self.MOVES[actions]
+        arrived = self._pos[rows] == self._target[rows]
         if self.freeze:
-            self._frozen |= self._pos == self._target
-        success = bool((self._pos == self._target).all())
-        self._done = success or self._steps >= self.spec.episode_limit
-        return (1.0 if success else 0.0), self._done
+            self._frozen[rows] |= arrived
+        success = arrived.all(axis=1)
+        done = success | (self._steps >= self.spec.episode_limit)
+        if np.count_nonzero(done):
+            self._running = self._running[~done]
+        return success.astype(np.float64), done
 
 
 def make_env(env_cfg: dict):

@@ -9,7 +9,6 @@ is exact for mixers satisfying the individual-global-max property.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import time
@@ -56,19 +55,6 @@ class Episode:
     terminated: np.ndarray   # (T,) bool
     length: int
     stamp: int = field(default_factory=_stamps.__next__, init=False)
-
-    @classmethod
-    def empty(cls, limit: int, n: int, obs_dim: int, state_dim: int,
-              n_actions: int) -> "Episode":
-        return cls(
-            obs=np.zeros((limit + 1, n, obs_dim)),
-            state=np.zeros((limit + 1, state_dim)),
-            avail=np.zeros((limit + 1, n, n_actions), dtype=bool),
-            actions=np.full((limit, n), -1, dtype=np.intp),
-            reward=np.zeros(limit),
-            terminated=np.zeros(limit, dtype=bool),
-            length=0,
-        )
 
     @property
     def episode_return(self) -> float:
@@ -123,43 +109,46 @@ class ReplayBuffer:
 
 def rollout(env, store: ParameterStore, eps: float, env_rngs: list[Rng],
             explore_rng: Rng | None, agent_hidden: int = 64) -> list[Episode]:
-    """Roll one episode per stream of ``env_rngs`` in lockstep, in ``env`` and
-    copies of it; each agent acts from its own inputs only. The store is bound
-    once, and each step makes one agent call over the running episodes, one
-    product block each, so each episode has the bits it has alone. At ``eps``
-    = 0 nothing is drawn, and ``explore_rng`` may be None."""
+    """Roll one episode per stream of ``env_rngs`` in lockstep in ``env``;
+    each agent acts from its own inputs only. The store is bound once, and
+    each step makes one observe, one env step and one agent call over the
+    running episodes, one product block each, so each episode has the bits
+    it has alone. Each episode copies its rows out of one block array per
+    field. At ``eps`` = 0 nothing is drawn, and ``explore_rng`` may be None."""
     spec = env.spec
-    n, limit = spec.n_agents, spec.episode_limit
-    envs = [copy.deepcopy(env) if k else env for k in range(len(env_rngs))]
-    episodes = [Episode.empty(limit, n, spec.obs_dim, spec.state_dim,
-                              spec.n_actions) for _ in envs]
-    for e, rng in zip(envs, env_rngs):
-        e.reset(rng)
+    n, limit, k = spec.n_agents, spec.episode_limit, len(env_rngs)
+    obs = np.zeros((k, limit + 1, n, spec.obs_dim))
+    state = np.zeros((k, limit + 1, spec.state_dim))
+    avail = np.zeros((k, limit + 1, n, spec.n_actions), dtype=bool)
+    actions = np.full((k, limit, n), -1, dtype=np.intp)
+    reward = np.zeros((k, limit))
+    terminated = np.zeros((k, limit), dtype=bool)
+    env.reset(env_rngs)
     pv = store.bind(None)
-    running = list(zip(envs, episodes))
-    hidden = Var(ag.initial_hidden(len(running) * n, agent_hidden))
+    rows = slice(None)  # the running episodes: a slice while all of them run
+    hidden = Var(ag.initial_hidden(k * n, agent_hidden))
     for t in range(limit + 1):
-        for e, ep in running:
-            ep.obs[t], ep.state[t], ep.avail[t] = e.observe()
-        # at t = 0, terminated[-1] and actions[-1] hold padding: False and -1
-        going = [t < limit and not ep.terminated[t - 1] for _, ep in running]
-        if not all(going):
-            hidden = Var(hidden.value[np.repeat(going, n)])
-            running = list(itertools.compress(running, going))
-        if not running:
+        o, s, m = env.observe()
+        obs[rows, t], state[rows, t], avail[rows, t] = o[rows], s[rows], m[rows]
+        # at t = 0, terminated[:, -1] and actions[:, -1] hold padding
+        going = ~terminated[rows, t - 1]
+        live = np.count_nonzero(going)
+        if t == limit or not live:
             break
-        obs, last, avail = zip(*[(ep.obs[t], ep.actions[t - 1], ep.avail[t])
-                                 for _, ep in running])
-        inputs = ag.build_agent_inputs(obs, last, spec.n_actions)
-        q, hidden = ag.agent_forward(pv, Var(inputs.reshape(len(obs) * n, -1)),
-                                     hidden, 1, len(obs))
-        actions = ag.select_action(q.value, np.concatenate(avail), eps,
-                                   explore_rng).reshape(-1, n)
-        for (e, ep), a in zip(running, actions):
-            ep.actions[t] = a
-            ep.reward[t], ep.terminated[t] = e.step(a)
-            ep.length = t + 1
-    return episodes
+        if live < len(going):
+            rows = np.arange(k)[rows][going]
+            hidden = Var(hidden.value[np.repeat(going, n)])
+        inputs = ag.build_agent_inputs(o[rows], actions[rows, t - 1],
+                                       spec.n_actions)
+        q, hidden = ag.agent_forward(pv, Var(inputs.reshape(-1, inputs.shape[-1])),
+                                     hidden, 1, live)
+        a = ag.select_action(q.value, m[rows].reshape(-1, spec.n_actions),
+                             eps, explore_rng).reshape(-1, n)
+        actions[rows, t] = a
+        reward[rows, t], terminated[rows, t] = env.step(a)
+    lengths = (actions[:, :, 0] >= 0).sum(axis=1)
+    return [Episode(*[f.copy() for f in fields], int(length)) for *fields, length
+            in zip(obs, state, avail, actions, reward, terminated, lengths)]
 
 
 def collect_episode(env, store: ParameterStore, eps: float, env_rng: Rng,

@@ -18,16 +18,21 @@ from _oracles import (enumerate_matrix_policies, enumerate_two_step_policies,
 
 
 def assert_step_refuses_masked_actions(env, avail):
-    """The next step enforces ``avail``: each action it rules out is refused,
-    with every other agent on STAY, which is always available. A refused
-    step changes nothing, so the caller's trajectory goes on unaltered."""
-    for agent, action in zip(*np.nonzero(~avail)):
-        acts = np.zeros(len(avail), dtype=int)
-        acts[agent] = action
+    """The next step enforces ``avail``, the masks of every episode, all of
+    them running: each action it rules out is refused, naming its episode
+    and agent, with every other agent of every episode on STAY, which is
+    always available. A refused step changes no episode, so the caller's
+    trajectories go on unaltered."""
+    before = env.observe()
+    for episode, agent, action in zip(*np.nonzero(~avail)):
+        acts = np.zeros(avail.shape[:2], dtype=int)
+        acts[episode, agent] = action
         with pytest.raises(ContractError,
-                           match=f"^agent {agent} chose unavailable"
-                                 f" action {action}$"):
+                           match=f"^episode {episode} agent {agent} chose"
+                                 f" unavailable action {action}$"):
             env.step(acts)
+    for seen, now in zip(before, env.observe()):
+        np.testing.assert_array_equal(seen, now)
 
 
 ENV_CONFIGS = {
@@ -40,32 +45,37 @@ ENV_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(ENV_CONFIGS))
 class TestContract:
-    """reset(rng) -> None, observe() -> (obs, state, avail) and
-    step(actions) -> (reward, terminated), the same for every environment."""
+    """reset(rngs) -> None starts K = len(rngs) episodes, observe() -> (obs,
+    state, avail) of all K and step(actions) -> (reward, terminated) of the
+    R running ones, the same for every environment."""
 
-    def check_observation(self, env):
+    def check_observation(self, env, k):
         spec = env.spec
         obs, state, avail = env.observe()
-        assert obs.dtype == np.float64 and obs.shape == (spec.n_agents,
+        assert obs.dtype == np.float64 and obs.shape == (k, spec.n_agents,
                                                           spec.obs_dim)
-        assert state.dtype == np.float64 and state.shape == (spec.state_dim,)
-        assert avail.dtype == bool and avail.shape == (spec.n_agents,
+        assert state.dtype == np.float64 and state.shape == (k, spec.state_dim)
+        assert avail.dtype == bool and avail.shape == (k, spec.n_agents,
                                                        spec.n_actions)
-        assert avail.any(axis=1).all()
+        assert avail.any(axis=2).all()
         return avail
 
     def test_observe_and_step_types_match_the_spec(self, name):
         env = make_env(ENV_CONFIGS[name])
         rng = Rng(11)
-        for k in range(5):
-            assert env.reset(rng.split(f"reset{k}")) is None
-            terminated = False
-            while not terminated:
-                avail = self.check_observation(env)
-                acts = [int(np.flatnonzero(row)[-1]) for row in avail]
+        for k in (1, 5):
+            assert env.reset([rng.split(f"reset{k}.{e}")
+                              for e in range(k)]) is None
+            running = np.arange(k)
+            while running.size:
+                avail = self.check_observation(env, k)[running]
+                acts = [[int(np.flatnonzero(row)[-1]) for row in agents]
+                        for agents in avail]
                 reward, terminated = env.step(acts)
-                assert type(reward) is float and type(terminated) is bool
-            self.check_observation(env)
+                assert reward.dtype == np.float64 and terminated.dtype == bool
+                assert reward.shape == terminated.shape == running.shape
+                running = running[~terminated]
+            self.check_observation(env, k)
 
     def test_trailing_slot_is_observe_after_the_last_step(self, name):
         env = make_env(ENV_CONFIGS[name])
@@ -77,7 +87,7 @@ class TestContract:
         ep = collect_episode(env, store, 1.0, Rng(4).split("env"),
                              Rng(4).split("explore"), agent_hidden=4)
         assert ep.terminated[ep.length - 1]
-        obs, state, avail = env.observe()
+        (obs,), (state,), (avail,) = env.observe()
         np.testing.assert_array_equal(ep.obs[ep.length], obs)
         np.testing.assert_array_equal(ep.state[ep.length], state)
         np.testing.assert_array_equal(ep.avail[ep.length], avail)
@@ -87,49 +97,52 @@ class TestContract:
 
     def test_step_after_the_end_is_contract_error(self, name):
         env = make_env(ENV_CONFIGS[name])
-        env.reset(Rng(2))
-        terminated = False
-        while not terminated:
-            _, terminated = env.step([0] * env.spec.n_agents)
+        n = env.spec.n_agents
         with pytest.raises(ContractError, match="finished episode"):
-            env.step([0] * env.spec.n_agents)
+            env.step([0] * n)  # before any reset
+        env.reset([Rng(2), Rng(3)])
+        running = 2
+        while running:
+            _, terminated = env.step(np.zeros((running, n), dtype=int))
+            running -= int(terminated.sum())
+        with pytest.raises(ContractError, match="finished episode"):
+            env.step([0] * n)
 
 
 class TestMatrixGame:
     def test_reset_gives_id_onehots_and_unit_state(self):
         env = OneStepMatrixGame()
-        env.reset(Rng(0))
+        env.reset([Rng(0), Rng(1)])
         obs, state, _ = env.observe()
-        np.testing.assert_array_equal(obs, np.eye(2))
-        np.testing.assert_array_equal(state, [1.0])
+        np.testing.assert_array_equal(obs, [np.eye(2), np.eye(2)])
+        np.testing.assert_array_equal(state, [[1.0], [1.0]])
 
     def test_climbing_payoff_step(self):
         env = OneStepMatrixGame()
-        env.reset(Rng(0))
-        reward, terminated = env.step([0, 0])
-        assert reward == 11.0 and terminated
+        env.reset([Rng(0)])
+        reward, terminated = env.step([[0, 0]])
+        assert reward.tolist() == [11.0] and terminated.tolist() == [True]
 
     def test_all_cells_match_configured_payoff(self):
         payoff = np.asarray(CLIMBING_PAYOFF)
-        for a0 in range(3):
-            for a1 in range(3):
-                env = OneStepMatrixGame()
-                env.reset(Rng(0))
-                assert env.step([a0, a1])[0] == payoff[a0, a1]
+        env = OneStepMatrixGame()
+        env.reset([Rng(k) for k in range(9)])
+        cells = [[a0, a1] for a0 in range(3) for a1 in range(3)]
+        np.testing.assert_array_equal(env.step(cells)[0], payoff.ravel())
 
     def test_step_after_done_is_contract_error(self):
         env = OneStepMatrixGame()
-        env.reset(Rng(0))
-        env.step([0, 0])
+        env.reset([Rng(0)])
+        env.step([[0, 0]])
         with pytest.raises(ContractError):
-            env.step([0, 0])
+            env.step([[0, 0]])
 
     def test_three_agent_payoff_tensor(self):
         payoff = np.arange(8.0).reshape(2, 2, 2)
         env = OneStepMatrixGame(payoff)
         assert env.spec.n_agents == 3
-        env.reset(Rng(0))
-        assert env.step([1, 0, 1])[0] == payoff[1, 0, 1]
+        env.reset([Rng(0)])
+        assert env.step([[1, 0, 1]])[0].tolist() == [payoff[1, 0, 1]]
 
     def test_rejects_ragged_payoff(self):
         with pytest.raises(ConfigError):
@@ -158,32 +171,35 @@ class TestMatrixGame:
 class TestTwoStepGame:
     def test_reset_state_tag_is_first(self):
         env = TwoStepGame()
-        env.reset(Rng(0))
-        obs, state, _ = env.observe()
+        env.reset([Rng(0)])
+        (obs,), (state,), _ = env.observe()
         np.testing.assert_array_equal(state, [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(obs[0], obs[1])
 
     def test_branch_a_pays_seven(self):
         env = TwoStepGame()
-        env.reset(Rng(0))
-        assert env.step([0, 1]) == (0.0, False)
-        np.testing.assert_array_equal(env.observe()[1], [0.0, 1.0, 0.0])
-        assert env.step([1, 0]) == (7.0, True)
+        env.reset([Rng(0)])
+        reward, terminated = env.step([[0, 1]])
+        assert (reward.tolist(), terminated.tolist()) == ([0.0], [False])
+        np.testing.assert_array_equal(env.observe()[1], [[0.0, 1.0, 0.0]])
+        reward, terminated = env.step([[1, 0]])
+        assert (reward.tolist(), terminated.tolist()) == ([7.0], [True])
 
     def test_branch_b_payoff_matrix(self):
         expected = [[0.0, 1.0], [1.0, 8.0]]
-        for a0 in range(2):
-            for a1 in range(2):
-                env = TwoStepGame()
-                env.reset(Rng(0))
-                env.step([1, 0])  # agent 0 commits to branch B
-                assert env.step([a0, a1])[0] == expected[a0][a1]
+        env = TwoStepGame()
+        env.reset([Rng(k) for k in range(4)])
+        env.step([[1, 0]] * 4)  # agent 0 commits to branch B
+        cells = [[a0, a1] for a0 in range(2) for a1 in range(2)]
+        np.testing.assert_array_equal(env.step(cells)[0],
+                                      np.ravel(expected))
 
     def test_second_agent_cannot_pick_branch(self):
         env = TwoStepGame()
-        env.reset(Rng(0))
-        env.step([0, 1])  # agent 1's action must not matter
-        np.testing.assert_array_equal(env.observe()[1], [0.0, 1.0, 0.0])
+        env.reset([Rng(0), Rng(1)])
+        env.step([[0, 1], [1, 0]])  # agent 1's action must not matter
+        np.testing.assert_array_equal(env.observe()[1], [[0.0, 1.0, 0.0],
+                                                         [0.0, 0.0, 1.0]])
 
 
 class TestGrid:
@@ -191,102 +207,154 @@ class TestGrid:
         layouts = []
         for _ in range(2):
             env = LazyCoordinationGrid(n_agents=3, length=5)
-            env.reset(Rng(99).split("env"))
+            env.reset([Rng(99).split("env")])
             obs, state, _ = env.observe()
             layouts.append((obs.copy(), state.copy()))
         np.testing.assert_array_equal(layouts[0][0], layouts[1][0])
         np.testing.assert_array_equal(layouts[0][1], layouts[1][1])
 
+    def test_reset_draws_each_layout_from_its_own_stream(self):
+        # five streams reset together give the layouts of five one-stream
+        # resets, and leave each stream where a lone reset leaves it
+        env = LazyCoordinationGrid(n_agents=3, length=5)
+        together = [Rng(7).split(f"ep{k}") for k in range(5)]
+        env.reset(together)
+        layouts = env.observe()[1]
+        alone = [Rng(7).split(f"ep{k}") for k in range(5)]
+        for k, rng in enumerate(alone):
+            env.reset([rng])
+            np.testing.assert_array_equal(env.observe()[1], layouts[k:k + 1])
+        assert [r.random() for r in together] == [r.random() for r in alone]
+
     def test_observation_is_own_position_and_target(self):
         env = LazyCoordinationGrid(n_agents=2, length=4)
-        env.reset(Rng(1))
+        env.reset([Rng(1), Rng(2)])
         obs = env.observe()[0]
-        for a in range(2):
-            row = obs[a]
-            assert row[:4].sum() == 1.0 and row[4:].sum() == 1.0
-            assert row[env._pos[a]] == 1.0
-            assert row[4 + env._target[a]] == 1.0
+        for e in range(2):
+            for a in range(2):
+                row = obs[e, a]
+                assert row[:4].sum() == 1.0 and row[4:].sum() == 1.0
+                assert row[env._pos[e, a]] == 1.0
+                assert row[4 + env._target[e, a]] == 1.0
 
     def test_boundary_moves_masked(self):
         env = LazyCoordinationGrid(n_agents=1, length=3)
-        env.reset(Rng(0))
-        env._pos[0] = 0
-        avail = env.observe()[2]
+        env.reset([Rng(0)])
+        env._pos[0, 0] = 0
+        avail = env.observe()[2][0]
         assert avail[0, env.STAY] and not avail[0, env.LEFT] and avail[0, env.RIGHT]
         with pytest.raises(ContractError):
-            env.step([env.LEFT])
+            env.step([[env.LEFT]])
 
     def test_step_without_observe_checks_the_current_mask(self):
         # with no observe() since reset, step builds the mask of the
         # position it moves from
         env = LazyCoordinationGrid(n_agents=1, length=3)
-        env.reset(Rng(0))
-        env._pos[0] = 0
+        env.reset([Rng(0)])
+        env._pos[0, 0] = 0
         with pytest.raises(ContractError,
-                           match="^agent 0 chose unavailable action 1$"):
-            env.step([env.LEFT])
+                           match="^episode 0 agent 0 chose unavailable"
+                                 " action 1$"):
+            env.step([[env.LEFT]])
         # the same holds after a step: it drops the mask it checked
-        env._target[0] = 2
+        env._target[0, 0] = 2
         env.observe()
-        env.step([env.RIGHT])
-        env._pos[0] = 2
+        env.step([[env.RIGHT]])
+        env._pos[0, 0] = 2
         with pytest.raises(ContractError,
-                           match="^agent 0 chose unavailable action 2$"):
-            env.step([env.RIGHT])
+                           match="^episode 0 agent 0 chose unavailable"
+                                 " action 2$"):
+            env.step([[env.RIGHT]])
 
     def test_bad_actions_name_the_first_bad_agent(self):
         # out-of-range actions are caught before they index the mask
         env = LazyCoordinationGrid(n_agents=3, length=3)
-        env.reset(Rng(0))
+        env.reset([Rng(0)])
         env._pos[:] = 0
         env.observe()
         for acts, bad in (([0, 5, -1], (1, 5)), ([2, 0, -1], (2, -1)),
                           ([1, 3, 0], (0, 1)), ([0, 2, 1], (2, 1))):
             with pytest.raises(ContractError,
-                               match=f"^agent {bad[0]} chose unavailable"
-                                     f" action {bad[1]}$"):
-                env.step(acts)
+                               match=f"^episode 0 agent {bad[0]} chose"
+                                     f" unavailable action {bad[1]}$"):
+                env.step([acts])
         with pytest.raises(ContractError, match="expected 3 actions, got 2"):
-            env.step([0, 0])
-        assert env.step([0, 2, 2]) in ((0.0, False), (1.0, True))
-        assert env.observe()[0].shape == (3, 6)
+            env.step([[0, 0]])
+        reward, terminated = env.step([[0, 2, 2]])
+        assert (reward.tolist(), terminated.tolist()) in (([0.0], [False]),
+                                                          ([1.0], [True]))
+        assert env.observe()[0].shape == (1, 3, 6)
+
+    def test_refusal_names_the_episode_among_all_k(self):
+        # episode 0 solves its layout at the first step; at the second, the
+        # running episodes are 1 and 2, and a refusal in the second of them
+        # names episode 2
+        env = LazyCoordinationGrid(n_agents=2, length=3)
+        env.reset([Rng(k) for k in range(3)])
+        env._pos[:] = [[0, 2], [0, 0], [0, 0]]
+        env._target[:] = [[1, 2], [2, 2], [2, 2]]
+        _, terminated = env.step([[env.RIGHT, env.STAY]] * 3)
+        assert terminated.tolist() == [True, False, False]
+        env._pos[2, 1] = 2
+        with pytest.raises(ContractError,
+                           match="^episode 2 agent 1 chose unavailable"
+                                 " action 2$"):
+            env.step([[env.STAY, env.STAY], [env.STAY, env.RIGHT]])
+        reward, terminated = env.step([[env.RIGHT, env.RIGHT],
+                                       [env.RIGHT, env.STAY]])
+        assert (reward.tolist(), terminated.tolist()) == ([0.0, 1.0],
+                                                          [False, True])
+
+    def test_refused_step_at_k3_names_the_middle_episode(self):
+        # the masked action sits in the middle episode only: every agent of
+        # episodes 0 and 2 can move both ways
+        env = LazyCoordinationGrid(n_agents=2, length=4, freeze=True)
+        env.reset([Rng(k) for k in range(3)])
+        env._pos[:] = [[1, 2], [0, 3], [2, 1]]
+        env._target[:] = [[0, 0], [2, 1], [3, 3]]
+        env._frozen[:] = False
+        avail = env.observe()[2]
+        assert avail[[0, 2]].all() and not avail[1].all()
+        assert_step_refuses_masked_actions(env, avail)
 
     def test_masks_always_admit_an_action(self):
         rng = Rng(2)
         env = LazyCoordinationGrid(n_agents=3, length=4, freeze=True)
         for _ in range(20):
-            env.reset(rng.split("r"))
+            env.reset([rng.split("r")])
             done = False
             while not done:
-                avail = env.observe()[2]
+                avail = env.observe()[2][0]
                 assert avail.any(axis=1).all()
                 acts = [int(np.flatnonzero(avail[a])[rng.integers(
                     int(avail[a].sum()))]) for a in range(3)]
-                _, done = env.step(acts)
+                _, (done,) = env.step([acts])
 
     def test_reward_only_on_simultaneous_targets(self):
         env = LazyCoordinationGrid(n_agents=2, length=4)
-        env.reset(Rng(3))
-        env._pos = np.array([0, 0])
-        env._target = np.array([1, 0])
-        assert env.step([env.RIGHT, env.STAY]) == (1.0, True)
+        env.reset([Rng(3)])
+        env._pos = np.array([[0, 0]])
+        env._target = np.array([[1, 0]])
+        reward, terminated = env.step([[env.RIGHT, env.STAY]])
+        assert (reward.tolist(), terminated.tolist()) == ([1.0], [True])
 
     def test_partial_arrival_gives_zero(self):
         env = LazyCoordinationGrid(n_agents=2, length=4)
-        env.reset(Rng(3))
-        env._pos = np.array([0, 0])
-        env._target = np.array([1, 3])
-        assert env.step([env.RIGHT, env.STAY]) == (0.0, False)
+        env.reset([Rng(3)])
+        env._pos = np.array([[0, 0]])
+        env._target = np.array([[1, 3]])
+        reward, terminated = env.step([[env.RIGHT, env.STAY]])
+        assert (reward.tolist(), terminated.tolist()) == ([0.0], [False])
 
     def test_episode_limit_respected(self):
         env = LazyCoordinationGrid(n_agents=2, length=3)
-        env.reset(Rng(4))
-        env._target = np.array([0, 2])
-        env._pos = np.array([2, 0])
+        env.reset([Rng(4)])
+        env._target = np.array([[0, 2]])
+        env._pos = np.array([[2, 0]])
         steps = 0
         done = False
         while not done:
-            _, done = env.step([env.STAY, env.STAY])  # never succeed
+            _, (done,) = env.step([[env.STAY, env.STAY]])  # never succeed
             steps += 1
         assert steps == env.spec.episode_limit
 
@@ -297,41 +365,41 @@ class TestGrid:
             n = 1 + rng.integers(3)
             length = 3 + rng.integers(4)
             env = LazyCoordinationGrid(n_agents=n, length=length)
-            env.reset(rng.split("layout"))
-            dist = grid_joint_bfs(length, env._pos, env._target,
-                                  env.spec.episode_limit)
+            env.reset([rng.split("layout")])
+            pos, target = env._pos[0], env._target[0]
+            dist = grid_joint_bfs(length, pos, target, env.spec.episode_limit)
             assert 0 <= dist <= max(abs(p - t) for p, t
-                                    in zip(env._pos, env._target)) or dist == 0
+                                    in zip(pos, target)) or dist == 0
             steps = 0
             done = False
             while not done:
                 acts = []
                 for a in range(n):
-                    if env._pos[a] < env._target[a]:
+                    if pos[a] < target[a]:
                         acts.append(env.RIGHT)
-                    elif env._pos[a] > env._target[a]:
+                    elif pos[a] > target[a]:
                         acts.append(env.LEFT)
                     else:
                         acts.append(env.STAY)
-                reward, done = env.step(acts)
+                (reward,), (done,) = env.step([acts])
                 steps += 1
             assert reward == 1.0
             assert steps == max(1, dist)
 
     def test_freeze_variant_locks_and_masks(self):
         env = LazyCoordinationGrid(n_agents=2, length=4, freeze=True)
-        env.reset(Rng(6))
-        env._pos = np.array([1, 0])
-        env._target = np.array([2, 3])
-        env._frozen = np.zeros(2, dtype=bool)
-        env.step([env.RIGHT, env.STAY])  # agent 0 arrives and freezes
-        obs, _, avail = env.observe()
+        env.reset([Rng(6)])
+        env._pos = np.array([[1, 0]])
+        env._target = np.array([[2, 3]])
+        env._frozen = np.zeros((1, 2), dtype=bool)
+        env.step([[env.RIGHT, env.STAY]])  # agent 0 arrives and freezes
+        (obs,), _, (avail,) = env.observe()
         np.testing.assert_array_equal(obs[0], np.full(8, -1.0))
         assert (obs[1] != -1.0).all()
         assert avail[0].tolist() == [True, False, False]
         # frozen agents ignore nothing: only stay is available
-        env.step([env.STAY, env.RIGHT])
-        assert env._pos[0] == 2
+        env.step([[env.STAY, env.RIGHT]])
+        assert env._pos[0, 0] == 2
 
     # sha256 prefixes of 30 episodes' bytes under a fixed random-action
     # stream, taken from the per-agent loop code before the array corridor
@@ -354,16 +422,16 @@ class TestGrid:
                 h.update(a.tobytes())
 
         for _ in range(30):
-            env.reset(reset_rng)
-            obs, state, avail = env.observe()
+            env.reset([reset_rng])
+            (obs,), (state,), (avail,) = env.observe()
             feed(obs, state, avail)
             terminated = False
             while not terminated:
-                assert_step_refuses_masked_actions(env, avail)
+                assert_step_refuses_masked_actions(env, avail[None])
                 acts = [int(np.flatnonzero(row)[act_rng.integers(int(row.sum()))])
                         for row in avail]
-                reward, terminated = env.step(acts)
-                obs, state, avail = env.observe()
+                (reward,), (terminated,) = env.step([acts])
+                (obs,), (state,), (avail,) = env.observe()
                 feed(obs, state, avail, reward, terminated)
         assert h.hexdigest()[:16] == self.TRAJECTORY_DIGESTS[n, freeze]
 
@@ -422,21 +490,21 @@ class TestBruteForceOptimal:
 class TestSharedRewardContract:
     def test_single_scalar_reward_per_step(self):
         env = TwoStepGame()
-        env.reset(Rng(0))
-        reward, _ = env.step([0, 0])
-        assert np.isscalar(reward) and np.isfinite(reward)
+        env.reset([Rng(0), Rng(1)])
+        reward, _ = env.step([[0, 0], [1, 1]])
+        assert reward.shape == (2,) and np.isfinite(reward).all()
 
     def test_determinism_seed_plus_actions(self):
         results = []
         for _ in range(2):
             env = LazyCoordinationGrid(n_agents=2, length=4)
-            env.reset(Rng(77).split("env"))
+            env.reset([Rng(77).split("env")])
             trace = []
             done = False
             while not done:
-                reward, done = env.step([env.STAY, env.RIGHT]
-                                        if env.observe()[2][1, env.RIGHT]
-                                        else [env.STAY, env.STAY])
+                (reward,), (done,) = env.step(
+                    [[env.STAY, env.RIGHT]] if env.observe()[2][0, 1, env.RIGHT]
+                    else [[env.STAY, env.STAY]])
                 obs, state, _ = env.observe()
                 trace.append((reward, done, obs.copy(), state.copy()))
             results.append(trace)

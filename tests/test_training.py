@@ -37,6 +37,16 @@ from _oracles import (agent_forward_reference, clip_rmsprop_reference,
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _empty_episode(limit, n, obs_dim, state_dim, n_actions):
+    """An episode of length 0: zero arrays, and -1 in ``actions``."""
+    return Episode(obs=np.zeros((limit + 1, n, obs_dim)),
+                   state=np.zeros((limit + 1, state_dim)),
+                   avail=np.zeros((limit + 1, n, n_actions), dtype=bool),
+                   actions=np.full((limit, n), -1, dtype=np.intp),
+                   reward=np.zeros(limit),
+                   terminated=np.zeros(limit, dtype=bool), length=0)
+
+
 def _zeroed(store):
     store.value = np.zeros_like(store.value)
     return store
@@ -65,7 +75,7 @@ class TestSchedule:
 
 class TestReplayBuffer:
     def _ep(self, tag):
-        ep = Episode.empty(1, 1, 1, 1, 2)
+        ep = _empty_episode(1, 1, 1, 1, 2)
         ep.reward[0] = tag
         ep.length = 1
         return ep
@@ -223,8 +233,8 @@ def _mixed_length_batch(dims, seed=0):
     batch = []
     for length, terminated in ((5, False), (3, True), (1, True), (5, True),
                                (2, True)):
-        ep = Episode.empty(limit, n, dims["obs_dim"], dims["state_dim"],
-                           n_actions)
+        ep = _empty_episode(limit, n, dims["obs_dim"], dims["state_dim"],
+                            n_actions)
         ep.obs[:length + 1] = rng.normal((length + 1, n, dims["obs_dim"]))
         ep.state[:length + 1] = rng.normal((length + 1, dims["state_dim"]))
         ep.avail[:length + 1] = rng.uniform(0.0, 1.0,
@@ -760,10 +770,12 @@ print(statistics.median(faults[4:]))
 
 
 class TestRollout:
-    # K greedy episodes in lockstep against K one-episode calls, at n agents
-    # and GRU width H, with parameters moved off their initial values; each
-    # agent call's Q values are recorded. Prints the episode lengths per n,
-    # the number of (episode, step) blocks compared, and the mismatches.
+    # K greedy episodes in lockstep against K one-episode calls on the same
+    # streams, in frozen corridors of n agents and in the two games, at GRU
+    # width H, with parameters moved off their initial values; every Episode
+    # field is compared byte for byte, and so are each agent call's Q values.
+    # Prints the episode lengths per env, the number of (episode, step)
+    # blocks compared, and the mismatches.
     LOCKSTEP_SCRIPT = """
 import json
 import numpy as np
@@ -785,10 +797,15 @@ def recording_forward(*args):
 
 
 ag.agent_forward = recording_forward
+ENVS = [(f"grid{n}", {"name": "grid", "n_agents": n, "length": 3,
+                     "freeze": True}, hidden, n)
+        for n, hidden in ((3, 16), (4, 64), (5, 16), (8, 64))]
+ENVS += [("matrix_game", {"name": "matrix_game"}, 16, 10),
+         ("two_step", {"name": "two_step"}, 64, 11)]
 lengths, blocks, mismatched = {}, 0, []
-for n, hidden in ((3, 16), (4, 64), (5, 16), (8, 64)):
-    env = make_env({"name": "grid", "n_agents": n, "length": 3, "freeze": True})
-    spec, rng = env.spec, Rng(n)
+for label, cfg, hidden, seed in ENVS:
+    env = make_env(cfg)
+    spec, rng, n = env.spec, Rng(seed), env.spec.n_agents
     store = ParameterStore()
     ag.init_agent_params(store, spec.obs_dim, spec.n_actions, n,
                          rng.split("agent"), hidden)
@@ -798,21 +815,23 @@ for n, hidden in ((3, 16), (4, 64), (5, 16), (8, 64)):
                                 [rng.split(f"ep{k}") for k in range(K)], None,
                                 hidden)
     stepped = list(recorded)
-    lengths[n] = [ep.length for ep in together]
+    lengths[label] = [ep.length for ep in together]
     for k, ep in enumerate(together):
         recorded.clear()
         alone = training.collect_episode(env, store, 0.0, rng.split(f"ep{k}"),
                                          None, hidden)
         for name in ("obs", "state", "avail", "actions", "reward",
                      "terminated", "length"):
-            if not np.array_equal(getattr(ep, name), getattr(alone, name)):
-                mismatched.append(f"n={n} episode {k}: {name}")
+            mine, theirs = (np.asarray(getattr(e, name)) for e in (ep, alone))
+            if (mine.dtype, mine.shape, mine.tobytes()) != (
+                    theirs.dtype, theirs.shape, theirs.tobytes()):
+                mismatched.append(f"{label} episode {k}: {name}")
         for t, q in enumerate(recorded):
             # episode k's block: after the running episodes before it
             b = sum(other.length > t for other in together[:k])
             blocks += 1
             if stepped[t][b * n:(b + 1) * n].tobytes() != q.tobytes():
-                mismatched.append(f"n={n} episode {k} step {t}: Q rows")
+                mismatched.append(f"{label} episode {k} step {t}: Q rows")
 print(json.dumps({"lengths": lengths, "blocks": blocks,
                   "mismatched": mismatched}))
 """
@@ -833,10 +852,70 @@ print(json.dumps({"lengths": lengths, "blocks": blocks,
         assert done.returncode == 0, done.stderr[-2000:]
         result = json.loads(done.stdout)
         assert result["mismatched"] == []
-        # episodes end at different steps, so running blocks drop out
-        for n, lengths in result["lengths"].items():
-            assert len(set(lengths)) > 2, (n, lengths)
+        # corridor episodes end at different steps, so running blocks drop
+        # out; the games' episodes all take their fixed length
+        for label, lengths in result["lengths"].items():
+            if label.startswith("grid"):
+                assert len(set(lengths)) > 2, (label, lengths)
+        assert set(result["lengths"]["matrix_game"]) == {1}
+        assert set(result["lengths"]["two_step"]) == {2}
         assert result["blocks"] > 200
+
+    def test_one_lockstep_env_call_per_step(self, monkeypatch):
+        # K = 8 corridor episodes: one reset, and one observe and one step
+        # for every step of the longest episode, not one per episode
+        env = make_env({"name": "grid", "n_agents": 3, "length": 4})
+        store, _ = tiny_mixer_store("vdn", n=3, obs_dim=env.spec.obs_dim,
+                                    n_actions=3)
+        calls = Counter()
+        for name in ("reset", "observe", "step"):
+            method = getattr(env, name)
+            monkeypatch.setattr(env, name, lambda *a, m=method, k=name:
+                                calls.update([k]) or m(*a))
+        rng = Rng(8)
+        episodes = training.rollout(env, store, 0.5,
+                                    [rng.split(f"ep{k}") for k in range(8)],
+                                    rng.split("x"), agent_hidden=4)
+        longest = max(ep.length for ep in episodes)
+        assert len({ep.length for ep in episodes}) > 1
+        assert calls == {"reset": 1, "observe": longest + 1, "step": longest}
+
+    def test_episodes_own_their_arrays(self):
+        # a kept episode holds only its own rows, not the rollout's blocks
+        env = make_env({"name": "grid", "n_agents": 3, "length": 4})
+        store, _ = tiny_mixer_store("vdn", n=3, obs_dim=env.spec.obs_dim,
+                                    n_actions=3)
+        rng = Rng(9)
+        for ep in training.rollout(env, store, 0.0,
+                                   [rng.split(f"ep{k}") for k in range(4)],
+                                   None, agent_hidden=4):
+            for value in vars(ep).values():
+                if isinstance(value, np.ndarray):
+                    assert value.base is None and value.flags.owndata
+
+    def test_one_env_object_serves_every_k(self):
+        # evaluation (K = 32), one training episode (K = 1) and evaluation
+        # again in one env object give what a fresh env gives each time
+        cfg = {"name": "grid", "n_agents": 3, "length": 4, "freeze": True}
+        env = make_env(cfg)
+        store, _ = tiny_mixer_store("vdn", n=3, obs_dim=env.spec.obs_dim,
+                                    n_actions=3)
+        store.value = store.value + Rng(1).normal(store.value.shape)
+        calls = [
+            lambda e: evaluate_policy(e, store, 32, Rng(2), agent_hidden=4),
+            lambda e: collect_episode(e, store, 0.5, Rng(3).split("env"),
+                                      Rng(3).split("x"), agent_hidden=4),
+            lambda e: evaluate_policy(e, store, 32, Rng(4), agent_hidden=4),
+        ]
+        for call in calls:
+            reused, fresh = call(env), call(make_env(cfg))
+            if isinstance(fresh, dict):
+                assert reused == fresh
+                continue
+            for name in ("obs", "state", "avail", "actions", "reward",
+                         "terminated", "length"):
+                np.testing.assert_array_equal(getattr(reused, name),
+                                              getattr(fresh, name))
 
 
 class TestUpdateTarget:
