@@ -56,9 +56,8 @@ def build_agent_inputs(obs: np.ndarray, last_actions, n_actions: int) -> np.ndar
 
     ``obs`` is (..., n, obs_dim) and ``last_actions`` (..., n) ints, where -1
     means no last action (the first step of an episode, or past its end);
-    the rows come out (..., n, d) in the order of the leading axes.
+    the float64 rows come out (..., n, d) in the order of the leading axes.
     """
-    obs = np.asarray(obs, dtype=np.float64)
     n, obs_dim = obs.shape[-2:]
     out = np.zeros(obs.shape[:-1] + (obs_dim + n_actions + n,))
     out[..., :obs_dim] = obs

@@ -14,11 +14,12 @@ Three environments stress different coordination pressures at desk scale:
 
 Each steps K episodes in lockstep, as PyMARL's parallel runner does:
 ``reset(rngs)`` starts one per stream; ``observe()`` gives all K episodes'
-(K, n, obs_dim) observations, (K, state_dim) states and (K, n, n_actions)
-action masks, a finished one's final ones; ``step(actions)`` maps the (R,
-n) actions of the R running episodes, in episode order, to their (R,)
-shared rewards and termination flags. Given the reset streams all are
-deterministic, and each episode ends at the episode limit at the latest.
+(K, n, obs_dim) observations and (K, state_dim) states, int8 with entries
+-1, 0 or 1, and (K, n, n_actions) action masks, a finished one's final
+ones; ``step(actions)`` maps the (R, n) actions of the R running episodes,
+in episode order, to their (R,) shared rewards and termination flags. Given
+the reset streams all are deterministic, and each episode ends at the
+episode limit at the latest.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ class OneStepMatrixGame:
     def observe(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Agent-id one-hots, a unit state and an all-true mask."""
         k, n = self._k, self.spec.n_agents
-        return (np.tile(np.eye(n), (k, 1, 1)), np.ones((k, 1)),
+        return (np.tile(np.eye(n, dtype=np.int8), (k, 1, 1)),
+                np.ones((k, 1), dtype=np.int8),
                 np.ones((k, n, self.spec.n_actions), dtype=bool))
 
     def step(self, actions) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +149,7 @@ class TwoStepGame:
     def observe(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Both agents see the state, a one-hot of the phase (first step,
         branch A or B; zeros once over), and may take either action."""
-        state = np.eye(self._OVER + 1)[self._phase, :self._OVER]
+        state = np.eye(self._OVER + 1, dtype=np.int8)[self._phase, :self._OVER]
         return (np.repeat(state[:, None], 2, axis=1), state,
                 np.ones((len(state), 2, 2), dtype=bool))
 
@@ -193,7 +195,7 @@ class LazyCoordinationGrid:
         self.spec = EnvSpec(n_agents=n_agents, n_actions=3,
                             obs_dim=2 * length, state_dim=n_agents * 2 * length,
                             episode_limit=2 * length)
-        self._eye = np.eye(length)
+        self._eye = np.eye(length, dtype=np.int8)
         # the action mask of each cell, and in row ``length`` a frozen agent's
         self._masks = np.ones((length + 1, 3), dtype=bool)
         self._masks[[0, length - 1, length, length],
@@ -218,7 +220,7 @@ class LazyCoordinationGrid:
         pairs = np.concatenate((self._eye[self._pos], self._eye[self._target]),
                                axis=2)
         self._avail = self._masks[np.where(self._frozen, self.length, self._pos)]
-        return (np.where(self._frozen[..., None], -1.0, pairs),
+        return (np.where(self._frozen[..., None], -1, pairs),
                 pairs.reshape(len(pairs), -1), self._avail)
 
     def step(self, actions) -> tuple[np.ndarray, np.ndarray]:

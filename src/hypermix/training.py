@@ -47,10 +47,10 @@ class Episode:
     validity mask. ``stamp``, unique in the process, keys the target memo.
     """
 
-    obs: np.ndarray          # (T+1, n, obs_dim)
-    state: np.ndarray        # (T+1, state_dim)
+    obs: np.ndarray          # (T+1, n, obs_dim) int8
+    state: np.ndarray        # (T+1, state_dim) int8
     avail: np.ndarray        # (T+1, n, n_actions) bool
-    actions: np.ndarray      # (T, n) int
+    actions: np.ndarray      # (T, n) int8
     reward: np.ndarray       # (T,)
     terminated: np.ndarray   # (T,) bool
     length: int
@@ -107,20 +107,12 @@ class ReplayBuffer:
         return stack_episodes([self._episodes[i] for i in idx])
 
 
-def rollout(env, store: ParameterStore, eps: float, env_rngs: list[Rng],
-            explore_rng: Rng | None, agent_hidden: int = 64) -> list[Episode]:
-    """Roll one episode per stream of ``env_rngs`` in lockstep in ``env``;
-    each agent acts from its own inputs only. The store is bound once, and
-    each step makes one observe, one env step and one agent call over the
-    running episodes, one product block each, so each episode has the bits
-    it has alone. Each episode copies its rows out of one block array per
-    field. At ``eps`` = 0 nothing is drawn, and ``explore_rng`` may be None."""
+def _rollout_blocks(env, store, eps, env_rngs, explore_rng, agent_hidden):
+    """:func:`rollout`'s (K, ...) block array per Episode field, then the lengths."""
     spec = env.spec
     n, limit, k = spec.n_agents, spec.episode_limit, len(env_rngs)
-    obs = np.zeros((k, limit + 1, n, spec.obs_dim))
-    state = np.zeros((k, limit + 1, spec.state_dim))
     avail = np.zeros((k, limit + 1, n, spec.n_actions), dtype=bool)
-    actions = np.full((k, limit, n), -1, dtype=np.intp)
+    actions = np.full((k, limit, n), -1, np.min_scalar_type(-spec.n_actions))  # int8
     reward = np.zeros((k, limit))
     terminated = np.zeros((k, limit), dtype=bool)
     env.reset(env_rngs)
@@ -129,6 +121,9 @@ def rollout(env, store: ParameterStore, eps: float, env_rngs: list[Rng],
     hidden = Var(ag.initial_hidden(k * n, agent_hidden))
     for t in range(limit + 1):
         o, s, m = env.observe()
+        if not t:  # stored in the env's dtypes: int8 for every env here
+            obs = np.zeros((k, limit + 1) + o.shape[1:], dtype=o.dtype)
+            state = np.zeros((k, limit + 1) + s.shape[1:], dtype=s.dtype)
         obs[rows, t], state[rows, t], avail[rows, t] = o[rows], s[rows], m[rows]
         # at t = 0, terminated[:, -1] and actions[:, -1] hold padding
         going = ~terminated[rows, t - 1]
@@ -147,8 +142,20 @@ def rollout(env, store: ParameterStore, eps: float, env_rngs: list[Rng],
         actions[rows, t] = a
         reward[rows, t], terminated[rows, t] = env.step(a)
     lengths = (actions[:, :, 0] >= 0).sum(axis=1)
-    return [Episode(*[f.copy() for f in fields], int(length)) for *fields, length
-            in zip(obs, state, avail, actions, reward, terminated, lengths)]
+    return obs, state, avail, actions, reward, terminated, lengths
+
+
+def rollout(env, store: ParameterStore, eps: float, env_rngs: list[Rng],
+            explore_rng: Rng | None, agent_hidden: int = 64) -> list[Episode]:
+    """Roll one episode per stream of ``env_rngs`` in lockstep in ``env``;
+    each agent acts from its own inputs only. The store is bound once, and
+    each step makes one observe, one env step and one agent call over the
+    running episodes, one product block each, so each episode has the bits
+    it has alone. Each episode copies its rows out of one block array per
+    field. At ``eps`` = 0 nothing is drawn, and ``explore_rng`` may be None."""
+    blocks = _rollout_blocks(env, store, eps, env_rngs, explore_rng, agent_hidden)
+    return [Episode(*[f.copy() for f in fields], int(length))
+            for *fields, length in zip(*blocks)]
 
 
 def collect_episode(env, store: ParameterStore, eps: float, env_rng: Rng,
@@ -304,8 +311,10 @@ def evaluate_policy(env, store: ParameterStore, episodes: int, rng: Rng,
     if optimal is None:
         optimal = brute_force_optimal(env)
     streams = [rng.split(f"ep{k}") for k in range(episodes)]
-    returns = np.array([ep.episode_return for ep in
-                        rollout(env, store, 0.0, streams, None, agent_hidden)])
+    *_, reward, _, lengths = _rollout_blocks(env, store, 0.0, streams, None,
+                                             agent_hidden)
+    # each episode's first ``length`` rewards, summed as episode_return sums
+    returns = np.array([r[:length].sum() for r, length in zip(reward, lengths)])
     success = float((np.abs(returns - optimal) <= 1e-9).mean())
     return {"mean_return": float(returns.mean()), "success_rate": success}
 

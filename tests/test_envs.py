@@ -52,9 +52,11 @@ class TestContract:
     def check_observation(self, env, k):
         spec = env.spec
         obs, state, avail = env.observe()
-        assert obs.dtype == np.float64 and obs.shape == (k, spec.n_agents,
-                                                          spec.obs_dim)
-        assert state.dtype == np.float64 and state.shape == (k, spec.state_dim)
+        # int8 entries of -1, 0 or 1: the learner computes in float64
+        assert obs.dtype == np.int8 and obs.shape == (k, spec.n_agents,
+                                                       spec.obs_dim)
+        assert state.dtype == np.int8 and state.shape == (k, spec.state_dim)
+        assert np.isin(obs, (-1, 0, 1)).all() and np.isin(state, (-1, 0, 1)).all()
         assert avail.dtype == bool and avail.shape == (k, spec.n_agents,
                                                        spec.n_actions)
         assert avail.any(axis=2).all()
@@ -421,9 +423,16 @@ class TestGrid:
                 h.update(f"{a.dtype}{a.shape}".encode())
                 h.update(a.tobytes())
 
+        def observe():
+            # the digests hash float64 observations and states: the values
+            # stay checked against the per-agent reference
+            (obs,), (state,), (avail,) = env.observe()
+            assert obs.dtype == state.dtype == np.int8
+            return obs.astype(np.float64), state.astype(np.float64), avail
+
         for _ in range(30):
             env.reset([reset_rng])
-            (obs,), (state,), (avail,) = env.observe()
+            obs, state, avail = observe()
             feed(obs, state, avail)
             terminated = False
             while not terminated:
@@ -431,7 +440,7 @@ class TestGrid:
                 acts = [int(np.flatnonzero(row)[act_rng.integers(int(row.sum()))])
                         for row in avail]
                 (reward,), (terminated,) = env.step([acts])
-                (obs,), (state,), (avail,) = env.observe()
+                obs, state, avail = observe()
                 feed(obs, state, avail, reward, terminated)
         assert h.hexdigest()[:16] == self.TRAJECTORY_DIGESTS[n, freeze]
 

@@ -19,7 +19,7 @@ import pytest
 from hypermix import agents as ag
 from hypermix import mixers as mx
 from hypermix import training
-from hypermix.autodiff import gradient
+from hypermix.autodiff import Tape, gradient
 from hypermix.config import Config
 from hypermix.envs import OneStepMatrixGame, TwoStepGame, make_env
 from hypermix.nn import load_checkpoint_into, rmsprop_step, save_checkpoint
@@ -604,6 +604,45 @@ class TestTrainStep:
                           0.9, dims["embed"], agent_hidden=dims["agent_hidden"])
         assert loss == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix"])
+    def test_int8_batch_computes_as_its_float64_cast(self, kind):
+        # stored episodes keep the envs' int8 observations, states and
+        # actions; the learner must read them as the float64 and intp values
+        # they hold, so every result is the cast batch's, byte for byte
+        env = make_env({"name": "grid", "n_agents": 3, "length": 3,
+                        "freeze": True})
+        spec = env.spec
+        store, dims = tiny_mixer_store(kind, n=3, obs_dim=spec.obs_dim,
+                                       state_dim=spec.state_dim, n_actions=3,
+                                       hyperedges=2, embed=3)
+        store.value = store.value + Rng(1).normal(store.value.shape)
+        stored = stack_episodes([collect_episode(env, store, 0.7,
+                                                 Rng(k).split("env"),
+                                                 Rng(k).split("x"),
+                                                 agent_hidden=4)
+                                 for k in range(6)])
+        assert {stored[f].dtype for f in ("obs", "state", "actions")} == {
+            np.dtype(np.int8)}
+        assert (stored["obs"] == -1).any()  # a frozen agent's mask value
+        cast = dict(stored, obs=stored["obs"].astype(np.float64),
+                    state=stored["state"].astype(np.float64),
+                    actions=stored["actions"].astype(np.intp))
+        results = []
+        for batch in (stored, cast):
+            # a fresh clone per side: the memo does not carry over
+            targets = td_targets(batch, store.clone(), kind, 0.9,
+                                 dims["embed"], agent_hidden=4)
+            tape = Tape()
+            pv = store.bind(tape)
+            loss = training.td_loss(batch, pv, targets, kind, dims["embed"],
+                                    agent_hidden=4)
+            gradient(tape, loss)
+            results.append([targets.tobytes(), loss.value.tobytes()]
+                           + [None if v.grad is None else v.grad.tobytes()
+                              for v in pv.values()])
+        assert results[0] == results[1]
+        assert all(g is not None for g in results[0][2:])
+
     def test_flat_optimizer_matches_per_parameter_reference(self,
                                                             monkeypatch):
         # 50 hgcn-mix steps, the clip active on even steps and not on odd
@@ -892,6 +931,38 @@ print(json.dumps({"lengths": lengths, "blocks": blocks,
             for value in vars(ep).values():
                 if isinstance(value, np.ndarray):
                     assert value.base is None and value.flags.owndata
+
+    def test_stored_episode_holds_int8_rows(self):
+        # at n = 3, length 4: (9, 3, 8) int8 observations, (9, 24) int8
+        # states, (9, 3, 3) masks, (8, 3) int8 actions, (8,) float64 rewards
+        # and (8,) flags; float64 observations and states and intp actions
+        # took 3,801 bytes
+        env = make_env({"name": "grid", "n_agents": 3, "length": 4})
+        store, _ = tiny_mixer_store("vdn", n=3, obs_dim=env.spec.obs_dim,
+                                    n_actions=3)
+        ep = collect_episode(env, store, 1.0, Rng(5).split("env"),
+                             Rng(5).split("x"), agent_hidden=4)
+        arrays = [v for v in vars(ep).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 6
+        assert ep.obs.dtype == ep.state.dtype == ep.actions.dtype == np.int8
+        assert sum(a.nbytes for a in arrays) == 609
+
+    def test_evaluation_returns_are_the_episodes_returns(self, monkeypatch):
+        # evaluate_policy reads the returns from the reward block and builds
+        # no Episode, yet gives what the rollout's episodes give
+        cfg = {"name": "grid", "n_agents": 3, "length": 4, "freeze": True}
+        store, _ = tiny_mixer_store("vdn", n=3, obs_dim=8, n_actions=3)
+        store.value = store.value + Rng(6).normal(store.value.shape)
+        rng = Rng(7)
+        returns = np.array([ep.episode_return for ep in training.rollout(
+            make_env(cfg), store, 0.0,
+            [rng.split(f"ep{k}") for k in range(40)], None, agent_hidden=4)])
+        assert 0.0 < returns.mean() < 1.0
+        monkeypatch.setattr(training, "Episode", None)
+        assert evaluate_policy(make_env(cfg), store, 40, rng,
+                               agent_hidden=4) == {
+            "mean_return": float(returns.mean()),
+            "success_rate": float((np.abs(returns - 1.0) <= 1e-9).mean())}
 
     def test_one_env_object_serves_every_k(self):
         # evaluation (K = 32), one training episode (K = 1) and evaluation
