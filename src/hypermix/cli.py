@@ -23,6 +23,7 @@ from .config import Config, load_config
 from .envs import make_env
 from .errors import CheckpointError, ConfigError, ContractError, TrainingError
 from .hypergraph import build_hypergraph_rows, write_hypergraph_csv
+from .mixers import validate_mixer_kind
 from .nn import load_checkpoint_into
 from .rng import Rng
 from .training import collect_episode, evaluate_policy, init_run_stores, run_training
@@ -158,6 +159,11 @@ def cmd_compare(args) -> int:
     mixers = [m.strip() for m in args.mixers.split(",") if m.strip()]
     if not mixers:
         raise ConfigError(f"--mixers: no mixer kind in {args.mixers!r}")
+    for mixer in mixers:
+        try:
+            validate_mixer_kind(mixer)
+        except ConfigError as exc:
+            raise ConfigError(f"--mixers: {exc}") from None
     if args.hyperedges and "hgcn-mix" not in mixers:
         raise ConfigError("--hyperedges: needs 'hgcn-mix' in --mixers")
     seeds = list(range(args.seeds))

@@ -72,10 +72,8 @@ class Config:
             make_env(self.env)
         except ConfigError as exc:
             raise ConfigError(f"env: {exc}") from None
-        # with the identity incidence each convolution is the identity, so
-        # the one-hot variant and hgcn-mix without learned hyperedges are qmix
-        if self.mixer == "hgcn-mix-oh" or (self.mixer == "hgcn-mix" and
-                                           self.hyperedges == 0):
+        # without learned hyperedges each convolution is the identity: qmix
+        if self.mixer == "hgcn-mix" and self.hyperedges == 0:
             self.mixer = "qmix"
         require(self.mixer in MIXER_KINDS, "mixer",
                 f"must be one of {list(MIXER_KINDS)}")
@@ -97,10 +95,6 @@ class Config:
     def from_dict(cls, data: dict) -> "Config":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-        if "hyperedge_sweep" in data:
-            raise ConfigError("hyperedge_sweep: removed; run the counts as"
-                              " arms of `hypermix compare --mixers hgcn-mix"
-                              " --hyperedges m1,m2,...`")
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields {sorted(unknown)}")

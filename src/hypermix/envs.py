@@ -46,12 +46,6 @@ class EnvSpec:
     state_dim: int
     episode_limit: int
 
-    def __post_init__(self):
-        if self.n_agents < 1:
-            raise ConfigError("n_agents must be >= 1")
-        if self.n_actions < 2:
-            raise ConfigError("n_actions must be >= 2")
-
 
 def _check_actions(actions, masks: np.ndarray, episodes) -> np.ndarray:
     """``actions`` as (R, n) ints, each one available in ``masks``, the (R, n,

@@ -107,8 +107,15 @@ class ReplayBuffer:
         return stack_episodes([self._episodes[i] for i in idx])
 
 
-def _rollout_blocks(env, store, eps, env_rngs, explore_rng, agent_hidden):
-    """:func:`rollout`'s (K, ...) block array per Episode field, then the lengths."""
+def rollout(env, store: ParameterStore, eps: float, env_rngs: list[Rng],
+            explore_rng: Rng | None, agent_hidden: int = 64) -> dict:
+    """Roll one episode per stream of ``env_rngs`` in lockstep in ``env``
+    into a :func:`stack_episodes` batch without stamps: one (K, ...) block
+    per Episode field and the lengths (K,). Each agent acts from its own
+    inputs only; each step makes one observe, one env step and one agent
+    call over the running episodes, one product block each, so each episode
+    has the bits it has alone. At ``eps`` = 0 nothing is drawn, and
+    ``explore_rng`` may be None."""
     spec = env.spec
     n, limit, k = spec.n_agents, spec.episode_limit, len(env_rngs)
     avail = np.zeros((k, limit + 1, n, spec.n_actions), dtype=bool)
@@ -141,27 +148,17 @@ def _rollout_blocks(env, store, eps, env_rngs, explore_rng, agent_hidden):
                              eps, explore_rng).reshape(-1, n)
         actions[rows, t] = a
         reward[rows, t], terminated[rows, t] = env.step(a)
-    lengths = (actions[:, :, 0] >= 0).sum(axis=1)
-    return obs, state, avail, actions, reward, terminated, lengths
-
-
-def rollout(env, store: ParameterStore, eps: float, env_rngs: list[Rng],
-            explore_rng: Rng | None, agent_hidden: int = 64) -> list[Episode]:
-    """Roll one episode per stream of ``env_rngs`` in lockstep in ``env``;
-    each agent acts from its own inputs only. The store is bound once, and
-    each step makes one observe, one env step and one agent call over the
-    running episodes, one product block each, so each episode has the bits
-    it has alone. Each episode copies its rows out of one block array per
-    field. At ``eps`` = 0 nothing is drawn, and ``explore_rng`` may be None."""
-    blocks = _rollout_blocks(env, store, eps, env_rngs, explore_rng, agent_hidden)
-    return [Episode(*[f.copy() for f in fields], int(length))
-            for *fields, length in zip(*blocks)]
+    return dict(obs=obs, state=state, avail=avail, actions=actions, reward=reward,
+                terminated=terminated, length=(actions[:, :, 0] >= 0).sum(axis=1))
 
 
 def collect_episode(env, store: ParameterStore, eps: float, env_rng: Rng,
                     explore_rng: Rng | None, agent_hidden: int = 64) -> Episode:
-    """Roll one episode in ``env``: :func:`rollout` of one stream."""
-    return rollout(env, store, eps, [env_rng], explore_rng, agent_hidden)[0]
+    """Roll one episode in ``env``: row 0 of a :func:`rollout` of one stream,
+    copied, so a kept episode owns its arrays."""
+    blocks = rollout(env, store, eps, [env_rng], explore_rng, agent_hidden)
+    length = int(blocks.pop("length")[0])
+    return Episode(**{f: b[0].copy() for f, b in blocks.items()}, length=length)
 
 
 def _steps(batch: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -311,10 +308,9 @@ def evaluate_policy(env, store: ParameterStore, episodes: int, rng: Rng,
     if optimal is None:
         optimal = brute_force_optimal(env)
     streams = [rng.split(f"ep{k}") for k in range(episodes)]
-    *_, reward, _, lengths = _rollout_blocks(env, store, 0.0, streams, None,
-                                             agent_hidden)
+    batch = rollout(env, store, 0.0, streams, None, agent_hidden)
     # each episode's first ``length`` rewards, summed as episode_return sums
-    returns = np.array([r[:length].sum() for r, length in zip(reward, lengths)])
+    returns = np.array([r[:t].sum() for r, t in zip(batch["reward"], batch["length"])])
     success = float((np.abs(returns - optimal) <= 1e-9).mean())
     return {"mean_return": float(returns.mean()), "success_rate": success}
 
@@ -353,7 +349,6 @@ def run_training(cfg, seed: int, out_dir) -> dict:
     buffer = ReplayBuffer(cfg.buffer_capacity)
 
     env_steps = 0
-    train_steps = 0
     eval_count = 0
     losses: list[float] = []
     started = time.perf_counter()
@@ -372,8 +367,7 @@ def run_training(cfg, seed: int, out_dir) -> dict:
                                   cfg.gamma, cfg.embed, cfg.agent_hidden,
                                   lr=cfg.lr)
                 losses.append(loss)
-                train_steps += 1
-                if train_steps % cfg.target_interval == 0:
+                if len(losses) % cfg.target_interval == 0:
                     update_target(store, target_store)
             if (episode_idx + 1) % cfg.eval_interval == 0:
                 stats = evaluate_policy(env, store, cfg.eval_episodes,
@@ -400,7 +394,7 @@ def run_training(cfg, seed: int, out_dir) -> dict:
         "seed": seed,
         "episodes": episode_idx + 1,
         "env_steps": env_steps,
-        "train_steps": train_steps,
+        "train_steps": len(losses),
         "wall_seconds": time.perf_counter() - started,
         "final": final_stats,
         "metrics_path": str(metrics_path),

@@ -56,3 +56,15 @@ def test_grid4_train_fixed_pass_runs_clean():
     assert led.attempted > 0
     for mixer in workload.mixers:
         assert led.outputs[f"{mixer}.losses_hashed"] == workload.fixed_steps
+
+
+def test_grid8_rollout_fixed_pass_runs_clean():
+    # the rollout digest depends on the BLAS build and the CPU: not pinned here
+    workloads = _load("workloads")
+    workload, led = workloads.Grid8Rollout(), workloads.Ledger()
+    workload.fixed(hypermix, workload.setup(hypermix, 0), led)
+    assert led.failed == 0, led.failures
+    rounds = workload.fixed_rounds
+    assert len(led.samples["episode"]) == rounds * workload.round_episodes
+    assert len(led.samples["eval_round"]) == rounds
+    assert "rollout_digest" in led.outputs

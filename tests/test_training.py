@@ -854,20 +854,21 @@ for label, cfg, hidden, seed in ENVS:
                                 [rng.split(f"ep{k}") for k in range(K)], None,
                                 hidden)
     stepped = list(recorded)
-    lengths[label] = [ep.length for ep in together]
-    for k, ep in enumerate(together):
+    lengths[label] = together["length"].tolist()
+    for k in range(K):
         recorded.clear()
         alone = training.collect_episode(env, store, 0.0, rng.split(f"ep{k}"),
                                          None, hidden)
         for name in ("obs", "state", "avail", "actions", "reward",
                      "terminated", "length"):
-            mine, theirs = (np.asarray(getattr(e, name)) for e in (ep, alone))
+            mine = np.asarray(together[name][k])
+            theirs = np.asarray(getattr(alone, name))
             if (mine.dtype, mine.shape, mine.tobytes()) != (
                     theirs.dtype, theirs.shape, theirs.tobytes()):
                 mismatched.append(f"{label} episode {k}: {name}")
         for t, q in enumerate(recorded):
             # episode k's block: after the running episodes before it
-            b = sum(other.length > t for other in together[:k])
+            b = np.count_nonzero(together["length"][:k] > t)
             blocks += 1
             if stepped[t][b * n:(b + 1) * n].tobytes() != q.tobytes():
                 mismatched.append(f"{label} episode {k} step {t}: Q rows")
@@ -912,22 +913,23 @@ print(json.dumps({"lengths": lengths, "blocks": blocks,
             monkeypatch.setattr(env, name, lambda *a, m=method, k=name:
                                 calls.update([k]) or m(*a))
         rng = Rng(8)
-        episodes = training.rollout(env, store, 0.5,
-                                    [rng.split(f"ep{k}") for k in range(8)],
-                                    rng.split("x"), agent_hidden=4)
-        longest = max(ep.length for ep in episodes)
-        assert len({ep.length for ep in episodes}) > 1
+        lengths = training.rollout(env, store, 0.5,
+                                   [rng.split(f"ep{k}") for k in range(8)],
+                                   rng.split("x"), agent_hidden=4)["length"]
+        longest = lengths.max()
+        assert len(set(lengths.tolist())) > 1
         assert calls == {"reset": 1, "observe": longest + 1, "step": longest}
 
     def test_episodes_own_their_arrays(self):
-        # a kept episode holds only its own rows, not the rollout's blocks
+        # a collected episode holds only its own rows, not the rollout's
+        # blocks
         env = make_env({"name": "grid", "n_agents": 3, "length": 4})
         store, _ = tiny_mixer_store("vdn", n=3, obs_dim=env.spec.obs_dim,
                                     n_actions=3)
         rng = Rng(9)
-        for ep in training.rollout(env, store, 0.0,
-                                   [rng.split(f"ep{k}") for k in range(4)],
-                                   None, agent_hidden=4):
+        for k in range(4):
+            ep = collect_episode(env, store, 0.0, rng.split(f"ep{k}"), None,
+                                 agent_hidden=4)
             for value in vars(ep).values():
                 if isinstance(value, np.ndarray):
                     assert value.base is None and value.flags.owndata
@@ -949,14 +951,14 @@ print(json.dumps({"lengths": lengths, "blocks": blocks,
 
     def test_evaluation_returns_are_the_episodes_returns(self, monkeypatch):
         # evaluate_policy reads the returns from the reward block and builds
-        # no Episode, yet gives what the rollout's episodes give
+        # no Episode, yet gives what its streams' collected episodes give
         cfg = {"name": "grid", "n_agents": 3, "length": 4, "freeze": True}
         store, _ = tiny_mixer_store("vdn", n=3, obs_dim=8, n_actions=3)
         store.value = store.value + Rng(6).normal(store.value.shape)
-        rng = Rng(7)
-        returns = np.array([ep.episode_return for ep in training.rollout(
-            make_env(cfg), store, 0.0,
-            [rng.split(f"ep{k}") for k in range(40)], None, agent_hidden=4)])
+        rng, env = Rng(7), make_env(cfg)
+        returns = np.array([collect_episode(env, store, 0.0, rng.split(f"ep{k}"),
+                                            None, agent_hidden=4).episode_return
+                            for k in range(40)])
         assert 0.0 < returns.mean() < 1.0
         monkeypatch.setattr(training, "Episode", None)
         assert evaluate_policy(make_env(cfg), store, 40, rng,
