@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .envs import make_env
 from .errors import ConfigError
-from .mixers import MIXER_KINDS
+from .mixers import validate_mixer_kind
 from .nn import CLIP_NORM, RMS_DECAY, RMS_EPS
 
 _TYPES = {"int": int, "float": (int, float), "bool": bool}
@@ -68,15 +68,14 @@ class Config:
                         f"must be of type {f.type}, got {value!r}")
         require(isinstance(self.env, dict) and "name" in self.env,
                 "env", "must be an object with a 'name' field")
-        try:
-            make_env(self.env)
-        except ConfigError as exc:
-            raise ConfigError(f"env: {exc}") from None
+        for name, check in (("env", make_env), ("mixer", validate_mixer_kind)):
+            try:
+                check(getattr(self, name))
+            except ConfigError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
         # without learned hyperedges each convolution is the identity: qmix
         if self.mixer == "hgcn-mix" and self.hyperedges == 0:
             self.mixer = "qmix"
-        require(self.mixer in MIXER_KINDS, "mixer",
-                f"must be one of {list(MIXER_KINDS)}")
         require(self.hyperedges >= 0, "hyperedges", "must be >= 0")
         for name in _AT_LEAST_ONE:
             require(getattr(self, name) >= 1, name, "must be >= 1")

@@ -18,12 +18,13 @@ from .rng import Rng
 class ParameterStore:
     """Named parameter matrices end to end in one flat float64 array, ``value``,
     in insertion order as in the checkpoint blob; ``store[name]`` is a view of
-    it. ``sq_avg`` (the RMSProp moment) and a step's gradient share the layout.
-    Updates assign a new ``value``, so bound variables and the memo keep theirs.
+    it. ``sq_avg``, the RMSProp moment, shares the layout; the first update
+    allocates it, so target copies and loaded stores hold values only. Updates
+    assign a new ``value``, so bound variables and the memo keep theirs.
     """
 
     def __init__(self):
-        self.value, self.sq_avg = np.zeros(0), np.zeros(0)
+        self.value, self._sq_avg = np.zeros(0), None
         self._layout: dict[str, tuple[slice, tuple[int, int]]] = {}
         self._memo = None  # (key, weak ref to the value array, entries)
 
@@ -34,7 +35,16 @@ class ParameterStore:
         start = self.value.size
         self._layout[name] = (slice(start, start + value.size), value.shape)
         self.value = np.append(self.value, value)
-        self.sq_avg = np.append(self.sq_avg, np.zeros(value.size))
+        if self._sq_avg is not None:
+            self._sq_avg = np.append(self._sq_avg, np.zeros(value.size))
+
+    @property
+    def sq_avg(self) -> np.ndarray:
+        return np.zeros_like(self.value) if self._sq_avg is None else self._sq_avg
+
+    @sq_avg.setter
+    def sq_avg(self, value: np.ndarray) -> None:
+        self._sq_avg = value
 
     def __getitem__(self, name: str) -> np.ndarray:
         span, shape = self._layout[name]
@@ -66,7 +76,7 @@ class ParameterStore:
         other = ParameterStore()
         other._layout = dict(self._layout)
         other.value = self.value.copy()
-        other.sq_avg = self.sq_avg.copy()
+        other._sq_avg = None if self._sq_avg is None else self._sq_avg.copy()
         return other
 
     def copy_from(self, source: "ParameterStore") -> None:

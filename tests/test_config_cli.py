@@ -168,7 +168,7 @@ class TestConfig:
         ({"seeds": [0, 0]}, "seeds: must be distinct, got [0, 0]"),
         ({"model": {"embed": 3}}, "unknown config fields ['model']"),
         # the old one-hot mixer name is no alias of qmix
-        ({"mixer": "hgcn-mix-oh"}, "mixer: must be one of"),
+        ({"mixer": "hgcn-mix-oh"}, "mixer: unknown mixer kind 'hgcn-mix-oh'"),
     ])
     def test_cli_exits_2_with_field_and_no_traceback(self, tmp_path, capsys,
                                                      overrides, field):
@@ -535,6 +535,25 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert f"config error: {flag}" in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_config_and_flag_name_an_unknown_mixer_alike(self, tmp_path,
+                                                         capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        texts = []
+        for argv, prefix in (
+                (["train", "--config", str(_write_cfg(tmp_path, mixer="qplex")),
+                  "--out", "run"], "mixer: "),
+                (["compare", "--config", str(_write_cfg(tmp_path, "c.json")),
+                  "--mixers", "qplex", "--seeds", "1", "--out", "cmp.csv"],
+                 "--mixers: ")):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            head, _, text = err.partition(prefix)
+            assert head == "config error: "
+            texts.append(text)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("unknown mixer kind 'qplex'")
 
     def test_hyperedges_not_counts_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Layers, initialization, RMSProp, and checkpoint round-trips."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,17 @@ class TestRmsprop:
         assert (value == 1.0).all() and (bound == 1.0).all()
         assert (store["w"] < 1.0).all()
 
+    def test_add_after_first_update_extends_the_moment_with_zeros(self):
+        store = ParameterStore()
+        store.add("a", np.ones((2, 2)))
+        rmsprop_step(store, np.arange(4.0))
+        moment = store.sq_avg.copy()
+        store.add("b", np.ones((1, 3)))
+        assert store.sq_avg.shape == store.value.shape == (7,)
+        np.testing.assert_array_equal(store.sq_avg, np.append(moment, [0.0] * 3))
+        rmsprop_step(store, np.ones(7))
+        assert store.sq_avg.shape == (7,) and store.sq_avg.all()
+
 
 class TestClipGradNorm:
     def test_scales_down_large_gradients(self):
@@ -213,6 +225,26 @@ class TestStoreLifecycle:
         target.copy_from(store)
         assert np.array_equal(store.value, target.value)
         assert target.value is not store.value
+
+    def test_clone_copies_the_moment_only_once_it_exists(self):
+        # a store before its first update holds its values only, and so
+        # does its clone; after the update the clone copies the moment too
+        store = ParameterStore()
+        store.add("w", np.ones((64, 64)))
+        size = store.value.nbytes
+        grown = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                before = tracemalloc.get_traced_memory()[0]
+                clone = store.clone()
+                grown.append(tracemalloc.get_traced_memory()[0] - before)
+                np.testing.assert_array_equal(clone.sq_avg, store.sq_avg)
+                del clone
+                rmsprop_step(store, np.ones(store.value.size))
+        finally:
+            tracemalloc.stop()
+        assert size <= grown[0] < 2 * size <= grown[1] < 3 * size, grown
 
     def test_copy_from_rejects_another_layout(self):
         store = ParameterStore()

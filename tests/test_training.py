@@ -1010,6 +1010,39 @@ class TestUpdateTarget:
         for name in store.names():
             assert np.array_equal(store[name], target[name])
 
+    @pytest.mark.parametrize("kind", ["hgcn-mix", "qmix"])
+    def test_target_store_holds_its_values_only(self, kind):
+        # RMSProp updates the online store alone, so the paper-width target
+        # copy carries no moment through steps and syncs: dropping it frees
+        # one parameter-sized array (and its few-KB memo), not two
+        cfg = Config(env={"name": "grid", "n_agents": 4, "length": 6},
+                     mixer=kind)
+        env = make_env(cfg.env)
+        tracemalloc.start()
+        try:
+            store, target = init_run_stores(cfg, env, 0)
+            batch = stack_episodes([collect_episode(env, store, 1.0,
+                                                    Rng(k).split("env"),
+                                                    Rng(k).split("x"),
+                                                    cfg.agent_hidden)
+                                    for k in range(8)])
+            for step in range(4):
+                train_step(batch, store, target, kind, cfg.gamma, cfg.embed,
+                           cfg.agent_hidden)
+                if step % 2 == 1:
+                    update_target(store, target)
+            assert store.sq_avg.any() and not target.sq_avg.any()
+            assert target.sq_avg.shape == target.value.shape
+            size = target.value.nbytes
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del target
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert size <= freed < 2 * size, (freed, size)
+
 
 class TestEvaluatePolicy:
     def test_constructed_optimum_has_success_one(self):
