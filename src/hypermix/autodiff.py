@@ -306,7 +306,10 @@ def gru_sequence(x, h0, w_ih, w_hh, b_ih, b_hh, steps: int = 1,
     + z * h. Backward walks the steps in reverse with one step's gate
     gradients alive at a time. Inside, each gate is a contiguous (R x H)
     block: products use zero-copy gate-major (3, in, H) views of the
-    weights, which give the bits of the (R x 3H) products.
+    weights, which give the bits of the (R x 3H) products. Only r and z are
+    kept per step; backward recomputes c and hn with the forward's own
+    candidate-gate products and ufuncs, so it keeps the bits and pays two
+    (R x H) gate products a step for half the kept memory.
     """
     operands = tuple(map(_as_var, (x, h0, w_ih, w_hh, b_ih, b_hh)))
     xv, h0v, wiv, whv, biv, bhv = (v.value for v in operands)
@@ -325,26 +328,27 @@ def gru_sequence(x, h0, w_ih, w_hh, b_ih, b_hh, steps: int = 1,
         return a.reshape(len(a), 3, hid).transpose(1, 0, 2)
     wig, whg, big, bhg = map(gates, (wiv, whv, biv, bhv))
 
-    def product(a, w, out):  # a @ w per row block into the (3, R, H) out
+    def product(a, w, out):  # a @ w per row block into the (len(w), R, H) out
         if row_blocks == 1:
             return np.matmul(a, w, out=out)
         np.matmul(a.reshape(row_blocks, -1, a.shape[1]), w[:, None],
-                  out=out.reshape(3, row_blocks, -1, hid))
+                  out=out.reshape(len(w), row_blocks, -1, hid))
         return out
     out = np.empty((steps * rows, hid))
-    # kept for backward, per step: the candidate c, the reset and update
-    # gates r and z, and hn, the recurrent part of the candidate's input;
-    # untraced, one step's slot is reused
+    # kept for backward, per step: the reset and update gates r and z only;
+    # backward recomputes the candidate c and hn, the recurrent part of its
+    # input. c and hn live in gh, one step's scratch; untraced, one slot
+    # of r and z is reused
     kept = steps if _tape_of("gru_sequence", *operands) is not None else 1
-    s, gi = np.empty((kept, 4, rows, hid)), np.empty((3, rows, hid))
+    s, gi, gh = np.empty((kept, 2, rows, hid)), *np.empty((2, 3, rows, hid))
+    c, hn = gh[0], gh[2]  # c overwrites the spent recurrent part of r
     hv = h0v
     for t in range(steps):
-        st = s[t % kept]
-        c, rz, hn = st[0], st[1:3], st[3]
+        rz = s[t % kept]
         np.add(product(xv[t * rows:(t + 1) * rows], wig, gi), big, out=gi)
-        np.add(product(hv, whg, st[1:]), bhg, out=st[1:])
+        np.add(product(hv, whg, gh), bhg, out=gh)
         # logistic exp(min(u, 0)) / (1 + exp(-|u|)): exp of u <= 0 only
-        u = np.add(gi[:2], rz, out=rz)
+        u = np.add(gi[:2], gh[:2], out=rz)
         d = np.exp(np.negative(np.abs(u, out=gi[:2]), out=gi[:2]), out=gi[:2])
         d += 1.0
         np.divide(np.exp(np.minimum(u, 0.0, out=rz), out=rz), d, out=rz)
@@ -362,14 +366,19 @@ def gru_sequence(x, h0, w_ih, w_hh, b_ih, b_hh, steps: int = 1,
         dr, dz, dc, dhn = dgate = np.empty((4, rows, hid))
         drz, dh, db = dgate[:2], np.empty((rows, hid)), np.zeros((4, 1, hid))
         # dx and dh copy the gates into (R x 3H) rows for one product, in the
-        # row layout's summation order; the rows' memory first holds 1 - rz
+        # row layout's summation order; the rows' memory first holds the
+        # recomputed c and hn, then 1 - rz
         work = np.empty((3, rows, hid))
         row, tmp = work.reshape(rows, 3 * hid), work[:2]
         for t in reversed(range(steps)):
             lo, hi = t * rows, (t + 1) * rows
             gt = g[lo:hi] if t == steps - 1 else np.add(g[lo:hi], dh, out=dh)
-            c, rz, hn = s[t, 0], s[t, 1:3], s[t, 3]
-            hv = out[lo - rows:lo] if t else h0v
+            rz, hv = s[t], (out[lo - rows:lo] if t else h0v)
+            # c and hn by the forward's own products and ufuncs, so same bits
+            c, hn, xn = work
+            np.add(product(hv, whg[2:], work[1:2]), bhg[2:], out=work[1:2])
+            np.add(product(xv[lo:hi], wig[2:], work[2:]), big[2:], out=work[2:])
+            np.tanh(np.add(xn, np.multiply(rz[0], hn, out=c), out=c), out=c)
             # dc = gt * (1 - z) * (1 - c * c)
             np.multiply(gt, np.subtract(1.0, rz[1], out=dr), out=dr)
             np.multiply(dr, np.subtract(1.0, np.multiply(c, c, out=dz), out=dz),

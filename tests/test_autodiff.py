@@ -723,10 +723,10 @@ def _gru_case(seed, rows, hid, steps, din):
     return args, rng.normal((steps * rows, hid))
 
 
-def _gru_primitive(args, g, steps, need):
+def _gru_primitive(args, g, steps, need, row_blocks=1):
     tape = Tape()
     vs = [tape.var(a) if n else Var(a) for a, n in zip(args, need)]
-    out = gru_sequence(*vs, steps=steps)
+    out = gru_sequence(*vs, steps=steps, row_blocks=row_blocks)
     gradient(tape, {out: g})
     return out.value, [v.grad for v in vs]
 
@@ -734,14 +734,23 @@ def _gru_primitive(args, g, steps, need):
 class TestGruSequenceLayout:
     """The gate-major kernel against the row-layout recurrence, bit for bit."""
 
-    @pytest.mark.parametrize("rows, hid, steps, din",
-                             [(3, 16, 1, 16), (96, 16, 8, 16), (128, 64, 12, 64)])
+    # with row blocks, backward's recomputed c and hn must come from the
+    # forward's own block products, or their bits drift (blocks of 3 rows
+    # change a product's bits under OPENBLAS_CORETYPE=Haswell)
+    CASES = [(3, 16, 1, 16, 1), (96, 16, 8, 16, 1), (128, 64, 12, 64, 1),
+             (96, 16, 8, 16, 3), (128, 64, 12, 64, 4), (12, 16, 4, 16, 4)]
+
+    @pytest.mark.parametrize("rows, hid, steps, din, blocks", CASES,
+                             ids=["-".join(map(str, c[:4] if c[4] == 1 else c))
+                                  for c in CASES])
     @pytest.mark.parametrize("need", [(True,) * 6, (False, False) + (True,) * 4],
                              ids=["all-traced", "x-h0-constant"])
-    def test_bit_identical_to_row_layout(self, rows, hid, steps, din, need):
+    def test_bit_identical_to_row_layout(self, rows, hid, steps, din, blocks,
+                                         need):
         args, g = _gru_case(rows + steps, rows, hid, steps, din)
-        want_out, want_grads = gru_sequence_reference(*args, steps, g, need)
-        got_out, got_grads = _gru_primitive(args, g, steps, need)
+        want_out, want_grads = gru_sequence_reference(*args, steps, g, need,
+                                                      blocks)
+        got_out, got_grads = _gru_primitive(args, g, steps, need, blocks)
         assert np.array_equal(got_out, want_out)
         for i, (got, want) in enumerate(zip(got_grads, want_grads)):
             if want is None:
@@ -763,3 +772,33 @@ class TestGruSequenceLayout:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= peaks[1], peaks
+
+    def test_keeps_only_reset_and_update_gates(self):
+        # between forward and backward a traced call holds its output, r and
+        # z of every step, and at most one step's scratch: six (R x H) gates
+        rows, hid, steps, din = 128, 64, 12, 64
+        args, _ = _gru_case(10, rows, hid, steps, din)
+        tape = Tape()
+        vs = [tape.var(a) for a in args]
+        tracemalloc.start()
+        try:
+            gru_sequence(*vs, steps=steps)  # its tape record keeps it for backward
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        block = rows * hid * 8
+        assert held <= (steps + 2 * steps + 6) * block, held / block
+
+    def test_untraced_forward_peak_does_not_grow_with_steps(self):
+        rows, hid, din = 128, 64, 64
+        beyond_out = []
+        for steps in (2, 12):
+            args, _ = _gru_case(11, rows, hid, steps, din)
+            tracemalloc.start()
+            try:
+                gru_sequence(*args, steps=steps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            beyond_out.append(peak - steps * rows * hid * 8)
+        assert beyond_out[1] <= beyond_out[0] + 4096, beyond_out

@@ -5,6 +5,8 @@ site that is renamed or deleted would otherwise only show up as
 ``"absent": true`` in a traced benchmark run. ``perfbench/workloads.py``
 calls the training entry points; a changed signature or return type would
 otherwise only show up as failed operations in a benchmark run.
+``bench/pairs.py`` summarises alternating parent/change runs; its report
+must match the two sides by workload and seed.
 """
 
 import gc
@@ -16,9 +18,9 @@ import hypermix
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load(name):
+def _load(name, directory="perfbench"):
     spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+        f"{directory}_{name}", ROOT / directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -68,3 +70,21 @@ def test_grid8_rollout_fixed_pass_runs_clean():
     assert len(led.samples["episode"]) == rounds * workload.round_episodes
     assert len(led.samples["eval_round"]) == rounds
     assert "rollout_digest" in led.outputs
+
+
+def test_pairs_report_matches_sides_by_workload_and_seed():
+    pairs = _load("pairs", "bench")
+
+    def record(seed, value, digest="a"):
+        return {"workload": "w", "seed": seed, "trace": 0, "failed": 0,
+                "metrics": {"m": {"value": value, "unit": "ms"}},
+                "outputs": {"x.loss_digest": digest, "x.losses_hashed": 8}}
+
+    parent = [record(seed, 10.0 + seed) for seed in range(1, 6)]
+    # listed in another order; the change reads lower except at seed 3
+    change = [record(seed, 13.5 if seed == 3 else 9.0 + seed,
+                     "b" if seed == 5 else "a") for seed in (5, 4, 3, 2, 1)]
+    assert pairs.report(parent, change, ["m"]) == [
+        "w m: parent 12.000 / 13.000 / 14.000  change 11.000 / 13.000 / 13.500"
+        "  change lower in 4 of 5",
+        "w: failed operations parent 0, change 0; output digests differ in 1 of 5"]
