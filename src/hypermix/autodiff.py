@@ -182,8 +182,10 @@ def mul(a, b) -> Var:
             f"mul: shapes {av.shape} and {bv.shape} do not broadcast") from None
 
     def bwd(g, need):
-        return (_unbroadcast(g * bv, av.shape) if need[0] else None,
-                _unbroadcast(g * av, bv.shape) if need[1] else None)
+        # the gradient broadcasting reduces first: one full-size product at a time
+        grads = {i: _unbroadcast(g * (bv, av)[i], (av, bv)[i].shape)
+                 for i in ((1, 0) if bv.size < av.size else (0, 1)) if need[i]}
+        return grads.get(0), grads.get(1)
 
     return _emit("mul", (a, b), out, bwd)
 
@@ -423,7 +425,8 @@ def hgcn_conv(x, H, w, n: int) -> Var:
     computes d^{-1/2} H |w| b^{-1} H^T d^{-1/2} x with vertex degrees
     d = H |w| and hyperedge degrees b = 1^T H of its own. Both normalizers
     are diagonal pseudo-inverses: exactly 0 where the degree is at or below
-    ``SAFE_EPS``, with zero gradient there; abs'(0) = 0.
+    ``SAFE_EPS``, with zero gradient there; abs'(0) = 0. The record keeps its
+    operands and (S x n) values only; backward reruns the forward's (S x k) part.
     """
     operands = tuple(map(_as_var, (x, H, w)))
     xv, hv, wv = (v.value for v in operands)
@@ -439,17 +442,22 @@ def hgcn_conv(x, H, w, n: int) -> Var:
     d = (hv @ aw).reshape(S, n)
     dis = (d > SAFE_EPS) / np.sqrt(np.maximum(d, SAFE_EPS))
     x2 = xv.reshape(S, n)
-    # one product gives the hyperedge degrees b (row 0) and the projection
-    # s = (d^{-1/2} x)^T H (row 1) of every sample
     lhs = np.stack((np.ones_like(d), dis * x2), axis=1)
     z = lhs[:, 1]
-    b, s = (lhs @ h3).transpose(1, 0, 2)
-    binv = (b > SAFE_EPS) / np.maximum(b, SAFE_EPS)
-    t = s * binv * aw.T                                   # S x k
+
+    def edges():  # s, b^{-1} and t = s b^{-1} |w|^T, each S x k
+        # one product: hyperedge degrees b and projections s = (d^{-1/2} x)^T H,
+        # each a contiguous block, where elementwise work runs faster than strided
+        b, s = bs = np.empty((2, S, k))
+        np.matmul(lhs, h3, out=bs.transpose(1, 0, 2))
+        binv = (b > SAFE_EPS) / np.maximum(b, SAFE_EPS)
+        return s, binv, s * binv * aw.T
+    s, binv, t = edges()
     u = (h3 @ t[:, :, None])[:, :, 0]                     # S x n
     out = (dis * u).reshape(rows, 1)
 
     def bwd(g, need):
+        s, binv, t = edges()  # the forward's expressions, so its bits
         g = g.reshape(S, n)
         gu = g * dis
         gt = (gu[:, None, :] @ h3)[:, 0]
@@ -503,8 +511,9 @@ def gradient(tape: Tape, seeds) -> dict:
     attribute set; record outputs do not. Leaves that do not influence any
     seeded output keep ``grad = None`` (a zero gradient). Each record's
     backward is told which of its operands are traced and skips the work
-    for the others. The sweep pops each record before its backward runs, so
-    a record, its output's gradient and whatever of the graph the caller no
+    for the others. The sweep pops each record and drops its output before
+    its backward runs, so a backward holds only the arrays it reads: the
+    record, its output and gradient, and whatever of the graph the caller no
     longer holds are freed as the sweep passes them.
     """
     if tape.consumed:
@@ -524,6 +533,7 @@ def gradient(tape: Tape, seeds) -> dict:
     while records:
         rec = records.pop()
         g = acc.pop(rec.out, None)
+        rec.out = v = gi = None  # hold only what this backward reads
         if g is None:
             continue
         need = tuple(v.tape is tape for v in rec.inputs)

@@ -1,8 +1,13 @@
 """Tape, primitives, gradients, and the finite-difference oracle."""
 
 import gc
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,8 @@ from hypermix.rng import Rng
 from _helpers import assert_grad_close, check_gradients, shift_from_kinks
 from _oracles import (gru_sequence_reference, gru_step_reference,
                       hgcn_layer_dense, linear_reference)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _spy_on_backward(tape):
@@ -231,8 +238,8 @@ class TestTape:
 
     def test_sweep_frees_later_records_before_earlier_backwards(self):
         # when the first record's backward runs, the records after it, their
-        # closures and the outputs the caller does not hold are gone, by
-        # reference counting alone
+        # closures and the outputs the caller does not hold, the first
+        # record's own output included, are gone, by reference counting alone
         was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -242,7 +249,7 @@ class TestTape:
             for op in (elu, absval, elu):
                 chain.append(op(chain[-1]))
             out = reduce_sum(chain[-1])
-            later = [weakref.ref(v) for v in chain[1:]]
+            later = [weakref.ref(v) for v in chain]
             later += [weakref.ref(r.bwd) for r in tape.records[1:]]
             del chain
             first, seen = tape.records[0], []
@@ -260,6 +267,49 @@ class TestTape:
         finally:
             if was_enabled:
                 gc.enable()
+
+    @pytest.mark.parametrize("broadcast", [0, 1], ids=["a-column", "b-column"])
+    def test_mul_backward_holds_one_full_size_product(self, broadcast):
+        # (R x c) * (R x 1): the column's gradient reduces a full-size
+        # product, which is freed before the other operand's gradient exists
+        rows, cols = 2000, 32
+        tape = Tape()
+        shapes = [(rows, cols), (rows, cols)]
+        shapes[broadcast] = (rows, 1)
+        a, b = (tape.var(Rng(6 + i).normal(shape)) for i, shape in enumerate(shapes))
+        out = mul(a, b)
+        seed = Rng(8).normal((rows, cols))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            gradient(tape, {out: seed})
+            rise = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        full = rows * cols * 8
+        assert rise < 1.5 * full, rise / full
+        np.testing.assert_array_equal(
+            (a, b)[broadcast].grad,
+            (seed * (b, a)[broadcast].value).sum(axis=1, keepdims=True))
+        np.testing.assert_array_equal((b, a)[broadcast].grad,
+                                      seed * (a, b)[broadcast].value)
+
+    def test_hgcn_conv_record_keeps_no_sample_by_edge_array(self):
+        # between forward and backward the record holds its operands and
+        # S x n values only; backward recomputes the S x k ones
+        samples, n, k = 2000, 4, 36
+        rng = Rng(9)
+        tape = Tape()
+        x, H, w = (tape.var(a) for a in (rng.normal((samples * n, 1)),
+                                         rng.uniform(0.0, 1.0, (samples * n, k)),
+                                         rng.normal((k, 1))))
+        tracemalloc.start()
+        try:
+            hgcn_conv(x, H, w, n)  # its tape record keeps it for backward
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < samples * k * 8, held / (samples * k * 8)
 
     def test_consumed_tape_raises(self):
         out, tape, _ = evaluate(lambda x: reduce_sum(x), np.ones((2, 2)))
@@ -757,6 +807,26 @@ class TestGruSequenceLayout:
                 assert got is None, i
             else:
                 assert got.shape == want.shape and np.array_equal(got, want), i
+
+    def test_row_block_cases_under_haswell(self):
+        # under SkylakeX and Sandybridge a gemm over a block of rows gives
+        # the bits of the same rows in the whole product, so only Haswell
+        # shows a backward that ignores row blocks: the row-block cases run
+        # again in a fresh process under that kernel
+        ids = [f"{need}-{'-'.join(map(str, case))}" for case in self.CASES
+               if case[4] > 1 for need in ("all-traced", "x-h0-constant")]
+        test = f"{__file__}::TestGruSequenceLayout::test_bit_identical_to_row_layout"
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in (env.get("PYTHONPATH"),) if p])
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             *(f"{test}[{i}]" for i in ids)],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        if done.returncode == -signal.SIGILL:
+            pytest.skip("this CPU cannot run the Haswell kernel")
+        assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+        assert f"{len(ids)} passed" in done.stdout, done.stdout[-2000:]
 
     def test_peak_memory_within_row_layout(self):
         # paper shape: 32 episodes x 4 agents, agent_hidden 64, 12 steps
