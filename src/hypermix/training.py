@@ -9,10 +9,10 @@ is exact for mixers satisfying the individual-global-max property.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,47 +37,66 @@ def epsilon(t: int, anneal_steps: int) -> float:
 
 
 _stamps = itertools.count()
+_FIELDS = ("obs", "state", "avail", "actions", "reward", "terminated")
 
 
-@dataclass
+@functools.lru_cache(maxsize=None)
+def _record_dtype(layout: tuple) -> np.dtype:
+    """The record dtype of a layout of (field, dtype.str, shape) triples,
+    made once: one per episode would cost more than the episode's data."""
+    return np.dtype(list(layout), align=True)
+
+
 class Episode:
-    """One rollout with a trailing observation slot for bootstrapping.
+    """One rollout with a trailing observation slot for bootstrapping, kept
+    as one record: a 0-d structured array with a field per array argument,
+    in the dtype and shape given; ``ep.obs`` and the other fields read as
+    views of it. obs is (T+1, n, obs_dim), state (T+1, state_dim), avail
+    (T+1, n, n_actions), actions (T, n), reward and terminated (T,).
 
     Slots beyond ``length`` stay zero (-1 in ``actions``); ``length`` is the
     validity mask. ``stamp``, unique in the process, keys the target memo.
     """
 
-    obs: np.ndarray          # (T+1, n, obs_dim) int8
-    state: np.ndarray        # (T+1, state_dim) int8
-    avail: np.ndarray        # (T+1, n, n_actions) bool
-    actions: np.ndarray      # (T, n) int8
-    reward: np.ndarray       # (T,)
-    terminated: np.ndarray   # (T,) bool
-    length: int
-    stamp: int = field(default_factory=_stamps.__next__, init=False)
+    __slots__ = ("record", "length", "stamp", "__weakref__")
+
+    def __init__(self, obs, state, avail, actions, reward, terminated,
+                 length: int):
+        arrays = (obs, state, avail, actions, reward, terminated)
+        self.record = np.array(arrays, _record_dtype(tuple(
+            (f, a.dtype.str, a.shape) for f, a in zip(_FIELDS, arrays))))
+        self.length, self.stamp = length, next(_stamps)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in _FIELDS:
+            raise AttributeError(name)
+        return self.record[name]
 
     @property
     def episode_return(self) -> float:
         return float(self.reward[:self.length].sum())
 
     def freeze(self) -> None:
-        """Make every array read-only, once: the target memo keys on stamps."""
-        if self.obs.flags.writeable:
-            for value in vars(self).values():
-                if isinstance(value, np.ndarray):
-                    value.setflags(write=False)
+        """Make the record read-only: the target memo keys on stamps."""
+        self.record.setflags(write=False)
 
 
 def stack_episodes(episodes: list[Episode]) -> dict[str, np.ndarray]:
-    """One batch of episodes: each field stacked episode-major, (B, ...).
+    """One batch of episodes: each field stacked episode-major, (B, ...),
+    C-contiguous, with the (B,) lengths and stamps. Each record is copied
+    once, into one (B,) block.
 
-    The episodes' arrays become read-only, since :func:`td_targets` memoizes
-    their targets by stamp.
+    The records become read-only, since :func:`td_targets` memoizes their
+    targets by stamp.
     """
-    for ep in episodes:
+    block = np.empty(len(episodes), episodes[0].record.dtype)
+    for k, ep in enumerate(episodes):
         ep.freeze()
-    return {f.name: np.array([getattr(ep, f.name) for ep in episodes])
-            for f in fields(Episode)}
+        block[k] = ep.record
+    batch = {f: np.ascontiguousarray(block[f]) for f in _FIELDS}
+    batch["length"] = np.array([ep.length for ep in episodes])
+    batch["stamp"] = np.array([ep.stamp for ep in episodes])
+    return batch
 
 
 class ReplayBuffer:
@@ -155,10 +174,10 @@ def rollout(env, store: ParameterStore, eps: float, env_rngs: list[Rng],
 def collect_episode(env, store: ParameterStore, eps: float, env_rng: Rng,
                     explore_rng: Rng | None, agent_hidden: int = 64) -> Episode:
     """Roll one episode in ``env``: row 0 of a :func:`rollout` of one stream,
-    copied, so a kept episode owns its arrays."""
+    packed into its own record, so a kept episode keeps no block alive."""
     blocks = rollout(env, store, eps, [env_rng], explore_rng, agent_hidden)
     length = int(blocks.pop("length")[0])
-    return Episode(**{f: b[0].copy() for f, b in blocks.items()}, length=length)
+    return Episode(**{f: b[0] for f, b in blocks.items()}, length=length)
 
 
 def _steps(batch: dict) -> tuple[np.ndarray, np.ndarray]:

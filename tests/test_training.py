@@ -260,6 +260,43 @@ def _columns(targets, batch):
     return [targets[:ep.length, k] for k, ep in enumerate(batch)]
 
 
+class TestStackEpisodes:
+    @staticmethod
+    def _check(episodes):
+        # each field as np.array over the episodes' fields would stack it
+        want = {name: np.array([getattr(ep, name) for ep in episodes])
+                for name in episodes[0].record.dtype.names}
+        batch = stack_episodes(episodes)
+        assert set(batch) == set(want) | {"length", "stamp"}
+        for name, value in want.items():
+            got = batch[name]
+            assert got.flags.c_contiguous, name
+            assert (got.dtype, got.shape) == (value.dtype, value.shape), name
+            np.testing.assert_array_equal(got, value)
+        np.testing.assert_array_equal(batch["length"],
+                                      [ep.length for ep in episodes])
+        np.testing.assert_array_equal(batch["stamp"],
+                                      [ep.stamp for ep in episodes])
+
+    def test_float64_fields_and_intp_actions(self):
+        _, dims = tiny_mixer_store("qmix", n=2, obs_dim=6, n_actions=3,
+                                   state_dim=12, embed=3)
+        episodes = _mixed_length_batch(dims, seed=45)
+        assert episodes[0].obs.dtype == np.float64
+        assert episodes[0].actions.dtype == np.intp
+        self._check(episodes)
+
+    def test_collected_int8_episodes(self):
+        env = make_env({"name": "grid", "n_agents": 3, "length": 4})
+        store, _ = tiny_mixer_store("vdn", n=3, obs_dim=env.spec.obs_dim,
+                                    n_actions=3)
+        episodes = [collect_episode(env, store, 1.0, Rng(k).split("env"),
+                                    Rng(k).split("x"), agent_hidden=4)
+                    for k in range(6)]
+        assert episodes[0].obs.dtype == np.int8
+        self._check(episodes)
+
+
 class TestTdTargets:
     def _batch(self, store, env_name, count, seed=0):
         batch = []
@@ -921,8 +958,8 @@ print(json.dumps({"lengths": lengths, "blocks": blocks,
         assert calls == {"reset": 1, "observe": longest + 1, "step": longest}
 
     def test_episodes_own_their_arrays(self):
-        # a collected episode holds only its own rows, not the rollout's
-        # blocks
+        # a collected episode holds only its own rows, in its own record,
+        # not the rollout's blocks; its fields are views of that record
         env = make_env({"name": "grid", "n_agents": 3, "length": 4})
         store, _ = tiny_mixer_store("vdn", n=3, obs_dim=env.spec.obs_dim,
                                     n_actions=3)
@@ -930,24 +967,66 @@ print(json.dumps({"lengths": lengths, "blocks": blocks,
         for k in range(4):
             ep = collect_episode(env, store, 0.0, rng.split(f"ep{k}"), None,
                                  agent_hidden=4)
-            for value in vars(ep).values():
-                if isinstance(value, np.ndarray):
-                    assert value.base is None and value.flags.owndata
+            assert ep.record.base is None and ep.record.flags.owndata
+            assert ep.record.shape == ()
+            for name in ep.record.dtype.names:
+                assert getattr(ep, name).base is ep.record
 
     def test_stored_episode_holds_int8_rows(self):
         # at n = 3, length 4: (9, 3, 8) int8 observations, (9, 24) int8
         # states, (9, 3, 3) masks, (8, 3) int8 actions, (8,) float64 rewards
-        # and (8,) flags; float64 observations and states and intp actions
-        # took 3,801 bytes
+        # and (8,) flags, 609 bytes, and 7 bytes of padding that align the
+        # rewards; float64 observations and states and intp actions took
+        # 3,801 bytes
         env = make_env({"name": "grid", "n_agents": 3, "length": 4})
         store, _ = tiny_mixer_store("vdn", n=3, obs_dim=env.spec.obs_dim,
                                     n_actions=3)
         ep = collect_episode(env, store, 1.0, Rng(5).split("env"),
                              Rng(5).split("x"), agent_hidden=4)
-        arrays = [v for v in vars(ep).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 6
-        assert ep.obs.dtype == ep.state.dtype == ep.actions.dtype == np.int8
+        names = ("obs", "state", "avail", "actions", "reward", "terminated")
+        assert ep.record.dtype.names == names
+        arrays = [getattr(ep, name) for name in names]
+        assert [a.dtype for a in arrays] == [np.int8, np.int8, bool, np.int8,
+                                            np.float64, bool]
         assert sum(a.nbytes for a in arrays) == 609
+        ends = [ep.record.dtype.fields[name][1] + a.nbytes
+                for name, a in zip(names, arrays)]
+        starts = [ep.record.dtype.fields[name][1] for name in names]
+        assert [s - e for e, s in zip(ends, starts[1:])] == [0, 0, 0, 7, 0]
+        assert ep.record.nbytes == ends[-1] == 616
+
+    def test_buffered_episode_takes_under_1000_bytes(self):
+        # one record, one ndarray header and a three-slot object per
+        # episode; six arrays and a dataclass took about 1,600 bytes here
+        env = make_env({"name": "grid", "n_agents": 3, "length": 4})
+        store, _ = tiny_mixer_store("vdn", n=3, obs_dim=env.spec.obs_dim,
+                                    n_actions=3)
+        rng = Rng(10)
+        buf = ReplayBuffer(capacity=201)
+        buf.add(collect_episode(env, store, 1.0, rng.split("warm"), rng,
+                                agent_hidden=4))
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(200):
+                buf.add(collect_episode(env, store, 1.0, rng.split(f"ep{k}"),
+                                        rng, agent_hidden=4))
+            gc.collect()
+            per_episode = (tracemalloc.get_traced_memory()[0] - before) / 200
+        finally:
+            tracemalloc.stop()
+        assert len(buf) == 201
+        assert per_episode < 1000, per_episode
+
+    def test_episodes_of_one_layout_share_a_record_dtype(self):
+        env = make_env({"name": "grid", "n_agents": 3, "length": 4})
+        store, _ = tiny_mixer_store("vdn", n=3, obs_dim=env.spec.obs_dim,
+                                    n_actions=3)
+        a, b = (collect_episode(env, store, 1.0, Rng(k).split("env"),
+                                Rng(k).split("x"), agent_hidden=4)
+                for k in range(2))
+        assert a.record.dtype is b.record.dtype
 
     def test_evaluation_returns_are_the_episodes_returns(self, monkeypatch):
         # evaluate_policy reads the returns from the reward block and builds
