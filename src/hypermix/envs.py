@@ -13,13 +13,13 @@ Three environments stress different coordination pressures at desk scale:
   and masks their observations with the fixed dead-agent value.
 
 Each steps K episodes in lockstep, as PyMARL's parallel runner does:
-``reset(rngs)`` starts one per stream; ``observe()`` gives all K episodes'
-(K, n, obs_dim) observations and (K, state_dim) states, int8 with entries
--1, 0 or 1, and (K, n, n_actions) action masks, a finished one's final
-ones; ``step(actions)`` maps the (R, n) actions of the R running episodes,
-in episode order, to their (R,) shared rewards and termination flags. Given
-the reset streams all are deterministic, and each episode ends at the
-episode limit at the latest.
+``reset(layouts)`` starts one per row of a (K, ...) int array, such as
+:func:`draw_layouts` makes; ``observe()`` gives all K episodes' (K, n,
+obs_dim) observations and (K, state_dim) states, int8 with entries -1, 0 or
+1, and (K, n, n_actions) action masks, a finished one's final ones;
+``step(actions)`` maps the (R, n) actions of the R running episodes, in
+episode order, to their (R,) shared rewards and termination flags. Given the
+layouts all are deterministic, and each episode ends by the episode limit.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .rng import Rng
 
 CLIMBING_PAYOFF = ((11.0, -30.0, 0.0), (-30.0, 7.0, 6.0), (0.0, 0.0, 5.0))
 BRANCH_A_PAYOFF = ((7.0, 7.0), (7.0, 7.0))
@@ -105,8 +104,8 @@ class OneStepMatrixGame:
                             obs_dim=n, state_dim=1, episode_limit=1)
         self._k, self._done = 0, True
 
-    def reset(self, rngs: list[Rng]) -> None:
-        self._k, self._done = len(rngs), False
+    def reset(self, layouts: np.ndarray) -> None:
+        self._k, self._done = len(layouts), False
 
     def observe(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Agent-id one-hots, a unit state and an all-true mask."""
@@ -137,8 +136,8 @@ class TwoStepGame:
                             episode_limit=2)
         self._phase = np.zeros(0, dtype=np.intp)
 
-    def reset(self, rngs: list[Rng]) -> None:
-        self._phase = np.zeros(len(rngs), dtype=np.intp)
+    def reset(self, layouts: np.ndarray) -> None:
+        self._phase = np.zeros(len(layouts), dtype=np.intp)
 
     def observe(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Both agents see the state, a one-hot of the phase (first step,
@@ -196,15 +195,12 @@ class LazyCoordinationGrid:
                     [self.LEFT, self.RIGHT] * 2] = False
         self._running = np.zeros(0, dtype=np.intp)
 
-    def reset(self, rngs: list[Rng]) -> None:
-        """Episode k draws n positions, then n targets, from ``rngs[k]``."""
-        n = self.spec.n_agents
-        draws = np.array([[rng.integers(self.length) for _ in range(2 * n)]
-                          for rng in rngs], dtype=np.intp).reshape(-1, 2, n)
-        self._pos, self._target = draws[:, 0].copy(), draws[:, 1]
+    def reset(self, layouts: np.ndarray) -> None:
+        """Episode k takes positions ``layouts[k, 0]`` and targets ``layouts[k, 1]``."""
+        self._pos, self._target = np.array(layouts, np.intp).swapaxes(0, 1)
         self._frozen = (self._pos == self._target) & self.freeze
         self._steps, self._avail = 0, None
-        self._running = np.arange(len(rngs))
+        self._running = np.arange(len(layouts))
 
     def observe(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Observations and state from each agent's position one-hot ++
@@ -253,6 +249,16 @@ def make_env(env_cfg: dict):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad options for env {name!r}: {exc}") from exc
     raise ConfigError(f"unknown env name {name!r}")
+
+
+def draw_layouts(env, rngs) -> np.ndarray:
+    """One layout per stream for ``env.reset``: the corridor's (K, 2, n) are
+    positions then targets, one ``integers`` call each; the games' (K, 0)."""
+    if not isinstance(env, LazyCoordinationGrid):
+        return np.zeros((len(rngs), 0), dtype=np.intp)
+    n = env.spec.n_agents
+    return np.array([[rng.integers(env.length) for _ in range(2 * n)]
+                     for rng in rngs], dtype=np.intp).reshape(-1, 2, n)
 
 
 def brute_force_optimal(env) -> float:

@@ -21,7 +21,7 @@ from . import agents as ag
 from . import mixers as mx
 from .autodiff import (Tape, Var, add, gradient, mul, reduce_sum, reshape,
                        select_rows)
-from .envs import brute_force_optimal, make_env
+from .envs import brute_force_optimal, draw_layouts, make_env
 from .errors import TrainingError
 from .nn import (CLIP_NORM, RMS_DECAY, RMS_EPS, ParameterStore,
                  clip_grad_norm, rmsprop_step, save_checkpoint)
@@ -54,8 +54,8 @@ class Episode:
     views of it. obs is (T+1, n, obs_dim), state (T+1, state_dim), avail
     (T+1, n, n_actions), actions (T, n), reward and terminated (T,).
 
-    Slots beyond ``length`` stay zero (-1 in ``actions``); ``length`` is the
-    validity mask. ``stamp``, unique in the process, keys the target memo.
+    Slots past ``length`` stay zero (-1 in ``actions``). The record is
+    read-only: its ``stamp``, unique in the process, keys the target memo.
     """
 
     __slots__ = ("record", "length", "stamp", "__weakref__")
@@ -65,6 +65,7 @@ class Episode:
         arrays = (obs, state, avail, actions, reward, terminated)
         self.record = np.array(arrays, _record_dtype(tuple(
             (f, a.dtype.str, a.shape) for f, a in zip(_FIELDS, arrays))))
+        self.record.setflags(write=False)
         self.length, self.stamp = length, next(_stamps)
 
     def __getattr__(self, name: str) -> np.ndarray:
@@ -76,22 +77,14 @@ class Episode:
     def episode_return(self) -> float:
         return float(self.reward[:self.length].sum())
 
-    def freeze(self) -> None:
-        """Make the record read-only: the target memo keys on stamps."""
-        self.record.setflags(write=False)
-
 
 def stack_episodes(episodes: list[Episode]) -> dict[str, np.ndarray]:
     """One batch of episodes: each field stacked episode-major, (B, ...),
     C-contiguous, with the (B,) lengths and stamps. Each record is copied
     once, into one (B,) block.
-
-    The records become read-only, since :func:`td_targets` memoizes their
-    targets by stamp.
     """
     block = np.empty(len(episodes), episodes[0].record.dtype)
     for k, ep in enumerate(episodes):
-        ep.freeze()
         block[k] = ep.record
     batch = {f: np.ascontiguousarray(block[f]) for f in _FIELDS}
     batch["length"] = np.array([ep.length for ep in episodes])
@@ -108,7 +101,6 @@ class ReplayBuffer:
         self.inserted = 0
 
     def add(self, episode: Episode) -> None:
-        episode.freeze()
         if len(self._episodes) < self.capacity:
             self._episodes.append(episode)
         else:
@@ -126,9 +118,9 @@ class ReplayBuffer:
         return stack_episodes([self._episodes[i] for i in idx])
 
 
-def rollout(env, store: ParameterStore, eps: float, env_rngs: list[Rng],
+def rollout(env, store: ParameterStore, eps: float, layouts: np.ndarray,
             explore_rng: Rng | None, agent_hidden: int = 64) -> dict:
-    """Roll one episode per stream of ``env_rngs`` in lockstep in ``env``
+    """Roll one episode per row of ``layouts`` in lockstep in ``env``
     into a :func:`stack_episodes` batch without stamps: one (K, ...) block
     per Episode field and the lengths (K,). Each agent acts from its own
     inputs only; each step makes one observe, one env step and one agent
@@ -136,12 +128,12 @@ def rollout(env, store: ParameterStore, eps: float, env_rngs: list[Rng],
     has the bits it has alone. At ``eps`` = 0 nothing is drawn, and
     ``explore_rng`` may be None."""
     spec = env.spec
-    n, limit, k = spec.n_agents, spec.episode_limit, len(env_rngs)
+    n, limit, k = spec.n_agents, spec.episode_limit, len(layouts)
     avail = np.zeros((k, limit + 1, n, spec.n_actions), dtype=bool)
     actions = np.full((k, limit, n), -1, np.min_scalar_type(-spec.n_actions))  # int8
     reward = np.zeros((k, limit))
     terminated = np.zeros((k, limit), dtype=bool)
-    env.reset(env_rngs)
+    env.reset(layouts)
     pv = store.bind(None)
     rows = slice(None)  # the running episodes: a slice while all of them run
     hidden = Var(ag.initial_hidden(k * n, agent_hidden))
@@ -173,9 +165,10 @@ def rollout(env, store: ParameterStore, eps: float, env_rngs: list[Rng],
 
 def collect_episode(env, store: ParameterStore, eps: float, env_rng: Rng,
                     explore_rng: Rng | None, agent_hidden: int = 64) -> Episode:
-    """Roll one episode in ``env``: row 0 of a :func:`rollout` of one stream,
-    packed into its own record, so a kept episode keeps no block alive."""
-    blocks = rollout(env, store, eps, [env_rng], explore_rng, agent_hidden)
+    """Roll one episode in ``env`` on a layout drawn from ``env_rng``: row 0
+    of a :func:`rollout` in its own record, so it keeps no block alive."""
+    blocks = rollout(env, store, eps, draw_layouts(env, [env_rng]), explore_rng,
+                     agent_hidden)
     length = int(blocks.pop("length")[0])
     return Episode(**{f: b[0] for f, b in blocks.items()}, length=length)
 
@@ -326,8 +319,8 @@ def evaluate_policy(env, store: ParameterStore, episodes: int, rng: Rng,
         raise ValueError(f"evaluate_policy: episodes must be >= 1, got {episodes}")
     if optimal is None:
         optimal = brute_force_optimal(env)
-    streams = [rng.split(f"ep{k}") for k in range(episodes)]
-    batch = rollout(env, store, 0.0, streams, None, agent_hidden)
+    layouts = draw_layouts(env, [rng.split(f"ep{k}") for k in range(episodes)])
+    batch = rollout(env, store, 0.0, layouts, None, agent_hidden)
     # each episode's first ``length`` rewards, summed as episode_return sums
     returns = np.array([r[:t].sum() for r, t in zip(batch["reward"], batch["length"])])
     success = float((np.abs(returns - optimal) <= 1e-9).mean())

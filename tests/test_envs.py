@@ -7,7 +7,8 @@ import pytest
 
 from hypermix.envs import (BRANCH_A_PAYOFF, BRANCH_B_PAYOFF, CLIMBING_PAYOFF,
                            LazyCoordinationGrid, OneStepMatrixGame,
-                           TwoStepGame, brute_force_optimal, make_env)
+                           TwoStepGame, brute_force_optimal, draw_layouts,
+                           make_env)
 from hypermix.errors import ConfigError, ContractError
 from hypermix.rng import Rng
 from hypermix.training import collect_episode
@@ -45,9 +46,9 @@ ENV_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(ENV_CONFIGS))
 class TestContract:
-    """reset(rngs) -> None starts K = len(rngs) episodes, observe() -> (obs,
-    state, avail) of all K and step(actions) -> (reward, terminated) of the
-    R running ones, the same for every environment."""
+    """reset(layouts) -> None starts K = len(layouts) episodes, observe() ->
+    (obs, state, avail) of all K and step(actions) -> (reward, terminated)
+    of the R running ones, the same for every environment."""
 
     def check_observation(self, env, k):
         spec = env.spec
@@ -66,8 +67,9 @@ class TestContract:
         env = make_env(ENV_CONFIGS[name])
         rng = Rng(11)
         for k in (1, 5):
-            assert env.reset([rng.split(f"reset{k}.{e}")
-                              for e in range(k)]) is None
+            layouts = draw_layouts(env, [rng.split(f"reset{k}.{e}")
+                                         for e in range(k)])
+            assert env.reset(layouts) is None
             running = np.arange(k)
             while running.size:
                 avail = self.check_observation(env, k)[running]
@@ -78,6 +80,20 @@ class TestContract:
                 assert reward.shape == terminated.shape == running.shape
                 running = running[~terminated]
             self.check_observation(env, k)
+
+    def test_draw_layouts_gives_one_row_per_stream(self, name):
+        # the corridor's rows are n positions then n targets; the games have
+        # one layout each and leave the streams unread
+        env = make_env(ENV_CONFIGS[name])
+        streams = [Rng(k) for k in range(4)]
+        layouts = draw_layouts(env, streams)
+        if isinstance(env, LazyCoordinationGrid):
+            assert layouts.shape == (4, 2, env.spec.n_agents)
+            assert ((0 <= layouts) & (layouts < env.length)).all()
+        else:
+            assert layouts.shape == (4, 0)
+            assert [r.random() for r in streams] == [Rng(k).random()
+                                                     for k in range(4)]
 
     def test_trailing_slot_is_observe_after_the_last_step(self, name):
         env = make_env(ENV_CONFIGS[name])
@@ -102,7 +118,7 @@ class TestContract:
         n = env.spec.n_agents
         with pytest.raises(ContractError, match="finished episode"):
             env.step([0] * n)  # before any reset
-        env.reset([Rng(2), Rng(3)])
+        env.reset(draw_layouts(env, [Rng(2), Rng(3)]))
         running = 2
         while running:
             _, terminated = env.step(np.zeros((running, n), dtype=int))
@@ -114,27 +130,27 @@ class TestContract:
 class TestMatrixGame:
     def test_reset_gives_id_onehots_and_unit_state(self):
         env = OneStepMatrixGame()
-        env.reset([Rng(0), Rng(1)])
+        env.reset(draw_layouts(env, [Rng(0), Rng(1)]))
         obs, state, _ = env.observe()
         np.testing.assert_array_equal(obs, [np.eye(2), np.eye(2)])
         np.testing.assert_array_equal(state, [[1.0], [1.0]])
 
     def test_climbing_payoff_step(self):
         env = OneStepMatrixGame()
-        env.reset([Rng(0)])
+        env.reset(draw_layouts(env, [Rng(0)]))
         reward, terminated = env.step([[0, 0]])
         assert reward.tolist() == [11.0] and terminated.tolist() == [True]
 
     def test_all_cells_match_configured_payoff(self):
         payoff = np.asarray(CLIMBING_PAYOFF)
         env = OneStepMatrixGame()
-        env.reset([Rng(k) for k in range(9)])
+        env.reset(draw_layouts(env, [Rng(k) for k in range(9)]))
         cells = [[a0, a1] for a0 in range(3) for a1 in range(3)]
         np.testing.assert_array_equal(env.step(cells)[0], payoff.ravel())
 
     def test_step_after_done_is_contract_error(self):
         env = OneStepMatrixGame()
-        env.reset([Rng(0)])
+        env.reset(draw_layouts(env, [Rng(0)]))
         env.step([[0, 0]])
         with pytest.raises(ContractError):
             env.step([[0, 0]])
@@ -143,7 +159,7 @@ class TestMatrixGame:
         payoff = np.arange(8.0).reshape(2, 2, 2)
         env = OneStepMatrixGame(payoff)
         assert env.spec.n_agents == 3
-        env.reset([Rng(0)])
+        env.reset(draw_layouts(env, [Rng(0)]))
         assert env.step([[1, 0, 1]])[0].tolist() == [payoff[1, 0, 1]]
 
     def test_rejects_ragged_payoff(self):
@@ -173,14 +189,14 @@ class TestMatrixGame:
 class TestTwoStepGame:
     def test_reset_state_tag_is_first(self):
         env = TwoStepGame()
-        env.reset([Rng(0)])
+        env.reset(draw_layouts(env, [Rng(0)]))
         (obs,), (state,), _ = env.observe()
         np.testing.assert_array_equal(state, [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(obs[0], obs[1])
 
     def test_branch_a_pays_seven(self):
         env = TwoStepGame()
-        env.reset([Rng(0)])
+        env.reset(draw_layouts(env, [Rng(0)]))
         reward, terminated = env.step([[0, 1]])
         assert (reward.tolist(), terminated.tolist()) == ([0.0], [False])
         np.testing.assert_array_equal(env.observe()[1], [[0.0, 1.0, 0.0]])
@@ -190,7 +206,7 @@ class TestTwoStepGame:
     def test_branch_b_payoff_matrix(self):
         expected = [[0.0, 1.0], [1.0, 8.0]]
         env = TwoStepGame()
-        env.reset([Rng(k) for k in range(4)])
+        env.reset(draw_layouts(env, [Rng(k) for k in range(4)]))
         env.step([[1, 0]] * 4)  # agent 0 commits to branch B
         cells = [[a0, a1] for a0 in range(2) for a1 in range(2)]
         np.testing.assert_array_equal(env.step(cells)[0],
@@ -198,7 +214,7 @@ class TestTwoStepGame:
 
     def test_second_agent_cannot_pick_branch(self):
         env = TwoStepGame()
-        env.reset([Rng(0), Rng(1)])
+        env.reset(draw_layouts(env, [Rng(0), Rng(1)]))
         env.step([[0, 1], [1, 0]])  # agent 1's action must not matter
         np.testing.assert_array_equal(env.observe()[1], [[0.0, 1.0, 0.0],
                                                          [0.0, 0.0, 1.0]])
@@ -209,28 +225,28 @@ class TestGrid:
         layouts = []
         for _ in range(2):
             env = LazyCoordinationGrid(n_agents=3, length=5)
-            env.reset([Rng(99).split("env")])
+            env.reset(draw_layouts(env, [Rng(99).split("env")]))
             obs, state, _ = env.observe()
             layouts.append((obs.copy(), state.copy()))
         np.testing.assert_array_equal(layouts[0][0], layouts[1][0])
         np.testing.assert_array_equal(layouts[0][1], layouts[1][1])
 
     def test_reset_draws_each_layout_from_its_own_stream(self):
-        # five streams reset together give the layouts of five one-stream
-        # resets, and leave each stream where a lone reset leaves it
+        # five streams drawn together give the layouts of five one-stream
+        # draws, and leave each stream where a lone draw leaves it
         env = LazyCoordinationGrid(n_agents=3, length=5)
         together = [Rng(7).split(f"ep{k}") for k in range(5)]
-        env.reset(together)
+        env.reset(draw_layouts(env, together))
         layouts = env.observe()[1]
         alone = [Rng(7).split(f"ep{k}") for k in range(5)]
         for k, rng in enumerate(alone):
-            env.reset([rng])
+            env.reset(draw_layouts(env, [rng]))
             np.testing.assert_array_equal(env.observe()[1], layouts[k:k + 1])
         assert [r.random() for r in together] == [r.random() for r in alone]
 
     def test_observation_is_own_position_and_target(self):
         env = LazyCoordinationGrid(n_agents=2, length=4)
-        env.reset([Rng(1), Rng(2)])
+        env.reset(draw_layouts(env, [Rng(1), Rng(2)]))
         obs = env.observe()[0]
         for e in range(2):
             for a in range(2):
@@ -241,7 +257,7 @@ class TestGrid:
 
     def test_boundary_moves_masked(self):
         env = LazyCoordinationGrid(n_agents=1, length=3)
-        env.reset([Rng(0)])
+        env.reset(draw_layouts(env, [Rng(0)]))
         env._pos[0, 0] = 0
         avail = env.observe()[2][0]
         assert avail[0, env.STAY] and not avail[0, env.LEFT] and avail[0, env.RIGHT]
@@ -252,7 +268,7 @@ class TestGrid:
         # with no observe() since reset, step builds the mask of the
         # position it moves from
         env = LazyCoordinationGrid(n_agents=1, length=3)
-        env.reset([Rng(0)])
+        env.reset(draw_layouts(env, [Rng(0)]))
         env._pos[0, 0] = 0
         with pytest.raises(ContractError,
                            match="^episode 0 agent 0 chose unavailable"
@@ -271,7 +287,7 @@ class TestGrid:
     def test_bad_actions_name_the_first_bad_agent(self):
         # out-of-range actions are caught before they index the mask
         env = LazyCoordinationGrid(n_agents=3, length=3)
-        env.reset([Rng(0)])
+        env.reset(draw_layouts(env, [Rng(0)]))
         env._pos[:] = 0
         env.observe()
         for acts, bad in (([0, 5, -1], (1, 5)), ([2, 0, -1], (2, -1)),
@@ -292,7 +308,7 @@ class TestGrid:
         # running episodes are 1 and 2, and a refusal in the second of them
         # names episode 2
         env = LazyCoordinationGrid(n_agents=2, length=3)
-        env.reset([Rng(k) for k in range(3)])
+        env.reset(draw_layouts(env, [Rng(k) for k in range(3)]))
         env._pos[:] = [[0, 2], [0, 0], [0, 0]]
         env._target[:] = [[1, 2], [2, 2], [2, 2]]
         _, terminated = env.step([[env.RIGHT, env.STAY]] * 3)
@@ -311,7 +327,7 @@ class TestGrid:
         # the masked action sits in the middle episode only: every agent of
         # episodes 0 and 2 can move both ways
         env = LazyCoordinationGrid(n_agents=2, length=4, freeze=True)
-        env.reset([Rng(k) for k in range(3)])
+        env.reset(draw_layouts(env, [Rng(k) for k in range(3)]))
         env._pos[:] = [[1, 2], [0, 3], [2, 1]]
         env._target[:] = [[0, 0], [2, 1], [3, 3]]
         env._frozen[:] = False
@@ -323,7 +339,7 @@ class TestGrid:
         rng = Rng(2)
         env = LazyCoordinationGrid(n_agents=3, length=4, freeze=True)
         for _ in range(20):
-            env.reset([rng.split("r")])
+            env.reset(draw_layouts(env, [rng.split("r")]))
             done = False
             while not done:
                 avail = env.observe()[2][0]
@@ -334,7 +350,7 @@ class TestGrid:
 
     def test_reward_only_on_simultaneous_targets(self):
         env = LazyCoordinationGrid(n_agents=2, length=4)
-        env.reset([Rng(3)])
+        env.reset(draw_layouts(env, [Rng(3)]))
         env._pos = np.array([[0, 0]])
         env._target = np.array([[1, 0]])
         reward, terminated = env.step([[env.RIGHT, env.STAY]])
@@ -342,7 +358,7 @@ class TestGrid:
 
     def test_partial_arrival_gives_zero(self):
         env = LazyCoordinationGrid(n_agents=2, length=4)
-        env.reset([Rng(3)])
+        env.reset(draw_layouts(env, [Rng(3)]))
         env._pos = np.array([[0, 0]])
         env._target = np.array([[1, 3]])
         reward, terminated = env.step([[env.RIGHT, env.STAY]])
@@ -350,7 +366,7 @@ class TestGrid:
 
     def test_episode_limit_respected(self):
         env = LazyCoordinationGrid(n_agents=2, length=3)
-        env.reset([Rng(4)])
+        env.reset(draw_layouts(env, [Rng(4)]))
         env._target = np.array([[0, 2]])
         env._pos = np.array([[2, 0]])
         steps = 0
@@ -367,7 +383,7 @@ class TestGrid:
             n = 1 + rng.integers(3)
             length = 3 + rng.integers(4)
             env = LazyCoordinationGrid(n_agents=n, length=length)
-            env.reset([rng.split("layout")])
+            env.reset(draw_layouts(env, [rng.split("layout")]))
             pos, target = env._pos[0], env._target[0]
             dist = grid_joint_bfs(length, pos, target, env.spec.episode_limit)
             assert 0 <= dist <= max(abs(p - t) for p, t
@@ -390,7 +406,7 @@ class TestGrid:
 
     def test_freeze_variant_locks_and_masks(self):
         env = LazyCoordinationGrid(n_agents=2, length=4, freeze=True)
-        env.reset([Rng(6)])
+        env.reset(draw_layouts(env, [Rng(6)]))
         env._pos = np.array([[1, 0]])
         env._target = np.array([[2, 3]])
         env._frozen = np.zeros((1, 2), dtype=bool)
@@ -431,7 +447,7 @@ class TestGrid:
             return obs.astype(np.float64), state.astype(np.float64), avail
 
         for _ in range(30):
-            env.reset([reset_rng])
+            env.reset(draw_layouts(env, [reset_rng]))
             obs, state, avail = observe()
             feed(obs, state, avail)
             terminated = False
@@ -499,7 +515,7 @@ class TestBruteForceOptimal:
 class TestSharedRewardContract:
     def test_single_scalar_reward_per_step(self):
         env = TwoStepGame()
-        env.reset([Rng(0), Rng(1)])
+        env.reset(draw_layouts(env, [Rng(0), Rng(1)]))
         reward, _ = env.step([[0, 0], [1, 1]])
         assert reward.shape == (2,) and np.isfinite(reward).all()
 
@@ -507,7 +523,7 @@ class TestSharedRewardContract:
         results = []
         for _ in range(2):
             env = LazyCoordinationGrid(n_agents=2, length=4)
-            env.reset([Rng(77).split("env")])
+            env.reset(draw_layouts(env, [Rng(77).split("env")]))
             trace = []
             done = False
             while not done:

@@ -21,7 +21,8 @@ from hypermix import mixers as mx
 from hypermix import training
 from hypermix.autodiff import Tape, gradient
 from hypermix.config import Config
-from hypermix.envs import OneStepMatrixGame, TwoStepGame, make_env
+from hypermix.envs import (LazyCoordinationGrid, OneStepMatrixGame,
+                           TwoStepGame, draw_layouts, make_env)
 from hypermix.nn import load_checkpoint_into, rmsprop_step, save_checkpoint
 from hypermix.rng import Rng
 from hypermix.training import (Episode, ReplayBuffer, collect_episode,
@@ -37,14 +38,14 @@ from _oracles import (agent_forward_reference, clip_rmsprop_reference,
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _empty_episode(limit, n, obs_dim, state_dim, n_actions):
-    """An episode of length 0: zero arrays, and -1 in ``actions``."""
-    return Episode(obs=np.zeros((limit + 1, n, obs_dim)),
-                   state=np.zeros((limit + 1, state_dim)),
-                   avail=np.zeros((limit + 1, n, n_actions), dtype=bool),
-                   actions=np.full((limit, n), -1, dtype=np.intp),
-                   reward=np.zeros(limit),
-                   terminated=np.zeros(limit, dtype=bool), length=0)
+def _episode_arrays(limit, n, obs_dim, state_dim, n_actions):
+    """The arrays of an episode of length 0: zeros, and -1 in ``actions``;
+    filled in before the (read-only) episode is built from them."""
+    return dict(obs=np.zeros((limit + 1, n, obs_dim)),
+                state=np.zeros((limit + 1, state_dim)),
+                avail=np.zeros((limit + 1, n, n_actions), dtype=bool),
+                actions=np.full((limit, n), -1, dtype=np.intp),
+                reward=np.zeros(limit), terminated=np.zeros(limit, dtype=bool))
 
 
 def _zeroed(store):
@@ -75,10 +76,9 @@ class TestSchedule:
 
 class TestReplayBuffer:
     def _ep(self, tag):
-        ep = _empty_episode(1, 1, 1, 1, 2)
-        ep.reward[0] = tag
-        ep.length = 1
-        return ep
+        arrays = _episode_arrays(1, 1, 1, 1, 2)
+        arrays["reward"][0] = tag
+        return Episode(**arrays, length=1)
 
     def test_ring_eviction(self):
         buf = ReplayBuffer(capacity=3)
@@ -233,21 +233,20 @@ def _mixed_length_batch(dims, seed=0):
     batch = []
     for length, terminated in ((5, False), (3, True), (1, True), (5, True),
                                (2, True)):
-        ep = _empty_episode(limit, n, dims["obs_dim"], dims["state_dim"],
-                            n_actions)
-        ep.obs[:length + 1] = rng.normal((length + 1, n, dims["obs_dim"]))
-        ep.state[:length + 1] = rng.normal((length + 1, dims["state_dim"]))
-        ep.avail[:length + 1] = rng.uniform(0.0, 1.0,
-                                            (length + 1, n, n_actions)) < 0.6
-        ep.avail[:length + 1, :, 0] = True
+        ep = _episode_arrays(limit, n, dims["obs_dim"], dims["state_dim"],
+                             n_actions)
+        ep["obs"][:length + 1] = rng.normal((length + 1, n, dims["obs_dim"]))
+        ep["state"][:length + 1] = rng.normal((length + 1, dims["state_dim"]))
+        ep["avail"][:length + 1] = rng.uniform(0.0, 1.0,
+                                               (length + 1, n, n_actions)) < 0.6
+        ep["avail"][:length + 1, :, 0] = True
         for t in range(length):
             for a in range(n):
-                options = np.flatnonzero(ep.avail[t, a])
-                ep.actions[t, a] = options[rng.integers(options.size)]
-        ep.reward[:length] = rng.normal((length,))
-        ep.terminated[length - 1] = terminated
-        ep.length = length
-        batch.append(ep)
+                options = np.flatnonzero(ep["avail"][t, a])
+                ep["actions"][t, a] = options[rng.integers(options.size)]
+        ep["reward"][:length] = rng.normal((length,))
+        ep["terminated"][length - 1] = terminated
+        batch.append(Episode(**ep, length=length))
     return batch
 
 
@@ -506,7 +505,7 @@ class TestTargetMemo:
             after, self._targets(batch, store.clone(), dims, **change))
 
     def test_in_place_writes_raise(self):
-        # buffering or stacking guards the episodes, memoizing the target
+        # episodes are read-only once built, and memoizing guards the target
         # parameters
         store, dims, batch = self._setup("hgcn-mix")
         buf = ReplayBuffer(capacity=2)
@@ -527,6 +526,15 @@ class TestTargetMemo:
             store["agent.fc1.w"][0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             store.value += 1.0
+
+    def test_field_views_taken_before_buffering_are_read_only(self):
+        # a view taken before ``add`` cannot change the buffered episode
+        # behind the memo's back
+        store, dims, batch = self._setup("hgcn-mix")
+        r = batch[0].reward
+        ReplayBuffer(capacity=2).add(batch[0])
+        with pytest.raises(ValueError, match="read-only"):
+            r[0] = 5.0
 
     def test_evicted_episodes_and_replaced_arrays_are_freed(self):
         store, dims, batch = self._setup("hgcn-mix")
@@ -857,7 +865,7 @@ import json
 import numpy as np
 from hypermix import agents as ag
 from hypermix import training
-from hypermix.envs import make_env
+from hypermix.envs import draw_layouts, make_env
 from hypermix.nn import ParameterStore
 from hypermix.rng import Rng
 
@@ -887,9 +895,8 @@ for label, cfg, hidden, seed in ENVS:
                          rng.split("agent"), hidden)
     store.value = store.value + 0.5 * rng.split("moved").normal(store.value.shape)
     recorded.clear()
-    together = training.rollout(env, store, 0.0,
-                                [rng.split(f"ep{k}") for k in range(K)], None,
-                                hidden)
+    layouts = draw_layouts(env, [rng.split(f"ep{k}") for k in range(K)])
+    together = training.rollout(env, store, 0.0, layouts, None, hidden)
     stepped = list(recorded)
     lengths[label] = together["length"].tolist()
     for k in range(K):
@@ -950,12 +957,46 @@ print(json.dumps({"lengths": lengths, "blocks": blocks,
             monkeypatch.setattr(env, name, lambda *a, m=method, k=name:
                                 calls.update([k]) or m(*a))
         rng = Rng(8)
-        lengths = training.rollout(env, store, 0.5,
-                                   [rng.split(f"ep{k}") for k in range(8)],
-                                   rng.split("x"), agent_hidden=4)["length"]
+        layouts = draw_layouts(env, [rng.split(f"ep{k}") for k in range(8)])
+        lengths = training.rollout(env, store, 0.5, layouts, rng.split("x"),
+                                   agent_hidden=4)["length"]
         longest = lengths.max()
         assert len(set(lengths.tolist())) > 1
         assert calls == {"reset": 1, "observe": longest + 1, "step": longest}
+
+    def test_all_layouts_roll_from_one_array(self):
+        # n = 2, length 2: 2^4 = 16 layouts, one episode each, from plain
+        # numpy; each episode starts at its own row, and the rollout leaves
+        # the rows as they were
+        env = LazyCoordinationGrid(n_agents=2, length=2)
+        store, _ = tiny_mixer_store("vdn", n=2, obs_dim=4, n_actions=3)
+        layouts = np.indices((2,) * 4).reshape(4, -1).T.reshape(-1, 2, 2)
+        kept = layouts.copy()
+        batch = training.rollout(env, store, 0.0, layouts, None, agent_hidden=4)
+        assert len(batch["length"]) == 16
+        assert len({row.tobytes() for row in layouts}) == 16
+        np.testing.assert_array_equal(layouts, kept)
+        eye = np.eye(2, dtype=np.int8)
+        for k, (pos, target) in enumerate(layouts):
+            first = np.concatenate((eye[pos], eye[target]), axis=1)
+            np.testing.assert_array_equal(batch["obs"][k, 0], first)
+            np.testing.assert_array_equal(batch["state"][k, 0], first.ravel())
+
+    def test_layout_array_rollout_draws_nothing(self, monkeypatch):
+        # every layout at n = 3, length 4, greedy: no stream is made or read
+        env = LazyCoordinationGrid(n_agents=3, length=4)
+        store, _ = tiny_mixer_store("vdn", n=3, obs_dim=8, n_actions=3)
+        layouts = np.indices((4,) * 6).reshape(6, -1).T.reshape(-1, 2, 3)
+
+        def refuse(*args):
+            raise AssertionError("a random stream was used")
+
+        for name in ("split", "integers", "random"):
+            monkeypatch.setattr(Rng, name, refuse)
+        batch = training.rollout(env, store, 0.0, layouts, None, agent_hidden=4)
+        assert batch["length"].shape == (4096,)
+        assert ((batch["length"] >= 1)
+                & (batch["length"] <= env.spec.episode_limit)).all()
 
     def test_episodes_own_their_arrays(self):
         # a collected episode holds only its own rows, in its own record,
