@@ -15,8 +15,10 @@ first on odd seeds and the change first on even seeds. The records go to
 ``bench/BENCH_<label>_parent.json`` and ``bench/BENCH_<label>_change.json``
 in this repository; neither may exist before a run. Last, and alone with
 ``--report``, it prints the q1 / median / q3 of each end-to-end metric per
-side and in how many pairs the change read lower, with failed operations
-and the pairs whose output digests differ.
+side, the parent's interquartile range as a share of its median, in how
+many pairs the change read lower, and a verdict from the metric's bound
+(see :func:`verdict`), with failed operations and the pairs whose output
+digests differ.
 """
 
 from __future__ import annotations
@@ -90,8 +92,29 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def report(parent: list[dict], change: list[dict], metrics: list[str]) -> list[str]:
-    """Lines comparing the sides' end-to-end metrics over matched pairs."""
+def verdict(parent: list[float], change: list[float], bound: float) -> str:
+    """What the pairs of a lower-is-better metric show, first rule first:
+    "gain resolved" when the change reads lower in at least 9 of 10 pairs
+    and its median gap exceeds the parent's interquartile range;
+    "unresolved" when that range exceeds ``bound`` times the parent's
+    median, unless every change run beats every parent run; "worse" when
+    the change's median exceeds the parent's by more than ``bound``; and
+    "within bound" otherwise."""
+    p1, p2, p3 = quartiles(parent)
+    c2 = statistics.median(change)
+    lower = sum(c < p for p, c in zip(parent, change))
+    if 10 * lower >= 9 * len(parent) and p2 - c2 > p3 - p1:
+        return "gain resolved"
+    if p3 - p1 > bound * p2 and max(change) >= min(parent):
+        return "unresolved"
+    if c2 > p2 * (1 + bound):
+        return "worse"
+    return "within bound"
+
+
+def report(parent: list[dict], change: list[dict], metrics: list[dict]) -> list[str]:
+    """Lines comparing the sides' end-to-end metrics over matched pairs;
+    ``metrics`` are ``BENCHMARK.json``'s, each with its name and bound."""
     lines = []
     for workload in sorted({r["workload"] for r in parent}):
         mine = {s: {r["seed"]: r for r in recs if r["workload"] == workload
@@ -99,15 +122,18 @@ def report(parent: list[dict], change: list[dict], metrics: list[str]) -> list[s
                 for s, recs in zip(SIDES, (parent, change))}
         seeds = sorted(mine["parent"].keys() & mine["change"].keys())
         pairs = [(mine["parent"][k], mine["change"][k]) for k in seeds]
-        for name in metrics:
+        for metric in metrics:
+            name = metric["name"]
             sides = [[rec[i]["metrics"][name]["value"] for rec in pairs]
                      for i in (0, 1)]
             lower = sum(c < p for p, c in zip(*sides))
             p1, p2, p3 = quartiles(sides[0])
             c1, c2, c3 = quartiles(sides[1])
             lines.append(f"{workload} {name}: parent {p1:.3f} / {p2:.3f} / {p3:.3f}"
+                         f" (IQR {(p3 - p1) / p2:.1%} of median)"
                          f"  change {c1:.3f} / {c2:.3f} / {c3:.3f}"
-                         f"  change lower in {lower} of {len(pairs)}")
+                         f"  change lower in {lower} of {len(pairs)}:"
+                         f" {verdict(*sides, metric['bound'])}")
         failed = [sum(rec[i]["failed"] for rec in pairs) for i in (0, 1)]
         differ = sum(any(v != c["outputs"].get(k) for k, v in p["outputs"].items()
                          if k.endswith("digest")) for p, c in pairs)
@@ -143,7 +169,7 @@ def main() -> int:
             if not args.workdir:
                 shutil.rmtree(workdir)
     parent, change = (json.loads(p.read_text()) for p in paths)
-    print("\n".join(report(parent, change, [m["name"] for m in bench["end_to_end"]])))
+    print("\n".join(report(parent, change, bench["end_to_end"])))
     return 0
 
 

@@ -7,7 +7,7 @@ Run: python3 demos/02_hypergraph_convolution.py
 
 import numpy as np
 
-from hypermix.autodiff import Tape, hgcn_conv
+from hypermix.autodiff import Tape, Var, hgcn_conv
 from hypermix.hypergraph import (build_hypergraph_rows, hgcn_transform_rows,
                                  mixing_matrix)
 
@@ -63,7 +63,8 @@ print(np.round(mixed2.value.reshape(2, n_agents), 3))
 
 # On a tape, each convolution layer is a single record whose backward gives
 # the gradients of the values, the incidence and the edge weights at once.
+# A traced leaf is Var(value, tape).
 tape = Tape()
-hgcn_transform_rows(tape.var(q2), tape.var(H2.value), tape.var(edge_w),
-                    tape.var(edge_w), n_agents)
+hgcn_transform_rows(*(Var(a, tape) for a in (q2, H2.value, edge_w, edge_w)),
+                    n_agents)
 print("tape records of a traced transform:", [r.name for r in tape.records])

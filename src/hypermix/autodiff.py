@@ -40,18 +40,13 @@ def as_matrix(x) -> np.ndarray:
 
 
 class Var:
-    """A (possibly traced) matrix value; gradient() fills ``grad`` on leaves."""
+    """A matrix value, traced when it has a tape: ``Var(value, tape)`` is a leaf."""
 
-    __slots__ = ("value", "tape", "grad", "__weakref__")
+    __slots__ = ("value", "tape", "__weakref__")
 
     def __init__(self, value, tape: "Tape | None" = None):
         self.value = as_matrix(value)
         self.tape = tape
-        self.grad: np.ndarray | None = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.value.shape
 
     def __repr__(self) -> str:
         traced = "traced" if self.tape is not None else "constant"
@@ -75,13 +70,6 @@ class Tape:
     def __init__(self):
         self.records: list[_Record] = []
         self.consumed = False
-
-    def var(self, value) -> Var:
-        """Create a traced leaf variable on this tape."""
-        return Var(value, self)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def _as_var(x) -> Var:
@@ -210,17 +198,6 @@ def absval(x) -> Var:
         return (g * np.sign(xv),)
 
     return _emit("abs", (x,), np.abs(xv), bwd)
-
-
-def reduce_sum(x) -> Var:
-    """Sum of all entries, as a 1x1 matrix."""
-    x = _as_var(x)
-    shape = x.value.shape
-
-    def bwd(g, need):
-        return (np.full(shape, g[0, 0]),)
-
-    return _emit("sum", (x,), np.array([[x.value.sum()]]), bwd)
 
 
 def concat_cols(*xs) -> Var:
@@ -488,33 +465,19 @@ def hgcn_conv(x, H, w, n: int) -> Var:
 # driver-level operations
 # ---------------------------------------------------------------------------
 
-def evaluate(fn: Callable, *inputs) -> tuple:
-    """Trace ``fn`` over fresh leaf variables on a new tape.
-
-    Returns ``(output, tape, leaves)`` where ``output`` is whatever ``fn``
-    returned (a Var or a structure of Vars) and ``leaves`` are the traced
-    input variables in argument order.
-    """
-    tape = Tape()
-    leaves = [tape.var(x) for x in inputs]
-    out = fn(*leaves)
-    return out, tape, leaves
-
-
 def gradient(tape: Tape, seeds) -> dict:
     """Reverse sweep over a tape; returns leaf-variable gradients.
 
     ``seeds`` is either a single output Var (seeded with ones) or a mapping
     from output Var to its seed matrix. The returned dict maps the leaf
     variables reached by the sweep (inputs and parameters: those no record
-    produced) to their accumulated gradients, and each gets its ``grad``
-    attribute set; record outputs do not. Leaves that do not influence any
-    seeded output keep ``grad = None`` (a zero gradient). Each record's
-    backward is told which of its operands are traced and skips the work
-    for the others. The sweep pops each record and drops its output before
-    its backward runs, so a backward holds only the arrays it reads: the
-    record, its output and gradient, and whatever of the graph the caller no
-    longer holds are freed as the sweep passes them.
+    produced) to their accumulated gradients; it holds no record output, and
+    a leaf that influences no seeded output is absent (a zero gradient).
+    Each record's backward is told which of its operands are traced and
+    skips the work for the others. The sweep pops each record and drops its
+    output before its backward runs, so a backward holds only the arrays it
+    reads: the record, its output and gradient, and whatever of the graph
+    the caller no longer holds are freed as the sweep passes them.
     """
     if tape.consumed:
         raise TapeError("gradient: tape already consumed by a previous backward pass")
@@ -540,8 +503,6 @@ def gradient(tape: Tape, seeds) -> dict:
         for v, gi in zip(rec.inputs, rec.bwd(g, need)):
             if gi is not None:
                 acc[v] = acc[v] + gi if v in acc else gi
-    for v, g in acc.items():
-        v.grad = g
     return acc
 
 

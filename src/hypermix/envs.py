@@ -196,7 +196,16 @@ class LazyCoordinationGrid:
         self._running = np.zeros(0, dtype=np.intp)
 
     def reset(self, layouts: np.ndarray) -> None:
-        """Episode k takes positions ``layouts[k, 0]`` and targets ``layouts[k, 1]``."""
+        """Episode k takes positions ``layouts[k, 0]`` and targets ``layouts[k, 1]``,
+        each an integer cell in [0, length)."""
+        layouts, n = np.asarray(layouts), self.spec.n_agents
+        if layouts.dtype.kind not in "iu" or layouts.shape[1:] != (2, n):
+            raise ContractError(f"layouts must be an integer (K, 2, {n}) array,"
+                                f" got {layouts.dtype} {layouts.shape}")
+        if layouts.size and (layouts.min() < 0 or layouts.max() >= self.length):
+            k, i, a = np.argwhere((layouts < 0) | (layouts >= self.length))[0]
+            raise ContractError(f"episode {k} agent {a}: {('position', 'target')[i]}"
+                                f" {layouts[k, i, a]} is outside [0, {self.length})")
         self._pos, self._target = np.array(layouts, np.intp).swapaxes(0, 1)
         self._frozen = (self._pos == self._target) & self.freeze
         self._steps, self._avail = 0, None

@@ -32,7 +32,7 @@ def build_hypergraph_rows(Z_rows, gen_w, gen_b, n: int):
     and the per-sample means (S x 1).
     """
     h1 = linear(Z_rows, gen_w, gen_b, rectify=True)       # S*n x m
-    rows, m = h1.shape
+    rows, m = h1.value.shape
     mu = mul(block_sum(reshape(h1, rows * m, 1), n * m),
              np.array([[1.0 / (n * m)]]))                 # S x 1
     h2 = reshape(mul(mu, np.eye(n).reshape(1, n * n)), rows, n)  # S*n x n

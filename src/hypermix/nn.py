@@ -59,9 +59,9 @@ class ParameterStore:
                 for name, (span, shape) in self._layout.items()}
 
     def bind(self, tape: ad.Tape | None) -> dict[str, Var]:
-        """Create one (traced) variable per parameter, in store order."""
-        wrap = Var if tape is None else tape.var
-        return {k: wrap(v) for k, v in self.views(self.value).items()}
+        """One ``Var(view, tape)`` per parameter, in store order; untraced when
+        ``tape`` is None."""
+        return {k: Var(v, tape) for k, v in self.views(self.value).items()}
 
     def memo(self, key) -> dict:
         """Entries valid for ``key`` and the current value array (held weakly,

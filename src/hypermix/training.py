@@ -19,7 +19,7 @@ import numpy as np
 
 from . import agents as ag
 from . import mixers as mx
-from .autodiff import (Tape, Var, add, gradient, mul, reduce_sum, reshape,
+from .autodiff import (Tape, Var, add, block_sum, gradient, mul, reshape,
                        select_rows)
 from .envs import brute_force_optimal, draw_layouts, make_env
 from .errors import TrainingError
@@ -272,7 +272,7 @@ def td_loss(batch: dict, pv: dict[str, Var], targets: np.ndarray, kind: str,
     qtot = _joint_values(pv, batch, t, e, kind, embed, agent_hidden,
                          batch["actions"][e, t].ravel())
     diff = add(qtot, -targets[t, e].reshape(-1, 1))
-    return mul(reduce_sum(mul(diff, diff)), np.array([[0.5 / t.size]]))
+    return mul(block_sum(mul(diff, diff), t.size), np.array([[0.5 / t.size]]))
 
 
 def train_step(batch: dict, store: ParameterStore,
@@ -298,10 +298,10 @@ def train_step(batch: dict, store: ParameterStore,
             f"non-finite loss {loss_value} (mixer={kind},"
             f" batch={len(batch['length'])}, t_max={batch['length'].max()})"
         )
-    gradient(tape, loss)
+    grads = gradient(tape, loss)
     # the gradient in the store's layout: zero where the sweep did not reach
-    grad = np.concatenate([np.zeros(v.value.size) if v.grad is None
-                           else v.grad.ravel() for v in pv.values()])
+    grad = np.concatenate([grads[v].ravel() if v in grads
+                           else np.zeros(v.value.size) for v in pv.values()])
     clip_grad_norm(store, grad, clip_norm)
     rmsprop_step(store, grad, lr=lr, decay=rms_decay, eps=rms_eps)
     return loss_value

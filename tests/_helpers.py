@@ -24,22 +24,35 @@ def assert_grad_close(analytic, fd, rtol=GRAD_RTOL, label=""):
     )
 
 
+def total(x):
+    """Sum of every entry of the Var ``x``, as one (1 x 1) ``block_sum``."""
+    return ad.block_sum(ad.reshape(x, x.value.size, 1), x.value.size)
+
+
+def leaf_grads(build, *inputs):
+    """``build`` over one traced leaf ``Var(value, tape)`` per input, seeded
+    with ones: its output and each input's gradient (None if unreached)."""
+    tape = ad.Tape()
+    leaves = [ad.Var(x, tape) for x in inputs]
+    out = build(*leaves)
+    grads = ad.gradient(tape, out)
+    return out, [grads.get(v) for v in leaves]
+
+
 def check_gradients(build, inputs, rtol=GRAD_RTOL, h=GRAD_H, label=""):
     """Compare reverse-mode gradients of a scalar-valued build against
     central finite differences, for every input."""
-    out, tape, leaves = ad.evaluate(build, *inputs)
+    out, grads = leaf_grads(build, *inputs)
     assert out.value.shape == (1, 1), "gradient check needs a scalar output"
-    ad.gradient(tape, out)
     inputs = [ad.as_matrix(x) for x in inputs]
-    for i, leaf in enumerate(leaves):
+    for i, grad in enumerate(grads):
         def f(x, i=i):
             vals = list(inputs)
             vals[i] = x
-            out2, _, _ = ad.evaluate(build, *vals)
-            return float(out2.value[0, 0])
+            return float(build(*map(ad.Var, vals)).value[0, 0])
 
         fd = ad.finite_diff(f, inputs[i], h)
-        assert_grad_close(leaf.grad, fd, rtol, label=f"{label} input {i}")
+        assert_grad_close(grad, fd, rtol, label=f"{label} input {i}")
 
 
 def shift_from_kinks(x, threshold=1e-3, amount=0.5):
@@ -86,9 +99,8 @@ def composite_param_grads(store, kind, Z, s, actions, dims):
     """Analytic parameter gradients of the composite joint value."""
     tape = ad.Tape()
     pv = store.bind(tape)
-    qtot = composite_qtot(pv, kind, Z, s, actions, dims)
-    ad.gradient(tape, qtot)
-    return {name: pv[name].grad for name in store.names()}
+    grads = ad.gradient(tape, composite_qtot(pv, kind, Z, s, actions, dims))
+    return {name: grads.get(pv[name]) for name in store.names()}
 
 
 BAD_MANIFEST_ENTRIES = ("missing rows", "negative rows", "float rows",

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hypermix import autodiff as ad
-from hypermix.autodiff import hgcn_conv, reduce_sum
+from hypermix.autodiff import hgcn_conv
 from hypermix.config import Config
 from hypermix.envs import make_env
 from hypermix.hypergraph import build_hypergraph_rows, hgcn_transform_rows
@@ -27,7 +27,7 @@ from hypermix.training import (_agent_pass, collect_episode,
 
 from _helpers import (assert_grad_close, check_gradients,
                       composite_param_grads, composite_qtot_value,
-                      shift_from_kinks, tiny_mixer_store)
+                      shift_from_kinks, tiny_mixer_store, total)
 from _oracles import hgcn_layer_dense
 
 pytestmark = pytest.mark.acceptance
@@ -121,12 +121,12 @@ def test_criterion_4_gradient_suite():
     kinks = rng.split("linear kinks")
     for _ in range(100):
         args = [rng.normal((2, 3)), rng.normal((3, 2)), rng.normal((1, 2))]
-        check_gradients(lambda x, w, b: reduce_sum(ad.linear(x, w, b)), args,
+        check_gradients(lambda x, w, b: total(ad.linear(x, w, b)), args,
                         label="linear")
         while (np.abs(args[0] @ args[1] + args[2]) < 1e-3).any():
             args = [kinks.normal(a.shape) for a in args]
         check_gradients(
-            lambda x, w, b: reduce_sum(ad.linear(x, w, b, rectify=True)),
+            lambda x, w, b: total(ad.linear(x, w, b, rectify=True)),
             args, label="rectified linear")
 
     # mlp layer (relu hidden, shifted off kinks)
@@ -138,7 +138,7 @@ def test_criterion_4_gradient_suite():
                [store[n] + 0.01 * rng.normal(store[n].shape)
                 for n in names]
         check_gradients(
-            lambda x, *ps: reduce_sum(mlp_fwd(x, dict(zip(names, ps)), "m")),
+            lambda x, *ps: total(mlp_fwd(x, dict(zip(names, ps)), "m")),
             args, label="mlp")
 
     # gru cell layer
@@ -150,7 +150,7 @@ def test_criterion_4_gradient_suite():
                [gstore[n] + 0.01 * rng.normal(gstore[n].shape)
                 for n in gnames]
         check_gradients(
-            lambda x, h, *ps: reduce_sum(
+            lambda x, h, *ps: total(
                 gru_fwd(x, h, dict(zip(gnames, ps)), "g")),
             args, label="gru")
 
@@ -161,7 +161,7 @@ def test_criterion_4_gradient_suite():
         w = shift_from_kinks(rng.normal((2, 1)))
         x = rng.normal((6, 1))
         check_gradients(
-            lambda xv, hv, wv: reduce_sum(hgcn_conv(xv, hv, wv, 3)),
+            lambda xv, hv, wv: total(hgcn_conv(xv, hv, wv, 3)),
             [x, H, w], label="hgcn layer")
 
     # full composite: agent nets -> convolution -> state module, for the
@@ -229,9 +229,9 @@ def _td_loss_gradient_errors(kind):
 
     tape = ad.Tape()
     pv = store.bind(tape)
-    ad.gradient(tape, loss(pv))
-    g = np.concatenate([np.zeros(v.value.size) if v.grad is None
-                        else v.grad.ravel() for v in pv.values()])
+    grads = ad.gradient(tape, loss(pv))
+    g = np.concatenate([grads[v].ravel() if v in grads
+                        else np.zeros(v.value.size) for v in pv.values()])
     flat, h = store.value, 1e-6
     fd = np.zeros_like(flat)
     for i in range(flat.size):

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from hypermix.autodiff import (SAFE_EPS, Tape, Var, absval, add, block_sum,
-                               concat_cols, elu, evaluate, finite_diff,
-                               gradient, gru_sequence, hgcn_conv, linear, mul,
-                               reduce_sum, reshape, select_rows)
+                               concat_cols, elu, finite_diff, gradient,
+                               gru_sequence, hgcn_conv, linear, mul, reshape,
+                               select_rows)
 from hypermix.errors import DimensionError, TapeError
 from hypermix.rng import Rng
 
-from _helpers import assert_grad_close, check_gradients, shift_from_kinks
+from _helpers import (assert_grad_close, check_gradients, leaf_grads,
+                      shift_from_kinks, total)
 from _oracles import (gru_sequence_reference, gru_step_reference,
                       hgcn_layer_dense, linear_reference)
 
@@ -43,18 +44,12 @@ def _spy_on_backward(tape):
 
 def _hgcn_grads(x, H, w, n):
     """Gradients of a weighted sum of hgcn_conv's output in x, H and w."""
-    tape = Tape()
-    vs = [tape.var(a) for a in (x, H, w)]
     weight = np.linspace(-1.0, 2.0, x.shape[0]).reshape(-1, 1)
-    gradient(tape, reduce_sum(mul(hgcn_conv(*vs, n), weight)))
-    return [v.grad for v in vs]
+    return leaf_grads(lambda *vs: total(mul(hgcn_conv(*vs, n), weight)),
+                      x, H, w)[1]
 
 
 class TestForwardValues:
-    def test_identity_graph(self):
-        out, tape, _ = evaluate(lambda x: x, np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(out.value, [[1.0, 2.0, 3.0]])
-
     def test_linear_row_blocks_equal_products_of_each_block(self):
         rng = Rng(3)
         a, b = rng.normal((18, 64)), rng.normal((64, 3))
@@ -101,10 +96,6 @@ class TestForwardValues:
         out = hgcn_conv(x2, np.full((2, 1), 1e-9), np.array([[2e8]]), 2).value
         np.testing.assert_array_equal(out, np.zeros((2, 1)))
 
-    def test_reductions(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert reduce_sum(Var(x)).value[0, 0] == 10.0
-
     def test_concat_and_select(self):
         a = np.array([[1.0], [2.0]])
         b = np.array([[3.0, 4.0], [5.0, 6.0]])
@@ -122,23 +113,22 @@ class TestForwardValues:
 
     def test_block_sum_and_repeat_rows(self):
         # block_sum's adjoint repeats each row of the seed over its block
-        out, tape, (x,) = evaluate(lambda v: block_sum(v, 3),
-                                   np.arange(12.0).reshape(6, 2))
+        tape = Tape()
+        x = Var(np.arange(12.0).reshape(6, 2), tape)
+        out = block_sum(x, 3)
         np.testing.assert_array_equal(out.value, [[6, 9], [24, 27]])
-        gradient(tape, {out: np.array([[1.0, 2.0], [3.0, 4.0]])})
-        np.testing.assert_array_equal(x.grad, [[1, 2]] * 3 + [[3, 4]] * 3)
+        grads = gradient(tape, {out: np.array([[1.0, 2.0], [3.0, 4.0]])})
+        np.testing.assert_array_equal(grads[x], [[1, 2]] * 3 + [[3, 4]] * 3)
 
-    def test_evaluate_is_deterministic(self):
-        rng = Rng(7)
-        x = rng.normal((4, 3))
-        w = rng.normal((3, 2))
-
-        def build(xv, wv):
-            return reduce_sum(linear(xv, wv, np.zeros((1, 2)), rectify=True))
-
-        out1, _, _ = evaluate(build, x, w)
-        out2, _, _ = evaluate(build, x, w)
-        assert np.array_equal(out1.value, out2.value)
+    def test_block_sum_of_a_column_is_numpy_sum_bit_for_bit(self):
+        # the TD loss sums its (S x 1) squared errors with one block_sum of
+        # all S rows; it must give x.sum()'s bits, at every S and over
+        # mixed magnitudes
+        rng = Rng(12)
+        for rows in range(1, 513):
+            x = rng.normal((rows, 1)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+            got = block_sum(x, rows).value
+            assert got.shape == (1, 1) and got.tobytes() == x.sum().tobytes(), rows
 
     def test_values_stay_finite_after_random_chains(self):
         rng = Rng(11)
@@ -151,9 +141,10 @@ class TestForwardValues:
                 h = add(mul(h, h), absval(xv))
                 h = hgcn_conv(linear(h, np.ones((3, 1)), np.zeros((1, 1))), h,
                               linear(wv, np.ones((3, 1)), np.zeros((1, 1))), 3)
-                return reduce_sum(h)
+                return total(h)
 
-            out, tape, _ = evaluate(build, x, w)
+            tape = Tape()
+            out = build(Var(x, tape), Var(w, tape))
             for rec in tape.records:
                 assert np.isfinite(rec.out.value).all()
             assert np.isfinite(out.value).all()
@@ -207,12 +198,11 @@ class TestTape:
     def test_backward_visits_reverse_order(self):
         x = Tape()
         tape = Tape()
-        a = tape.var([[2.0]])
+        a = Var([[2.0]], tape)
         b = mul(a, a)
         c = mul(b, a)
-        gradient(tape, c)
         # d(a^3)/da = 3a^2; correct only if b's grad was complete before a's
-        assert a.grad[0, 0] == pytest.approx(12.0)
+        assert gradient(tape, c)[a][0, 0] == pytest.approx(12.0)
 
     def test_gradient_drops_records_and_frees_the_graph(self):
         # the graph must die by reference counting alone, without the
@@ -222,14 +212,14 @@ class TestTape:
         gc.disable()
         try:
             tape = Tape()
-            x = tape.var(rng.normal((3, 2)))
+            x = Var(rng.normal((3, 2)), tape)
             hidden = linear(x, rng.normal((2, 4)), np.zeros((1, 4)),
                             rectify=True)
-            out = reduce_sum(mul(hidden, hidden))
+            out = total(mul(hidden, hidden))
             alive = weakref.ref(hidden)
-            gradient(tape, out)
+            grads = gradient(tape, out)
             assert tape.records == []
-            assert x.grad is not None
+            assert x in grads
             del hidden, out
             assert alive() is None
         finally:
@@ -244,11 +234,11 @@ class TestTape:
         gc.disable()
         try:
             tape = Tape()
-            x = tape.var(Rng(5).normal((4, 3)))
+            x = Var(Rng(5).normal((4, 3)), tape)
             chain = [linear(x, np.ones((3, 3)), np.zeros((1, 3)), rectify=True)]
             for op in (elu, absval, elu):
                 chain.append(op(chain[-1]))
-            out = reduce_sum(chain[-1])
+            out = total(chain[-1])
             later = [weakref.ref(v) for v in chain]
             later += [weakref.ref(r.bwd) for r in tape.records[1:]]
             del chain
@@ -261,9 +251,9 @@ class TestTape:
 
             first.bwd = spy
             del first
-            gradient(tape, out)
+            grads = gradient(tape, out)
             assert seen == [[True] * len(later)]
-            assert x.grad is not None and out.grad is None
+            assert list(grads) == [x]
         finally:
             if was_enabled:
                 gc.enable()
@@ -276,22 +266,22 @@ class TestTape:
         tape = Tape()
         shapes = [(rows, cols), (rows, cols)]
         shapes[broadcast] = (rows, 1)
-        a, b = (tape.var(Rng(6 + i).normal(shape)) for i, shape in enumerate(shapes))
+        a, b = (Var(Rng(6 + i).normal(shape), tape) for i, shape in enumerate(shapes))
         out = mul(a, b)
         seed = Rng(8).normal((rows, cols))
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            gradient(tape, {out: seed})
+            grads = gradient(tape, {out: seed})
             rise = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
         full = rows * cols * 8
         assert rise < 1.5 * full, rise / full
         np.testing.assert_array_equal(
-            (a, b)[broadcast].grad,
+            grads[(a, b)[broadcast]],
             (seed * (b, a)[broadcast].value).sum(axis=1, keepdims=True))
-        np.testing.assert_array_equal((b, a)[broadcast].grad,
+        np.testing.assert_array_equal(grads[(b, a)[broadcast]],
                                       seed * (a, b)[broadcast].value)
 
     def test_hgcn_conv_record_keeps_no_sample_by_edge_array(self):
@@ -300,7 +290,7 @@ class TestTape:
         samples, n, k = 2000, 4, 36
         rng = Rng(9)
         tape = Tape()
-        x, H, w = (tape.var(a) for a in (rng.normal((samples * n, 1)),
+        x, H, w = (Var(a, tape) for a in (rng.normal((samples * n, 1)),
                                          rng.uniform(0.0, 1.0, (samples * n, k)),
                                          rng.normal((k, 1))))
         tracemalloc.start()
@@ -312,7 +302,8 @@ class TestTape:
         assert held < samples * k * 8, held / (samples * k * 8)
 
     def test_consumed_tape_raises(self):
-        out, tape, _ = evaluate(lambda x: reduce_sum(x), np.ones((2, 2)))
+        tape = Tape()
+        out = total(Var(np.ones((2, 2)), tape))
         gradient(tape, out)
         with pytest.raises(TapeError, match="consumed"):
             gradient(tape, out)
@@ -320,39 +311,37 @@ class TestTape:
     def test_mixed_tapes_raise(self):
         t1, t2 = Tape(), Tape()
         with pytest.raises(TapeError, match="different tapes"):
-            add(t1.var([[1.0]]), t2.var([[1.0]]))
+            add(Var([[1.0]], t1), Var([[1.0]], t2))
 
 
 class TestGradientExamples:
     def test_sum_rectified_linear_subgradient_at_zero_is_zero(self):
         # relu'(0) = 0, on the rectifier of an identity layer
-        out, tape, (x,) = evaluate(
-            lambda v: reduce_sum(linear(v, np.eye(3), np.zeros((1, 3)),
-                                        rectify=True)),
+        _, (grad,) = leaf_grads(
+            lambda v: total(linear(v, np.eye(3), np.zeros((1, 3)), rectify=True)),
             np.array([-1.0, 0.0, 2.0]))
-        gradient(tape, out)
-        np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(grad, [[0.0, 0.0, 1.0]])
 
     def test_abs_subgradient_at_zero_is_zero(self):
-        out, tape, (x,) = evaluate(lambda v: reduce_sum(absval(v)),
-                                   np.array([-2.0, 0.0, 3.0]))
-        gradient(tape, out)
-        np.testing.assert_array_equal(x.grad, [[-1.0, 0.0, 1.0]])
+        _, (grad,) = leaf_grads(lambda v: total(absval(v)),
+                                np.array([-2.0, 0.0, 3.0]))
+        np.testing.assert_array_equal(grad, [[-1.0, 0.0, 1.0]])
 
     def test_gradient_accumulates_over_reuse(self):
-        out, tape, (x,) = evaluate(lambda v: reduce_sum(mul(v, v)),
-                                   np.array([3.0]))
-        gradient(tape, out)
-        assert x.grad[0, 0] == pytest.approx(6.0)
+        _, (grad,) = leaf_grads(lambda v: total(mul(v, v)), np.array([3.0]))
+        assert grad[0, 0] == pytest.approx(6.0)
 
-    def test_unseeded_branch_has_none_grad(self):
+    def test_map_holds_exactly_the_reached_leaves(self):
+        # every leaf the sweep reaches, and no record output, no constant
+        # and no leaf of an unseeded branch
         tape = Tape()
-        x = tape.var([[1.0]])
-        y = tape.var([[2.0]])
-        out = mul(x, x)
-        _ = mul(y, y)  # dead branch
-        gradient(tape, out)
-        assert y.grad is None
+        x, y, z, dead = (Var([[v]], tape) for v in (1.0, 2.0, 3.0, 4.0))
+        hidden = mul(add(x, y), np.array([[5.0]]))
+        out = mul(hidden, z)
+        _ = mul(dead, dead)  # dead branch
+        grads = gradient(tape, out)
+        assert set(grads) == {x, y, z}
+        assert [grads[v][0, 0] for v in (x, y, z)] == [15.0, 15.0, 15.0]
 
     @pytest.mark.parametrize("name", ["linear", "mul", "add"])
     def test_constant_operand_gets_no_gradient_work(self, name):
@@ -362,10 +351,10 @@ class TestGradientExamples:
         for traced_side in (0, 1):
             tape = Tape()
             operands = [rng.normal((3, 3)), rng.normal((3, 3))]
-            operands[traced_side] = tape.var(operands[traced_side])
+            operands[traced_side] = Var(operands[traced_side], tape)
             out = op(*operands)
             computed = _spy_on_backward(tape)
-            gradient(tape, reduce_sum(out))
+            gradient(tape, total(out))
             (grads,) = computed
             assert grads[traced_side] is not None
             assert grads[1 - traced_side] is None
@@ -377,11 +366,11 @@ class TestGradientExamples:
         operands = [rng.normal((6, 3)), rng.normal((2, 4)),
                     rng.normal((3, 12)), rng.normal((4, 12)),
                     rng.normal((1, 12)), rng.normal((1, 12))]
-        operands = [tape.var(a) if i in traced else a
+        operands = [Var(a, tape) if i in traced else a
                     for i, a in enumerate(operands)]
         out = gru_sequence(*operands, steps=3)
         computed = _spy_on_backward(tape)
-        gradient(tape, reduce_sum(out))
+        gradient(tape, total(out))
         (grads,) = computed
         for i, grad in enumerate(grads):
             assert (grad is not None) == (i in traced)
@@ -394,11 +383,11 @@ class TestGradientExamples:
         tape = Tape()
         operands = [rng.normal((6, 1)), np.abs(rng.normal((6, 4))),
                     rng.normal((4, 1))]
-        operands = [tape.var(a) if i in traced else a
+        operands = [Var(a, tape) if i in traced else a
                     for i, a in enumerate(operands)]
         out = hgcn_conv(*operands, 3)
         computed = _spy_on_backward(tape)
-        gradient(tape, reduce_sum(out))
+        gradient(tape, total(out))
         (grads,) = computed
         for i, grad in enumerate(grads):
             assert (grad is not None) == (i in traced)
@@ -410,15 +399,15 @@ class TestGradientExamples:
 
         def build(*vs):
             h = gru_sequence(*vs, steps=2)
-            return reduce_sum(mul(add(linear(h, vs[3], np.zeros((1, 12))), 1.0),
+            return total(mul(add(linear(h, vs[3], np.zeros((1, 12))), 1.0),
                                   linear(vs[0], vs[2], np.zeros((1, 12)))))
 
         def grads(traced):
             tape = Tape()
-            vs = [tape.var(a) if i in traced else Var(a)
+            vs = [Var(a, tape) if i in traced else Var(a)
                   for i, a in enumerate(args)]
-            gradient(tape, build(*vs))
-            return [v.grad for v in vs]
+            grads = gradient(tape, build(*vs))
+            return [grads.get(v) for v in vs]
 
         full = grads(range(len(args)))
         for traced in ([2, 3, 4, 5], [0, 2], [1, 3], [0, 1]):
@@ -427,7 +416,8 @@ class TestGradientExamples:
                 np.testing.assert_array_equal(got[i], full[i])
 
     def test_seed_shape_validated(self):
-        out, tape, _ = evaluate(lambda v: reduce_sum(v), np.ones((2, 2)))
+        tape = Tape()
+        out = total(Var(np.ones((2, 2)), tape))
         with pytest.raises(DimensionError, match="seed"):
             gradient(tape, {out: np.ones((2, 1))})
 
@@ -438,10 +428,10 @@ def _same_bits(a, b):
 
 def _linear_grads(x, w, b, g, row_blocks, rectify, traced=(0, 1, 2)):
     tape = Tape()
-    vs = [tape.var(a) if i in traced else Var(a) for i, a in enumerate((x, w, b))]
+    vs = [Var(a, tape) if i in traced else Var(a) for i, a in enumerate((x, w, b))]
     out = linear(*vs, row_blocks, rectify)
-    gradient(tape, {out: g})
-    return out.value, [v.grad for v in vs]
+    grads = gradient(tape, {out: g})
+    return out.value, [grads.get(v) for v in vs]
 
 
 class TestLinear:
@@ -490,11 +480,11 @@ class TestLinear:
         rng = Rng(126)
         tape = Tape()
         operands = [rng.normal((6, 4)), rng.normal((4, 3)), rng.normal((1, 3))]
-        operands = [tape.var(a) if i in traced else a
+        operands = [Var(a, tape) if i in traced else a
                     for i, a in enumerate(operands)]
         out = linear(*operands, 3, True)
         computed = _spy_on_backward(tape)
-        gradient(tape, reduce_sum(out))
+        gradient(tape, total(out))
         (grads,) = computed
         for i, grad in enumerate(grads):
             assert (grad is not None) == (i in traced)
@@ -526,9 +516,9 @@ class TestGradCheckPrimitives:
         for sa, sb in shapes:
             for _ in range(self.N_POINTS // 5):
                 a, b = rng.normal(sa), rng.normal(sb)
-                check_gradients(lambda x, y: reduce_sum(add(x, y)), [a, b],
+                check_gradients(lambda x, y: total(add(x, y)), [a, b],
                                 label=f"add {sa}x{sb}")
-                check_gradients(lambda x, y: reduce_sum(mul(x, y)), [a, b],
+                check_gradients(lambda x, y: total(mul(x, y)), [a, b],
                                 label=f"mul {sa}x{sb}")
 
     @pytest.mark.parametrize("rectify", [False, True])
@@ -544,7 +534,7 @@ class TestGradCheckPrimitives:
                     break
             weight = rng.normal((6, 3))
             check_gradients(
-                lambda *vs: reduce_sum(mul(linear(*vs, row_blocks, rectify),
+                lambda *vs: total(mul(linear(*vs, row_blocks, rectify),
                                            weight)),
                 [x, w, b], label=f"linear row_blocks={row_blocks}"
                                  f" rectify={rectify}")
@@ -554,7 +544,7 @@ class TestGradCheckPrimitives:
         rng = Rng(102)
         for _ in range(self.N_POINTS):
             x = shift_from_kinks(rng.normal((3, 4)))
-            check_gradients(lambda v: reduce_sum(op(v)), [x], label=op.__name__)
+            check_gradients(lambda v: total(op(v)), [x], label=op.__name__)
 
     # hgcn_conv's two degree pseudo-inverses: "safe_recip" is b^{-1} over
     # the hyperedge degrees, "safe_rsqrt" is d^{-1/2} over the vertex degrees
@@ -570,7 +560,7 @@ class TestGradCheckPrimitives:
             else:
                 H = rng.uniform(0.5, 2.0, (6, 4))
                 w = rng.uniform(0.05, 3.0, (4, 1)) / 8.0   # d in [0.0125, 3]
-            check_gradients(lambda *vs: reduce_sum(hgcn_conv(*vs, 3)),
+            check_gradients(lambda *vs: total(hgcn_conv(*vs, 3)),
                             [rng.normal((6, 1)), H, w], label=normalizer)
 
     @pytest.mark.parametrize("normalizer", ["safe_recip", "safe_rsqrt"])
@@ -582,11 +572,9 @@ class TestGradCheckPrimitives:
         # weights are ("safe_rsqrt"); every gradient is exactly zero
         zeroed = [x, np.zeros_like(H), w] if normalizer == "safe_recip" \
             else [x, H, np.zeros_like(w)]
-        out, tape, leaves = evaluate(lambda *vs: reduce_sum(hgcn_conv(*vs, 3)),
-                                     *zeroed)
-        gradient(tape, out)
-        for leaf in leaves:
-            np.testing.assert_array_equal(leaf.grad, np.zeros_like(leaf.value))
+        _, grads = leaf_grads(lambda *vs: total(hgcn_conv(*vs, 3)), *zeroed)
+        for grad, value in zip(grads, zeroed):
+            np.testing.assert_array_equal(grad, np.zeros_like(value))
         # one degree at 1e-9, below SAFE_EPS: a hyperedge column or a vertex
         # row. With no gradient through its pseudo-inverse, the gradients
         # differ from those at an exactly zero column or row by O(1e-9);
@@ -605,19 +593,19 @@ class TestGradCheckPrimitives:
         weights = rng.split("weights")
         for _ in range(self.N_POINTS // 4):
             x = rng.normal((4, 3))
-            check_gradients(lambda v: reduce_sum(v), [x], label="sum")
+            check_gradients(lambda v: total(v), [x], label="sum")
             check_gradients(
-                lambda v: reduce_sum(select_rows(v, [0, 2, 2, 1])), [x],
+                lambda v: total(select_rows(v, [0, 2, 2, 1])), [x],
                 label="select_rows")
             # distinct indices, the branch training takes, weighted so that
             # each row's gradient differs
             weight = weights.normal((3, 3))
             check_gradients(
-                lambda v: reduce_sum(mul(select_rows(v, [2, 0, 3]), weight)),
+                lambda v: total(mul(select_rows(v, [2, 0, 3]), weight)),
                 [x], label="select_rows unique")
             y = rng.normal((4, 2))
             check_gradients(
-                lambda a, b: reduce_sum(mul(concat_cols(a, b),
+                lambda a, b: total(mul(concat_cols(a, b),
                                             concat_cols(a, b))),
                 [x, y], label="concat_cols")
 
@@ -627,10 +615,10 @@ class TestGradCheckPrimitives:
             x = rng.normal((6, 2))
             weight = rng.normal((4, 3))
             check_gradients(
-                lambda v: reduce_sum(mul(reshape(v, 4, 3), weight)), [x],
+                lambda v: total(mul(reshape(v, 4, 3), weight)), [x],
                 label="reshape")
             check_gradients(
-                lambda v: reduce_sum(mul(block_sum(v, 3), weight[:2, :2])),
+                lambda v: total(mul(block_sum(v, 3), weight[:2, :2])),
                 [x], label="block_sum")
 
     def test_hgcn_conv(self):
@@ -640,7 +628,7 @@ class TestGradCheckPrimitives:
                 H = rng.uniform(0.1, 2.0, (S * n, k))
                 weight = rng.normal((S * n, 1))
                 check_gradients(
-                    lambda *vs: reduce_sum(mul(hgcn_conv(*vs, n), weight)),
+                    lambda *vs: total(mul(hgcn_conv(*vs, n), weight)),
                     [rng.normal((S * n, 1)), H, rng.normal((k, 1))],
                     label=f"hgcn_conv S={S} n={n} k={k}")
 
@@ -663,7 +651,7 @@ class TestGradCheckPrimitives:
                     out[rows], hgcn_layer_dense(x[rows], H[rows], w), atol=1e-12)
 
             def build(xv, hv, wv):
-                return reduce_sum(mul(hgcn_conv(xv, hv, wv, n), weight))
+                return total(mul(hgcn_conv(xv, hv, wv, n), weight))
 
             check_gradients(lambda xv, wv: build(xv, H, wv), [x, w],
                             label=f"hgcn_conv x, w #{trial}")
@@ -675,9 +663,8 @@ class TestGradCheckPrimitives:
                 return float(build(x, full, w).value[0, 0])
 
             tape = Tape()
-            hv = tape.var(H)
-            gradient(tape, build(x, hv, w))
-            assert_grad_close(hv.grad[nonzero],
+            hv = Var(H, tape)
+            assert_grad_close(gradient(tape, build(x, hv, w))[hv][nonzero],
                               finite_diff(on_nonzero, H[nonzero]),
                               label=f"hgcn_conv H #{trial}")
 
@@ -692,12 +679,12 @@ class TestGradCheckPrimitives:
                 weight = rng.normal((steps * rows, hid))
                 label = f"gru_sequence steps={steps} row_blocks={blocks}"
                 check_gradients(
-                    lambda *vs: reduce_sum(mul(gru_sequence(*vs, steps, blocks),
+                    lambda *vs: total(mul(gru_sequence(*vs, steps, blocks),
                                                weight)),
                     args, label=label)
                 x, h0 = args[:2]
                 check_gradients(
-                    lambda *ws: reduce_sum(mul(gru_sequence(x, h0, *ws, steps,
+                    lambda *ws: total(mul(gru_sequence(x, h0, *ws, steps,
                                                             blocks),
                                                weight)),
                     args[2:], label=f"{label}, x and h0 constant")
@@ -725,7 +712,7 @@ class TestGruForward:
         # with no operand traced, every step reuses one slot of gates
         args, _ = _gru_case(rows + steps, rows, hid, steps, din)
         tape = Tape()
-        traced = gru_sequence(*map(tape.var, args), steps=steps).value
+        traced = gru_sequence(*(Var(a, tape) for a in args), steps=steps).value
         assert _same_bits(gru_sequence(*args, steps=steps).value, traced)
 
     @pytest.mark.parametrize("rows, hid, steps, din, blocks",
@@ -775,10 +762,10 @@ def _gru_case(seed, rows, hid, steps, din):
 
 def _gru_primitive(args, g, steps, need, row_blocks=1):
     tape = Tape()
-    vs = [tape.var(a) if n else Var(a) for a, n in zip(args, need)]
+    vs = [Var(a, tape) if n else Var(a) for a, n in zip(args, need)]
     out = gru_sequence(*vs, steps=steps, row_blocks=row_blocks)
-    gradient(tape, {out: g})
-    return out.value, [v.grad for v in vs]
+    grads = gradient(tape, {out: g})
+    return out.value, [grads.get(v) for v in vs]
 
 
 class TestGruSequenceLayout:
@@ -849,7 +836,7 @@ class TestGruSequenceLayout:
         rows, hid, steps, din = 128, 64, 12, 64
         args, _ = _gru_case(10, rows, hid, steps, din)
         tape = Tape()
-        vs = [tape.var(a) for a in args]
+        vs = [Var(a, tape) for a in args]
         tracemalloc.start()
         try:
             gru_sequence(*vs, steps=steps)  # its tape record keeps it for backward

@@ -244,6 +244,36 @@ class TestGrid:
             np.testing.assert_array_equal(env.observe()[1], layouts[k:k + 1])
         assert [r.random() for r in together] == [r.random() for r in alone]
 
+    @pytest.mark.parametrize("layouts, message", [
+        # a negative position wrapped round to the last cell, with the
+        # frozen agent's STAY-only mask
+        ([[[-1], [0]]], r"episode 0 agent 0: position -1 is outside \[0, 3\)"),
+        # a position past the corridor failed only at observe, as IndexError
+        ([[[3], [0]]], r"episode 0 agent 0: position 3 is outside \[0, 3\)"),
+        (np.zeros((1, 2, 1)), r"integer \(K, 2, 1\) array, got float64"),
+        (np.zeros((1, 2, 2), dtype=int), r"\(K, 2, 1\) array, got int64 \(1, 2, 2\)"),
+        (np.zeros((2, 1), dtype=int), r"\(K, 2, 1\) array, got int64 \(2, 1\)"),
+    ], ids=["negative", "past-the-end", "float", "two-agents", "flat"])
+    def test_reset_refuses_layouts_off_the_corridor(self, layouts, message):
+        env = LazyCoordinationGrid(n_agents=1, length=3)
+        with pytest.raises(ContractError, match=message):
+            env.reset(np.array(layouts))
+
+    def test_reset_names_the_first_bad_episode_and_agent(self):
+        env = LazyCoordinationGrid(n_agents=2, length=4)
+        layouts = np.zeros((3, 2, 2), dtype=np.int8)
+        layouts[2, 1, 1] = layouts[2, 0, 0] = 4
+        with pytest.raises(ContractError, match=r"^episode 2 agent 0: position 4"):
+            env.reset(layouts)
+        layouts[2, 0, 0] = 3
+        with pytest.raises(ContractError, match=r"^episode 2 agent 1: target 4"):
+            env.reset(layouts)
+        # every layout of the corridor, and drawn ones, pass
+        env = LazyCoordinationGrid(n_agents=3, length=4)
+        env.reset(np.indices((4,) * 6).reshape(6, -1).T.reshape(-1, 2, 3))
+        assert env.observe()[1].shape == (4 ** 6, 3 * 2 * 4)
+        env.reset(draw_layouts(env, [Rng(k) for k in range(50)]))
+
     def test_observation_is_own_position_and_target(self):
         env = LazyCoordinationGrid(n_agents=2, length=4)
         env.reset(draw_layouts(env, [Rng(1), Rng(2)]))

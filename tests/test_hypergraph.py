@@ -8,13 +8,13 @@ block with the single-sample oracles in ``_oracles``.
 import numpy as np
 import pytest
 
-from hypermix.autodiff import Var, hgcn_conv, reduce_sum
+from hypermix.autodiff import Var, hgcn_conv
 from hypermix.hypergraph import (build_hypergraph_rows, hgcn_transform_rows,
                                  mixing_matrix, read_hypergraph_csv,
                                  write_hypergraph_csv)
 from hypermix.rng import Rng
 
-from _helpers import check_gradients
+from _helpers import check_gradients, total
 from _oracles import (build_hypergraph_dense, degrees_loop, hgcn_layer_dense,
                       hgcn_transform_dense)
 
@@ -61,7 +61,7 @@ class TestBuildHypergraph:
             w = rng.normal((d, m))
             b = rng.normal((1, m))
             H, mu = build_hypergraph_rows(Z, w, b, n)
-            assert H.shape == (S * n, m + n) and mu.shape == (S, 1)
+            assert H.value.shape == (S * n, m + n) and mu.value.shape == (S, 1)
             assert (H.value >= 0.0).all()
             for Hk, mk in zip(_blocks(H, n), mu.value[:, 0]):
                 np.testing.assert_array_equal(Hk[:, m:], mk * np.eye(n))
@@ -85,7 +85,7 @@ class TestBuildHypergraph:
 
         def build(w, b):
             H, _ = build_hypergraph_rows(Z, w, b, 2)
-            return reduce_sum(H)
+            return total(H)
 
         check_gradients(build, [np.array([[0.3, -0.2], [0.4, 0.9]]),
                                 np.array([[0.1, -0.3]])], label="generator")
@@ -179,7 +179,7 @@ class TestHgcnLayer:
             w = rng.uniform(0.2, 2.0, (2, 1))
             x = rng.normal((6, 1))
             check_gradients(
-                lambda xv, hv, wv: reduce_sum(hgcn_conv(xv, hv, wv, 3)),
+                lambda xv, hv, wv: total(hgcn_conv(xv, hv, wv, 3)),
                 [x, H, w], label="hgcn_conv")
 
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import hypermix.autodiff as ad
-from hypermix.autodiff import reduce_sum
 from hypermix.errors import CheckpointError, ConfigError, TrainingError
 from hypermix.nn import (MANIFEST_NAME, ParameterStore, clip_grad_norm,
                          gru_fwd, init_gru, init_linear, init_mlp,
@@ -16,7 +15,8 @@ from hypermix.nn import (MANIFEST_NAME, ParameterStore, clip_grad_norm,
                          rmsprop_step, save_checkpoint)
 from hypermix.rng import Rng
 
-from _helpers import BAD_MANIFEST_ENTRIES, break_manifest, check_gradients
+from _helpers import (BAD_MANIFEST_ENTRIES, break_manifest, check_gradients,
+                      total)
 
 
 class TestInitParams:
@@ -62,7 +62,7 @@ class TestLayerGradients:
             b = rng.normal((1, 2))
 
             def build(xv, wv, bv):
-                return reduce_sum(ad.linear(xv, wv, bv))
+                return total(ad.linear(xv, wv, bv))
 
             check_gradients(build, [x, w, b], label="linear")
 
@@ -75,7 +75,7 @@ class TestLayerGradients:
 
         def build(xv, *param_vars):
             pv = dict(zip(names, param_vars))
-            return reduce_sum(mlp_fwd(xv, pv, "m"))
+            return total(mlp_fwd(xv, pv, "m"))
 
         check_gradients(build, [x] + [store[n] for n in names],
                         label="mlp")
@@ -90,7 +90,7 @@ class TestLayerGradients:
 
         def build(xv, hv, *param_vars):
             pv = dict(zip(names, param_vars))
-            return reduce_sum(gru_fwd(xv, hv, pv, "g"))
+            return total(gru_fwd(xv, hv, pv, "g"))
 
         check_gradients(build, [x, h] + [store[n] for n in names],
                         label="gru layer")

@@ -84,7 +84,21 @@ def test_pairs_report_matches_sides_by_workload_and_seed():
     # listed in another order; the change reads lower except at seed 3
     change = [record(seed, 13.5 if seed == 3 else 9.0 + seed,
                      "b" if seed == 5 else "a") for seed in (5, 4, 3, 2, 1)]
-    assert pairs.report(parent, change, ["m"]) == [
-        "w m: parent 12.000 / 13.000 / 14.000  change 11.000 / 13.000 / 13.500"
-        "  change lower in 4 of 5",
+    assert pairs.report(parent, change, [{"name": "m", "bound": 0.25}]) == [
+        "w m: parent 12.000 / 13.000 / 14.000 (IQR 15.4% of median)"
+        "  change 11.000 / 13.000 / 13.500  change lower in 4 of 5: within bound",
         "w: failed operations parent 0, change 0; output digests differ in 1 of 5"]
+
+
+def test_pairs_verdict_follows_the_bound_and_the_spread():
+    verdict = _load("pairs", "bench").verdict
+    tight = [100.0 + k for k in range(10)]  # IQR 4.5, 4.3% of the median
+    assert verdict(tight, [p - 5.0 for p in tight], 0.25) == "gain resolved"
+    assert verdict(tight, [p - 4.0 for p in tight], 0.25) == "within bound"
+    assert verdict(tight, [p * 1.3 for p in tight], 0.25) == "worse"
+    assert verdict(tight, [p * 1.2 for p in tight], 0.25) == "within bound"
+    # IQR 65.25, 85% of the median 77: only a clean sweep reads
+    wide = [50.0, 51.0, 52.0, 53.0, 54.0, 100.0, 110.0, 120.0, 130.0, 140.0]
+    assert verdict(wide, [p - 1.0 for p in wide], 0.25) == "unresolved"
+    assert verdict(wide, [p * 2.0 for p in wide], 0.25) == "unresolved"
+    assert verdict(wide, [49.0] * 10, 0.25) == "within bound"
