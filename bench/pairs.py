@@ -95,16 +95,20 @@ def quartiles(values: list[float]) -> list[float]:
 def verdict(parent: list[float], change: list[float], bound: float) -> str:
     """What the pairs of a lower-is-better metric show, first rule first:
     "gain resolved" when the change reads lower in at least 9 of 10 pairs
-    and its median gap exceeds the parent's interquartile range;
-    "unresolved" when that range exceeds ``bound`` times the parent's
-    median, unless every change run beats every parent run; "worse" when
-    the change's median exceeds the parent's by more than ``bound``; and
-    "within bound" otherwise."""
+    and its median gap exceeds the parent's interquartile range; "worse"
+    when the change's median exceeds the parent's upper quartile by more
+    than ``bound``, however wide the spread; "unresolved" when the parent's
+    interquartile range exceeds ``bound`` times its median, unless every
+    change run beats every parent run; "worse" when the change's median
+    exceeds the parent's by more than ``bound``; and "within bound"
+    otherwise."""
     p1, p2, p3 = quartiles(parent)
     c2 = statistics.median(change)
     lower = sum(c < p for p, c in zip(parent, change))
     if 10 * lower >= 9 * len(parent) and p2 - c2 > p3 - p1:
         return "gain resolved"
+    if c2 > p3 * (1 + bound):
+        return "worse"
     if p3 - p1 > bound * p2 and max(change) >= min(parent):
         return "unresolved"
     if c2 > p2 * (1 + bound):

@@ -46,11 +46,6 @@ def agent_forward(pv: dict[str, Var], inputs, hidden, steps: int = 1, blocks: in
     return q, h
 
 
-def initial_hidden(rows: int, hidden: int = 64) -> np.ndarray:
-    """Zero GRU state for the start of an episode."""
-    return np.zeros((rows, hidden))
-
-
 def build_agent_inputs(obs: np.ndarray, last_actions, n_actions: int) -> np.ndarray:
     """Stack per-agent input rows: obs ++ last-action one-hot ++ id one-hot.
 

@@ -200,25 +200,20 @@ def absval(x) -> Var:
     return _emit("abs", (x,), np.abs(xv), bwd)
 
 
-def concat_cols(*xs) -> Var:
-    """Concatenate matrices along columns; all must share the row count."""
-    vs = tuple(_as_var(x) for x in xs)
-    if not vs:
-        raise DimensionError("concat_cols: needs at least one operand")
-    rows = vs[0].value.shape[0]
-    for v in vs:
-        if v.value.shape[0] != rows:
-            raise DimensionError(
-                f"concat_cols: row counts differ, {v.value.shape[0]} != {rows}"
-            )
-    bounds = np.cumsum([0] + [v.value.shape[1] for v in vs])
+def concat_cols(a, b) -> Var:
+    """Join two matrices side by side; they must share the row count."""
+    a, b = _as_var(a), _as_var(b)
+    rows, split = a.value.shape
+    if b.value.shape[0] != rows:
+        raise DimensionError(
+            f"concat_cols: row counts differ, {b.value.shape[0]} != {rows}")
 
     def bwd(g, need):
-        return tuple(g[:, bounds[i]:bounds[i + 1]] if need[i] else None
-                     for i in range(len(vs)))
+        return (g[:, :split] if need[0] else None,
+                g[:, split:] if need[1] else None)
 
-    return _emit("concat_cols", vs,
-                 np.concatenate([v.value for v in vs], axis=1), bwd)
+    return _emit("concat_cols", (a, b),
+                 np.concatenate((a.value, b.value), axis=1), bwd)
 
 
 def reshape(x, rows: int, cols: int) -> Var:

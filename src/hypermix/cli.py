@@ -24,7 +24,7 @@ from .envs import make_env
 from .errors import CheckpointError, ConfigError, ContractError, TrainingError
 from .hypergraph import build_hypergraph_rows, write_hypergraph_csv
 from .mixers import validate_mixer_kind
-from .nn import load_checkpoint_into
+from .nn import load_checkpoint
 from .rng import Rng
 from .training import collect_episode, evaluate_policy, init_run_stores, run_training
 
@@ -77,7 +77,7 @@ def cmd_train(args) -> int:
 def _load_run(cfg: Config, checkpoint_path):
     env = make_env(cfg.env)
     store, _ = init_run_stores(cfg, env, seed=cfg.seeds[0])
-    load_checkpoint_into(store, checkpoint_path)
+    load_checkpoint(store, checkpoint_path)
     return env, store
 
 
@@ -119,26 +119,17 @@ def aggregate_metrics(run_dirs: list[Path], arm: str) -> list[dict]:
     series = [[json.loads(line)
                for line in (run / "metrics.jsonl").read_text().splitlines()]
               for run in run_dirs]
-    lengths = {len(s) for s in series}
-    if len(lengths) != 1:
-        raise ConfigError(
-            f"mismatched eval grids across seeds for arm {arm!r}:"
-            f" lengths {sorted(lengths)}"
-        )
+    if len({tuple(e["episode"] for e in s) for s in series}) != 1:
+        raise ConfigError(f"mismatched eval grids across seeds for arm {arm!r}")
     rows = []
-    for i in range(lengths.pop()):
-        episodes = {s[i]["episode"] for s in series}
-        if len(episodes) != 1:
-            raise ConfigError(
-                f"mismatched eval grids for arm {arm!r} at index {i}"
-            )
-        success = np.array([s[i]["success_rate"] for s in series])
-        returns = np.array([s[i]["mean_return"] for s in series])
+    for evals in zip(*series):
+        success = np.array([e["success_rate"] for e in evals])
+        returns = np.array([e["mean_return"] for e in evals])
         # linear-interpolation percentiles over the seed axis
         med, p25, p75 = np.percentile(success, [50, 25, 75]).tolist()
         rows.append({
-            "episode": episodes.pop(),
-            "step_median": float(np.median([s[i]["step"] for s in series])),
+            "episode": evals[0]["episode"],
+            "step_median": float(np.median([e["step"] for e in evals])),
             "success_median": med,
             "success_p25": p25,
             "success_p75": p75,

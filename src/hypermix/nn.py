@@ -19,8 +19,8 @@ class ParameterStore:
     """Named parameter matrices end to end in one flat float64 array, ``value``,
     in insertion order as in the checkpoint blob; ``store[name]`` is a view of
     it. ``sq_avg``, the RMSProp moment, shares the layout; the first update
-    allocates it, so target copies and loaded stores hold values only. Updates
-    assign a new ``value``, so bound variables and the memo keep theirs.
+    allocates it, so a store never updated (a target copy) holds values only.
+    Updates assign a new ``value``, so bound variables and the memo keep theirs.
     """
 
     def __init__(self):
@@ -86,10 +86,9 @@ class ParameterStore:
         self.value = source.value.copy()
 
 
-def _first_nonfinite(store: ParameterStore, flat: np.ndarray) -> str:
-    """The first parameter of ``store`` not all finite in ``flat``."""
-    return next(name for name, v in store.views(flat).items()
-                if not np.isfinite(v).all())
+def _first_nonfinite(views: dict[str, np.ndarray]) -> str:
+    """The first of the named ``views`` that is not all finite."""
+    return next(name for name, v in views.items() if not np.isfinite(v).all())
 
 
 def _uniform(rng: Rng, rows: int, cols: int) -> np.ndarray:
@@ -147,7 +146,7 @@ def rmsprop_step(store: ParameterStore, grad: np.ndarray, lr: float = 5e-4,
     ``value``: v <- d*v + (1-d)*g^2; p <- p - lr*g/(sqrt(v)+eps)."""
     if not np.isfinite(grad).all():
         raise TrainingError("non-finite gradient for parameter"
-                            f" {_first_nonfinite(store, grad)!r}")
+                            f" {_first_nonfinite(store.views(grad))!r}")
     store.sq_avg = decay * store.sq_avg + (1.0 - decay) * (grad * grad)
     store.value = store.value - lr * grad / (np.sqrt(store.sq_avg) + eps)
 
@@ -197,8 +196,10 @@ def save_checkpoint(store: ParameterStore, directory) -> None:
         os.replace(directory / f"{name}.tmp", directory / name)
 
 
-def load_checkpoint(directory) -> ParameterStore:
-    """Load a checkpoint into a fresh store; validates sizes and finiteness."""
+def load_checkpoint(store: ParameterStore, directory) -> None:
+    """Load a checkpoint into ``store`` by name; the files, the manifest, the
+    blob's size and finiteness, and every name and shape are checked before
+    ``store`` changes."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     blob_path = directory / BLOB_NAME
@@ -210,35 +211,26 @@ def load_checkpoint(directory) -> ParameterStore:
                    for e in manifest["params"]]
     except (json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
         raise CheckpointError(f"unreadable checkpoint manifest: {exc}") from exc
-    seen = set()
+    layout, size = {}, 0  # name -> (slice, shape), as in a store
     for e in entries:
         if tuple(map(type, e)) != (str, int, int) or min(e[1:]) < 0:
             raise CheckpointError(f"bad checkpoint manifest entry {e}: need"
                                   " (name str, rows int >= 0, cols int >= 0)")
-        if e[0] in seen:
+        if e[0] in layout:
             raise CheckpointError(f"bad checkpoint manifest entry {e}: name"
                                   f" {e[0]!r} is listed twice")
-        seen.add(e[0])
+        layout[e[0]] = (slice(size, size + e[1] * e[2]), e[1:])
+        size += e[1] * e[2]
     blob = blob_path.read_bytes()
-    expected = sum(rows * cols for _, rows, cols in entries) * 8
-    if len(blob) != expected:
+    if len(blob) != size * 8:
         raise CheckpointError(
-            f"checkpoint blob has {len(blob)} bytes, manifest expects {expected}"
+            f"checkpoint blob has {len(blob)} bytes, manifest expects {size * 8}"
         )
-    store = ParameterStore()
-    for name, rows, cols in entries:
-        store.add(name, np.zeros((rows, cols)))
-    store.value = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    if not np.isfinite(store.value).all():
+    flat = np.frombuffer(blob, dtype="<f8")
+    got = {name: flat[span].reshape(shape) for name, (span, shape) in layout.items()}
+    if not np.isfinite(flat).all():
         raise CheckpointError("non-finite values in parameter"
-                              f" {_first_nonfinite(store, store.value)!r}")
-    return store
-
-
-def load_checkpoint_into(store: ParameterStore, directory) -> None:
-    """Load values into a store by name; checks all names and shapes first."""
-    loaded = load_checkpoint(directory)
-    got = loaded.views(loaded.value)
+                              f" {_first_nonfinite(got)!r}")
     value = np.empty_like(store.value)
     for name, view in store.views(value).items():
         if name not in got:

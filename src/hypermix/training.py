@@ -136,7 +136,7 @@ def rollout(env, store: ParameterStore, eps: float, layouts: np.ndarray,
     env.reset(layouts)
     pv = store.bind(None)
     rows = slice(None)  # the running episodes: a slice while all of them run
-    hidden = Var(ag.initial_hidden(k * n, agent_hidden))
+    hidden = Var(np.zeros((k * n, agent_hidden)))
     for t in range(limit + 1):
         o, s, m = env.observe()
         if not t:  # stored in the env's dtypes: int8 for every env here
@@ -195,7 +195,7 @@ def _agent_pass(pv: dict[str, Var], batch: dict, steps: int,
                                    last, batch["avail"].shape[-1])
     rows = inputs.shape[1] * inputs.shape[2]
     q, _ = ag.agent_forward(pv, Var(inputs.reshape(steps * rows, -1)),
-                            ag.initial_hidden(rows, agent_hidden), steps)
+                            np.zeros((rows, agent_hidden)), steps)
     return q
 
 

@@ -82,7 +82,7 @@ def composite_qtot(pv, kind, Z, s, actions, dims):
     """Traced agent forward + mixer for one sample; returns the 1x1 joint value."""
     n, n_actions = dims["n"], dims["n_actions"]
     inputs = agents.build_agent_inputs(Z, np.full(n, -1), n_actions)
-    hidden = agents.initial_hidden(n, dims["agent_hidden"])
+    hidden = np.zeros((n, dims["agent_hidden"]))
     q, _ = agents.agent_forward(pv, ad.Var(inputs), hidden)
     chosen = ad.select_rows(ad.reshape(q, n * n_actions, 1),
                             np.arange(n) * n_actions + np.asarray(actions))

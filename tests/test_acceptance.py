@@ -329,8 +329,9 @@ def test_criterion_9_trained_monotonicity_and_igm(tmp_path):
                  hyperedges=8, lr=5e-3, anneal_steps=2000, eval_interval=50,
                  episodes=400)
     summary = run_training(cfg, 0, tmp_path)
-    store = load_checkpoint(summary["checkpoint"])
     env = make_env(cfg.env)
+    store = init_run_stores(cfg, env, 0)[0]
+    load_checkpoint(store, summary["checkpoint"])
     n, n_actions = env.spec.n_agents, env.spec.n_actions
     pv = store.bind(None)
     rng = Rng(0).split("criterion 9")

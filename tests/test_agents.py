@@ -25,14 +25,14 @@ class TestAgentForward:
         store.value = np.zeros_like(store.value)
         inputs = ag.build_agent_inputs(np.ones((2, 3)), [-1, -1], 2)
         q, h = ag.agent_forward(store.bind(None), Var(inputs),
-                                ag.initial_hidden(2, 4))
+                                np.zeros((2, 4)))
         np.testing.assert_array_equal(q.value, np.zeros((2, 2)))
         assert np.isfinite(h.value).all()
 
     def test_deterministic_repeat(self):
         store = _store(seed=3)
         inputs = ag.build_agent_inputs(Rng(1).normal((2, 3)), [1, 0], 2)
-        hidden = ag.initial_hidden(2, 4)
+        hidden = np.zeros((2, 4))
         q1, h1 = ag.agent_forward(store.bind(None), Var(inputs), hidden)
         q2, h2 = ag.agent_forward(store.bind(None), Var(inputs), hidden)
         np.testing.assert_array_equal(q1.value, q2.value)
@@ -53,9 +53,9 @@ class TestAgentForward:
         store = _store(seed=5)
         pv = store.bind(None)
         inputs = ag.build_agent_inputs(np.ones((2, 3)), [-1, -1], 2)
-        _, h1 = ag.agent_forward(pv, Var(inputs), ag.initial_hidden(2, 4))
+        _, h1 = ag.agent_forward(pv, Var(inputs), np.zeros((2, 4)))
         q_a, _ = ag.agent_forward(pv, Var(inputs), h1)
-        q_b, _ = ag.agent_forward(pv, Var(inputs), ag.initial_hidden(2, 4))
+        q_b, _ = ag.agent_forward(pv, Var(inputs), np.zeros((2, 4)))
         assert not np.array_equal(q_a.value, q_b.value)
 
     @pytest.mark.parametrize("rows,hidden", [(1, 4), (3, 64), (6, 64),
@@ -68,9 +68,9 @@ class TestAgentForward:
                        hidden=hidden, seed=9)
         pv = store.bind(None)
         inputs = Rng(2).normal((steps * rows, obs_dim + n_actions + rows))
-        q, h = ag.agent_forward(pv, Var(inputs), ag.initial_hidden(rows, hidden),
+        q, h = ag.agent_forward(pv, Var(inputs), np.zeros((rows, hidden)),
                                 steps)
-        carried = ag.initial_hidden(rows, hidden)
+        carried = np.zeros((rows, hidden))
         for t in range(steps):
             q_t, carried = ag.agent_forward(
                 pv, Var(inputs[t * rows:(t + 1) * rows]), carried)

@@ -12,11 +12,13 @@ import pytest
 
 from hypermix.cli import _out_path, aggregate_metrics, build_parser, main
 from hypermix.config import Config, load_config
+from hypermix.envs import make_env
 from hypermix.errors import ConfigError
 from hypermix.hypergraph import read_hypergraph_csv
 from hypermix.mixers import MIXER_KINDS
 from hypermix.nn import (CLIP_NORM, RMS_DECAY, RMS_EPS, load_checkpoint,
                          save_checkpoint)
+from hypermix.training import init_run_stores
 
 from _helpers import break_manifest
 
@@ -345,7 +347,9 @@ class TestEvalCommand:
                                                           capsys):
         # a one-hot run saved qmix's parameters plus two unit edge weights
         cfg, ckpt = self._train(tmp_path, mixer="qmix")
-        store = load_checkpoint(ckpt)
+        run = load_config(cfg)
+        store = init_run_stores(run, make_env(run.env), 0)[0]
+        load_checkpoint(store, ckpt)
         for name in ("mix.edge_w1", "mix.edge_w2"):
             store.add(name, np.ones((2, 1)))
         save_checkpoint(store, ckpt)
@@ -583,14 +587,17 @@ class TestCompareCommand:
     def test_mismatched_eval_grids_alignment_error(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        for d, count in ((a, 2), (b, 3)):
-            d.mkdir()
-            lines = [json.dumps({"episode": (i + 1) * 2, "step": i,
-                                 "success_rate": 0.0, "mean_return": 0.0})
-                     for i in range(count)]
-            (d / "metrics.jsonl").write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError, match="eval grids"):
-            aggregate_metrics([a, b], "vdn")
+        # b's grid is longer, then as long but at other episodes
+        for grid_b in ((2, 4, 6), (3, 6)):
+            for d, grid in ((a, (2, 4)), (b, grid_b)):
+                d.mkdir(exist_ok=True)
+                lines = [json.dumps({"episode": episode, "step": i,
+                                     "success_rate": 0.0, "mean_return": 0.0})
+                         for i, episode in enumerate(grid)]
+                (d / "metrics.jsonl").write_text("\n".join(lines) + "\n")
+            with pytest.raises(ConfigError, match="mismatched eval grids"
+                               " across seeds for arm 'vdn'"):
+                aggregate_metrics([a, b], "vdn")
 
 
 class TestLogging:

@@ -11,8 +11,8 @@ import hypermix.autodiff as ad
 from hypermix.errors import CheckpointError, ConfigError, TrainingError
 from hypermix.nn import (MANIFEST_NAME, ParameterStore, clip_grad_norm,
                          gru_fwd, init_gru, init_linear, init_mlp,
-                         load_checkpoint, load_checkpoint_into, mlp_fwd,
-                         rmsprop_step, save_checkpoint)
+                         load_checkpoint, mlp_fwd, rmsprop_step,
+                         save_checkpoint)
 from hypermix.rng import Rng
 
 from _helpers import (BAD_MANIFEST_ENTRIES, break_manifest, check_gradients,
@@ -266,8 +266,9 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         store = self._store()
         save_checkpoint(store, tmp_path / "ckpt")
-        loaded = load_checkpoint(tmp_path / "ckpt")
-        assert loaded.names() == store.names()
+        loaded = store.clone()
+        loaded.value = np.zeros_like(store.value)
+        load_checkpoint(loaded, tmp_path / "ckpt")
         for name in store.names():
             assert np.array_equal(loaded[name], store[name])
         assert loaded.value.tobytes() == store.value.tobytes()
@@ -287,7 +288,7 @@ class TestCheckpoint:
         for name in reversed(store.names()):
             reordered.add(name, store[name] * 2.0)
         save_checkpoint(reordered, tmp_path / "ckpt")
-        load_checkpoint_into(store, tmp_path / "ckpt")
+        load_checkpoint(store, tmp_path / "ckpt")
         for name in store.names():
             assert np.array_equal(store[name], reordered[name])
         assert not np.array_equal(store.value, reordered.value)
@@ -298,7 +299,7 @@ class TestCheckpoint:
         other = ParameterStore()
         init_mlp(other, "fc", 4, 5, 2, Rng(0))
         with pytest.raises(CheckpointError, match="fc.fc1.w"):
-            load_checkpoint_into(other, tmp_path / "ckpt")
+            load_checkpoint(other, tmp_path / "ckpt")
 
     def test_corrupted_blob_is_clean_error(self, tmp_path):
         store = self._store()
@@ -306,7 +307,7 @@ class TestCheckpoint:
         blob = (tmp_path / "ckpt" / "params.bin")
         blob.write_bytes(blob.read_bytes()[:-8])
         with pytest.raises(CheckpointError, match="bytes"):
-            load_checkpoint(tmp_path / "ckpt")
+            load_checkpoint(store, tmp_path / "ckpt")
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path,
                                                    monkeypatch):
@@ -325,26 +326,30 @@ class TestCheckpoint:
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(store, tmp_path / "ckpt")
         monkeypatch.undo()
-        assert np.array_equal(load_checkpoint(tmp_path / "ckpt").value, old)
+        loaded = store.clone()
+        load_checkpoint(loaded, tmp_path / "ckpt")
+        assert np.array_equal(loaded.value, old)
         save_checkpoint(store, tmp_path / "ckpt")
-        assert np.array_equal(load_checkpoint(tmp_path / "ckpt").value,
-                              store.value)
+        load_checkpoint(loaded, tmp_path / "ckpt")
+        assert np.array_equal(loaded.value, store.value)
 
     def test_missing_files_is_clean_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="missing"):
-            load_checkpoint(tmp_path / "nope")
+            load_checkpoint(self._store(), tmp_path / "nope")
 
     @pytest.mark.parametrize("case", BAD_MANIFEST_ENTRIES)
     def test_malformed_manifest_entry_is_clean_error(self, tmp_path, case):
-        save_checkpoint(self._store(), tmp_path / "ckpt")
+        store = self._store()
+        save_checkpoint(store, tmp_path / "ckpt")
         break_manifest(tmp_path / "ckpt", case)
         with pytest.raises(CheckpointError, match="manifest"):
-            load_checkpoint(tmp_path / "ckpt")
+            load_checkpoint(store, tmp_path / "ckpt")
 
     LOAD_INTO_ERRORS = {"missing": "missing parameter 'fc.fc2.b'",
                         "shape": "shape mismatch for parameter 'fc.fc2.b'",
                         "extra": r"unexpected parameters \['zz.w'\]",
-                        "repeated": "name 'fc.fc1.w' is listed twice"}
+                        "repeated": "name 'fc.fc1.w' is listed twice",
+                        "nonfinite": "non-finite values in parameter 'fc.fc2.b'"}
 
     @pytest.mark.parametrize("case", sorted(LOAD_INTO_ERRORS))
     def test_failed_load_into_leaves_store_unchanged(self, tmp_path, case):
@@ -361,6 +366,8 @@ class TestCheckpoint:
             values[last] = np.ones((1, 3))
         elif case == "extra":
             values["zz.w"] = np.ones((1, 1))
+        elif case == "nonfinite":
+            values[last][0, -1] = np.nan
         saved = ParameterStore()
         for name, value in values.items():
             saved.add(name, value)
@@ -368,6 +375,6 @@ class TestCheckpoint:
         if case == "repeated":
             break_manifest(tmp_path / "ckpt", "repeated name")
         with pytest.raises(CheckpointError, match=self.LOAD_INTO_ERRORS[case]):
-            load_checkpoint_into(store, tmp_path / "ckpt")
+            load_checkpoint(store, tmp_path / "ckpt")
         assert store.value is array
         assert np.array_equal(store.value, before)

@@ -23,7 +23,7 @@ from hypermix.autodiff import Tape, gradient
 from hypermix.config import Config
 from hypermix.envs import (LazyCoordinationGrid, OneStepMatrixGame,
                            TwoStepGame, draw_layouts, make_env)
-from hypermix.nn import load_checkpoint_into, rmsprop_step, save_checkpoint
+from hypermix.nn import load_checkpoint, rmsprop_step, save_checkpoint
 from hypermix.rng import Rng
 from hypermix.training import (Episode, ReplayBuffer, collect_episode,
                                epsilon, evaluate_policy, init_run_stores,
@@ -469,7 +469,7 @@ class TestTargetMemo:
         return online
 
     @pytest.mark.parametrize("event", ["update_target", "rmsprop_step",
-                                       "load_checkpoint_into", "rebind"])
+                                       "load_checkpoint", "rebind"])
     def test_recomputed_after_parameter_change(self, event, monkeypatch,
                                                tmp_path):
         store, dims, batch = self._setup("hgcn-mix")
@@ -478,9 +478,9 @@ class TestTargetMemo:
             update_target(self._online(store), store)
         elif event == "rmsprop_step":
             rmsprop_step(store, np.ones_like(store.value), lr=0.05)
-        elif event == "load_checkpoint_into":
+        elif event == "load_checkpoint":
             save_checkpoint(self._online(store), tmp_path / "ckpt")
-            load_checkpoint_into(store, tmp_path / "ckpt")
+            load_checkpoint(store, tmp_path / "ckpt")
         else:
             value = store.value.copy()
             store.views(value)["mix.v.fc2.b"][...] += 1.0
