@@ -26,7 +26,7 @@ def init_agent_params(store: ParameterStore, obs_dim: int, n_actions: int,
     init_linear(store, "agent.fc2", hidden, n_actions, rng)
 
 
-def agent_forward(pv: dict[str, Var], inputs, hidden, steps: int = 1, blocks: int = 1):
+def agent_forward(pv: dict[str, Var], inputs, hidden, steps: int = 1):
     """Run the agent network over ``steps`` steps of a row batch.
 
     ``inputs`` stacks the input rows of every step, (steps*R x d) with step
@@ -34,15 +34,12 @@ def agent_forward(pv: dict[str, Var], inputs, hidden, steps: int = 1, blocks: in
     first step. Rows may stack any number of agents and batch entries since
     the network is shared. Returns (q_values, hidden_states), both stacked
     the same way; the last R rows of hidden_states are the state to carry
-    into the next call. fc1, the GRU and fc2 each run once over all rows
-    (the GRU as one tape record), and every product runs step by step in its
-    forward, so one call gives bit for bit the values of ``steps`` chained
-    one-step calls. ``blocks`` > 1 splits each step's rows into that many
-    equal blocks, each with the bits of a call on its rows alone.
+    into the next call. fc1 and fc2 each run as one product over all rows,
+    and the GRU as one tape record that steps through its R rows at a time.
     """
-    x = linear_fwd(inputs, pv, "agent.fc1", steps * blocks, rectify=True)
-    h = gru_fwd(x, hidden, pv, "agent.rnn", steps, blocks)
-    q = linear_fwd(h, pv, "agent.fc2", steps * blocks)
+    x = linear_fwd(inputs, pv, "agent.fc1", rectify=True)
+    h = gru_fwd(x, hidden, pv, "agent.rnn", steps)
+    q = linear_fwd(h, pv, "agent.fc2")
     return q, h
 
 

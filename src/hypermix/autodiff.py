@@ -110,25 +110,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 # primitives
 # ---------------------------------------------------------------------------
 
-def linear(x, w, b, row_blocks: int = 1, rectify: bool = False) -> Var:
+def linear(x, w, b, rectify: bool = False) -> Var:
     """Affine layer x @ w + b, rectified (ReLU) if ``rectify``, as one record.
 
-    ``b`` is one (1 x out) row. ``row_blocks`` > 1 runs the product one equal
-    block of rows at a time, so each block is bit for bit the product of that
-    block alone (BLAS may round a row differently depending on the rows
-    stacked around it). The bias and the rectifier act in place on the
-    product; backward masks by the output, > 0 exactly where the
-    rectifier's input is, so the record keeps no other array.
+    ``b`` is one (1 x out) row. The product runs once over all rows; the bias
+    and the rectifier act in place on it. Backward masks by the output, > 0
+    exactly where the rectifier's input is, so the record keeps no other
+    array.
     """
     x, w, b = operands = tuple(map(_as_var, (x, w, b)))
     xv, wv = x.value, w.value
-    if (xv.shape[1] != wv.shape[0] or b.value.shape != (1, wv.shape[1])
-            or row_blocks <= 0 or xv.shape[0] % row_blocks):
+    if xv.shape[1] != wv.shape[0] or b.value.shape != (1, wv.shape[1]):
         raise DimensionError(f"linear: x {xv.shape}, w {wv.shape}, b {b.value.shape}"
-                             f" do not fit x @ w + b, b one row, x in {row_blocks}"
-                             " equal row blocks")
-    out = xv @ wv if row_blocks == 1 else (
-        xv.reshape(row_blocks, -1, xv.shape[1]) @ wv).reshape(-1, wv.shape[1])
+                             " do not fit x @ w + b, b one row")
+    out = xv @ wv
     out += b.value
     if rectify:
         np.maximum(out, 0.0, out=out)
@@ -266,31 +261,29 @@ def select_rows(x, rows) -> Var:
     return _emit("select_rows", (x,), x.value[idx], bwd)
 
 
-def gru_sequence(x, h0, w_ih, w_hh, b_ih, b_hh, steps: int = 1,
-                 row_blocks: int = 1) -> Var:
+def gru_sequence(x, h0, w_ih, w_hh, b_ih, b_hh, steps: int = 1) -> Var:
     """GRU recurrence over ``steps`` steps of a row batch, as one record.
 
     ``x`` stacks the inputs of every step, (steps*R x in) with step t in
     rows t*R .. (t+1)*R; ``h0`` is the (R x H) initial state. Returns the
-    (steps*R x H) stack of the hidden states after each step. ``row_blocks``
-    > 1 runs each step's products one equal block of rows at a time, as
-    :func:`linear` does. Gate layout is (reset, update, candidate) stacked
-    along columns: ``w_ih`` is (in, 3H), ``w_hh`` is (H, 3H), biases are
-    (1, 3H). Each step is the standard sigmoid/tanh update h' = (1 - z) * c
-    + z * h. Backward walks the steps in reverse with one step's gate
-    gradients alive at a time. Inside, each gate is a contiguous (R x H)
-    block: products use zero-copy gate-major (3, in, H) views of the
-    weights, which give the bits of the (R x 3H) products. Only r and z are
-    kept per step; backward recomputes c and hn with the forward's own
-    candidate-gate products and ufuncs, so it keeps the bits and pays two
-    (R x H) gate products a step for half the kept memory.
+    (steps*R x H) stack of the hidden states after each step. Gate layout
+    is (reset, update, candidate) stacked along columns: ``w_ih`` is (in,
+    3H), ``w_hh`` is (H, 3H), biases are (1, 3H). Each step is the standard
+    sigmoid/tanh update h' = (1 - z) * c + z * h. Backward walks the steps
+    in reverse with one step's gate gradients alive at a time. Inside, each
+    gate is a contiguous (R x H) block: products use zero-copy gate-major
+    (3, in, H) views of the weights, which give the bits of the (R x 3H)
+    products. Only r and z are kept per step; backward recomputes c and hn
+    with the forward's own candidate-gate products and ufuncs, so it keeps
+    the bits and pays two (R x H) gate products a step for half the kept
+    memory.
     """
     operands = tuple(map(_as_var, (x, h0, w_ih, w_hh, b_ih, b_hh)))
     xv, h0v, wiv, whv, biv, bhv = (v.value for v in operands)
     rows, hid = h0v.shape
-    if min(steps, row_blocks) <= 0 or xv.shape[0] != steps * rows or rows % row_blocks:
+    if steps <= 0 or xv.shape[0] != steps * rows:
         raise DimensionError(f"gru_sequence: x {xv.shape} is not {steps} steps of"
-                             f" {row_blocks} equal row blocks of h0 {h0v.shape}")
+                             f" the rows of h0 {h0v.shape}")
     for name, v, want in (("w_ih", wiv, (xv.shape[1], 3 * hid)),
                           ("w_hh", whv, (hid, 3 * hid)),
                           ("b_ih", biv, (1, 3 * hid)), ("b_hh", bhv, (1, 3 * hid))):
@@ -301,13 +294,6 @@ def gru_sequence(x, h0, w_ih, w_hh, b_ih, b_hh, steps: int = 1,
     def gates(a):  # zero-copy (3, n, H) view of an (n, 3H) array
         return a.reshape(len(a), 3, hid).transpose(1, 0, 2)
     wig, whg, big, bhg = map(gates, (wiv, whv, biv, bhv))
-
-    def product(a, w, out):  # a @ w per row block into the (len(w), R, H) out
-        if row_blocks == 1:
-            return np.matmul(a, w, out=out)
-        np.matmul(a.reshape(row_blocks, -1, a.shape[1]), w[:, None],
-                  out=out.reshape(len(w), row_blocks, -1, hid))
-        return out
     out = np.empty((steps * rows, hid))
     # kept for backward, per step: the reset and update gates r and z only;
     # backward recomputes the candidate c and hn, the recurrent part of its
@@ -319,8 +305,8 @@ def gru_sequence(x, h0, w_ih, w_hh, b_ih, b_hh, steps: int = 1,
     hv = h0v
     for t in range(steps):
         rz = s[t % kept]
-        np.add(product(xv[t * rows:(t + 1) * rows], wig, gi), big, out=gi)
-        np.add(product(hv, whg, gh), bhg, out=gh)
+        np.add(np.matmul(xv[t * rows:(t + 1) * rows], wig, out=gi), big, out=gi)
+        np.add(np.matmul(hv, whg, out=gh), bhg, out=gh)
         # logistic exp(min(u, 0)) / (1 + exp(-|u|)): exp of u <= 0 only
         u = np.add(gi[:2], gh[:2], out=rz)
         d = np.exp(np.negative(np.abs(u, out=gi[:2]), out=gi[:2]), out=gi[:2])
@@ -350,8 +336,8 @@ def gru_sequence(x, h0, w_ih, w_hh, b_ih, b_hh, steps: int = 1,
             rz, hv = s[t], (out[lo - rows:lo] if t else h0v)
             # c and hn by the forward's own products and ufuncs, so same bits
             c, hn, xn = work
-            np.add(product(hv, whg[2:], work[1:2]), bhg[2:], out=work[1:2])
-            np.add(product(xv[lo:hi], wig[2:], work[2:]), big[2:], out=work[2:])
+            np.add(np.matmul(hv, whg[2:], out=work[1:2]), bhg[2:], out=work[1:2])
+            np.add(np.matmul(xv[lo:hi], wig[2:], out=work[2:]), big[2:], out=work[2:])
             np.tanh(np.add(xn, np.multiply(rz[0], hn, out=c), out=c), out=c)
             # dc = gt * (1 - z) * (1 - c * c)
             np.multiply(gt, np.subtract(1.0, rz[1], out=dr), out=dr)

@@ -44,10 +44,13 @@ def _setup_logging() -> None:
 def _out_path(path, is_dir: bool) -> Path:
     """--out as a Path, checked before any work is done."""
     out = Path(path)
-    if out.exists() and out.is_dir() != is_dir:
-        raise ConfigError(f"--out: {out} exists and is not a"
-                          f" {'directory' if is_dir else 'file'}")
-    ancestor = next((p for p in out.absolute().parents if p.exists()), out)
+    try:  # the OS may refuse to probe the path at all, e.g. a name too long
+        if out.exists() and out.is_dir() != is_dir:
+            raise ConfigError(f"--out: {out} exists and is not a"
+                              f" {'directory' if is_dir else 'file'}")
+        ancestor = next((p for p in out.absolute().parents if p.exists()), out)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from None
     if not ancestor.is_dir():
         raise ConfigError(f"--out: {ancestor} is not a directory")
     return out

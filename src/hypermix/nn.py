@@ -120,9 +120,8 @@ def init_gru(store: ParameterStore, name: str, in_dim: int, hidden: int,
     store.add(f"{name}.b_hh", np.zeros((1, 3 * hidden)))
 
 
-def linear_fwd(x, pv: dict[str, Var], name: str, row_blocks: int = 1,
-               rectify: bool = False) -> Var:
-    return linear(x, pv[f"{name}.w"], pv[f"{name}.b"], row_blocks, rectify)
+def linear_fwd(x, pv: dict[str, Var], name: str, rectify: bool = False) -> Var:
+    return linear(x, pv[f"{name}.w"], pv[f"{name}.b"], rectify)
 
 
 def mlp_fwd(x, pv: dict[str, Var], name: str) -> Var:
@@ -130,10 +129,9 @@ def mlp_fwd(x, pv: dict[str, Var], name: str) -> Var:
     return linear_fwd(h, pv, f"{name}.fc2")
 
 
-def gru_fwd(x, h, pv: dict[str, Var], name: str, steps: int = 1,
-            row_blocks: int = 1) -> Var:
+def gru_fwd(x, h, pv: dict[str, Var], name: str, steps: int = 1) -> Var:
     return gru_sequence(x, h, pv[f"{name}.w_ih"], pv[f"{name}.w_hh"],
-                        pv[f"{name}.b_ih"], pv[f"{name}.b_hh"], steps, row_blocks)
+                        pv[f"{name}.b_ih"], pv[f"{name}.b_hh"], steps)
 
 
 # PyMARL's fixed optimizer: RMSProp's decay and epsilon, the gradient clip

@@ -124,8 +124,7 @@ def rollout(env, store: ParameterStore, eps: float, layouts: np.ndarray,
     into a :func:`stack_episodes` batch without stamps: one (K, ...) block
     per Episode field and the lengths (K,). Each agent acts from its own
     inputs only; each step makes one observe, one env step and one agent
-    call over the running episodes, one product block each, so each episode
-    has the bits it has alone. At ``eps`` = 0 nothing is drawn, and
+    call over the running episodes. At ``eps`` = 0 nothing is drawn, and
     ``explore_rng`` may be None."""
     spec = env.spec
     n, limit, k = spec.n_agents, spec.episode_limit, len(layouts)
@@ -154,7 +153,7 @@ def rollout(env, store: ParameterStore, eps: float, layouts: np.ndarray,
         inputs = ag.build_agent_inputs(o[rows], actions[rows, t - 1],
                                        spec.n_actions)
         q, hidden = ag.agent_forward(pv, Var(inputs.reshape(-1, inputs.shape[-1])),
-                                     hidden, 1, live)
+                                     hidden)
         a = ag.select_action(q.value, m[rows].reshape(-1, spec.n_actions),
                              eps, explore_rng).reshape(-1, n)
         actions[rows, t] = a

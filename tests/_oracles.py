@@ -66,22 +66,19 @@ def build_hypergraph_dense(Z, gen_w, gen_b):
     return np.concatenate([h1, mu * np.eye(Z.shape[0])], axis=1), mu
 
 
-def linear_reference(x, w, b, g, row_blocks=1, rectify=False):
+def linear_reference(x, w, b, g, rectify=False):
     """The affine layer as the three separate steps it was once recorded as,
-    forward and backward: the product (the stacked row blocks, one GEMM per
-    block), the bias sum broadcast over rows (its gradient summed over rows
-    unless there is one row), and the rectifier with relu'(0) = 0.
+    forward and backward: the product, the bias sum broadcast over rows (its
+    gradient summed over rows unless there is one row), and the rectifier
+    with relu'(0) = 0.
 
     Returns the output and the gradients of x, w and b for the output
     gradient ``g``.
     """
-    rows, cols = x.shape[0], w.shape[1]
-    prod = x @ w if row_blocks == 1 else (
-        x.reshape(row_blocks, -1, x.shape[1]) @ w).reshape(rows, cols)
-    pre = prod + b
+    pre = x @ w + b
     out = np.maximum(pre, 0.0) if rectify else pre
     g_pre = g * (pre > 0.0) if rectify else g
-    g_b = g_pre if rows == 1 else g_pre.sum(axis=0, keepdims=True)
+    g_b = g_pre if len(x) == 1 else g_pre.sum(axis=0, keepdims=True)
     return out, (g_pre @ w.T, x.T @ g_pre, g_b)
 
 
@@ -103,30 +100,20 @@ def gru_step_reference(x, h, w_ih, w_hh, b_ih, b_hh) -> np.ndarray:
 
 
 def gru_sequence_reference(x, h0, w_ih, w_hh, b_ih, b_hh, steps, g,
-                           need=(True,) * 6, row_blocks=1):
+                           need=(True,) * 6):
     """The row-layout GRU recurrence and its backward, op for op.
 
     Every gate is a column slice of an (R x 3H) array, as in the library's
-    original ``gru_sequence``. ``row_blocks`` > 1 runs each forward product
-    on one equal block of a step's rows alone. Returns the (steps*R x H)
-    output and the six gradients for the output seed ``g``, None where
-    ``need`` is False. The library's gate-major version must match it bit
-    for bit.
+    original ``gru_sequence``. Returns the (steps*R x H) output and the six
+    gradients for the output seed ``g``, None where ``need`` is False. The
+    library's gate-major version must match it bit for bit.
     """
-    out, saved = _gru_rows_forward(x, h0, w_ih, w_hh, b_ih, b_hh, steps,
-                                   row_blocks)
+    out, saved = _gru_rows_forward(x, h0, w_ih, w_hh, b_ih, b_hh, steps)
     return out, _gru_rows_backward(x, h0, w_ih, w_hh, b_ih, b_hh, out, saved,
                                    g, need)
 
 
-def _block_products(a, w, out, row_blocks):
-    """a @ w into out, one GEMM per equal block of rows."""
-    for a_blk, out_blk in zip(np.split(a, row_blocks), np.split(out, row_blocks)):
-        np.matmul(a_blk, w, out=out_blk)
-    return out
-
-
-def _gru_rows_forward(x, h0, w_ih, w_hh, b_ih, b_hh, steps, row_blocks):
+def _gru_rows_forward(x, h0, w_ih, w_hh, b_ih, b_hh, steps):
     rows, hid = h0.shape
     out = np.empty((steps * rows, hid))
     rz_s = np.empty((steps, rows, 2 * hid))
@@ -135,9 +122,8 @@ def _gru_rows_forward(x, h0, w_ih, w_hh, b_ih, b_hh, steps, row_blocks):
     hv = h0
     for t in range(steps):
         rz, c, hn = rz_s[t], c_s[t], hn_s[t]
-        np.add(_block_products(x[t * rows:(t + 1) * rows], w_ih, gi, row_blocks),
-               b_ih, out=gi)
-        np.add(_block_products(hv, w_hh, gh, row_blocks), b_hh, out=gh)
+        np.add(np.matmul(x[t * rows:(t + 1) * rows], w_ih, out=gi), b_ih, out=gi)
+        np.add(np.matmul(hv, w_hh, out=gh), b_hh, out=gh)
         u = np.add(gi[:, :2 * hid], gh[:, :2 * hid], out=rz)
         d = np.exp(-np.abs(u)) + 1.0
         np.divide(np.exp(np.minimum(u, 0.0, out=rz), out=rz), d, out=rz)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hypermix.cli import _out_path, aggregate_metrics, build_parser, main
 from hypermix.config import Config, load_config
@@ -21,6 +23,14 @@ from hypermix.nn import (CLIP_NORM, RMS_DECAY, RMS_EPS, load_checkpoint,
 from hypermix.training import init_run_stores
 
 from _helpers import break_manifest
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# any value json round-trips, NaN and the infinities included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=8)
 
 
 def _write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -193,6 +203,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
 
+    @settings(derandomize=True, max_examples=200, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_field_mutation_is_valid_or_names_the_field(self, tmp_path,
+                                                            capsys, data):
+        # one field of a shipped config set to an arbitrary JSON value: a
+        # valid Config, or a ConfigError that names the field, which main
+        # reports on one line with exit 2 before any run starts
+        body = json.loads((CONFIGS / data.draw(st.sampled_from(
+            ["grid_hgcn.json", "matrix_hgcn.json"]))).read_text())
+        name = data.draw(st.sampled_from(sorted(body)))
+        body[name] = data.draw(JSON_VALUES)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        try:
+            load_config(path)
+        except ConfigError as exc:
+            assert name in str(exc), (name, body[name], str(exc))
+            capsys.readouterr()
+            code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err.splitlines()
+            assert code == 2 and err == [f"config error: {exc}"]
+            assert not (tmp_path / "out").exists()
+
 
 class TestFlagErrors:
     # each flag error is argparse's: exit 2, the flag named, before any work
@@ -241,6 +275,21 @@ class TestFlagErrors:
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
                                                               "file"]
+
+    @pytest.mark.parametrize("command", ["train", "dump-hypergraph",
+                                         "compare"])
+    def test_out_name_too_long_exits_2(self, tmp_path, capsys, command):
+        # the OS refuses to probe a 300-character name (ENAMETOOLONG)
+        cfg = _write_cfg(tmp_path)
+        extra = {"train": [],
+                 "dump-hypergraph": ["--checkpoint", str(tmp_path / "ckpt")],
+                 "compare": ["--mixers", "vdn", "--seeds", "1"]}[command]
+        code = main([command, "--config", str(cfg), *extra,
+                     "--out", str(tmp_path / ("x" * 300))])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: --out:") and "too long" in line
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_out_at_the_root_is_a_directory(self):
         # the root has no parent to check

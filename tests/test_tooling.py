@@ -146,3 +146,59 @@ def test_every_public_name_has_a_caller():
                 and calls[name] == _references(node)[name]
                 and not re.search(rf"\b{name}\b", bench)}
     assert uncalled == NO_CALLER
+
+
+# defaulted parameters that no call in the package sets, each kept on purpose
+UNSET = {
+    ("finite_diff", "h"),       # the central-difference step of the oracle
+    ("igm_check", "tol"),       # the IGM oracle's tie tolerance
+    ("igm_check", "max_joint"), # the IGM oracle's enumeration cap
+}
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _sets(call: ast.Call, name: str, param: str, position) -> bool:
+    """Whether ``call`` passes ``param`` to ``name``: calling it, or
+    forwarding the arguments after it, as ``Ledger.call(fn, *args)`` does."""
+    args = call.args
+    if _name(call.func) != name:
+        at = [i for i, arg in enumerate(args) if _name(arg) == name]
+        if not at:
+            return False
+        args = args[at[0] + 1:]
+    return bool({param, None} & {k.arg for k in call.keywords}
+                or position is not None and len(args) > position)
+
+
+def test_every_optional_parameter_is_set():
+    # a defaulted parameter counts as set when some call in the package or
+    # in perfbench passes it: by position, by keyword, or through a **
+    # mapping (the env options of a config)
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "hypermix").glob("*.py"))]
+    calls = [node for tree in trees + [ast.parse(path.read_text()) for path in
+                                       sorted((ROOT / "perfbench").glob("*.py"))]
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    functions = []  # (name a call uses, def, leading parameters no call passes)
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append((node.name, node, 0))
+            elif isinstance(node, ast.ClassDef):  # self; a class calls __init__
+                functions += [(node.name if item.name == "__init__" else item.name,
+                               item, 1) for item in node.body
+                              if isinstance(item, ast.FunctionDef)]
+    unset = set()
+    for name, node, skip in functions:
+        args = node.args.posonlyargs + node.args.args
+        optional = [(a.arg, i - skip) for i, a in enumerate(args)
+                    if i >= len(args) - len(node.args.defaults)]
+        optional += [(a.arg, None) for a, d in zip(node.args.kwonlyargs,
+                                                   node.args.kw_defaults) if d]
+        for param, position in optional:
+            if not any(_sets(call, name, param, position) for call in calls):
+                unset.add((name, param))
+    assert unset == UNSET
