@@ -1,14 +1,14 @@
 """Experiment command line: train, eval, dump-hypergraph, and compare.
 
 Run directories are append-or-create: rerunning into a fresh directory never
-mutates previous runs, and (config, seed) fully determines every output.
+mutates previous runs, and (config, seed) fully determines every output but
+``compare``'s ``wall_seconds``.
 Set ``HYPERMIX_LOG`` to error/info/debug to control verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -56,7 +56,17 @@ def _out_path(path, is_dir: bool) -> Path:
     return out
 
 
+def _make_dirs(*paths: Path) -> None:
+    """Create run directories; an OS refusal is an --out error, not a crash."""
+    try:
+        for path in paths:
+            path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from None
+
+
 def _train_runs(jobs: list[tuple[Config, int, Path]], workers: int) -> list[dict]:
+    _make_dirs(*(out for _, _, out in jobs))  # before any run starts
     if workers <= 1 or len(jobs) == 1:
         return [run_training(*job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -101,7 +111,7 @@ def cmd_dump_hypergraph(args) -> int:
     if cfg.mixer != "hgcn-mix":
         raise ConfigError(f"mixer: {cfg.mixer!r} has no hypergraph to dump")
     env, store = _load_run(cfg, args.checkpoint)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dirs(out)
     ep = collect_episode(env, store, 0.0, Rng(args.seed).split("env"), None,
                          cfg.agent_hidden)
     n, steps = env.spec.n_agents, ep.length
@@ -117,34 +127,10 @@ def cmd_dump_hypergraph(args) -> int:
     return 0
 
 
-def aggregate_metrics(run_dirs: list[Path], arm: str) -> list[dict]:
-    """Median and 25-75 percentile of success rate across one arm's seed runs."""
-    series = [[json.loads(line)
-               for line in (run / "metrics.jsonl").read_text().splitlines()]
-              for run in run_dirs]
-    if len({tuple(e["episode"] for e in s) for s in series}) != 1:
-        raise ConfigError(f"mismatched eval grids across seeds for arm {arm!r}")
-    rows = []
-    for evals in zip(*series):
-        success = np.array([e["success_rate"] for e in evals])
-        returns = np.array([e["mean_return"] for e in evals])
-        # linear-interpolation percentiles over the seed axis
-        med, p25, p75 = np.percentile(success, [50, 25, 75]).tolist()
-        rows.append({
-            "episode": evals[0]["episode"],
-            "step_median": float(np.median([e["step"] for e in evals])),
-            "success_median": med,
-            "success_p25": p25,
-            "success_p75": p75,
-            "return_median": float(np.median(returns)),
-        })
-    return rows
-
-
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    out_csv = _out_path(args.out, is_dir=False)
-    work = _out_path(out_csv.parent / (out_csv.stem + "_runs"), is_dir=True)
+    out = _out_path(args.out, is_dir=False)
+    work = _out_path(out.parent / (out.stem + "_runs"), is_dir=True)
     if cfg.episodes < cfg.eval_interval:
         raise ConfigError(
             f"eval_interval: {cfg.eval_interval} exceeds episodes"
@@ -166,27 +152,33 @@ def cmd_compare(args) -> int:
     for mixer in mixers:
         counts = args.hyperedges if mixer == "hgcn-mix" else None
         for count in counts or [cfg.hyperedges]:
-            sub = cfg.replace(mixer=mixer, hyperedges=count, seeds=seeds,
-                              stop_on_success=False)
+            sub = cfg.replace(mixer=mixer, hyperedges=count, seeds=seeds)
             learned = sub.hyperedges if sub.mixer == "hgcn-mix" else 0
             arm = f"hgcn-mix_m{learned}" if learned else sub.mixer
             if arm in arms:
                 flag = "--hyperedges" if counts else "--mixers"
                 raise ConfigError(f"{flag}: arm {arm!r} would run twice")
             arms[arm] = (sub, learned)
-    _train_runs([(sub, seed, work / arm / f"seed_{seed}")
-                 for arm, (sub, _) in arms.items() for seed in seeds],
-                args.workers)
-    all_rows = []
+    results = iter(_train_runs([(sub, seed, work / arm / f"seed_{seed}")
+                                for arm, (sub, _) in arms.items()
+                                for seed in seeds], args.workers))
+    runs, report = [], {}
     for arm, (sub, learned) in arms.items():
-        runs = [work / arm / f"seed_{s}" for s in seeds]
-        all_rows += [{"mixer": sub.mixer, "hyperedges": learned, **row}
-                     for row in aggregate_metrics(runs, arm)]
-    with out_csv.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(all_rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(all_rows)
-    print(json.dumps({"csv": str(out_csv), "rows": len(all_rows)}))
+        own = [next(results) for _ in seeds]
+        runs += [{"arm": arm, "mixer": sub.mixer, "hyperedges": learned,
+                  **{key: res[key] for key in ("seed", "episodes", "env_steps",
+                                               "train_steps", "wall_seconds",
+                                               "solved_at")}} for res in own]
+        # an unsolved run ran its whole budget, so it counts at its episodes
+        to_success = [res["solved_at"] or res["episodes"] for res in own]
+        q1, median, q3 = np.percentile(to_success, [25, 50, 75]).tolist()
+        report[arm] = {
+            "solved": sum(res["solved_at"] is not None for res in own),
+            "episodes_q1": q1, "episodes_median": median, "episodes_q3": q3,
+            "wall_seconds_median": float(np.median(
+                [res["wall_seconds"] for res in own]))}
+    out.write_text(json.dumps({"runs": runs, "arms": report}, indent=2) + "\n")
+    print(json.dumps({"out": str(out), "arms": report}))
     return 0
 
 
@@ -236,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.set_defaults(fn=cmd_dump_hypergraph)
 
     p_cmp = sub.add_parser("compare",
-                           help="train arms across seeds and aggregate a CSV")
+                           help="train arms across seeds and report each run as JSON")
     p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--mixers", required=True,
                        help="comma-separated mixer kinds")

@@ -344,7 +344,9 @@ def run_training(cfg, seed: int, out_dir) -> dict:
     """Train one seed to completion; writes metrics.jsonl and a checkpoint.
 
     Fully deterministic given (config, seed): rerunning into a fresh
-    directory reproduces metrics.jsonl byte for byte.
+    directory reproduces metrics.jsonl byte for byte. The summary's
+    ``solved_at`` is the episode of the first evaluation whose success rate
+    is 1.0, or None.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -364,6 +366,7 @@ def run_training(cfg, seed: int, out_dir) -> dict:
     losses: list[float] = []
     started = time.perf_counter()
     final_stats = None
+    solved_at = None
     metrics_path = out_dir / "metrics.jsonl"
     with metrics_path.open("w") as metrics:
         for episode_idx in range(cfg.episodes):
@@ -398,7 +401,9 @@ def run_training(cfg, seed: int, out_dir) -> dict:
                 }
                 metrics.write(json.dumps(record, sort_keys=True) + "\n")
                 final_stats = record
-                if cfg.stop_on_success and stats["success_rate"] >= 1.0:
+                if solved_at is None and stats["success_rate"] >= 1.0:
+                    solved_at = episode_idx + 1
+                if cfg.stop_on_success and solved_at is not None:
                     break
     save_checkpoint(store, out_dir / "checkpoint")
     return {
@@ -407,6 +412,7 @@ def run_training(cfg, seed: int, out_dir) -> dict:
         "env_steps": env_steps,
         "train_steps": len(losses),
         "wall_seconds": time.perf_counter() - started,
+        "solved_at": solved_at,
         "final": final_stats,
         "metrics_path": str(metrics_path),
         "checkpoint": str(out_dir / "checkpoint"),

@@ -1,6 +1,6 @@
 """Config parsing/validation and the four CLI subcommands."""
 
-import csv
+import errno
 import json
 import re
 import shlex
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hypermix.cli import _out_path, aggregate_metrics, build_parser, main
+from hypermix.cli import _out_path, build_parser, main
 from hypermix.config import Config, load_config
 from hypermix.envs import make_env
 from hypermix.errors import ConfigError
@@ -20,7 +20,7 @@ from hypermix.hypergraph import read_hypergraph_csv
 from hypermix.mixers import MIXER_KINDS
 from hypermix.nn import (CLIP_NORM, RMS_DECAY, RMS_EPS, load_checkpoint,
                          save_checkpoint)
-from hypermix.training import init_run_stores
+from hypermix.training import init_run_stores, run_training
 
 from _helpers import break_manifest
 
@@ -291,6 +291,30 @@ class TestFlagErrors:
         assert line.startswith("config error: --out:") and "too long" in line
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("command", ["train", "dump-hypergraph",
+                                         "compare"])
+    def test_run_directory_refused_exits_2(self, tmp_path, capsys,
+                                           monkeypatch, command):
+        # the OS refuses to create the directory a run or dump writes to
+        cfg = _write_cfg(tmp_path, mixer="hgcn-mix")
+        main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        capsys.readouterr()
+
+        def refuse(path, *args, **kwargs):
+            raise OSError(errno.EROFS, "Read-only file system", str(path))
+
+        monkeypatch.setattr(Path, "mkdir", refuse)
+        extra = {"train": [],
+                 "dump-hypergraph": ["--checkpoint", str(tmp_path / "run"
+                                                         / "seed_0"
+                                                         / "checkpoint")],
+                 "compare": ["--mixers", "vdn", "--seeds", "1"]}[command]
+        code = main([command, "--config", str(cfg), *extra,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: --out: [Errno 30]")
+
     def test_out_at_the_root_is_a_directory(self):
         # the root has no parent to check
         assert _out_path("/", is_dir=True) == Path("/")
@@ -499,75 +523,120 @@ class TestDumpHypergraph:
         pytest.fail("no dumped step produced two identical learned rows")
 
 
+def _compare(tmp_path, cfg, name, *flags):
+    """Run ``compare`` into ``<name>.json``; return its report."""
+    out = tmp_path / f"{name}.json"
+    assert main(["compare", "--config", str(cfg), "--out", str(out),
+                 *flags]) == 0
+    return json.loads(out.read_text())
+
+
+def _but_wall_seconds(report):
+    return {"runs": [{k: v for k, v in run.items() if k != "wall_seconds"}
+                     for run in report["runs"]],
+            "arms": {arm: {k: v for k, v in row.items()
+                           if k != "wall_seconds_median"}
+                     for arm, row in report["arms"].items()}}
+
+
 class TestCompareCommand:
-    def test_two_mixers_aggregated_csv(self, tmp_path):
-        cfg = _write_cfg(tmp_path)
-        out_csv = tmp_path / "cmp.csv"
-        code = main(["compare", "--config", str(cfg),
-                     "--mixers", "vdn,qmix", "--seeds", "2",
-                     "--out", str(out_csv)])
-        assert code == 0
-        with out_csv.open() as fh:
-            rows = list(csv.DictReader(fh))
-        mixers = {r["mixer"] for r in rows}
-        assert mixers == {"vdn", "qmix"}
-        for r in rows:
-            p25, med, p75 = (float(r["success_p25"]),
-                             float(r["success_median"]),
-                             float(r["success_p75"]))
-            assert p25 <= med <= p75
+    # a corridor whose seeds 1-3 first succeed at episodes 4, 8 and 18, and
+    # whose seed 0 never does within the 24-episode budget
+    def _corridor(self, tmp_path, name="corridor.json", **overrides):
+        return _write_cfg(tmp_path, name=name,
+                          env={"name": "grid", "n_agents": 2, "length": 2},
+                          episodes=24, eval_interval=2, **overrides)
+
+    def test_runs_are_run_training_summaries(self, tmp_path):
+        cfg = self._corridor(tmp_path)
+        report = _compare(tmp_path, cfg, "cmp", "--mixers", "vdn,hgcn-mix",
+                          "--seeds", "2")
+        assert [(r["arm"], r["mixer"], r["hyperedges"], r["seed"])
+                for r in report["runs"]] == [
+            ("vdn", "vdn", 0, 0), ("vdn", "vdn", 0, 1),
+            ("hgcn-mix_m2", "hgcn-mix", 2, 0), ("hgcn-mix_m2", "hgcn-mix", 2, 1)]
+        keys = ("seed", "episodes", "env_steps", "train_steps", "solved_at")
+        for run in report["runs"]:
+            sub = load_config(cfg).replace(mixer=run["mixer"], seeds=[0, 1])
+            summary = run_training(sub, run["seed"], tmp_path / "alone"
+                                   / run["arm"] / f"seed_{run['seed']}")
+            assert set(run) == {"arm", "mixer", "hyperedges", "wall_seconds",
+                                *keys}
+            assert {key: run[key] for key in keys} == {key: summary[key]
+                                                       for key in keys}
+
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_solved_at_is_the_first_full_success(self, tmp_path, stop):
+        cfg = self._corridor(tmp_path, stop_on_success=stop)
+        report = _compare(tmp_path, cfg, "cmp", "--mixers", "vdn",
+                          "--seeds", "4")
+        solved_at = []
+        for run in report["runs"]:
+            metrics = (tmp_path / "cmp_runs" / "vdn" / f"seed_{run['seed']}"
+                       / "metrics.jsonl")
+            records = [json.loads(line)
+                       for line in metrics.read_text().splitlines()]
+            first = next((r["episode"] for r in records
+                          if r["success_rate"] == 1.0), None)
+            assert run["solved_at"] == first
+            assert run["episodes"] == (first if stop and first else 24)
+            solved_at.append(first)
+        assert solved_at == [None, 4, 8, 18]
+        # the unsolved seed counts at its budget, 24 episodes
+        assert report["arms"] == {"vdn": {
+            "solved": 3, "episodes_q1": 7.0, "episodes_median": 13.0,
+            "episodes_q3": 19.5,
+            "wall_seconds_median": report["arms"]["vdn"]["wall_seconds_median"]}}
 
     def test_single_seed_median_equals_that_seed(self, tmp_path):
-        cfg = _write_cfg(tmp_path)
-        out_csv = tmp_path / "cmp1.csv"
-        main(["compare", "--config", str(cfg), "--mixers", "vdn",
-              "--seeds", "1", "--out", str(out_csv)])
-        runs = out_csv.parent / "cmp1_runs" / "vdn" / "seed_0"
-        records = [json.loads(line) for line in
-                   (runs / "metrics.jsonl").read_text().splitlines()]
-        with out_csv.open() as fh:
-            rows = list(csv.DictReader(fh))
-        for rec, row in zip(records, rows):
-            assert float(row["success_median"]) == rec["success_rate"]
-            assert float(row["success_p25"]) == rec["success_rate"]
+        # seed 0 never succeeds at the default lr, so it counts at its budget;
+        # at lr 5e-3 it first succeeds at episode 18 and trains on to 24
+        for lr, value in ((5e-4, 24.0), (5e-3, 18.0)):
+            cfg = self._corridor(tmp_path, name=f"lr{lr}.json", lr=lr)
+            report = _compare(tmp_path, cfg, f"lr{lr}", "--mixers", "vdn",
+                              "--seeds", "1")
+            (run,) = report["runs"]
+            assert run["episodes"] == 24
+            assert report["arms"]["vdn"] == {
+                "solved": int(run["solved_at"] is not None),
+                "episodes_q1": value, "episodes_median": value,
+                "episodes_q3": value,
+                "wall_seconds_median": run["wall_seconds"]}
 
     def test_arms_are_train_runs(self, tmp_path):
         # hgcn-mix at 0 learned hyperedges is the qmix arm
         cfg = _write_cfg(tmp_path, mixer="hgcn-mix")
-        out_csv = tmp_path / "arms.csv"
-        code = main(["compare", "--config", str(cfg), "--mixers", "vdn,hgcn-mix",
-                     "--hyperedges", "0,2,4", "--seeds", "1",
-                     "--out", str(out_csv)])
-        assert code == 0
+        report = _compare(tmp_path, cfg, "arms", "--mixers", "vdn,hgcn-mix",
+                          "--hyperedges", "0,2,4", "--seeds", "1")
         runs = tmp_path / "arms_runs"
         arms = {"vdn": ("vdn", 2), "qmix": ("hgcn-mix", 0),
                 "hgcn-mix_m2": ("hgcn-mix", 2), "hgcn-mix_m4": ("hgcn-mix", 4)}
         assert {p.name for p in runs.iterdir()} == set(arms)
         for arm, (mixer, count) in arms.items():
             alone = _write_cfg(tmp_path, name=f"{arm}.json", mixer=mixer,
-                               hyperedges=count, stop_on_success=False)
+                               hyperedges=count)
             main(["train", "--config", str(alone),
                   "--out", str(tmp_path / arm)])
             assert ((runs / arm / "seed_0" / "metrics.jsonl").read_bytes() ==
                     (tmp_path / arm / "seed_0" / "metrics.jsonl").read_bytes())
-        with out_csv.open() as fh:
-            rows = list(csv.DictReader(fh))
-        assert {(r["mixer"], r["hyperedges"]) for r in rows} == {
-            ("vdn", "0"), ("qmix", "0"), ("hgcn-mix", "2"), ("hgcn-mix", "4")}
+        assert [(r["arm"], r["mixer"], r["hyperedges"])
+                for r in report["runs"]] == [
+            ("vdn", "vdn", 0), ("qmix", "qmix", 0),
+            ("hgcn-mix_m2", "hgcn-mix", 2), ("hgcn-mix_m4", "hgcn-mix", 4)]
 
     def test_worker_pool_runs_every_arm_as_serial(self, tmp_path):
-        cfg = _write_cfg(tmp_path)
-        for name, workers in (("serial", "1"), ("pool", "2")):
-            main(["compare", "--config", str(cfg),
-                  "--mixers", "qmix,hgcn-mix", "--hyperedges", "2,4",
-                  "--seeds", "1", "--out", str(tmp_path / f"{name}.csv"),
-                  "--workers", workers])
-        assert ((tmp_path / "serial.csv").read_bytes() ==
-                (tmp_path / "pool.csv").read_bytes())
+        cfg = self._corridor(tmp_path)
+        serial, pool = (
+            _compare(tmp_path, cfg, name, "--mixers", "qmix,hgcn-mix",
+                     "--hyperedges", "2,4", "--seeds", "2",
+                     "--workers", workers)
+            for name, workers in (("serial", "1"), ("pool", "2")))
+        assert _but_wall_seconds(serial) == _but_wall_seconds(pool)
         for arm in ("qmix", "hgcn-mix_m2", "hgcn-mix_m4"):
-            serial, pool = (tmp_path / f"{name}_runs" / arm / "seed_0"
-                            / "metrics.jsonl" for name in ("serial", "pool"))
-            assert serial.read_bytes() == pool.read_bytes()
+            for seed in (0, 1):
+                serial, pool = (tmp_path / f"{name}_runs" / arm / f"seed_{seed}"
+                                / "metrics.jsonl" for name in ("serial", "pool"))
+                assert serial.read_bytes() == pool.read_bytes()
 
     @pytest.mark.parametrize("flags, flag", [
         (["--mixers", "vdn,vdn"], "--mixers"),
@@ -632,21 +701,6 @@ class TestCompareCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "--mixers" in err and "Traceback" not in err
-
-    def test_mismatched_eval_grids_alignment_error(self, tmp_path):
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        # b's grid is longer, then as long but at other episodes
-        for grid_b in ((2, 4, 6), (3, 6)):
-            for d, grid in ((a, (2, 4)), (b, grid_b)):
-                d.mkdir(exist_ok=True)
-                lines = [json.dumps({"episode": episode, "step": i,
-                                     "success_rate": 0.0, "mean_return": 0.0})
-                         for i, episode in enumerate(grid)]
-                (d / "metrics.jsonl").write_text("\n".join(lines) + "\n")
-            with pytest.raises(ConfigError, match="mismatched eval grids"
-                               " across seeds for arm 'vdn'"):
-                aggregate_metrics([a, b], "vdn")
 
 
 class TestLogging:

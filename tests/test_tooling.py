@@ -6,7 +6,8 @@ site that is renamed or deleted would otherwise only show up as
 calls the training entry points; a changed signature or return type would
 otherwise only show up as failed operations in a benchmark run.
 ``bench/pairs.py`` summarises alternating parent/change runs; its report
-must match the two sides by workload and seed. Every public function,
+must match the two sides by workload and seed. ``configs/grid3_solve.json``
+is grid3-solve's config written out. Every public function,
 class and method of the package has a caller in the package or a site in
 the benchmark, apart from a short list kept for the tests.
 """
@@ -75,6 +76,12 @@ def test_grid8_rollout_fixed_pass_runs_clean():
     assert len(led.samples["episode"]) == rounds * workload.round_episodes
     assert len(led.samples["eval_round"]) == rounds
     assert "rollout_digest" in led.outputs
+
+
+def test_grid3_solve_config_is_the_workloads():
+    workloads = _load("workloads")
+    shipped = hypermix.config.load_config(ROOT / "configs" / "grid3_solve.json")
+    assert shipped == workloads.Grid3Solve().config(hypermix)
 
 
 def test_pairs_report_matches_sides_by_workload_and_seed():
