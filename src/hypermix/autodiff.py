@@ -25,18 +25,11 @@ SAFE_EPS = 1e-8
 
 
 def as_matrix(x) -> np.ndarray:
-    """Coerce a scalar, 1-D, or 2-D input to a 2-D float64 array.
-
-    Scalars become 1x1; 1-D arrays become a single row.
-    """
+    """``x`` as a float64 array; it must already be 2-D."""
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 2:
-        return a
-    if a.ndim == 0:
-        return a.reshape(1, 1)
-    if a.ndim == 1:
-        return a.reshape(1, -1)
-    raise DimensionError(f"expected at most 2 dimensions, got {a.ndim}")
+    if a.ndim != 2:
+        raise DimensionError(f"expected a 2-D matrix, got {a.ndim}-D")
+    return a
 
 
 class Var:
@@ -47,10 +40,6 @@ class Var:
     def __init__(self, value, tape: "Tape | None" = None):
         self.value = as_matrix(value)
         self.tape = tape
-
-    def __repr__(self) -> str:
-        traced = "traced" if self.tape is not None else "constant"
-        return f"Var(shape={self.value.shape}, {traced})"
 
 
 class _Record:
@@ -241,21 +230,19 @@ def block_sum(x, n: int) -> Var:
 
 
 def select_rows(x, rows) -> Var:
-    """Gather rows by (constant) integer index; duplicates accumulate in backward."""
+    """Gather distinct rows by (constant) integer index."""
     x = _as_var(x)
     idx = np.asarray(rows, dtype=np.intp).ravel()
     n = x.value.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise DimensionError(f"select_rows: index out of range for {n} rows")
-    unique = not idx.size or np.bincount(idx, minlength=n).max() <= 1
+    if idx.size and np.bincount(idx).max() > 1:
+        raise DimensionError("select_rows: a row is selected more than once")
     shape = x.value.shape
 
     def bwd(g, need):
         out = np.zeros(shape)
-        if unique:
-            out[idx] = g
-        else:
-            np.add.at(out, idx, g)
+        out[idx] = g
         return (out,)
 
     return _emit("select_rows", (x,), x.value[idx], bwd)
@@ -472,7 +459,7 @@ def gradient(tape: Tape, seeds) -> dict:
             raise DimensionError(
                 f"gradient: seed shape {s.shape} != output shape {v.value.shape}"
             )
-        acc[v] = acc[v] + s if v in acc else s
+        acc[v] = s
     records = tape.records
     while records:
         rec = records.pop()

@@ -18,9 +18,10 @@ from .rng import Rng
 class ParameterStore:
     """Named parameter matrices end to end in one flat float64 array, ``value``,
     in insertion order as in the checkpoint blob; ``store[name]`` is a view of
-    it. ``sq_avg``, the RMSProp moment, shares the layout; the first update
-    allocates it, so a store never updated (a target copy) holds values only.
-    Updates assign a new ``value``, so bound variables and the memo keep theirs.
+    it. Every ``add`` comes before the first update, which allocates
+    ``sq_avg``, the RMSProp moment, in the same layout: a store never updated
+    (a target copy) holds values only. Updates assign a new ``value``, so
+    bound variables and the memo keep theirs.
     """
 
     def __init__(self):
@@ -35,8 +36,6 @@ class ParameterStore:
         start = self.value.size
         self._layout[name] = (slice(start, start + value.size), value.shape)
         self.value = np.append(self.value, value)
-        if self._sq_avg is not None:
-            self._sq_avg = np.append(self._sq_avg, np.zeros(value.size))
 
     @property
     def sq_avg(self) -> np.ndarray:

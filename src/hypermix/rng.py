@@ -44,6 +44,3 @@ class Rng:
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         return self._gen.choice(n, size=k, replace=False)
-
-    def __repr__(self) -> str:
-        return f"Rng(seed={self.seed}, path={self.path!r})"

@@ -7,10 +7,10 @@ import weakref
 import numpy as np
 import pytest
 
-from hypermix.autodiff import (SAFE_EPS, Tape, Var, absval, add, block_sum,
-                               concat_cols, elu, finite_diff, gradient,
-                               gru_sequence, hgcn_conv, linear, mul, reshape,
-                               select_rows)
+from hypermix.autodiff import (SAFE_EPS, Tape, Var, absval, add, as_matrix,
+                               block_sum, concat_cols, elu, finite_diff,
+                               gradient, gru_sequence, hgcn_conv, linear, mul,
+                               reshape, select_rows)
 from hypermix.errors import DimensionError, TapeError
 from hypermix.rng import Rng
 
@@ -63,12 +63,12 @@ class TestForwardValues:
             linear(x, np.ones((2, 2)), np.ones((1, 2)))
 
     def test_linear_rectify_definition(self):
-        out = linear(Var(np.array([-1.0, 0.0, 2.0])), np.eye(3),
+        out = linear(Var(np.array([[-1.0, 0.0, 2.0]])), np.eye(3),
                      np.zeros((1, 3)), rectify=True)
         np.testing.assert_array_equal(out.value, [[0.0, 0.0, 2.0]])
 
     def test_elu_definition(self):
-        x = np.array([-1.0, 0.0, 2.0])
+        x = np.array([[-1.0, 0.0, 2.0]])
         out = elu(Var(x))
         np.testing.assert_allclose(out.value.ravel(),
                                    [np.expm1(-1.0), 0.0, 2.0])
@@ -96,8 +96,8 @@ class TestForwardValues:
         b = np.array([[3.0, 4.0], [5.0, 6.0]])
         cat = concat_cols(Var(a), Var(b))
         np.testing.assert_array_equal(cat.value, [[1, 3, 4], [2, 5, 6]])
-        sel = select_rows(cat, [1, 0, 1])
-        np.testing.assert_array_equal(sel.value, [[2, 5, 6], [1, 3, 4], [2, 5, 6]])
+        sel = select_rows(cat, [1, 0])
+        np.testing.assert_array_equal(sel.value, [[2, 5, 6], [1, 3, 4]])
 
     def test_reshape_is_row_major(self):
         x = np.arange(6.0).reshape(2, 3)
@@ -175,6 +175,19 @@ class TestShapeErrors:
     def test_select_rows_out_of_range(self):
         with pytest.raises(DimensionError, match="select_rows"):
             select_rows(Var(np.ones((2, 2))), [0, 2])
+
+    def test_select_rows_refuses_a_repeated_row(self):
+        with pytest.raises(DimensionError, match="more than once"):
+            select_rows(Var(np.ones((3, 2))), [2, 0, 2])
+
+    def test_values_must_be_two_dimensional(self):
+        # a scalar, a 1-D row or a 3-D stack is refused, naming its rank
+        for x in (np.float64(1.0), np.ones(3), np.ones((2, 2, 2))):
+            ndim = np.ndim(x)
+            with pytest.raises(DimensionError, match=f"got {ndim}-D"):
+                as_matrix(x)
+            with pytest.raises(DimensionError, match=f"got {ndim}-D"):
+                Var(x)
 
     def test_gru_bad_weight_shape(self):
         with pytest.raises(DimensionError, match="gru_sequence"):
@@ -314,16 +327,16 @@ class TestGradientExamples:
         # relu'(0) = 0, on the rectifier of an identity layer
         _, (grad,) = leaf_grads(
             lambda v: total(linear(v, np.eye(3), np.zeros((1, 3)), rectify=True)),
-            np.array([-1.0, 0.0, 2.0]))
+            np.array([[-1.0, 0.0, 2.0]]))
         np.testing.assert_array_equal(grad, [[0.0, 0.0, 1.0]])
 
     def test_abs_subgradient_at_zero_is_zero(self):
         _, (grad,) = leaf_grads(lambda v: total(absval(v)),
-                                np.array([-2.0, 0.0, 3.0]))
+                                np.array([[-2.0, 0.0, 3.0]]))
         np.testing.assert_array_equal(grad, [[-1.0, 0.0, 1.0]])
 
     def test_gradient_accumulates_over_reuse(self):
-        _, (grad,) = leaf_grads(lambda v: total(mul(v, v)), np.array([3.0]))
+        _, (grad,) = leaf_grads(lambda v: total(mul(v, v)), np.array([[3.0]]))
         assert grad[0, 0] == pytest.approx(6.0)
 
     def test_map_holds_exactly_the_reached_leaves(self):
@@ -394,8 +407,9 @@ class TestGradientExamples:
 
         def build(*vs):
             h = gru_sequence(*vs, steps=2)
-            return total(mul(add(linear(h, vs[3], np.zeros((1, 12))), 1.0),
-                                  linear(vs[0], vs[2], np.zeros((1, 12)))))
+            return total(mul(add(linear(h, vs[3], np.zeros((1, 12))),
+                                 np.ones((1, 1))),
+                             linear(vs[0], vs[2], np.zeros((1, 12)))))
 
         def grads(traced):
             tape = Tape()
@@ -415,6 +429,12 @@ class TestGradientExamples:
         out = total(Var(np.ones((2, 2)), tape))
         with pytest.raises(DimensionError, match="seed"):
             gradient(tape, {out: np.ones((2, 1))})
+
+    def test_one_dimensional_seed_is_refused(self):
+        tape = Tape()
+        out = Var(np.ones((1, 3)), tape)
+        with pytest.raises(DimensionError, match="got 1-D"):
+            gradient(tape, {out: np.ones(3)})
 
 
 def _same_bits(a, b):
@@ -587,15 +607,11 @@ class TestGradCheckPrimitives:
         for _ in range(self.N_POINTS // 4):
             x = rng.normal((4, 3))
             check_gradients(lambda v: total(v), [x], label="sum")
-            check_gradients(
-                lambda v: total(select_rows(v, [0, 2, 2, 1])), [x],
-                label="select_rows")
-            # distinct indices, the branch training takes, weighted so that
-            # each row's gradient differs
+            # weighted so that each row's gradient differs
             weight = weights.normal((3, 3))
             check_gradients(
                 lambda v: total(mul(select_rows(v, [2, 0, 3]), weight)),
-                [x], label="select_rows unique")
+                [x], label="select_rows")
             y = rng.normal((4, 2))
             check_gradients(
                 lambda a, b: total(mul(concat_cols(a, b),

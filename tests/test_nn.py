@@ -155,17 +155,6 @@ class TestRmsprop:
         assert (value == 1.0).all() and (bound == 1.0).all()
         assert (store["w"] < 1.0).all()
 
-    def test_add_after_first_update_extends_the_moment_with_zeros(self):
-        store = ParameterStore()
-        store.add("a", np.ones((2, 2)))
-        rmsprop_step(store, np.arange(4.0))
-        moment = store.sq_avg.copy()
-        store.add("b", np.ones((1, 3)))
-        assert store.sq_avg.shape == store.value.shape == (7,)
-        np.testing.assert_array_equal(store.sq_avg, np.append(moment, [0.0] * 3))
-        rmsprop_step(store, np.ones(7))
-        assert store.sq_avg.shape == (7,) and store.sq_avg.all()
-
 
 class TestClipGradNorm:
     def test_scales_down_large_gradients(self):
