@@ -22,7 +22,7 @@ for kind in MIXER_KINDS:
     store = ParameterStore()
     init_mixer_params(store, kind, n_agents, obs_dim, state_dim, Rng(7),
                       hyperedges=4, embed=embed, hypernet_hidden=16)
-    qtot = make_qtot_fn(kind, store, Z, s, n_agents, embed)
+    qtot = make_qtot_fn(kind, store, Z, s)
 
     # per-agent greedy tuple vs exhaustive joint maximum
     ok = igm_check(qtot, q_tables)

@@ -26,18 +26,20 @@ def init_agent_params(store: ParameterStore, obs_dim: int, n_actions: int,
     init_linear(store, "agent.fc2", hidden, n_actions, rng)
 
 
-def agent_forward(pv: dict[str, Var], inputs, hidden, steps: int = 1):
+def agent_forward(pv: dict[str, Var], inputs, hidden=None, steps: int = 1):
     """Run the agent network over ``steps`` steps of a row batch.
 
     ``inputs`` stacks the input rows of every step, (steps*R x d) with step
     t in rows t*R .. (t+1)*R; ``hidden`` is the (R x H) state before the
-    first step. Rows may stack any number of agents and batch entries since
-    the network is shared. Returns (q_values, hidden_states), both stacked
-    the same way; the last R rows of hidden_states are the state to carry
-    into the next call. fc1 and fc2 each run as one product over all rows,
-    and the GRU as one tape record that steps through its R rows at a time.
+    first step, zero if None. Rows may stack any number of agents and batch
+    entries since the network is shared. Returns (q_values, hidden_states),
+    both stacked the same way; the last R rows of hidden_states are the state
+    to carry into the next call. fc1 and fc2 each run as one product over all
+    rows, and the GRU as one tape record that steps through R rows at a time.
     """
     x = linear_fwd(inputs, pv, "agent.fc1", rectify=True)
+    if hidden is None:
+        hidden = np.zeros((len(x.value) // steps, len(pv["agent.rnn.w_hh"].value)))
     h = gru_fwd(x, hidden, pv, "agent.rnn", steps)
     q = linear_fwd(h, pv, "agent.fc2")
     return q, h

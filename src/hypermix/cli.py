@@ -98,7 +98,7 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     env, store = _load_run(cfg, args.checkpoint)
     rng = Rng(args.seed).split("cli-eval")
-    stats = evaluate_policy(env, store, args.episodes, rng, cfg.agent_hidden)
+    stats = evaluate_policy(env, store, args.episodes, rng)
     print(f"mean_return={stats['mean_return']:.6f} "
           f"success_rate={stats['success_rate']:.6f}")
     print(json.dumps(stats, sort_keys=True))
@@ -112,8 +112,7 @@ def cmd_dump_hypergraph(args) -> int:
         raise ConfigError(f"mixer: {cfg.mixer!r} has no hypergraph to dump")
     env, store = _load_run(cfg, args.checkpoint)
     _make_dirs(out)
-    ep = collect_episode(env, store, 0.0, Rng(args.seed).split("env"), None,
-                         cfg.agent_hidden)
+    ep = collect_episode(env, store, 0.0, Rng(args.seed).split("env"), None)
     n, steps = env.spec.n_agents, ep.length
     pv = store.bind(None)
     H, _ = build_hypergraph_rows(ep.obs[:steps].reshape(steps * n, -1),

@@ -52,7 +52,7 @@ def init_mixer_params(store: ParameterStore, kind: str, n_agents: int,
         store.add("mix.edge_w2", np.ones((hyperedges + n_agents, 1)))
 
 
-def state_module(q, s, pv: dict[str, Var], n_agents: int, embed: int) -> Var:
+def state_module(q, s, pv: dict[str, Var]) -> Var:
     """State-conditioned monotone head: per-agent values -> (S x 1) joint.
 
     ``q`` holds the agent values of the S samples in ``s`` either as
@@ -60,7 +60,8 @@ def state_module(q, s, pv: dict[str, Var], n_agents: int, embed: int) -> Var:
     hidden = elu(|W1(s)|^T q + b1(s)); out = |W2(s)|^T hidden + V(s), with
     W1, W2 generated from the state and made nonnegative via abs.
     """
-    n_samples = s.shape[0]
+    n_samples, embed = s.shape[0], pv["mix.hyper_b1.b"].value.shape[1]
+    n_agents = pv["mix.hyper_w1.fc2.b"].value.shape[1] // embed
     q_col = reshape(q, n_samples * n_agents, 1)
     w1 = absval(mlp_fwd(s, pv, "mix.hyper_w1"))   # S x (n*embed)
     b1 = linear_fwd(s, pv, "mix.hyper_b1")        # S x embed
@@ -74,29 +75,29 @@ def state_module(q, s, pv: dict[str, Var], n_agents: int, embed: int) -> Var:
 
 
 def mix_batch(kind: str, pv: dict[str, Var], chosen: Var, Z: np.ndarray,
-              s: np.ndarray, n_agents: int, embed: int) -> Var:
+              s: np.ndarray) -> Var:
     """Joint values (S x 1) for a batch of samples.
 
     ``chosen`` stacks per-agent chosen-action values as (S*n x 1) rows in
-    sample-major order; ``Z`` stacks the matching observations (S*n x d_obs)
-    and ``s`` the global states (S x d_state).
+    sample-major order, n rows to a state of ``s`` (S x d_state); ``Z``
+    stacks the matching observations (S*n x d_obs).
     """
     validate_mixer_kind(kind)
     s = np.asarray(s, dtype=np.float64)
+    n_agents = len(chosen.value) // len(s)
     if kind == "vdn":
         return block_sum(chosen, n_agents)
     if kind == "qmix":
-        return state_module(chosen, s, pv, n_agents, embed)
+        return state_module(chosen, s, pv)
     h_rows, _ = build_hypergraph_rows(np.asarray(Z, dtype=np.float64),
                                       pv["mix.gen.w"], pv["mix.gen.b"],
                                       n_agents)
     qp = hgcn_transform_rows(chosen, h_rows, pv["mix.edge_w1"],
                              pv["mix.edge_w2"], n_agents)
-    return state_module(qp, s, pv, n_agents, embed)
+    return state_module(qp, s, pv)
 
 
-def make_qtot_fn(kind: str, store: ParameterStore, Z, s, n_agents: int,
-                 embed: int):
+def make_qtot_fn(kind: str, store: ParameterStore, Z, s):
     """Forward-only joint-value evaluator for fixed parameters and context.
 
     Returns a callable mapping an n-vector of chosen agent values to a float;
@@ -110,7 +111,7 @@ def make_qtot_fn(kind: str, store: ParameterStore, Z, s, n_agents: int,
 
     def qtot(chosen) -> float:
         col = Var(np.asarray(chosen, dtype=np.float64).reshape(-1, 1))
-        return float(mix_batch(kind, pv, col, Z, s, n_agents, embed).value[0, 0])
+        return float(mix_batch(kind, pv, col, Z, s).value[0, 0])
 
     return qtot
 

@@ -18,7 +18,7 @@ from .rng import Rng
 class ParameterStore:
     """Named parameter matrices end to end in one flat float64 array, ``value``,
     in insertion order as in the checkpoint blob; ``store[name]`` is a view of
-    it. Every ``add`` comes before the first update, which allocates
+    it. ``add`` refuses after the first update, which allocates
     ``sq_avg``, the RMSProp moment, in the same layout: a store never updated
     (a target copy) holds values only. Updates assign a new ``value``, so
     bound variables and the memo keep theirs.
@@ -32,6 +32,8 @@ class ParameterStore:
     def add(self, name: str, value) -> None:
         if name in self._layout:
             raise ConfigError(f"duplicate parameter name {name!r}")
+        if self._sq_avg is not None:
+            raise ConfigError(f"parameter {name!r} added after the first update")
         value = ad.as_matrix(value)
         start = self.value.size
         self._layout[name] = (slice(start, start + value.size), value.shape)

@@ -119,7 +119,7 @@ class ReplayBuffer:
 
 
 def rollout(env, store: ParameterStore, eps: float, layouts: np.ndarray,
-            explore_rng: Rng | None, agent_hidden: int = 64) -> dict:
+            explore_rng: Rng | None) -> dict:
     """Roll one episode per row of ``layouts`` in lockstep in ``env``
     into a :func:`stack_episodes` batch without stamps: one (K, ...) block
     per Episode field and the lengths (K,). Each agent acts from its own
@@ -135,7 +135,7 @@ def rollout(env, store: ParameterStore, eps: float, layouts: np.ndarray,
     env.reset(layouts)
     pv = store.bind(None)
     rows = slice(None)  # the running episodes: a slice while all of them run
-    hidden = Var(np.zeros((k * n, agent_hidden)))
+    hidden = None  # the zero state
     for t in range(limit + 1):
         o, s, m = env.observe()
         if not t:  # stored in the env's dtypes: int8 for every env here
@@ -163,11 +163,11 @@ def rollout(env, store: ParameterStore, eps: float, layouts: np.ndarray,
 
 
 def collect_episode(env, store: ParameterStore, eps: float, env_rng: Rng,
-                    explore_rng: Rng | None, agent_hidden: int = 64) -> Episode:
+                    explore_rng: Rng | None, agent_hidden=None) -> Episode:
     """Roll one episode in ``env`` on a layout drawn from ``env_rng``: row 0
-    of a :func:`rollout` in its own record, so it keeps no block alive."""
-    blocks = rollout(env, store, eps, draw_layouts(env, [env_rng]), explore_rng,
-                     agent_hidden)
+    of a :func:`rollout` in its own record, so it keeps no block alive.
+    ``agent_hidden`` is not read: the store fixes the width."""
+    blocks = rollout(env, store, eps, draw_layouts(env, [env_rng]), explore_rng)
     length = int(blocks.pop("length")[0])
     return Episode(**{f: b[0] for f, b in blocks.items()}, length=length)
 
@@ -182,8 +182,7 @@ def _steps(batch: dict) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(np.arange(lengths.max())[:, None] < lengths)
 
 
-def _agent_pass(pv: dict[str, Var], batch: dict, steps: int,
-                agent_hidden: int) -> Var:
+def _agent_pass(pv: dict[str, Var], batch: dict, steps: int) -> Var:
     """Agent Q values of the first ``steps`` steps of every episode of
     ``batch`` from a zero hidden state, in one agent call:
     (steps*B*n x n_actions), step-major."""
@@ -192,20 +191,19 @@ def _agent_pass(pv: dict[str, Var], batch: dict, steps: int,
     last[1:] = actions[:steps - 1]
     inputs = ag.build_agent_inputs(batch["obs"][:, :steps].swapaxes(0, 1),
                                    last, batch["avail"].shape[-1])
-    rows = inputs.shape[1] * inputs.shape[2]
-    q, _ = ag.agent_forward(pv, Var(inputs.reshape(steps * rows, -1)),
-                            np.zeros((rows, agent_hidden)), steps)
+    q, _ = ag.agent_forward(pv, Var(inputs.reshape(-1, inputs.shape[-1])),
+                            steps=steps)
     return q
 
 
 def _joint_values(pv: dict[str, Var], batch: dict, t: np.ndarray,
-                  e: np.ndarray, kind: str, embed: int, agent_hidden: int,
+                  e: np.ndarray, kind: str,
                   actions: np.ndarray | None = None) -> Var:
     """Joint values (S x 1) of the (t, e) samples: one agent pass over the
     first ``t.max() + 1`` steps and one mixer call, each agent valued at
     ``actions`` (S*n ints, sample-major) or, if None, its greedy action."""
     n, n_actions = batch["avail"].shape[2:]
-    q = _agent_pass(pv, batch, t.max() + 1, agent_hidden)
+    q = _agent_pass(pv, batch, t.max() + 1)
     # rows of the n agents of each sample in the step-major agent pass
     rows = ((t * len(batch["length"]) + e)[:, None] * n + np.arange(n)).ravel()
     if actions is None:
@@ -213,11 +211,11 @@ def _joint_values(pv: dict[str, Var], batch: dict, t: np.ndarray,
             q.value[rows], batch["avail"][e, t].reshape(-1, n_actions), 0.0)
     chosen = select_rows(reshape(q, q.value.size, 1), rows * n_actions + actions)
     Z = batch["obs"][e, t].reshape(rows.size, -1)
-    return mx.mix_batch(kind, pv, chosen, Z, batch["state"][e, t], n, embed)
+    return mx.mix_batch(kind, pv, chosen, Z, batch["state"][e, t])
 
 
 def _fresh_targets(batch: dict, target_store: ParameterStore, kind: str,
-                   gamma: float, embed: int, agent_hidden: int) -> np.ndarray:
+                   gamma: float) -> np.ndarray:
     """:func:`td_targets` of every episode of ``batch``, without the memo."""
     t, e = _steps(batch)
     targets = np.zeros((t.max() + 1, len(batch["length"])))
@@ -226,14 +224,13 @@ def _fresh_targets(batch: dict, target_store: ParameterStore, kind: str,
     if not boot.any():
         return targets
     t, e = t[boot] + 1, e[boot]
-    qtot = _joint_values(target_store.bind(None), batch, t, e, kind, embed,
-                         agent_hidden)
+    qtot = _joint_values(target_store.bind(None), batch, t, e, kind)
     targets[t - 1, e] += gamma * qtot.value[:, 0]
     return targets
 
 
 def td_targets(batch: dict, target_store: ParameterStore, kind: str,
-               gamma: float, embed: int, agent_hidden: int = 64) -> np.ndarray:
+               gamma: float) -> np.ndarray:
     """One-step TD targets from the frozen target parameters, as (T x B).
 
     ``batch`` is a :func:`stack_episodes` batch. Entry [t, e] is the target
@@ -244,16 +241,16 @@ def td_targets(batch: dict, target_store: ParameterStore, kind: str,
     value at the per-agent greedy actions of the next step.
 
     Each episode's targets are memoized in ``target_store.memo`` under
-    (kind, gamma, embed, agent_hidden) by episode stamp; a new key or target
-    parameter array empties the memo. Missed episodes share one target agent
-    and mixer call; hits make none.
+    (kind, gamma) by episode stamp, as the store fixes the widths; a new key
+    or target parameter array empties the memo. Missed episodes share one
+    target agent and mixer call; hits make none.
     """
-    memo = target_store.memo((kind, gamma, embed, agent_hidden))
+    memo = target_store.memo((kind, gamma))
     stamps, lengths = batch["stamp"].tolist(), batch["length"]
     missed = [k for k, stamp in enumerate(stamps) if stamp not in memo]
     if missed:
         fresh = _fresh_targets({f: v[missed] for f, v in batch.items()},
-                               target_store, kind, gamma, embed, agent_hidden)
+                               target_store, kind, gamma)
         for col, k in enumerate(missed):
             memo[stamps[k]] = fresh[:lengths[k], col].copy()
     targets = np.zeros((lengths.max(), len(stamps)))
@@ -262,21 +259,19 @@ def td_targets(batch: dict, target_store: ParameterStore, kind: str,
     return targets
 
 
-def td_loss(batch: dict, pv: dict[str, Var], targets: np.ndarray, kind: str,
-            embed: int, agent_hidden: int = 64) -> Var:
+def td_loss(batch: dict, pv: dict[str, Var], targets: np.ndarray, kind: str) -> Var:
     """Half the mean squared TD error over valid timesteps, (1 x 1): the
     joint values under ``pv`` at the taken actions against ``targets``, the
     :func:`td_targets` of ``batch``."""
     t, e = _steps(batch)
-    qtot = _joint_values(pv, batch, t, e, kind, embed, agent_hidden,
-                         batch["actions"][e, t].ravel())
+    qtot = _joint_values(pv, batch, t, e, kind, batch["actions"][e, t].ravel())
     diff = add(qtot, -targets[t, e].reshape(-1, 1))
     return mul(block_sum(mul(diff, diff), t.size), np.array([[0.5 / t.size]]))
 
 
 def train_step(batch: dict, store: ParameterStore,
                target_store: ParameterStore, kind: str, gamma: float,
-               embed: int, agent_hidden: int = 64, lr: float = 5e-4,
+               embed=None, agent_hidden=None, lr: float = 5e-4,
                rms_decay: float = RMS_DECAY, rms_eps: float = RMS_EPS,
                clip_norm: float = CLIP_NORM) -> float:
     """One optimization step on a batch of episodes; returns the loss.
@@ -286,11 +281,12 @@ def train_step(batch: dict, store: ParameterStore,
     not into the targets. One agent call covers every step of the batch and
     one mixer call every valid step, so the tape holds one GRU record however
     long the episodes are. ``batch`` is a :func:`stack_episodes` batch.
+    ``embed`` and ``agent_hidden`` are not read: the stores fix the widths.
     """
-    targets = td_targets(batch, target_store, kind, gamma, embed, agent_hidden)
+    targets = td_targets(batch, target_store, kind, gamma)
     tape = Tape()
     pv = store.bind(tape)
-    loss = td_loss(batch, pv, targets, kind, embed, agent_hidden)
+    loss = td_loss(batch, pv, targets, kind)
     loss_value = float(loss.value[0, 0])
     if not np.isfinite(loss_value):
         raise TrainingError(
@@ -312,14 +308,15 @@ def update_target(store: ParameterStore, target_store: ParameterStore) -> None:
 
 
 def evaluate_policy(env, store: ParameterStore, episodes: int, rng: Rng,
-                    agent_hidden: int = 64, optimal: float | None = None) -> dict:
-    """Greedy evaluation: mean return and the rate of optimal-return episodes."""
+                    agent_hidden=None, optimal: float | None = None) -> dict:
+    """Greedy evaluation: mean return and the rate of optimal-return episodes.
+    ``agent_hidden`` is not read: the store fixes the width."""
     if episodes < 1:
         raise ValueError(f"evaluate_policy: episodes must be >= 1, got {episodes}")
     if optimal is None:
         optimal = brute_force_optimal(env)
     layouts = draw_layouts(env, [rng.split(f"ep{k}") for k in range(episodes)])
-    batch = rollout(env, store, 0.0, layouts, None, agent_hidden)
+    batch = rollout(env, store, 0.0, layouts, None)
     # each episode's first ``length`` rewards, summed as episode_return sums
     returns = np.array([r[:t].sum() for r, t in zip(batch["reward"], batch["length"])])
     success = float((np.abs(returns - optimal) <= 1e-9).mean())
@@ -362,7 +359,6 @@ def run_training(cfg, seed: int, out_dir) -> dict:
     buffer = ReplayBuffer(cfg.buffer_capacity)
 
     env_steps = 0
-    eval_count = 0
     losses: list[float] = []
     started = time.perf_counter()
     final_stats = None
@@ -371,23 +367,20 @@ def run_training(cfg, seed: int, out_dir) -> dict:
     with metrics_path.open("w") as metrics:
         for episode_idx in range(cfg.episodes):
             eps = epsilon(env_steps, cfg.anneal_steps)
-            ep = collect_episode(env, store, eps, env_rng, explore_rng,
-                                 cfg.agent_hidden)
+            ep = collect_episode(env, store, eps, env_rng, explore_rng)
             buffer.add(ep)
             env_steps += ep.length
             if len(buffer) >= cfg.batch_size:
                 batch = buffer.sample(cfg.batch_size, buffer_rng)
                 loss = train_step(batch, store, target_store, cfg.mixer,
-                                  cfg.gamma, cfg.embed, cfg.agent_hidden,
-                                  lr=cfg.lr)
+                                  cfg.gamma, lr=cfg.lr)
                 losses.append(loss)
                 if len(losses) % cfg.target_interval == 0:
                     update_target(store, target_store)
             if (episode_idx + 1) % cfg.eval_interval == 0:
+                label = f"eval{episode_idx // cfg.eval_interval}"
                 stats = evaluate_policy(env, store, cfg.eval_episodes,
-                                        root.split(f"eval{eval_count}"),
-                                        cfg.agent_hidden, optimal)
-                eval_count += 1
+                                        root.split(label), optimal=optimal)
                 loss_ma = (float(np.mean(losses[-50:])) if losses else None)
                 record = {
                     "step": env_steps,

@@ -87,7 +87,7 @@ def composite_qtot(pv, kind, Z, s, actions, dims):
     chosen = ad.select_rows(ad.reshape(q, n * n_actions, 1),
                             np.arange(n) * n_actions + np.asarray(actions))
     return mixers.mix_batch(kind, pv, chosen, np.asarray(Z, dtype=np.float64),
-                            np.atleast_2d(s), n, dims["embed"])
+                            np.atleast_2d(s))
 
 
 def composite_qtot_value(store, kind, Z, s, actions, dims) -> float:

@@ -218,14 +218,13 @@ def _td_loss_gradient_errors(kind):
     rng = Rng(1004).split(f"td_loss {kind}")
     batch = stack_episodes([
         collect_episode(env, target_store, 1.0, rng.split("env"),
-                        rng.split("explore"), cfg.agent_hidden)
+                        rng.split("explore"))
         for _ in range(6)])
-    targets = td_targets(batch, target_store, kind, cfg.gamma, cfg.embed,
-                         cfg.agent_hidden)
+    targets = td_targets(batch, target_store, kind, cfg.gamma)
     store.value = store.value + 0.05 * rng.normal(store.value.shape)
 
     def loss(pv):
-        return td_loss(batch, pv, targets, kind, cfg.embed, cfg.agent_hidden)
+        return td_loss(batch, pv, targets, kind)
 
     tape = ad.Tape()
     pv = store.bind(tape)
@@ -264,7 +263,7 @@ def test_criterion_5_monotonicity_and_igm():
         Z = rng.normal((3, 4))
         s = rng.normal((1, 3))
         chosen = rng.normal((3,)).ravel() * 2.0
-        fn = make_qtot_fn(kind, stores[kind], Z, s, 3, 4)
+        fn = make_qtot_fn(kind, stores[kind], Z, s)
         base = fn(chosen)
         for i in range(3):
             up = chosen.copy()
@@ -278,7 +277,7 @@ def test_criterion_5_monotonicity_and_igm():
         tables = rng.normal((3, 3)) * 3.0
         Z = rng.normal((3, 4))
         s = rng.normal((1, 3))
-        fn = make_qtot_fn(kind, stores[kind], Z, s, 3, 4)
+        fn = make_qtot_fn(kind, stores[kind], Z, s)
         assert igm_check(fn, tables, tol=1e-9), f"IGM failed: {kind} #{trial}"
         igm_passes += 1
     elapsed = time.perf_counter() - start
@@ -309,8 +308,8 @@ def test_criterion_6_ablation_equivalence():
         s = rng.normal((S, 6))
         w1 = rng.uniform(0.1, 2.0, (m + 4, 1))
         w2 = rng.uniform(0.1, 2.0, (m + 4, 1))
-        a = state_module(hgcn_transform_rows(q, H, w1, w2, 4), s, pv, 4, 8)
-        b = state_module(q, s, pv, 4, 8)
+        a = state_module(hgcn_transform_rows(q, H, w1, w2, 4), s, pv)
+        b = state_module(q, s, pv)
         worst = max(worst, float(np.abs(a.value - b.value).max()))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12, f"ablation gap {worst:.2e}"
@@ -338,18 +337,16 @@ def test_criterion_9_trained_monotonicity_and_igm(tmp_path):
     h = 1e-6
     worst_partial, states, zero_columns = np.inf, 0, 0
     for k in range(8):
-        ep = collect_episode(env, store, 0.0, rng.split(f"env{k}"), None,
-                             cfg.agent_hidden)
+        ep = collect_episode(env, store, 0.0, rng.split(f"env{k}"), None)
         steps = ep.length
-        q = _agent_pass(pv, stack_episodes([ep]), steps, cfg.agent_hidden)
+        q = _agent_pass(pv, stack_episodes([ep]), steps)
         tables = q.value.reshape(steps, n, n_actions)
         for t in range(steps):
             H, _ = build_hypergraph_rows(ep.obs[t], pv["mix.gen.w"],
                                          pv["mix.gen.b"], n)
             zero_columns += int((H.value[:, :cfg.hyperedges] == 0.0)
                                 .all(axis=0).sum())
-            fn = make_qtot_fn("hgcn-mix", store, ep.obs[t], ep.state[t], n,
-                              cfg.embed)
+            fn = make_qtot_fn("hgcn-mix", store, ep.obs[t], ep.state[t])
             chosen = tables[t].max(axis=1)
             base = fn(chosen)
             for i in range(n):

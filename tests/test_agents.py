@@ -49,6 +49,16 @@ class TestAgentForward:
         np.testing.assert_allclose(q.value, q_ref, atol=1e-12)
         np.testing.assert_allclose(h.value, h_ref, atol=1e-12)
 
+    def test_no_state_is_the_zero_state_of_the_store_width(self):
+        store = _store(hidden=5, seed=4)
+        pv = store.bind(None)
+        inputs = Var(Rng(3).normal((3 * 2, 3 + 2 + 2)))
+        q, h = ag.agent_forward(pv, inputs, steps=3)
+        q0, h0 = ag.agent_forward(pv, inputs, np.zeros((2, 5)), 3)
+        assert q.value.tobytes() == q0.value.tobytes()
+        assert h.value.shape == (6, 5)
+        assert h.value.tobytes() == h0.value.tobytes()
+
     def test_hidden_state_carries_history(self):
         store = _store(seed=5)
         pv = store.bind(None)

@@ -67,6 +67,14 @@ class TestConfig:
         assert Config.from_dict(cfg.to_dict()) == cfg
         assert Config.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
+    @pytest.mark.parametrize("n, episodes", [(4, 4000), (6, 14000)])
+    def test_wider_solve_configs_differ_only_in_agents_and_episodes(
+            self, n, episodes):
+        base = load_config(CONFIGS / "grid3_solve.json")
+        wider = load_config(CONFIGS / f"grid{n}_solve.json")
+        assert wider == base.replace(env={**base.env, "n_agents": n},
+                                     episodes=episodes)
+
     def test_optimizer_constants_are_pymarls_not_fields(self):
         names = {f.name for f in fields(Config)}
         assert not names & {"rms_decay", "rms_eps", "clip_norm"}

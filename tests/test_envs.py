@@ -103,7 +103,7 @@ class TestContract:
                                     state_dim=spec.state_dim,
                                     n_actions=spec.n_actions)
         ep = collect_episode(env, store, 1.0, Rng(4).split("env"),
-                             Rng(4).split("explore"), agent_hidden=4)
+                             Rng(4).split("explore"))
         assert ep.terminated[ep.length - 1]
         (obs,), (state,), (avail,) = env.observe()
         np.testing.assert_array_equal(ep.obs[ep.length], obs)

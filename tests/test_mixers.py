@@ -34,21 +34,21 @@ def _zero_state_module(store):
             v[...] = 0.0
 
 
-def _vdn(chosen, n):
+def _vdn(chosen):
     # vdn reads neither parameters, observations nor state
-    return mix_batch("vdn", {}, chosen, None, np.zeros((1, 1)), n, 1)
+    return mix_batch("vdn", {}, chosen, None, np.zeros((1, 1)))
 
 
 class TestVdn:
     def test_sum(self):
-        out = _vdn(Var([[1.0], [2.0], [3.0]]), 3)
+        out = _vdn(Var([[1.0], [2.0], [3.0]]))
         assert out.value[0, 0] == 6.0
 
     def test_zeros(self):
-        assert _vdn(Var(np.zeros((4, 1))), 4).value[0, 0] == 0.0
+        assert _vdn(Var(np.zeros((4, 1)))).value[0, 0] == 0.0
 
     def test_unit_partials(self):
-        _, (grad,) = leaf_grads(lambda v: _vdn(v, 3), np.ones((3, 1)))
+        _, (grad,) = leaf_grads(_vdn, np.ones((3, 1)))
         np.testing.assert_array_equal(grad, np.ones((3, 1)))
 
 
@@ -59,7 +59,7 @@ class TestStateModule:
         rng = Rng(1)
         for _ in range(10):
             out = state_module(Var(rng.normal((1, 2))), rng.normal((1, 2)),
-                               store.bind(None), n_agents=2, embed=3)
+                               store.bind(None))
             assert out.value[0, 0] == 0.0
 
     def test_forced_unit_weights_reduce_to_elu(self):
@@ -69,8 +69,7 @@ class TestStateModule:
         store["mix.hyper_w1.fc2.b"][...] = 1.0
         store["mix.hyper_w2.fc2.b"][...] = 1.0
         for q in (-2.0, -0.5, 0.0, 0.7, 3.0):
-            out = state_module(Var([[q]]), np.zeros((1, 2)), store.bind(None),
-                               n_agents=1, embed=1)
+            out = state_module(Var([[q]]), np.zeros((1, 2)), store.bind(None))
             assert out.value[0, 0] == pytest.approx(float(elu_ref(q)),
                                                     abs=1e-12)
 
@@ -81,7 +80,7 @@ class TestStateModule:
         for _ in range(50):
             q = rng.normal((1, 3))
             s = rng.normal((1, 4))
-            out = state_module(Var(q), s, store.bind(None), 3, 5)
+            out = state_module(Var(q), s, store.bind(None))
             ref = state_module_reference(params, q.ravel(), s, 3, 5)
             assert out.value[0, 0] == pytest.approx(ref, abs=1e-10)
 
@@ -105,10 +104,10 @@ class TestStateModule:
         store = _mixer_store("qmix", n=2, state_dim=3, embed=4, seed=5)
         q = rng.normal((6, 2))
         s = rng.normal((6, 3))
-        batched = state_module(Var(q), s, store.bind(None), 2, 4)
+        batched = state_module(Var(q), s, store.bind(None))
         for i in range(6):
             single = state_module(Var(q[i:i + 1]), s[i:i + 1],
-                                  store.bind(None), 2, 4)
+                                  store.bind(None))
             assert batched.value[i, 0] == pytest.approx(
                 single.value[0, 0], abs=1e-12)
 
@@ -124,15 +123,15 @@ class TestHgcnMixHead:
             q = rng.normal((3, 1))
             s = rng.normal((1, 4))
             qp = hg.hgcn_transform_rows(q, np.eye(3), ones, ones, 3)
-            qtot = state_module(qp, s, store.bind(None), 3, 4)
-            direct = state_module(Var(q.T), s, store.bind(None), 3, 4)
+            qtot = state_module(qp, s, store.bind(None))
+            direct = state_module(Var(q.T), s, store.bind(None))
             assert qtot.value[0, 0] == direct.value[0, 0]  # bit-exact
 
     def test_zero_q_zero_params_give_zero(self):
         store = _mixer_store("hgcn-mix", n=2, obs_dim=3, state_dim=2)
         _zero_state_module(store)
         qtot = mix_batch("hgcn-mix", store.bind(None), Var(np.zeros((2, 1))),
-                         Rng(0).normal((2, 3)), np.zeros((1, 2)), 2, 3)
+                         Rng(0).normal((2, 3)), np.zeros((1, 2)))
         assert qtot.value[0, 0] == 0.0
 
     @pytest.mark.parametrize("kind", ["hgcn-mix"])
@@ -147,7 +146,7 @@ class TestHgcnMixHead:
             rng = Rng(9)
             for S in counts:
                 mix_batch(kind, store.bind(None), Var(rng.normal((S * 3, 1))),
-                          rng.normal((S * 3, 4)), rng.normal((S, 3)), 3, 3)
+                          rng.normal((S * 3, 4)), rng.normal((S, 3)))
             return [f.cache_info().currsize for f in caches]
 
         assert sizes_after(range(1, 5)) == sizes_after(range(5, 80))
@@ -161,7 +160,7 @@ class TestHgcnMixHead:
             q = rng.normal((3, 1))
             Z = rng.normal((3, 4))
             s = rng.normal((1, 3))
-            qtot = mix_batch("hgcn-mix", store.bind(None), Var(q), Z, s, 3, 4)
+            qtot = mix_batch("hgcn-mix", store.bind(None), Var(q), Z, s)
             ref = hgcn_mix_reference(params, q, Z, s, 3, 4)
             assert qtot.value[0, 0] == pytest.approx(ref, abs=1e-9)
 
@@ -174,11 +173,9 @@ class TestHgcnMixHead:
             chosen = rng.normal((S * n, 1))
             Z = rng.normal((S * n, dims["obs_dim"]))
             s = rng.normal((S, dims["state_dim"]))
-            qtot = mix_batch(kind, store.bind(None), Var(chosen), Z, s, n,
-                             embed)
+            qtot = mix_batch(kind, store.bind(None), Var(chosen), Z, s)
             for i in range(S):
-                fn = make_qtot_fn(kind, store, Z[i * n:(i + 1) * n], s[i], n,
-                                  embed)
+                fn = make_qtot_fn(kind, store, Z[i * n:(i + 1) * n], s[i])
                 assert qtot.value[i, 0] == pytest.approx(
                     fn(chosen[i * n:(i + 1) * n].ravel()), abs=1e-10)
 
@@ -187,7 +184,7 @@ class TestHgcnMixHead:
         store, dims = tiny_mixer_store(kind, n=3)
         Z = np.zeros((3, dims["obs_dim"]))
         with pytest.raises(DimensionError, match="make_qtot_fn: s "):
-            make_qtot_fn(kind, store, Z, None, 3, dims["embed"])
+            make_qtot_fn(kind, store, Z, None)
 
 
 class TestIgmCheck:
@@ -208,7 +205,7 @@ class TestIgmCheck:
                 tables = rng.normal((3, 3)) * 3.0
                 Z = rng.normal((3, 3))
                 s = rng.normal((1, 2))
-                fn = make_qtot_fn(kind, store, Z, s, 3, dims["embed"])
+                fn = make_qtot_fn(kind, store, Z, s)
                 assert igm_check(fn, tables), f"{kind} trial {trial}"
 
     def test_adversarial_negated_weight_fails(self):

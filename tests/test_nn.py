@@ -235,6 +235,15 @@ class TestStoreLifecycle:
             tracemalloc.stop()
         assert size <= grown[0] < 2 * size <= grown[1] < 3 * size, grown
 
+    def test_add_refused_after_the_first_update(self):
+        # the moment is laid out over the parameters added before the update
+        store = ParameterStore()
+        store.add("a", [[1.0]])
+        rmsprop_step(store, np.ones(1))
+        with pytest.raises(ConfigError, match="parameter 'b'"):
+            store.add("b", np.ones((1, 3)))
+        assert store.names() == ["a"] and store.value.size == 1
+
     def test_copy_from_rejects_another_layout(self):
         store = ParameterStore()
         init_linear(store, "fc", 3, 3, Rng(0))

@@ -20,7 +20,7 @@ from hypermix import agents as ag
 from hypermix import mixers as mx
 from hypermix import training
 from hypermix.autodiff import Tape, gradient
-from hypermix.config import Config
+from hypermix.config import Config, load_config
 from hypermix.envs import (LazyCoordinationGrid, OneStepMatrixGame,
                            TwoStepGame, draw_layouts, make_env)
 from hypermix.nn import load_checkpoint, rmsprop_step, save_checkpoint
@@ -107,7 +107,7 @@ class TestCollectEpisode:
         store, _ = tiny_mixer_store("vdn", n=2, obs_dim=2, n_actions=3)
         env = OneStepMatrixGame()
         ep = collect_episode(env, store, 0.5, Rng(0).split("env"),
-                             Rng(0).split("x"), agent_hidden=4)
+                             Rng(0).split("x"))
         assert ep.length == 1
         assert ep.terminated[0]
 
@@ -117,7 +117,7 @@ class TestCollectEpisode:
         for _ in range(2):
             env = make_env({"name": "grid", "n_agents": 2, "length": 3})
             ep = collect_episode(env, store, 0.0, Rng(5).split("env"),
-                                 Rng(5).split("x"), agent_hidden=4)
+                                 Rng(5).split("x"))
             eps.append(ep)
         assert eps[0].length == eps[1].length
         np.testing.assert_array_equal(eps[0].actions, eps[1].actions)
@@ -128,14 +128,14 @@ class TestCollectEpisode:
         env = make_env({"name": "grid", "n_agents": 2, "length": 3})
         for k in range(10):
             ep = collect_episode(env, store, 1.0, Rng(k).split("env"),
-                                 Rng(k).split("x"), agent_hidden=4)
+                                 Rng(k).split("x"))
             assert 1 <= ep.length <= env.spec.episode_limit
 
     def test_trailing_slot_holds_final_observation(self):
         store, _ = tiny_mixer_store("vdn", n=2, obs_dim=2, n_actions=3)
         env = OneStepMatrixGame()
         ep = collect_episode(env, store, 0.0, Rng(1).split("env"),
-                             Rng(1).split("x"), agent_hidden=4)
+                             Rng(1).split("x"))
         assert ep.avail[1].all()
         np.testing.assert_array_equal(ep.obs[1], np.eye(2))
 
@@ -143,10 +143,8 @@ class TestCollectEpisode:
         store, _ = tiny_mixer_store("vdn", n=3, obs_dim=8, n_actions=3)
         env = make_env({"name": "grid", "n_agents": 3, "length": 4})
         explore = Rng(6).split("x")
-        drawn = collect_episode(env, store, 0.0, Rng(6).split("env"), explore,
-                                agent_hidden=4)
-        undrawn = collect_episode(env, store, 0.0, Rng(6).split("env"), None,
-                                  agent_hidden=4)
+        drawn = collect_episode(env, store, 0.0, Rng(6).split("env"), explore)
+        undrawn = collect_episode(env, store, 0.0, Rng(6).split("env"), None)
         for name in ("obs", "state", "avail", "actions", "reward", "terminated"):
             np.testing.assert_array_equal(getattr(drawn, name),
                                           getattr(undrawn, name))
@@ -162,10 +160,10 @@ class TestCollectEpisode:
         monkeypatch.setattr(ag, "build_agent_inputs",
                             lambda *a: used.append(build(*a)) or used[-1])
         ep = collect_episode(env, store, 1.0, Rng(3).split("env"),
-                             Rng(3).split("x"), agent_hidden=4)
+                             Rng(3).split("x"))
         assert ep.length > 1 and len(used) == ep.length
         training._agent_pass(store.bind(None), stack_episodes([ep]),
-                             ep.length + 1, agent_hidden=4)
+                             ep.length + 1)
         replayed = used[-1][:, 0]  # (steps, episode, n, d): one episode
         for t in range(ep.length):
             # the collector's rows are (episode, n, d): one running episode
@@ -290,7 +288,7 @@ class TestStackEpisodes:
         store, _ = tiny_mixer_store("vdn", n=3, obs_dim=env.spec.obs_dim,
                                     n_actions=3)
         episodes = [collect_episode(env, store, 1.0, Rng(k).split("env"),
-                                    Rng(k).split("x"), agent_hidden=4)
+                                    Rng(k).split("x"))
                     for k in range(6)]
         assert episodes[0].obs.dtype == np.int8
         self._check(episodes)
@@ -303,17 +301,15 @@ class TestTdTargets:
             env = make_env(env_name)
             batch.append(collect_episode(env, store, 1.0,
                                          Rng(seed + k).split("env"),
-                                         Rng(seed + k).split("x"),
-                                         agent_hidden=4))
+                                         Rng(seed + k).split("x")))
         return batch
 
     def test_terminal_step_takes_raw_reward(self):
         store, dims = tiny_mixer_store("vdn", n=2, obs_dim=2, n_actions=3)
         env = OneStepMatrixGame()
         ep = collect_episode(env, store, 0.0, Rng(2).split("env"),
-                             Rng(2).split("x"), agent_hidden=4)
-        y = td_targets(stack_episodes([ep]), store, "vdn", gamma=0.99,
-                       embed=dims["embed"], agent_hidden=4)
+                             Rng(2).split("x"))
+        y = td_targets(stack_episodes([ep]), store, "vdn", gamma=0.99)
         assert y[0, 0] == ep.reward[0]
 
     def test_bootstrap_arithmetic(self):
@@ -321,10 +317,9 @@ class TestTdTargets:
         store, dims = tiny_mixer_store("vdn", n=2, obs_dim=3, n_actions=2)
         env = TwoStepGame()
         ep = collect_episode(env, store, 1.0, Rng(3).split("env"),
-                             Rng(3).split("x"), agent_hidden=4)
+                             Rng(3).split("x"))
         assert ep.length == 2
-        y = td_targets(stack_episodes([ep]), store, "vdn", gamma=0.99,
-                       embed=dims["embed"], agent_hidden=4)
+        y = td_targets(stack_episodes([ep]), store, "vdn", gamma=0.99)
         ref = _reference_td_targets([ep], store, "vdn", 0.99, dims)
         np.testing.assert_allclose(_columns(y, [ep])[0], ref[0], atol=1e-10)
         assert y[0, 0] != ep.reward[0]  # really bootstrapped
@@ -335,8 +330,7 @@ class TestTdTargets:
                                        state_dim=12, hyperedges=2, embed=3)
         batch = self._batch(store, {"name": "grid", "n_agents": 2,
                                     "length": 3}, count=4, seed=10)
-        got = td_targets(stack_episodes(batch), store, kind, gamma=0.9,
-                         embed=dims["embed"], agent_hidden=4)
+        got = td_targets(stack_episodes(batch), store, kind, gamma=0.9)
         want = _reference_td_targets(batch, store, kind, 0.9, dims)
         for g, w in zip(_columns(got, batch), want):
             np.testing.assert_allclose(g, w, atol=1e-9)
@@ -346,8 +340,7 @@ class TestTdTargets:
         store, dims = tiny_mixer_store(kind, n=3, obs_dim=4, n_actions=3,
                                        state_dim=5, hyperedges=2, embed=3)
         batch = _mixed_length_batch(dims, seed=40)
-        got = td_targets(stack_episodes(batch), store, kind, gamma=0.9,
-                         embed=dims["embed"], agent_hidden=dims["agent_hidden"])
+        got = td_targets(stack_episodes(batch), store, kind, gamma=0.9)
         want = _reference_td_targets(batch, store, kind, 0.9, dims)
         for g, w in zip(_columns(got, batch), want):
             np.testing.assert_allclose(g, w, atol=1e-9)
@@ -364,8 +357,7 @@ class TestTdTargets:
             return mix_batch(*args)
 
         monkeypatch.setattr(mx, "mix_batch", spy)
-        td_targets(stack_episodes(batch), store, "qmix", gamma=0.9,
-                   embed=dims["embed"], agent_hidden=dims["agent_hidden"])
+        td_targets(stack_episodes(batch), store, "qmix", gamma=0.9)
         # four of the five episodes end terminated
         assert samples == [sum(ep.length for ep in batch) - 4]
 
@@ -373,8 +365,7 @@ class TestTdTargets:
         store, dims = tiny_mixer_store("qmix", n=2, obs_dim=2, n_actions=3,
                                        state_dim=1, embed=3)
         batch = [collect_episode(OneStepMatrixGame(), store, 1.0,
-                                 Rng(k).split("env"), Rng(k).split("x"),
-                                 agent_hidden=4)
+                                 Rng(k).split("env"), Rng(k).split("x"))
                  for k in range(3)]
 
         def unexpected(*args, **kwargs):
@@ -382,8 +373,7 @@ class TestTdTargets:
 
         monkeypatch.setattr(ag, "agent_forward", unexpected)
         monkeypatch.setattr(mx, "mix_batch", unexpected)
-        y = td_targets(stack_episodes(batch), store, "qmix", gamma=0.9,
-                       embed=dims["embed"], agent_hidden=4)
+        y = td_targets(stack_episodes(batch), store, "qmix", gamma=0.9)
         np.testing.assert_array_equal(y, [[ep.reward[0] for ep in batch]])
 
     def test_time_limit_step_takes_raw_reward(self):
@@ -396,8 +386,7 @@ class TestTdTargets:
         cut = [ep for ep in batch
                if ep.length == limit and ep.reward[limit - 1] == 0.0]
         assert cut, "no episode reached the time limit"
-        y = td_targets(stack_episodes(cut), store, "qmix", gamma=0.9,
-                       embed=dims["embed"], agent_hidden=4)
+        y = td_targets(stack_episodes(cut), store, "qmix", gamma=0.9)
         for k, ep in enumerate(cut):
             assert ep.terminated[limit - 1]
             assert y[limit - 1, k] == 0.0
@@ -415,6 +404,43 @@ def _spy_target_pass(monkeypatch):
     return calls
 
 
+class TestStoreFixesWidths:
+    """The grid3-solve stores are 16 wide in the agent GRU and 8 in the
+    mixer embedding; every call reads those widths from the stores."""
+
+    @staticmethod
+    def _run(kind):
+        cfg = load_config(ROOT / "configs" / "grid3_solve.json").replace(
+            mixer=kind)
+        assert (cfg.agent_hidden, cfg.embed) == (16, 8)
+        env = make_env(cfg.env)
+        return cfg, env, init_run_stores(cfg, env, 0)
+
+    def test_collect_episode_takes_the_store_width(self):
+        _, env, (store, _) = self._run("hgcn-mix")
+        alone, given = (collect_episode(env, store, 0.5, Rng(1).split("env"),
+                                        Rng(1).split("x"), *width)
+                        for width in ((), (16,)))
+        assert alone.record.dtype == given.record.dtype
+        assert alone.length == given.length
+        for field in alone.record.dtype.names:  # not the padding between
+            assert alone.record[field].tobytes() == given.record[field].tobytes()
+
+    @pytest.mark.parametrize("kind", ["qmix", "hgcn-mix"])
+    def test_td_targets_match_slow_loop_oracle(self, kind):
+        cfg, env, (store, target) = self._run(kind)
+        store.value = store.value + 0.1 * Rng(2).normal(store.value.shape)
+        target.copy_from(store)
+        batch = [collect_episode(env, store, 1.0, Rng(k).split("env"),
+                                 Rng(k).split("x")) for k in range(4)]
+        dims = dict(n=3, n_actions=3, embed=cfg.embed,
+                    agent_hidden=cfg.agent_hidden)
+        got = td_targets(stack_episodes(batch), target, kind, cfg.gamma)
+        want = _reference_td_targets(batch, target, kind, cfg.gamma, dims)
+        for g, w in zip(_columns(got, batch), want):
+            np.testing.assert_allclose(g, w, atol=1e-9)
+
+
 class TestTargetMemo:
     """td_targets computes each episode's targets once per target sync."""
 
@@ -426,8 +452,7 @@ class TestTargetMemo:
     def _targets(self, batch, store, dims, kind="hgcn-mix", gamma=0.9):
         if isinstance(batch, list):
             batch = stack_episodes(batch)
-        return td_targets(batch, store, kind, gamma=gamma, embed=dims["embed"],
-                          agent_hidden=dims["agent_hidden"])
+        return td_targets(batch, store, kind, gamma=gamma)
 
     @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix"])
     @pytest.mark.parametrize("sampled", [False, True])
@@ -521,7 +546,7 @@ class TestTargetMemo:
         buf.sample(2, Rng(0))
         with pytest.raises(ValueError, match="read-only"):
             batch[3].terminated[0] = True
-        store.memo(("hgcn-mix", 0.9, dims["embed"], dims["agent_hidden"]))
+        store.memo(("hgcn-mix", 0.9))
         with pytest.raises(ValueError, match="read-only"):
             store["agent.fc1.w"][0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
@@ -543,7 +568,7 @@ class TestTargetMemo:
             buf.add(ep)
         sample = buf.sample(len(batch), Rng(0))
         self._targets(sample, store, dims)
-        key = ("hgcn-mix", 0.9, dims["embed"], dims["agent_hidden"])
+        key = ("hgcn-mix", 0.9)
         entries = len(store.memo(key))
         assert entries == len(batch)
         episode = weakref.ref(batch[0])
@@ -569,8 +594,7 @@ class TestTargetMemo:
         for k in range(8):
             buffers[k % 2].add(collect_episode(env, store, 1.0,
                                                Rng(k).split("env"),
-                                               Rng(k).split("x"),
-                                               agent_hidden=4))
+                                               Rng(k).split("x")))
         batches = [buf.sample(4, Rng(0)) for buf in buffers]
         batches.append(stack_episodes(_mixed_length_batch(dims)))
         stamps = np.concatenate([b["stamp"] for b in batches]).tolist()
@@ -582,7 +606,7 @@ class TestTargetMemo:
 
     def test_fresh_store_starts_empty(self):
         store, dims, batch = self._setup("qmix")
-        key = ("qmix", 0.9, dims["embed"], dims["agent_hidden"])
+        key = ("qmix", 0.9)
         self._targets(batch, store, dims, "qmix")
         assert len(store.memo(key)) == len(batch)
         assert len(store.clone().memo(key)) == 0
@@ -597,12 +621,10 @@ class TestTrainStep:
         env = OneStepMatrixGame(np.zeros((2, 2)))
         batch = stack_episodes([collect_episode(env, store, 1.0,
                                                 Rng(k).split("env"),
-                                                Rng(k).split("x"),
-                                                agent_hidden=4)
+                                                Rng(k).split("x"))
                                 for k in range(4)])
         before = store_values(store)
-        loss = train_step(batch, store, target, "vdn", 0.99, dims["embed"],
-                          agent_hidden=4)
+        loss = train_step(batch, store, target, "vdn", 0.99)
         assert loss == 0.0
         for name in store.names():
             np.testing.assert_array_equal(store[name], before[name])
@@ -615,10 +637,8 @@ class TestTrainStep:
         env = OneStepMatrixGame(np.ones((2, 2)))
         batch = stack_episodes([collect_episode(env, store, 1.0,
                                                 Rng(7).split("env"),
-                                                Rng(7).split("x"),
-                                                agent_hidden=4)])
-        loss = train_step(batch, store, target, "vdn", 0.99, dims["embed"],
-                          agent_hidden=4)
+                                                Rng(7).split("x"))])
+        loss = train_step(batch, store, target, "vdn", 0.99)
         assert loss == pytest.approx(0.5)
 
     @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix"])
@@ -629,13 +649,11 @@ class TestTrainStep:
         env = OneStepMatrixGame()
         batch = stack_episodes([collect_episode(env, store, 1.0,
                                                 Rng(k).split("env"),
-                                                Rng(k).split("x"),
-                                                agent_hidden=4)
+                                                Rng(k).split("x"))
                                 for k in range(8)])
         losses = []
         for step in range(60):
-            losses.append(train_step(batch, store, target, kind, 0.99,
-                                     dims["embed"], agent_hidden=4, lr=5e-3))
+            losses.append(train_step(batch, store, target, kind, 0.99, lr=5e-3))
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
         assert all(np.isfinite(losses))
 
@@ -645,8 +663,7 @@ class TestTrainStep:
                                        state_dim=5, hyperedges=2, embed=3)
         batch = _mixed_length_batch(dims, seed=41)
         want = _reference_loss(batch, store, kind, 0.9, dims)
-        loss = train_step(stack_episodes(batch), store, store.clone(), kind,
-                          0.9, dims["embed"], agent_hidden=dims["agent_hidden"])
+        loss = train_step(stack_episodes(batch), store, store.clone(), kind, 0.9)
         assert loss == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix"])
@@ -663,8 +680,7 @@ class TestTrainStep:
         store.value = store.value + Rng(1).normal(store.value.shape)
         stored = stack_episodes([collect_episode(env, store, 0.7,
                                                  Rng(k).split("env"),
-                                                 Rng(k).split("x"),
-                                                 agent_hidden=4)
+                                                 Rng(k).split("x"))
                                  for k in range(6)])
         assert {stored[f].dtype for f in ("obs", "state", "actions")} == {
             np.dtype(np.int8)}
@@ -675,12 +691,10 @@ class TestTrainStep:
         results = []
         for batch in (stored, cast):
             # a fresh clone per side: the memo does not carry over
-            targets = td_targets(batch, store.clone(), kind, 0.9,
-                                 dims["embed"], agent_hidden=4)
+            targets = td_targets(batch, store.clone(), kind, 0.9)
             tape = Tape()
             pv = store.bind(tape)
-            loss = training.td_loss(batch, pv, targets, kind, dims["embed"],
-                                    agent_hidden=4)
+            loss = training.td_loss(batch, pv, targets, kind)
             grads = gradient(tape, loss)
             results.append([targets.tobytes(), loss.value.tobytes()]
                            + [grads[v].tobytes() if v in grads else None
@@ -716,8 +730,7 @@ class TestTrainStep:
             values = store_values(store)
             sq_avgs = store.views(store.sq_avg.copy())
             clip = 1e-3 if step % 2 == 0 else 1e6
-            train_step(batch, store, target, "hgcn-mix", 0.9, dims["embed"],
-                       agent_hidden=dims["agent_hidden"], lr=5e-3,
+            train_step(batch, store, target, "hgcn-mix", 0.9, lr=5e-3,
                        clip_norm=clip)
             grads = {name: swept[-1].get(var) for name, var in bound[-1].items()}
             assert grads["spare"] is None
@@ -740,12 +753,10 @@ class TestTrainStep:
         store, target = init_run_stores(cfg, env, 0)
         batch = stack_episodes([collect_episode(env, store, 1.0,
                                                 Rng(k).split("env"),
-                                                Rng(k).split("x"),
-                                                cfg.agent_hidden)
+                                                Rng(k).split("x"))
                                 for k in range(episodes)])
         monkeypatch.setattr(training, "gradient", spy)
-        train_step(batch, store, target, kind, cfg.gamma, cfg.embed,
-                   cfg.agent_hidden)
+        train_step(batch, store, target, kind, cfg.gamma)
 
     @pytest.mark.parametrize("kind,total", [("hgcn-mix", 36), ("qmix", 27)])
     def test_tape_records_per_step_at_paper_widths(self, kind, total,
@@ -798,12 +809,10 @@ class TestTrainStep:
         env = OneStepMatrixGame()
         batch = stack_episodes([collect_episode(env, store, 1.0,
                                                 Rng(k).split("env"),
-                                                Rng(k).split("x"),
-                                                agent_hidden=4)
+                                                Rng(k).split("x"))
                                 for k in range(4)])
         for _ in range(5):
-            train_step(batch, store, target, "qmix", 0.99, dims["embed"],
-                       agent_hidden=4)
+            train_step(batch, store, target, "qmix", 0.99)
         for name in target.names():
             np.testing.assert_array_equal(target[name], frozen[name])
 
@@ -813,7 +822,7 @@ class TestTrainStep:
     FAULT_SCRIPT = """
 import resource, statistics
 from hypermix import training
-from hypermix.config import Config
+from hypermix.config import Config, load_config
 from hypermix.envs import make_env
 from hypermix.rng import Rng
 
@@ -827,14 +836,13 @@ env_rng, explore_rng, buffer_rng = (root.split(k)
 buffer = training.ReplayBuffer(cfg.buffer_capacity)
 for _ in range(64):
     buffer.add(training.collect_episode(env, stores["hgcn-mix"][0], 1.0,
-                                        env_rng, explore_rng, cfg.agent_hidden))
+                                        env_rng, explore_rng))
 faults = []
 for step in range(20):
     for mixer, (store, target) in stores.items():
         batch = buffer.sample(cfg.batch_size, buffer_rng)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        training.train_step(batch, store, target, mixer, cfg.gamma, cfg.embed,
-                            cfg.agent_hidden)
+        training.train_step(batch, store, target, mixer, cfg.gamma)
         if mixer == "hgcn-mix":
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                           - before)
@@ -905,13 +913,13 @@ for label, cfg, hidden, seed in ENVS:
     store.value = store.value + 0.5 * rng.split("moved").normal(store.value.shape)
     recorded.clear()
     layouts = draw_layouts(env, [rng.split(f"ep{k}") for k in range(K)])
-    together = training.rollout(env, store, 0.0, layouts, None, hidden)
+    together = training.rollout(env, store, 0.0, layouts, None)
     stepped = list(recorded)
     lengths[label] = together["length"].tolist()
     for k in range(K):
         recorded.clear()
         alone = training.collect_episode(env, store, 0.0, rng.split(f"ep{k}"),
-                                         None, hidden)
+                                         None)
         for name in ("obs", "state", "avail", "actions", "reward",
                      "terminated", "length"):
             mine = np.asarray(together[name][k])
@@ -971,8 +979,8 @@ print(json.dumps({"lengths": lengths, "blocks": blocks,
                                 calls.update([k]) or m(*a))
         rng = Rng(8)
         layouts = draw_layouts(env, [rng.split(f"ep{k}") for k in range(8)])
-        lengths = training.rollout(env, store, 0.5, layouts, rng.split("x"),
-                                   agent_hidden=4)["length"]
+        lengths = training.rollout(env, store, 0.5, layouts,
+                                   rng.split("x"))["length"]
         longest = lengths.max()
         assert len(set(lengths.tolist())) > 1
         assert calls == {"reset": 1, "observe": longest + 1, "step": longest}
@@ -985,7 +993,7 @@ print(json.dumps({"lengths": lengths, "blocks": blocks,
         store, _ = tiny_mixer_store("vdn", n=2, obs_dim=4, n_actions=3)
         layouts = np.indices((2,) * 4).reshape(4, -1).T.reshape(-1, 2, 2)
         kept = layouts.copy()
-        batch = training.rollout(env, store, 0.0, layouts, None, agent_hidden=4)
+        batch = training.rollout(env, store, 0.0, layouts, None)
         assert len(batch["length"]) == 16
         assert len({row.tobytes() for row in layouts}) == 16
         np.testing.assert_array_equal(layouts, kept)
@@ -1006,7 +1014,7 @@ print(json.dumps({"lengths": lengths, "blocks": blocks,
 
         for name in ("split", "integers", "random"):
             monkeypatch.setattr(Rng, name, refuse)
-        batch = training.rollout(env, store, 0.0, layouts, None, agent_hidden=4)
+        batch = training.rollout(env, store, 0.0, layouts, None)
         assert batch["length"].shape == (4096,)
         assert ((batch["length"] >= 1)
                 & (batch["length"] <= env.spec.episode_limit)).all()
@@ -1019,8 +1027,7 @@ print(json.dumps({"lengths": lengths, "blocks": blocks,
                                     n_actions=3)
         rng = Rng(9)
         for k in range(4):
-            ep = collect_episode(env, store, 0.0, rng.split(f"ep{k}"), None,
-                                 agent_hidden=4)
+            ep = collect_episode(env, store, 0.0, rng.split(f"ep{k}"), None)
             assert ep.record.base is None and ep.record.flags.owndata
             assert ep.record.shape == ()
             for name in ep.record.dtype.names:
@@ -1036,7 +1043,7 @@ print(json.dumps({"lengths": lengths, "blocks": blocks,
         store, _ = tiny_mixer_store("vdn", n=3, obs_dim=env.spec.obs_dim,
                                     n_actions=3)
         ep = collect_episode(env, store, 1.0, Rng(5).split("env"),
-                             Rng(5).split("x"), agent_hidden=4)
+                             Rng(5).split("x"))
         names = ("obs", "state", "avail", "actions", "reward", "terminated")
         assert ep.record.dtype.names == names
         arrays = [getattr(ep, name) for name in names]
@@ -1057,15 +1064,14 @@ print(json.dumps({"lengths": lengths, "blocks": blocks,
                                     n_actions=3)
         rng = Rng(10)
         buf = ReplayBuffer(capacity=201)
-        buf.add(collect_episode(env, store, 1.0, rng.split("warm"), rng,
-                                agent_hidden=4))
+        buf.add(collect_episode(env, store, 1.0, rng.split("warm"), rng))
         tracemalloc.start()
         try:
             gc.collect()
             before = tracemalloc.get_traced_memory()[0]
             for k in range(200):
                 buf.add(collect_episode(env, store, 1.0, rng.split(f"ep{k}"),
-                                        rng, agent_hidden=4))
+                                        rng))
             gc.collect()
             per_episode = (tracemalloc.get_traced_memory()[0] - before) / 200
         finally:
@@ -1078,7 +1084,7 @@ print(json.dumps({"lengths": lengths, "blocks": blocks,
         store, _ = tiny_mixer_store("vdn", n=3, obs_dim=env.spec.obs_dim,
                                     n_actions=3)
         a, b = (collect_episode(env, store, 1.0, Rng(k).split("env"),
-                                Rng(k).split("x"), agent_hidden=4)
+                                Rng(k).split("x"))
                 for k in range(2))
         assert a.record.dtype is b.record.dtype
 
@@ -1090,12 +1096,11 @@ print(json.dumps({"lengths": lengths, "blocks": blocks,
         store.value = store.value + Rng(6).normal(store.value.shape)
         rng, env = Rng(7), make_env(cfg)
         returns = np.array([collect_episode(env, store, 0.0, rng.split(f"ep{k}"),
-                                            None, agent_hidden=4).episode_return
+                                            None).episode_return
                             for k in range(40)])
         assert 0.0 < returns.mean() < 1.0
         monkeypatch.setattr(training, "Episode", None)
-        assert evaluate_policy(make_env(cfg), store, 40, rng,
-                               agent_hidden=4) == {
+        assert evaluate_policy(make_env(cfg), store, 40, rng) == {
             "mean_return": float(returns.mean()),
             "success_rate": float((np.abs(returns - 1.0) <= 1e-9).mean())}
 
@@ -1108,10 +1113,10 @@ print(json.dumps({"lengths": lengths, "blocks": blocks,
                                     n_actions=3)
         store.value = store.value + Rng(1).normal(store.value.shape)
         calls = [
-            lambda e: evaluate_policy(e, store, 32, Rng(2), agent_hidden=4),
+            lambda e: evaluate_policy(e, store, 32, Rng(2)),
             lambda e: collect_episode(e, store, 0.5, Rng(3).split("env"),
-                                      Rng(3).split("x"), agent_hidden=4),
-            lambda e: evaluate_policy(e, store, 32, Rng(4), agent_hidden=4),
+                                      Rng(3).split("x")),
+            lambda e: evaluate_policy(e, store, 32, Rng(4)),
         ]
         for call in calls:
             reused, fresh = call(env), call(make_env(cfg))
@@ -1132,11 +1137,9 @@ class TestUpdateTarget:
         env = OneStepMatrixGame()
         batch = stack_episodes([collect_episode(env, store, 1.0,
                                                 Rng(k).split("env"),
-                                                Rng(k).split("x"),
-                                                agent_hidden=4)
+                                                Rng(k).split("x"))
                                 for k in range(4)])
-        train_step(batch, store, target, "qmix", 0.99, dims["embed"],
-                   agent_hidden=4)
+        train_step(batch, store, target, "qmix", 0.99)
         assert any(not np.array_equal(store[n], target[n])
                    for n in store.names())
         update_target(store, target)
@@ -1156,12 +1159,10 @@ class TestUpdateTarget:
             store, target = init_run_stores(cfg, env, 0)
             batch = stack_episodes([collect_episode(env, store, 1.0,
                                                     Rng(k).split("env"),
-                                                    Rng(k).split("x"),
-                                                    cfg.agent_hidden)
+                                                    Rng(k).split("x"))
                                     for k in range(8)])
             for step in range(4):
-                train_step(batch, store, target, kind, cfg.gamma, cfg.embed,
-                           cfg.agent_hidden)
+                train_step(batch, store, target, kind, cfg.gamma)
                 if step % 2 == 1:
                     update_target(store, target)
             assert store.sq_avg.any() and not target.sq_avg.any()
@@ -1184,7 +1185,7 @@ class TestEvaluatePolicy:
         # bias the head toward action 0 for every agent: joint (0,0) pays 11
         store["agent.fc2.b"][...] = [[10.0, 0.0, 0.0]]
         env = OneStepMatrixGame()
-        stats = evaluate_policy(env, store, 8, Rng(0), agent_hidden=4)
+        stats = evaluate_policy(env, store, 8, Rng(0))
         assert stats["success_rate"] == 1.0
         assert stats["mean_return"] == 11.0
 
@@ -1197,8 +1198,7 @@ class TestEvaluatePolicy:
         env = OneStepMatrixGame()
         rng = Rng(123)
         returns = [collect_episode(env, store, 1.0, rng.split(f"e{k}"),
-                                   rng.split(f"x{k}"),
-                                   agent_hidden=4).episode_return
+                                   rng.split(f"x{k}")).episode_return
                    for k in range(2000)]
         sigma = np.sqrt(((payoff - exact) ** 2).mean())
         bound = 3 * sigma / np.sqrt(len(returns))
@@ -1207,15 +1207,14 @@ class TestEvaluatePolicy:
     def test_zero_episodes_is_an_error(self):
         store, _ = tiny_mixer_store("vdn", n=2, obs_dim=2, n_actions=3)
         with pytest.raises(ValueError, match="episodes"):
-            evaluate_policy(OneStepMatrixGame(), store, 0, Rng(0),
-                            agent_hidden=4)
+            evaluate_policy(OneStepMatrixGame(), store, 0, Rng(0))
 
     def test_zero_params_deterministic_return(self):
         store, _ = tiny_mixer_store("vdn", n=2, obs_dim=2, n_actions=3)
         _zeroed(store)
         env = OneStepMatrixGame()
-        a = evaluate_policy(env, store, 4, Rng(3), agent_hidden=4)
-        b = evaluate_policy(env, store, 4, Rng(3), agent_hidden=4)
+        a = evaluate_policy(env, store, 4, Rng(3))
+        b = evaluate_policy(env, store, 4, Rng(3))
         assert a == b
 
 
