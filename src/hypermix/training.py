@@ -19,8 +19,7 @@ import numpy as np
 
 from . import agents as ag
 from . import mixers as mx
-from .autodiff import (Tape, Var, add, block_sum, gradient, mul, reshape,
-                       select_rows)
+from .autodiff import Tape, Var, gradient, reshape, select_rows
 from .envs import brute_force_optimal, draw_layouts, make_env
 from .errors import TrainingError
 from .nn import (CLIP_NORM, RMS_DECAY, RMS_EPS, ParameterStore,
@@ -63,8 +62,10 @@ class Episode:
     def __init__(self, obs, state, avail, actions, reward, terminated,
                  length: int):
         arrays = (obs, state, avail, actions, reward, terminated)
-        self.record = np.array(arrays, _record_dtype(tuple(
+        # zeroed first, so the aligned dtype's padding bytes are zero too
+        self.record = np.zeros((), _record_dtype(tuple(
             (f, a.dtype.str, a.shape) for f, a in zip(_FIELDS, arrays))))
+        self.record[()] = arrays
         self.record.setflags(write=False)
         self.length, self.stamp = length, next(_stamps)
 
@@ -259,41 +260,35 @@ def td_targets(batch: dict, target_store: ParameterStore, kind: str,
     return targets
 
 
-def td_loss(batch: dict, pv: dict[str, Var], targets: np.ndarray, kind: str) -> Var:
-    """Half the mean squared TD error over valid timesteps, (1 x 1): the
-    joint values under ``pv`` at the taken actions against ``targets``, the
-    :func:`td_targets` of ``batch``."""
-    t, e = _steps(batch)
-    qtot = _joint_values(pv, batch, t, e, kind, batch["actions"][e, t].ravel())
-    diff = add(qtot, -targets[t, e].reshape(-1, 1))
-    return mul(block_sum(mul(diff, diff), t.size), np.array([[0.5 / t.size]]))
-
-
 def train_step(batch: dict, store: ParameterStore,
                target_store: ParameterStore, kind: str, gamma: float,
                embed=None, agent_hidden=None, lr: float = 5e-4,
                rms_decay: float = RMS_DECAY, rms_eps: float = RMS_EPS,
                clip_norm: float = CLIP_NORM) -> float:
-    """One optimization step on a batch of episodes; returns the loss.
-
-    The loss is :func:`td_loss`; gradients flow through the agent networks,
-    the hypergraph generator and edge weights, and the hypernetworks, but
-    not into the targets. One agent call covers every step of the batch and
-    one mixer call every valid step, so the tape holds one GRU record however
-    long the episodes are. ``batch`` is a :func:`stack_episodes` batch.
-    ``embed`` and ``agent_hidden`` are not read: the stores fix the widths.
-    """
+    """One optimization step on a :func:`stack_episodes` batch; returns the
+    loss, half the mean squared TD error of the joint values at the taken
+    actions against :func:`td_targets`, over valid timesteps. The tape ends
+    at the joint values, and the backward starts there from the loss's
+    gradient. Gradients reach the agent networks, the hypergraph generator
+    and edge weights, and the hypernetworks, not the targets. One agent call
+    covers every step and one mixer call every valid step, so the tape holds
+    one GRU record. ``embed`` and ``agent_hidden`` are not read: the stores
+    fix the widths."""
     targets = td_targets(batch, target_store, kind, gamma)
     tape = Tape()
     pv = store.bind(tape)
-    loss = td_loss(batch, pv, targets, kind)
-    loss_value = float(loss.value[0, 0])
+    t, e = _steps(batch)
+    qtot = _joint_values(pv, batch, t, e, kind, batch["actions"][e, t].ravel())
+    delta = qtot.value[:, 0] - targets[t, e]
+    loss_value = float((delta * delta).sum() * (0.5 / t.size))
     if not np.isfinite(loss_value):
         raise TrainingError(
             f"non-finite loss {loss_value} (mixer={kind},"
             f" batch={len(batch['length'])}, t_max={batch['length'].max()})"
         )
-    grads = gradient(tape, loss)
+    # d loss / d qtot is delta / S, written as delta * (1 / S): the bits of
+    # delta * (0.5 / S) added to itself, as a taped loss's backward gives
+    grads = gradient(tape, {qtot: delta[:, None] * (1.0 / t.size)})
     # the gradient in the store's layout: zero where the sweep did not reach
     grad = np.concatenate([grads[v].ravel() if v in grads
                            else np.zeros(v.value.size) for v in pv.values()])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hypermix import autodiff as ad
+from hypermix import training
 from hypermix.autodiff import hgcn_conv
 from hypermix.config import Config
 from hypermix.envs import make_env
@@ -21,9 +22,9 @@ from hypermix.mixers import (igm_check, init_mixer_params, make_qtot_fn,
 from hypermix.nn import (ParameterStore, gru_fwd, init_gru, init_mlp,
                          load_checkpoint, mlp_fwd)
 from hypermix.rng import Rng
-from hypermix.training import (_agent_pass, collect_episode,
-                               init_run_stores, run_training, stack_episodes,
-                               td_loss, td_targets)
+from hypermix.training import (_agent_pass, _joint_values, _steps,
+                               collect_episode, init_run_stores, run_training,
+                               stack_episodes, td_targets, train_step)
 
 from _helpers import (assert_grad_close, check_gradients,
                       composite_param_grads, composite_qtot_value,
@@ -110,9 +111,9 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_gradient_suite():
     """Every layer and the full joint-value composite match central finite
     differences (h = 1e-5, relative error <= 1e-4) at 100 points each, and
-    the whole TD loss's gradient matches its central difference at every
-    parameter coordinate for vdn, qmix and hgcn-mix (h = 1e-6, scale-free
-    error <= 1e-4)."""
+    the gradient a train step applies matches the central difference of its
+    TD loss at every parameter coordinate for vdn, qmix and hgcn-mix
+    (h = 1e-6, scale-free error <= 1e-4)."""
     rng = Rng(1004)
     start = time.perf_counter()
 
@@ -189,28 +190,30 @@ def test_criterion_4_gradient_suite():
             fd_flat[i] = (up - down) / (2 * h)
         assert_grad_close(grads[name], fd, label=f"composite:{name}")
 
-    # the whole train step's TD loss, every coordinate of the store
+    # the gradient a whole train step applies, every coordinate of the store
     whole = {}
     for kind in ("vdn", "qmix", "hgcn-mix"):
-        err = _td_loss_gradient_errors(kind)
+        err = _train_step_gradient_errors(kind)
         whole[kind] = (err.max(), err.size)
         assert err.max() <= 1e-4, (
-            f"td_loss gradient of {kind}: worst error {err.max():.2e} on"
+            f"train_step gradient of {kind}: worst error {err.max():.2e} on"
             f" {(err > 1e-4).sum()} of {err.size} coordinates")
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     _report(4, "linear/mlp/gru/hgcn layers + full composite, 100 points each;"
-               " td_loss worst error " + ", ".join(
+               " train_step worst error " + ", ".join(
                    f"{k} {w:.1e} over {c}" for k, (w, c) in whole.items()),
             elapsed, 120)
 
 
-def _td_loss_gradient_errors(kind):
+def _train_step_gradient_errors(kind):
     """|fd - g| / max(1e-6, |fd| + |g|) per store coordinate, where g is the
-    gradient that :func:`train_step` gathers from :func:`td_loss` and fd its
-    central difference (h = 1e-6). Corridor n=3, length 3, small widths, one
-    batch of 6 episodes at epsilon 1; the online store sits 0.05 N(0, 1) off
-    the target store, so the targets bootstrap from another network."""
+    gradient that :func:`train_step` passes to ``clip_grad_norm`` and fd the
+    central difference (h = 1e-6) of half the mean squared TD error of the
+    joint values at the taken actions against the same targets. Corridor
+    n=3, length 3, small widths, one batch of 6 episodes at epsilon 1; the
+    online store sits 0.05 N(0, 1) off the target store, so the targets
+    bootstrap from another network."""
     cfg = Config(env={"name": "grid", "n_agents": 3, "length": 3}, mixer=kind,
                  agent_hidden=5, embed=3, hypernet_hidden=4, hyperedges=3)
     env = make_env(cfg.env)
@@ -222,23 +225,36 @@ def _td_loss_gradient_errors(kind):
         for _ in range(6)])
     targets = td_targets(batch, target_store, kind, cfg.gamma)
     store.value = store.value + 0.05 * rng.normal(store.value.shape)
+    t, e = _steps(batch)
+    taken = batch["actions"][e, t].ravel()
 
-    def loss(pv):
-        return td_loss(batch, pv, targets, kind)
+    def loss():
+        qtot = _joint_values(store.bind(None), batch, t, e, kind, taken)
+        delta = qtot.value[:, 0] - targets[t, e]
+        return float((delta * delta).sum() * (0.5 / t.size))
 
-    tape = ad.Tape()
-    pv = store.bind(tape)
-    grads = ad.gradient(tape, loss(pv))
-    g = np.concatenate([grads[v].ravel() if v in grads
-                        else np.zeros(v.value.size) for v in pv.values()])
+    # the gradient as train_step applies it, copied before the clip scales
+    # it in place; the step runs on a clone, so the point does not move
+    applied, clip = [], training.clip_grad_norm
+
+    def spy(owner, grad, max_norm):
+        applied.append(grad.copy())
+        return clip(owner, grad, max_norm)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "clip_grad_norm", spy)
+        step_loss = train_step(batch, store.clone(), target_store, kind,
+                               cfg.gamma)
+    assert loss() == step_loss, (loss(), step_loss)
+    (g,) = applied
     flat, h = store.value, 1e-6
     fd = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        up = float(loss(store.bind(None)).value[0, 0])
+        up = loss()
         flat[i] = orig - h
-        down = float(loss(store.bind(None)).value[0, 0])
+        down = loss()
         flat[i] = orig
         fd[i] = (up - down) / (2 * h)
     return np.abs(fd - g) / np.maximum(1e-6, np.abs(fd) + np.abs(g))

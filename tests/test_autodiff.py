@@ -116,9 +116,10 @@ class TestForwardValues:
         np.testing.assert_array_equal(grads[x], [[1, 2]] * 3 + [[3, 4]] * 3)
 
     def test_block_sum_of_a_column_is_numpy_sum_bit_for_bit(self):
-        # the TD loss sums its (S x 1) squared errors with one block_sum of
-        # all S rows; it must give x.sum()'s bits, at every S and over
-        # mixed magnitudes
+        # train_step sums its S squared TD errors in numpy, where a taped
+        # loss would take one block_sum of all S rows; the two give the same
+        # bits, at every S and over mixed magnitudes, so the numpy loss keeps
+        # the taped loss's value
         rng = Rng(12)
         for rows in range(1, 513):
             x = rng.normal((rows, 1)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))

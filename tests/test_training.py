@@ -19,7 +19,7 @@ import pytest
 from hypermix import agents as ag
 from hypermix import mixers as mx
 from hypermix import training
-from hypermix.autodiff import Tape, gradient
+from hypermix.autodiff import Tape, add, block_sum, gradient, mul
 from hypermix.config import Config, load_config
 from hypermix.envs import (LazyCoordinationGrid, OneStepMatrixGame,
                            TwoStepGame, draw_layouts, make_env)
@@ -150,6 +150,26 @@ class TestCollectEpisode:
                                           getattr(undrawn, name))
         assert explore.random() == Rng(6).split("x").random()
 
+    def test_equal_episodes_have_equal_record_bytes(self):
+        # the record's dtype is aligned; its padding bytes are zero, not
+        # whatever the reused memory held: here a freed block of 0xAB bytes
+        env = make_env({"name": "grid", "n_agents": 3, "length": 4})
+        store, _ = tiny_mixer_store("vdn", n=3, obs_dim=env.spec.obs_dim,
+                                    n_actions=3)
+        differ = 0
+        for k in range(50):
+            records = []
+            for _ in range(2):
+                junk = np.full(4096, 0xAB, np.uint8)
+                del junk
+                ep = collect_episode(env, store, 1.0, Rng(k).split("env"),
+                                     Rng(k).split("x"))
+                records.append(ep.record.tobytes())
+            differ += records[0] != records[1]
+        assert ep.record.dtype.itemsize > sum(
+            f.itemsize for f, _ in ep.record.dtype.fields.values())
+        assert differ == 0
+
     def test_replayed_inputs_are_the_collector_inputs(self, monkeypatch):
         env = make_env({"name": "grid", "n_agents": 3, "length": 4})
         spec = env.spec
@@ -246,6 +266,30 @@ def _mixed_length_batch(dims, seed=0):
         ep["terminated"][length - 1] = terminated
         batch.append(Episode(**ep, length=length))
     return batch
+
+
+def _swept_step(batch, store, target, kind, gamma):
+    """A :func:`train_step` on a clone of ``store``: its loss, and the
+    gradient map its sweep returned as bytes by parameter name (None where
+    the sweep did not reach)."""
+    online, bound, swept = store.clone(), [], []
+    bind = online.bind
+
+    def spy(tape):
+        bound.append(bind(tape))
+        return bound[-1]
+
+    def sweep(tape, seeds):
+        swept.append(gradient(tape, seeds))
+        return swept[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(online, "bind", spy)
+        patch.setattr(training, "gradient", sweep)
+        loss = train_step(batch, online, target, kind, gamma)
+    (pv,), (grads,) = bound, swept
+    return loss, {name: grads[v].tobytes() if v in grads else None
+                  for name, v in pv.items()}
 
 
 def _columns(targets, batch):
@@ -690,17 +734,40 @@ class TestTrainStep:
                     actions=stored["actions"].astype(np.intp))
         results = []
         for batch in (stored, cast):
-            # a fresh clone per side: the memo does not carry over
+            # fresh clones per side: the memo does not carry over
             targets = td_targets(batch, store.clone(), kind, 0.9)
-            tape = Tape()
-            pv = store.bind(tape)
-            loss = training.td_loss(batch, pv, targets, kind)
-            grads = gradient(tape, loss)
-            results.append([targets.tobytes(), loss.value.tobytes()]
-                           + [grads[v].tobytes() if v in grads else None
-                              for v in pv.values()])
+            loss, grads = _swept_step(batch, store, store.clone(), kind, 0.9)
+            results.append([targets.tobytes(), np.float64(loss).tobytes()]
+                           + list(grads.values()))
         assert results[0] == results[1]
         assert all(g is not None for g in results[0][2:])
+
+    @pytest.mark.parametrize("kind", ["vdn", "qmix", "hgcn-mix"])
+    def test_seed_gives_the_taped_loss_bits(self, kind):
+        # the oracle is the loss on the tape: d = qtot - y, then half the
+        # mean of d * d as three more records. train_step's return and the
+        # map its sweep returns from the seed at the joint values equal that
+        # loss's value and gradient map, byte for byte. 14 samples: a power
+        # of two would give delta / S the same bits as delta * (1 / S)
+        store, dims = tiny_mixer_store(kind, n=3, obs_dim=4, n_actions=3,
+                                       state_dim=5, hyperedges=2, embed=3)
+        target = store.clone()
+        store.value = store.value + 0.1 * Rng(2).normal(store.value.shape)
+        batch = stack_episodes(_mixed_length_batch(dims, seed=46)[:4])
+        targets = td_targets(batch, target, kind, 0.9)
+        tape = Tape()
+        pv = store.bind(tape)
+        t, e = training._steps(batch)
+        assert t.size == 14
+        qtot = training._joint_values(pv, batch, t, e, kind,
+                                      batch["actions"][e, t].ravel())
+        d = add(qtot, -targets[t, e].reshape(-1, 1))
+        loss = mul(block_sum(mul(d, d), t.size), np.array([[0.5 / t.size]]))
+        grads = gradient(tape, loss)
+        want = {name: grads[v].tobytes() if v in grads else None
+                for name, v in pv.items()}
+        assert _swept_step(batch, store, target, kind, 0.9) == (
+            float(loss.value[0, 0]), want)
 
     def test_flat_optimizer_matches_per_parameter_reference(self,
                                                             monkeypatch):
@@ -758,7 +825,7 @@ class TestTrainStep:
         monkeypatch.setattr(training, "gradient", spy)
         train_step(batch, store, target, kind, cfg.gamma)
 
-    @pytest.mark.parametrize("kind,total", [("hgcn-mix", 36), ("qmix", 27)])
+    @pytest.mark.parametrize("kind,total", [("hgcn-mix", 32), ("qmix", 23)])
     def test_tape_records_per_step_at_paper_widths(self, kind, total,
                                                    monkeypatch):
         # each hypergraph convolution layer is one hgcn_conv record, and each
